@@ -1,6 +1,7 @@
 """Classical cut-tree builders: Gomory-Hu on contracted graphs, Gusfield's
 uncontracted variant, and partial trees that resolve only low-connectivity
-pairs.
+pairs (a Gusfield tree of a perturbed sparsifier with its heavy edges
+contracted).
 """
 
 from __future__ import annotations
@@ -131,9 +132,13 @@ def _gusfield_frame(n: int, solve) -> PartitionTree:
 def k_partial_tree(g: Graph, k: int, seed: int | None = 0) -> PartitionTree:
     """Partition tree resolving exactly the pairs with connectivity <= k.
 
-    Built as a full Gomory-Hu tree of the perturbed (k+1)-sparsifier, whose
+    Built as a full Gusfield tree of the perturbed (k+1)-sparsifier, whose
     cuts of value <= k coincide with the input graph's, then contracting
-    every tree edge heavier than k.
+    every tree edge heavier than k.  Each pair of connectivity <= k has a
+    unique minimum cut in the perturbed sparsifier, so every cut tree of it
+    carries the same light edges and the result does not depend on which
+    full-tree builder made it; Gusfield's needs no contracted graphs and
+    reuses one flow solver for all n-1 flows.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,7 +146,7 @@ def k_partial_tree(g: Graph, k: int, seed: int | None = 0) -> PartitionTree:
         return PartitionTree.single(1)
     gp = perturb(g, seed=seed)
     gw = perturbed_sparsifier(g, gp, k + 1)
-    full = classic_gomory_hu(gw)
+    full = gusfield(gw)
 
     node_tree = to_node_tree(full)
     # merge across heavy edges

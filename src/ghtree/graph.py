@@ -351,13 +351,21 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise GraphError(f"line {lineno}: duplicate header")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except (IndexError, ValueError):
+                raise GraphError(f"line {lineno}: malformed header") from None
+            if n < 1:
+                raise GraphError(f"line {lineno}: node count must be positive")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before header")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            mult = int(parts[3]) if len(parts) > 3 else 1
-            if u == v or not (0 <= u < n and 0 <= v < n):
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                mult = int(parts[3]) if len(parts) > 3 else 1
+            except (IndexError, ValueError):
+                raise GraphError(f"line {lineno}: malformed edge record") from None
+            if u == v or not (0 <= u < n and 0 <= v < n) or mult < 1:
                 raise GraphError(f"line {lineno}: bad edge")
             key = (u, v) if u < v else (v, u)
             pairs[key] = pairs.get(key, 0) + mult

@@ -291,6 +291,8 @@ class GomoryHuTree:
         """
         if u == v:
             raise TreeError("query needs two distinct nodes")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise TreeError("query node out of range")
         path = self.path(u, v)
         best = 0
         for k in range(1, len(path)):
@@ -346,12 +348,25 @@ def parse_tree(text: str) -> GomoryHuTree:
             continue
         parts = line.split()
         if parts[0] == "t":
-            n = int(parts[1])
+            if n is not None:
+                raise TreeError(f"line {lineno}: duplicate header")
+            try:
+                n = int(parts[1])
+            except (IndexError, ValueError):
+                raise TreeError(f"line {lineno}: malformed header") from None
+            if n < 1:
+                raise TreeError(f"line {lineno}: node count must be positive")
         elif parts[0] == "e":
             if n is None:
                 raise TreeError(f"line {lineno}: edge before header")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((u, v, Weight.parse(parts[3])))
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                w = Weight.parse(parts[3])
+            except (IndexError, ValueError):
+                raise TreeError(f"line {lineno}: malformed edge record") from None
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise TreeError(f"line {lineno}: bad edge")
+            edges.append((u, v, w))
         else:
             raise TreeError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

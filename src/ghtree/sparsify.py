@@ -86,7 +86,8 @@ def perturb(g: Graph, seed: int | None = None) -> Graph:
     for key in sorted(g.edges):
         m, _ = g.edges[key]
         edges[key] = (m, rng.randint(1, hi))
-    assert sum(e for _, e in edges.values()) < unit
+    if sum(e for _, e in edges.values()) >= unit:
+        raise GraphError("perturbation units sum to a whole edge")
     return g.with_edges(edges, unit=unit, simple=False)
 
 

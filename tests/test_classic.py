@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection, k_p
 from ghtree.flow import FLOW_CALLS, all_pairs_oracle
 from ghtree.graph import Graph, auxiliary_graph, subdivide
 from ghtree.partition import assemble, to_node_tree
+from ghtree.sparsify import perturb, perturbed_sparsifier
 from ghtree.weights import Weight
 
 
@@ -109,6 +111,76 @@ def test_k_partial_definition_and_refinement():
         full = assemble(t, subs)
         for (u, v), lam in oracle.items():
             assert full.query(u, v)[0].base == lam.base
+
+
+def classic_partial_reference(g, k, seed):
+    """Super-node partition and light edges of the partial tree, built from a
+    classic (contracted) Gomory-Hu tree of the same perturbed sparsifier."""
+    gw = perturbed_sparsifier(g, perturb(g, seed=seed), k + 1)
+    full = to_node_tree(classic_gomory_hu(gw))
+    group = list(range(g.n))
+
+    def find(x):
+        while group[x] != x:
+            x = group[x]
+        return x
+
+    for u, v, w in full.edges():
+        if w.base > k:
+            group[find(u)] = find(v)
+    parts = {}
+    for v in range(g.n):
+        parts.setdefault(find(v), set()).add(v)
+    light = sorted(
+        (tuple(sorted((min(parts[find(u)]), min(parts[find(v)])))), w.base)
+        for u, v, w in full.edges() if w.base <= k
+    )
+    return sorted(sorted(p) for p in parts.values()), light
+
+
+def partition_and_light_edges(t):
+    low = {i: min(s) for i, s in t.super_nodes.items()}
+    light = sorted(
+        (tuple(sorted((low[a], low[b]))), w.base) for a, b, w in t.edges()
+    )
+    return sorted(sorted(s) for s in t.super_nodes.values()), light
+
+
+def test_k_partial_matches_classic_reference():
+    """Light pairs have unique minimum cuts in the perturbed sparsifier, so
+    the Gusfield-built partial tree equals the one a classic tree gives."""
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(36):
+        n = rng.randint(5, 40)
+        g = families.er_connected(n, rng.choice((0.3, 0.5)),
+                                  seed=rng.randrange(2 ** 32))
+        for k in sorted({1, 2, math.isqrt(n), rng.randint(1, n)}):
+            seed = rng.randrange(2 ** 62)
+            t = k_partial_tree(g, k, seed=seed)
+            assert partition_and_light_edges(t) == classic_partial_reference(g, k, seed)
+            assert all(w.eps == 0 and w.base <= k for _, _, w in t.edges())
+            checked += 1
+    for sizes in ([4, 4, 4], [6, 5, 7, 3]):
+        g = families.clique_chain(sizes)
+        for k in (1, 2, 4):
+            t = k_partial_tree(g, k, seed=k)
+            assert partition_and_light_edges(t) == classic_partial_reference(g, k, k)
+            checked += 1
+    assert checked >= 100
+
+
+def test_k_partial_disconnected_input():
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6),
+                             (6, 3), (3, 5), (7, 8)])
+    t = k_partial_tree(g, g.n, seed=3)
+    assert t.fully_resolved
+    assert_tree_matches_oracle(g, t)
+    t1 = k_partial_tree(g, 1, seed=3)
+    oracle = all_pairs_oracle(g)
+    ns = t1.node_super
+    for (u, v), lam in oracle.items():
+        assert (ns[u] != ns[v]) == (lam.base <= 1)
 
 
 def test_gusfield_projection_round_trip():

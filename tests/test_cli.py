@@ -93,6 +93,43 @@ def test_input_error_exit_code(tmp_path, runner):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("text", [
+    "p 3 2\ne 1 x\n",        # non-integer field
+    "p 3 2\ne 1 2 two\n",    # non-integer multiplicity
+    "p 3 2\ne 1\n",          # short record
+    "p\ne 1 2\n",            # header without n
+    "p 0 0\n",               # no nodes
+])
+def test_malformed_graph_exits_4(tmp_path, runner, text):
+    bad = tmp_path / "bad.gr"
+    bad.write_text(text)
+    res = runner.invoke(main, ["build", str(bad), "--out", str(tmp_path / "x")])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
+@pytest.mark.parametrize("text", [
+    "t 3\ne 1 x 1.0\ne 2 3 1.0\n",    # non-integer node
+    "t 3\ne 1 2 1.z\ne 2 3 1.0\n",    # non-integer weight
+    "t 3\ne 1 2\ne 2 3 1.0\n",        # short record
+    "t\ne 1 2 1.0\n",                 # header without n
+    "t 3\ne 1 9 1.0\ne 2 3 1.0\n",    # node out of range
+])
+def test_malformed_tree_query_exits_4(tmp_path, runner, text):
+    bad = tmp_path / "bad.tree"
+    bad.write_text(text)
+    res = runner.invoke(main, ["query", str(bad), "1", "2"])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
+def test_query_node_out_of_range_exits_4(tmp_path, runner):
+    tree = tmp_path / "g.tree"
+    tree.write_text("t 3\ne 1 2 1.0\ne 2 3 1.0\n")
+    res = runner.invoke(main, ["query", str(tree), "0", "2"])
+    assert res.exit_code == 4, res.output
+
+
 def test_sampled_verify(tmp_path, runner):
     g = families.er_connected(40, 0.3, seed=4)
     gp = write_graph(tmp_path / "g.gr", g)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghtree import families
+from ghtree import families, sparsify
 from ghtree.graph import Graph, GraphError
 from ghtree.sparsify import ni_sparsify, perturb, perturbed_sparsifier
 
@@ -71,6 +71,13 @@ def test_perturb_triangle_unique_min_cuts():
     gp = perturb(g, seed=0)
     vals = sorted(gp.cut_units(frozenset({v})) for v in range(3))
     assert len(set(vals)) == 3
+
+
+def test_perturb_sum_bound_is_an_error(monkeypatch):
+    # eps drawn up to n**11 on 15 edges: the units overflow one whole edge
+    monkeypatch.setattr(sparsify, "PERT_LOW_EXP", sparsify.PERT_UNIT_EXP + 1)
+    with pytest.raises(GraphError, match="whole edge"):
+        perturb(families.complete(6), seed=0)
 
 
 def test_perturb_empty_graph_unchanged():
