@@ -46,6 +46,7 @@ from .partition import (
 from .classic import classic_gomory_hu, gusfield, gusfield_projection, k_partial_tree
 from .single_source import (
     EngineConfig,
+    EngineError,
     EstimateTable,
     SingleSourceEngine,
     single_source_mincuts,

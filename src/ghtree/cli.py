@@ -77,7 +77,8 @@ def main():
               help="accept multigraphs: subdivide, build, project back")
 @click.option("--phi-exp", type=float, default=None,
               help="expansion parameter override (enables the elimination loop)")
-@click.option("--stage-from-zero", is_flag=True, help="stage range starts at w=1")
+@click.option("--stage-from-zero", is_flag=True,
+              help="with --phi-exp: the doubling stages start at w=1")
 @click.option("--oracle-limit", type=int, default=64)
 def build(input_path, algo, seed, out_path, report_path, via_subdivision,
           phi_exp, stage_from_zero, oracle_limit):

@@ -8,10 +8,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .flow import CutSide, latest_min_cut
+from .flow import CutSide
 from .graph import Graph
 from .single_source import (
     EngineConfig,
+    EngineError,
     EstimateTable,
     SingleSourceEngine,
     TerminalEstimate,
@@ -90,24 +91,27 @@ def pivot_change(state: SingleSourceEngine, q: int, s_pq: CutSide) -> None:
     between the pivot p and q leaves more than half the terminals on q's
     side.
 
-    One max-flow finds the latest cut with respect to q (the minimal
-    p-side); its value lam is the exact p,q connectivity.  Every terminal
-    on the p-side whose estimate exceeds lam drops to lam with the p-side
-    as witness (exact, and still exact for terminals that were already
-    done).  Terminals on q's side keep their witnesses, which still avoid
-    q, except that a witness containing q is replaced by the degree bound.
-    The old pivot becomes a terminal with the exact estimate lam.
+    One max-flow from p toward q, on the engine's shared solver, finds the
+    latest cut with respect to q (the minimal p-side); its value lam is the
+    exact p,q connectivity.  Every terminal on the p-side whose estimate
+    exceeds lam drops to lam with the p-side as witness (exact, and still
+    exact for terminals that were already done).  Terminals on q's side
+    keep their witnesses, which still avoid q, except that a witness
+    containing q is replaced by the degree bound.  The old pivot becomes a
+    terminal with the exact estimate lam.
     """
-    aux = state.aux
     p = state.pivot_orig
     p_idx, q_idx = state.pivot_idx, state.idx(q)
-    assert 2 * state.vprime_count(s_pq.side) > len(state.vprime), "premature pivot change"
+    if not 2 * state.vprime_count(s_pq.side) > len(state.vprime):
+        raise EngineError("premature pivot change: the cut is balanced")
 
-    back = latest_min_cut(state.work, q_idx, p_idx, wrt=q_idx)
+    back = state.latest_cut(p_idx, q_idx)
     lam = back.value
     p_side = back.side
-    assert p_idx in p_side and q_idx not in p_side
-    assert 2 * state.vprime_count(p_side) < len(state.vprime)
+    if p_idx not in p_side or q_idx in p_side:
+        raise EngineError("back cut does not separate the old and new pivot")
+    if not 2 * state.vprime_count(p_side) < len(state.vprime):
+        raise EngineError("back cut leaves the old pivot an unbalanced side")
 
     event: Optional[dict] = None
     if state.config.audit:
@@ -181,5 +185,6 @@ def single_source_dynamic_pivot(
     engine = SingleSourceEngine(g, g_aux, g_aux, pivot, cfg, mode="dynamic")
     engine.run()
     for v, e in engine.table.entries.items():
-        assert engine.good(e.witness), "dynamic engine returned an unbalanced cut"
+        if not engine.good(e.witness):
+            raise EngineError("dynamic engine returned an unbalanced cut")
     return engine.pivot_orig, engine.table, engine

@@ -1,15 +1,23 @@
 """Single-source minimum cuts from a pivot to every terminal of an
-auxiliary graph, organized in doubling stages.
+auxiliary graph.
 
-Stage w works on a sparsifier preserving all cuts below 2w, first isolating
-the high-degree terminals (cuts containing a single high-degree node are
-caught here), then optionally running candidate elimination over a
-demand-weighted expander decomposition, and finally solving the surviving
-candidates directly.  Estimates only decrease, every estimate is the exact
-weight of its witness cut, and a terminal is marked done only when a direct
-solve (or an exact stage bound) proves its estimate minimal; anything left
-unproven is settled by direct solves at the end, so the result is correct
-at every scale regardless of decomposition quality.
+The default profile (elimination loop off) settles every terminal with one
+uncapped max-flow from the terminal toward the pivot.  The nodes reachable
+from the terminal in the residual graph form the inclusion-minimal terminal
+side, i.e. the latest minimum cut with respect to the pivot; latest cuts are
+unique, so this is the witness any exact method must return.  All solves of
+one engine share a single solver over the work graph.
+
+With the loop on, the engine first walks doubling stages.  Stage w works on
+a sparsifier preserving all cuts below 2w, isolates the high-degree
+terminals (cuts containing a single high-degree node are caught here), runs
+candidate elimination over a demand-weighted expander decomposition, and
+solves the surviving candidates directly.  Estimates only decrease, every
+estimate is the exact weight of its witness cut, and a terminal is marked
+done only when a direct solve (or an exact stage bound) proves its estimate
+minimal; anything left unproven is settled by the same latest-cut solves at
+the end, so the result is correct at every scale regardless of
+decomposition quality.
 
 The same machinery runs in two modes: "randomized" (perturbed graph, unique
 minimum cuts, random sampling) and "dynamic" (no randomness, latest cuts,
@@ -26,23 +34,28 @@ from fractions import Fraction
 from typing import Optional
 
 from .expander import DecompositionReport, decompose_with_demands
-from .flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
+from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
 from .isolating import isolating_cuts
 from .sparsify import ni_sparsify, perturbed_sparsifier
 from .weights import Weight, from_scaled
 
 
+class EngineError(RuntimeError):
+    """An engine invariant failed.  This is a bug, never bad input."""
+
+
 @dataclass
 class EngineConfig:
-    """Knobs for the stage loop.
+    """Knobs for the single-source engines.
 
-    Defaults give the direct-solve profile: the candidate-elimination loop
-    is off and every candidate gets a direct (cutoff-capped) solve per
-    stage, which is unconditionally correct and fastest at desk scale.
-    Enabling the loop activates the decomposition machinery with the
-    standard parameters (phi = 2^-sqrt(log2 n), gamma = 2, threshold
-    log2 n) unless overridden.
+    Defaults give the direct profile: the candidate-elimination loop is off,
+    no doubling stage runs, and every terminal is settled by one uncapped
+    latest-cut solve, which is unconditionally exact and fastest at desk
+    scale.  Enabling the loop runs the doubling stages (easy step,
+    elimination rounds, capped direct solves) with the standard parameters
+    (phi = 2^-sqrt(log2 n), gamma = 2, threshold log2 n) unless overridden;
+    every knob but ``initial_pivot`` and ``audit`` tunes the loop only.
     """
 
     loop_enabled: bool = False
@@ -51,8 +64,6 @@ class EngineConfig:
     candidate_threshold: Optional[int] = None
     sample_rounds: Optional[int] = None      # override 2*e*gamma*ln(N)/phi
     priority_budget: Optional[int] = None    # override 3/phi
-    easy_step: Optional[bool] = None         # None: on iff loop on or small graph
-    easy_step_auto_limit: int = 256
     stage_from_zero: bool = False
     exact_cut_limit: int = 20
     drop_candidates: bool = True             # drop processed parts' candidates
@@ -167,6 +178,7 @@ class SingleSourceEngine:
             "flow_calls": 0,
         }
         self._flow_start = FLOW_CALLS.value
+        self._solver: Optional[MaxFlowSolver] = None
         self._gw: Optional[Graph] = None
         self._gw_solver: Optional[MaxFlowSolver] = None
         self._last_easy_updates = 0
@@ -203,13 +215,14 @@ class SingleSourceEngine:
         e = self.table.entries[v]
         if cap is not None and not value < cap:
             return False
-        if done:
+        if done and e.value < value:
             # a done offer is an exact solve; it can never exceed an estimate
-            assert not e.value < value, "estimate below a proven minimum"
+            raise EngineError("estimate below a proven minimum")
         better = value < e.value or (allow_equal and value == e.value)
         if not better:
             return False
-        assert self.idx(v) in side and self.pivot_idx not in side
+        if self.idx(v) not in side or self.pivot_idx in side:
+            raise EngineError("witness does not separate the terminal from the pivot")
         if value < e.value:
             e.value = value
         e.witness = side
@@ -217,6 +230,19 @@ class SingleSourceEngine:
             e.done = True
             e.floor = e.value
         return True
+
+    def latest_cut(self, t_idx: int, toward: int) -> CutSide:
+        """Latest minimum cut between t_idx and ``toward`` with respect to
+        ``toward``: the inclusion-minimal side holding t_idx.
+
+        Solves from t_idx, so the residual search that yields the side
+        starts at the (usually low-degree) terminal, and reuses the engine's
+        one solver over the work graph."""
+        if self._solver is None:
+            self._solver = MaxFlowSolver(self.work)
+        val = self._solver.solve(t_idx, toward)
+        return CutSide(side=self._solver.source_side(t_idx),
+                       value=from_scaled(val, self.work.unit), s=toward, t=t_idx)
 
     def raise_floor(self, v: int, floor: Weight) -> None:
         e = self.table.entries[v]
@@ -229,11 +255,6 @@ class SingleSourceEngine:
         if self.mode == "randomized":
             return perturbed_sparsifier(self.aux, self.work, 2 * w)
         return ni_sparsify(self.aux, 2 * w)
-
-    def easy_step_enabled(self) -> bool:
-        if self.config.easy_step is not None:
-            return self.config.easy_step
-        return self.config.loop_enabled or self.aux.n <= self.config.easy_step_auto_limit
 
     def candidates(self, w: int) -> list[int]:
         thr = Weight(w, 0)
@@ -250,23 +271,28 @@ class SingleSourceEngine:
         )
 
     def run(self) -> EstimateTable:
-        n_orig = self.g.n
-        j_hi = max(0, math.ceil(math.log2(max(2, n_orig))))
-        if self.mode == "dynamic" or self.config.stage_from_zero:
-            j_lo = 0
-        else:
-            j_lo = max(0, math.floor(math.log2(max(2, n_orig)) / 2))
-        for j in range(j_lo, j_hi + 1):
-            stage_w(self, 2 ** j)
+        if self.config.loop_enabled:
+            n_orig = self.g.n
+            j_hi = max(0, math.ceil(math.log2(max(2, n_orig))))
+            if self.mode == "dynamic" or self.config.stage_from_zero:
+                j_lo = 0
+            else:
+                j_lo = max(0, math.floor(math.log2(max(2, n_orig)) / 2))
+            for j in range(j_lo, j_hi + 1):
+                stage_w(self, 2 ** j)
         self.final_sweep()
         self.report["pivot_changes"] = self.pivot_changes
         self.report["pivot_final"] = self.pivot_orig
         self.report["flow_calls"] = FLOW_CALLS.value - self._flow_start
-        assert self.table.all_done
+        if not self.table.all_done:
+            raise EngineError("single-source run left terminals unsettled")
         return self.table
 
     def final_sweep(self) -> None:
-        """Direct exact solves for anything not proven done."""
+        """One uncapped latest-cut solve for every terminal not proven done.
+
+        In dynamic mode an unbalanced latest cut moves the pivot, and the
+        sweep restarts over whatever the change left undone."""
         solves = 0
         guard = 0
         while True:
@@ -274,17 +300,16 @@ class SingleSourceEngine:
             if not undone:
                 break
             guard += 1
-            assert guard <= 4 * len(self.vprime) + 4, "pivot changes do not settle"
+            if guard > 4 * len(self.vprime) + 4:
+                raise EngineError("pivot changes do not settle")
             for v in undone:
-                cut = latest_min_cut(self.work, self.pivot_idx, self.idx(v), wrt=self.pivot_idx)
+                cut = self.latest_cut(self.idx(v), self.pivot_idx)
                 solves += 1
                 if self.mode == "dynamic" and not self.good(cut.side):
                     from .dynamic import pivot_change
                     pivot_change(self, v, cut)
                     break
                 self.offer(v, cut.value, cut.side, done=True, allow_equal=True)
-            else:
-                continue
         self.report["final_sweep_solves"] = solves
 
 
@@ -309,10 +334,10 @@ def single_source_mincuts(
 
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
-    """One doubling stage: after it, terminals with connectivity below 2w
-    are done (unconditionally in the direct profile; with the loop on, the
-    claim holds for certified expander parts and everything else falls
-    through to direct solves or the final sweep)."""
+    """One doubling stage of the elimination loop: after it, terminals with
+    connectivity below 2w are done for certified expander parts, and
+    everything else falls through to capped direct solves or the final
+    sweep."""
     cfg = state.config
     srep: dict = {"w": w}
     if not state.stage_pending(w):
@@ -324,9 +349,8 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     state._gw_solver = MaxFlowSolver(gw)
     srep["gw_edges"] = gw.edge_instances
 
-    if state.easy_step_enabled():
-        easy_cuts_step(state, w, gw)
-        srep["easy_updates"] = state._last_easy_updates
+    easy_cuts_step(state, w, gw)
+    srep["easy_updates"] = state._last_easy_updates
 
     cand = state.candidates(w)
     srep["candidates"] = len(cand)
@@ -334,34 +358,33 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     srep["rounds"] = []
     srep["fallback"] = False
 
-    if cfg.loop_enabled:
-        threshold = cfg.threshold_for(state.aux.n)
-        phi = cfg.phi_for(state.aux.n)
-        live = set(cand)
-        round_no = 0
-        while len(live) > threshold:
-            round_no += 1
-            before = len(live)
-            rrep = _elimination_round(state, w, gw, live, phi)
-            srep["rounds"].append(rrep)
-            trajectory.append(len(live))
-            if 2 * len(live) >= before:
-                # halving failed: heuristic parts were not true expanders;
-                # flag it and settle the survivors directly
-                srep["fallback"] = True
-                break
-            if round_no > 4 * max(4, math.ceil(math.log2(max(2, state.aux.n)))):
-                srep["fallback"] = True
-                break
-        cand = sorted(live)
-        # stage-end claim: with the loop on, estimates now below 2w are
-        # final for certified parts; mark them so the sweep trusts them
-        if cfg.drop_candidates:
-            lim = Weight(2 * w, 0)
-            for v in state.table.terminals():
-                e = state.table.entries[v]
-                if not e.done and e.value < lim and v not in live:
-                    e.done = True
+    threshold = cfg.threshold_for(state.aux.n)
+    phi = cfg.phi_for(state.aux.n)
+    live = set(cand)
+    round_no = 0
+    while len(live) > threshold:
+        round_no += 1
+        before = len(live)
+        rrep = _elimination_round(state, w, gw, live, phi)
+        srep["rounds"].append(rrep)
+        trajectory.append(len(live))
+        if 2 * len(live) >= before:
+            # halving failed: heuristic parts were not true expanders;
+            # flag it and settle the survivors directly
+            srep["fallback"] = True
+            break
+        if round_no > 4 * max(4, math.ceil(math.log2(max(2, state.aux.n)))):
+            srep["fallback"] = True
+            break
+    cand = sorted(live)
+    # stage-end claim: estimates now below 2w are final for certified
+    # parts; mark them so the sweep trusts them
+    if cfg.drop_candidates:
+        lim = Weight(2 * w, 0)
+        for v in state.table.terminals():
+            e = state.table.entries[v]
+            if not e.done and e.value < lim and v not in live:
+                e.done = True
 
     srep["c_trajectory"] = trajectory
     srep["direct_solves"] = _direct_solves(state, w, gw, cand)
@@ -399,8 +422,6 @@ def _direct_solves(state: SingleSourceEngine, w: int, gw: Graph, cand: list[int]
 
 
 def _as_cut(state, side, value, v):
-    from .flow import CutSide
-
     return CutSide(side=side, value=value, s=state.pivot_idx, t=state.idx(v))
 
 
@@ -437,7 +458,7 @@ def _dynamic_bad_cut(state: SingleSourceEngine, q: int, cut) -> bool:
     """Re-solve a bad (unbalanced) cut for its latest form; if every minimum
     cut to q is still unbalanced, make q the pivot.  Returns True if the
     pivot changed."""
-    latest = latest_min_cut(state.work, state.pivot_idx, state.idx(q), wrt=state.pivot_idx)
+    latest = state.latest_cut(state.idx(q), state.pivot_idx)
     if state.good(latest.side):
         state.offer(q, latest.value, latest.side, done=True, allow_equal=True)
         return False

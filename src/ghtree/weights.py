@@ -47,6 +47,11 @@ class Weight:
 
     @staticmethod
     def parse(text: str) -> "Weight":
+        """Parse ``str(weight)``; raises ValueError on malformed or
+        negative parts (no cut weighs less than zero)."""
+        if "-" in text:
+            # checked on the text: "-0.5" would parse to a positive 0.5
+            raise ValueError(f"negative weight {text!r}")
         if "." in text:
             b, e = text.split(".", 1)
             return Weight(int(b), int(e))

@@ -142,6 +142,47 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
                 assert asol.solve(idx[u], idx[v]) == sol.solve(u, v)
 
 
+def test_deterministic_one_flow_per_terminal(monkeypatch):
+    """With the loop off, a dynamic-pivot run whose pivot never moves makes
+    exactly one max-flow per terminal, and the build makes no flow outside
+    those runs; so a pivot-free build that resolves the whole graph as one
+    super-node (every minimum cut a degree cut) makes exactly n - 1."""
+    import ghtree.build as build_mod
+    from ghtree.flow import FLOW_CALLS
+
+    runs = []
+    orig = build_mod.single_source_dynamic_pivot
+
+    def recording(g, aux, cfg):
+        out = orig(g, aux, cfg)
+        engine = out[2]
+        runs.append((len(engine.table.terminals()), engine.pivot_changes,
+                     engine.report["flow_calls"]))
+        return out
+
+    monkeypatch.setattr(build_mod, "single_source_dynamic_pivot", recording)
+    rng = random.Random(61)
+    graphs = [families.er_connected(rng.randint(10, 40), rng.choice([0.3, 0.5]),
+                                    seed=rng.randrange(2 ** 32)) for _ in range(6)]
+    graphs += [families.clique_chain([6] * 5), families.clique_chain([5, 8, 5]),
+               families.dumbbell(8, bridges=3)]
+    one_shot = pivot_free_runs = 0
+    for g in graphs:
+        runs.clear()
+        rep = {}
+        FLOW_CALLS.reset()
+        build_deterministic(g, report=rep)
+        assert FLOW_CALLS.value == sum(f for _, _, f in runs)
+        for terminals, changes, flows in runs:
+            if changes == 0:
+                pivot_free_runs += 1
+                assert flows == terminals
+        if rep["supers"] == 1 and rep["pivot_changes"] == 0:
+            one_shot += 1
+            assert FLOW_CALLS.value == g.n - 1
+    assert one_shot >= 3 and pivot_free_runs >= 10, (one_shot, pivot_free_runs)
+
+
 def test_loop_enabled_builders():
     cfg = EngineConfig(loop_enabled=True, phi=0.25, candidate_threshold=4,
                        exact_cut_limit=12, seed=3)

@@ -114,6 +114,8 @@ def test_malformed_graph_exits_4(tmp_path, runner, text):
     "t 3\ne 1 2\ne 2 3 1.0\n",        # short record
     "t\ne 1 2 1.0\n",                 # header without n
     "t 3\ne 1 9 1.0\ne 2 3 1.0\n",    # node out of range
+    "t 2\ne 1 2 -3.0\n",              # negative weight
+    "t 2\ne 1 2 3.-1\n",              # negative perturbation part
 ])
 def test_malformed_tree_query_exits_4(tmp_path, runner, text):
     bad = tmp_path / "bad.tree"

@@ -6,7 +6,7 @@ import pytest
 from ghtree import families
 from ghtree.dynamic import pivot_change, single_source_dynamic_pivot, splitters
 from ghtree.flow import MaxFlowSolver, latest_min_cut
-from ghtree.single_source import EngineConfig, SingleSourceEngine
+from ghtree.single_source import EngineConfig, EngineError, SingleSourceEngine
 from ghtree.weights import Weight
 
 
@@ -130,6 +130,17 @@ def test_change_updates_only_pivot_when_nothing_exceeds():
     # old pivot got the exact connectivity with a balanced witness
     assert engine.table.estimate(0) == Weight(1, 0)
     assert engine.table.done(0)
+
+
+def test_premature_change_is_an_error():
+    # a balanced cut must never move the pivot; the check survives python -O
+    g = families.path(4)
+    engine = engine_for(g, 0)
+    cut = latest_min_cut(g, 0, 3, wrt=0)
+    assert 2 * engine.vprime_count(cut.side) <= len(engine.vprime)
+    with pytest.raises(EngineError, match="premature"):
+        pivot_change(engine, 3, cut)
+    assert engine.pivot_orig == 0
 
 
 def test_change_star_leaf_to_center_drops_everyone():

@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from ghtree import families
-from ghtree.flow import MaxFlowSolver
+from ghtree.dynamic import single_source_dynamic_pivot
+from ghtree.flow import MaxFlowSolver, latest_min_cut
 from ghtree.single_source import (
     EngineConfig,
+    EngineError,
     SingleSourceEngine,
     easy_cuts_step,
     isolating_sample_step,
@@ -65,10 +69,67 @@ def test_dumbbell_of_cliques_n40():
 
 def test_stage_empty_candidates_skips():
     g = families.complete(4)
-    engine = make_engine(g, 0, seed=4)
+    cfg = EngineConfig(stage_from_zero=True, loop_enabled=True)
+    engine = make_engine(g, 0, config=cfg, seed=4)
     engine.run()
     skipped = [s for s in engine.report["stages"] if s.get("skipped")]
     assert skipped, "complete graph stages beyond the degree should skip"
+    oracle_check(g, engine, 0)
+
+
+def test_loop_off_runs_no_stages():
+    g = families.dumbbell(6, bridges=2)
+    engine = make_engine(g, 11, config=EngineConfig(), seed=5)
+    engine.run()
+    assert engine.report["stages"] == []
+    assert engine.report["final_sweep_solves"] == len(engine.table.terminals())
+    assert engine.report["flow_calls"] == len(engine.table.terminals())
+    oracle_check(g, engine, 11)
+
+
+def _witness_graphs():
+    rng = random.Random(77)
+    graphs = [families.er_connected(rng.randint(6, 30), rng.choice([0.2, 0.4, 0.7]),
+                                    seed=rng.randrange(2 ** 32)) for _ in range(8)]
+    graphs += [families.clique_chain([5, 5, 5]), families.clique_chain([4, 7, 3, 6]),
+               families.dumbbell(6, bridges=2), families.dumbbell(9, bridges=4)]
+    return graphs
+
+
+@pytest.mark.parametrize("mode", ["randomized", "dynamic"])
+def test_loop_off_witnesses_are_latest_cuts(mode):
+    """Each witness of the loop-off engine is the latest minimum cut with
+    respect to the (final) pivot, as the stand-alone flow routine finds it,
+    whatever the pivot and however often it moved."""
+    rng = random.Random(78)
+    moved = 0
+    for g in _witness_graphs():
+        for start in (None, min(range(g.n), key=lambda v: (g.degree(v), v))):
+            if mode == "randomized":
+                p = rng.randrange(g.n) if start is None else start
+                engine = make_engine(g, p, config=EngineConfig(),
+                                     seed=rng.randrange(2 ** 32))
+                engine.run()
+            else:
+                _, _, engine = single_source_dynamic_pivot(
+                    g, g, EngineConfig(initial_pivot=start))
+                moved += engine.pivot_changes > 0
+            pivot = engine.pivot_idx
+            for v in engine.table.terminals():
+                cut = latest_min_cut(engine.work, pivot, engine.idx(v), wrt=pivot)
+                assert engine.table.witness(v) == cut.side, (g.n, v)
+                assert engine.table.estimate(v) == cut.value, (g.n, v)
+                assert engine.table.done(v)
+    if mode == "dynamic":
+        assert moved >= 3, moved
+
+
+def test_unsettled_run_is_an_error(monkeypatch):
+    g = families.complete(4)
+    engine = make_engine(g, 0, config=EngineConfig(), seed=6)
+    monkeypatch.setattr(engine, "final_sweep", lambda: None)
+    with pytest.raises(EngineError):
+        engine.run()
 
 
 def test_stage_small_candidate_set_goes_direct():

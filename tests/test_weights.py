@@ -1,3 +1,5 @@
+import pytest
+
 from ghtree.weights import Weight, from_scaled
 
 
@@ -21,6 +23,12 @@ def test_parse_str_round_trip():
     for w in (Weight(0, 0), Weight(3, 0), Weight(12, 345)):
         assert Weight.parse(str(w)) == w
     assert Weight.parse("7") == Weight(7, 0)
+
+
+@pytest.mark.parametrize("text", ["-3", "-3.0", "1.-5", "-0.5"])
+def test_parse_rejects_negative(text):
+    with pytest.raises(ValueError, match="negative"):
+        Weight.parse(text)
 
 
 def test_from_scaled():
