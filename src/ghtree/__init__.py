@@ -38,7 +38,6 @@ from .partition import (
     TreeError,
     assemble,
     gh_refine,
-    noncrossing_tree,
     parse_tree,
     to_node_tree,
     tree_query,
@@ -55,7 +54,7 @@ from .single_source import (
     isolating_sample_step,
     priority_solve_step,
 )
-from .dynamic import pivot_change, single_source_dynamic_pivot, splitters
+from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot, splitters
 from .build import (
     LaminarityError,
     RandomizedAbort,

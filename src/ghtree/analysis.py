@@ -16,9 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .flow import MaxFlowSolver
 from .graph import Graph
 from .partition import GomoryHuTree, PartitionTree, to_node_tree
-from .weights import Weight
+from .weights import Weight, from_scaled
 
 NON_EASY_CONSTANT = 10 ** 5
 
@@ -130,16 +131,16 @@ def cut_membership_tree(t: "PartitionTree | GomoryHuTree", p: int) -> CutMembers
         bags[bid] = Bag(bid, b.nodes, b.value, b.parent, frozenset(sub[bid]))
 
     tm = CutMembershipTree(pivot=p, bags=bags, children=children, node_bag=node_bag)
-    _assert_monotone(tm)
+    _check_monotone(tm)
     return tm
 
 
-def _assert_monotone(tm: CutMembershipTree) -> None:
-    for bid, bag in tm.bags.items():
+def _check_monotone(tm: CutMembershipTree) -> None:
+    for bag in tm.bags.values():
         if bag.parent is None or tm.bags[bag.parent].value is None:
             continue
-        assert not tm.bags[bag.parent].value < bag.value, \
-            "bag values must not increase away from the pivot"
+        if tm.bags[bag.parent].value < bag.value:
+            raise RuntimeError("bag values must not increase away from the pivot")
 
 
 def w_large_subtree(tm: CutMembershipTree, w: int) -> CutMembershipTree:
@@ -157,8 +158,8 @@ def w_large_subtree(tm: CutMembershipTree, w: int) -> CutMembershipTree:
     bags = {bid: tm.bags[bid] for bid in keep}
     children = {bid: [c for c in tm.children[bid] if c in keep] for bid in keep}
     node_bag = {v: bid for v, bid in tm.node_bag.items() if bid in keep}
-    for bid, b in bags.items():
-        assert b.parent is None or b.parent in keep
+    if any(b.parent is not None and b.parent not in keep for b in bags.values()):
+        raise RuntimeError("a kept bag's parent was dropped")
     return CutMembershipTree(pivot=tm.pivot, bags=bags, children=children,
                              node_bag=node_bag)
 
@@ -187,14 +188,12 @@ def count_non_easy_bags(
     """Non-easy bags of the w-large cut-membership tree.
 
     On simple graphs the count is at most NON_EASY_CONSTANT * n / w; the
-    assertion is vacuous at small scale but the counting machinery is what
+    check is vacuous at small scale but the counting machinery is what
     the candidate-elimination accounting leans on.
     """
     if isinstance(t, PartitionTree):
         t = to_node_tree(t)
     if verify:
-        from .flow import MaxFlowSolver
-        from .weights import from_scaled
         sol = MaxFlowSolver(g)
         for u, v, wt in t.edges():
             if from_scaled(sol.solve(u, v), g.unit) != wt:
@@ -205,8 +204,8 @@ def count_non_easy_bags(
     count = sum(
         0 if is_easy_bag(large, bid, w, degrees) else 1 for bid in large.bags
     )
-    if g.simple:
-        assert count <= NON_EASY_CONSTANT * g.n / max(1, w)
+    if g.simple and count > NON_EASY_CONSTANT * g.n / max(1, w):
+        raise RuntimeError(f"{count} non-easy bags exceed the simple-graph bound")
     return count
 
 

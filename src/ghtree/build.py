@@ -1,29 +1,36 @@
 """Full-tree construction from single-source cuts.
 
-Both builders refine a global partition tree: pick a super-node, compute
-all pivot-to-terminal cuts in its auxiliary graph, assign every terminal to
-the largest balanced cut containing it, split the super-node along all the
-chosen (pairwise disjoint, laminar-maximal) cuts at once, and recurse.  The
-randomized builder bootstraps with a partial tree so every later cut is
-large, perturbs each auxiliary graph for unique cuts, and retries unlucky
-pivots; the deterministic builder needs no bootstrap, no randomness, and
-always receives balanced cuts thanks to the dynamic pivot.
+Both builders run one refinement loop (``_refine``) over a global partition
+tree: pop the lowest-id unresolved super-node, build its auxiliary graph,
+compute all pivot-to-terminal cuts there, assign every terminal to the
+largest balanced cut containing it, split the super-node along all the
+chosen (pairwise disjoint, laminar-maximal) cuts at once, and repeat.  The
+builders differ only in the starting tree and in how one super-node's
+pieces are found, i.e. in the pivot rule.  The randomized builder starts
+from a partial tree so every later cut is large, perturbs each auxiliary
+graph for unique cuts, and retries unlucky random pivots; the deterministic
+builder starts from the one-super-node tree, uses no randomness, and always
+receives balanced cuts thanks to the dynamic pivot.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .classic import k_partial_tree
+from .dynamic import single_source_dynamic_pivot
 from .flow import FLOW_CALLS
 from .graph import Graph, GraphError, auxiliary_graph
 from .partition import PartitionTree, TreeError
-from .single_source import EngineConfig, single_source_mincuts
+from .single_source import GAMMA, EngineConfig, single_source_mincuts
 from .sparsify import perturb
-from .dynamic import single_source_dynamic_pivot
 from .weights import Weight
+
+
+# split pieces of one super-node: (members, full cut side, cut value)
+Pieces = list[tuple[frozenset[int], frozenset[int], Weight]]
 
 
 class RandomizedAbort(RuntimeError):
@@ -54,7 +61,7 @@ def _assign_largest(
     sides: dict[frozenset[int], Weight],
     vi: frozenset[int],
     pivot: int,
-) -> list[tuple[frozenset[int], frozenset[int], Weight]]:
+) -> Pieces:
     """Claim super-node members by the largest cut containing them.
 
     Returns split pieces (members, full side, value).  With a laminar
@@ -79,40 +86,41 @@ def _assign_largest(
     return pieces
 
 
-def build_randomized(
-    g: Graph,
-    seed: int | None = None,
-    config: Optional[EngineConfig] = None,
-    report: Optional[dict] = None,
-) -> PartitionTree:
-    """Cut-equivalent tree via partial-tree bootstrap and random pivots.
+def _expand(aux: Graph, side: frozenset[int]) -> frozenset[int]:
+    """Auxiliary-node side -> original-vertex side."""
+    members = aux.members
+    return frozenset().union(*(members[x] for x in side))
 
-    Per super-node: contract the rest of the tree, perturb, pick pivots at
-    random until one yields balanced cuts for at least a quarter of the
-    super-node (aborting after 2*gamma*log2 N straight failures), split
-    along the chosen cuts, recurse.  Raises RandomizedAbort on a bad-pivot
-    streak and retries internally on detected perturbation failures.
+
+def _refine(
+    g: Graph,
+    rep: dict,
+    fields: dict,
+    start: Callable[[], PartitionTree],
+    pieces: Callable[[Graph, frozenset[int]], Pieces],
+) -> PartitionTree:
+    """The refinement loop both builders share.
+
+    Validates g, records ``fields`` (``algo`` first, ``supers`` among them)
+    in the report, then splits super-nodes, lowest id first, until every
+    one is a single vertex.  ``start()`` gives the starting tree;
+    ``pieces(aux, vi)`` gives the split pieces of super-node vi from its
+    auxiliary graph.  Reports ``supers``, ``depth`` (the deepest split) and
+    ``flow_calls``.
     """
+    algo = fields["algo"]
     if not g.simple:
-        raise GraphError("randomized builder needs a simple graph")
+        raise GraphError(f"{algo} builder needs a simple graph")
     if not g.is_connected():
-        raise GraphError("randomized builder needs a connected graph")
-    cfg = config or EngineConfig()
-    rng = random.Random(seed)
-    n = g.n
-    rep = report if report is not None else {}
-    rep.update({"algo": "randomized", "seed": seed, "n": n,
-                "bad_pivot_retries": 0, "reperturbs": 0, "supers": 0})
+        raise GraphError(f"{algo} builder needs a connected graph")
+    rep.update(fields)
     flow0 = FLOW_CALLS.value
-    if n == 1:
+    if g.n == 1:
         rep["flow_calls"] = 0
         rep["depth"] = 0
         return PartitionTree.single(1)
 
-    k = max(1, math.isqrt(n))
-    t = k_partial_tree(g, k, seed=rng.randrange(2 ** 62))
-    max_bad = max(1, math.ceil(2 * cfg.gamma * math.log2(max(2, n))))
-
+    t = start()
     depth: dict[int, int] = {i: 0 for i in t.super_nodes}
     max_depth = 0
     queue = sorted(i for i, s in t.super_nodes.items() if len(s) > 1)
@@ -122,19 +130,8 @@ def build_randomized(
         if len(vi) <= 1:
             continue
         rep["supers"] += 1
-        aux, index = auxiliary_graph(g, t, i)
-        pieces = None
-        for attempt in range(3):
-            pert = perturb(aux, seed=rng.randrange(2 ** 62))
-            try:
-                pieces = _randomized_pieces(
-                    g, aux, pert, vi, cfg, rng, max_bad, rep)
-                break
-            except LaminarityError:
-                rep["reperturbs"] += 1
-        if pieces is None:
-            raise RandomizedAbort("perturbation kept producing crossing cuts")
-        t, new_ids = t.split(i, pieces)
+        aux, _ = auxiliary_graph(g, t, i)
+        t, new_ids = t.split(i, pieces(aux, vi))
         d = depth[i] + 1
         depth[i] = d
         for nid in new_ids:
@@ -150,15 +147,48 @@ def build_randomized(
     return t
 
 
+def build_randomized(
+    g: Graph,
+    seed: int | None = None,
+    config: Optional[EngineConfig] = None,
+    report: Optional[dict] = None,
+) -> PartitionTree:
+    """Cut-equivalent tree via partial-tree bootstrap and random pivots.
+
+    Per super-node: contract the rest of the tree, perturb, pick pivots at
+    random until one yields balanced cuts for at least a quarter of the
+    super-node (aborting after 2*GAMMA*log2 N straight failures), split
+    along the chosen cuts, recurse.  Raises RandomizedAbort on a bad-pivot
+    streak and retries internally on detected perturbation failures.
+    """
+    cfg = config or EngineConfig()
+    rng = random.Random(seed)
+    n = g.n
+    rep = report if report is not None else {}
+    max_bad = max(1, math.ceil(2 * GAMMA * math.log2(max(2, n))))
+
+    def start() -> PartitionTree:
+        return k_partial_tree(g, max(1, math.isqrt(n)), seed=rng.randrange(2 ** 62))
+
+    def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
+        for _ in range(3):
+            pert = perturb(aux, seed=rng.randrange(2 ** 62))
+            try:
+                return _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep)
+            except LaminarityError:
+                rep["reperturbs"] += 1
+        raise RandomizedAbort("perturbation kept producing crossing cuts")
+
+    return _refine(g, rep, {"algo": "randomized", "seed": seed, "n": n,
+                            "bad_pivot_retries": 0, "reperturbs": 0,
+                            "supers": 0}, start, pieces)
+
+
 def _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep):
-    members = aux.members
-    for attempt in range(max_bad):
+    for _ in range(max_bad):
         p = rng.choice(sorted(vi))
         table = single_source_mincuts(g, aux, pert, p, cfg)
-        expanded: dict[int, frozenset[int]] = {}
-        for v in table.terminals():
-            side = table.witness(v)
-            expanded[v] = frozenset().union(*(members[x] for x in side))
+        expanded = {v: _expand(aux, table.witness(v)) for v in table.terminals()}
         if is_good_pivot(expanded, vi):
             sides: dict[frozenset[int], Weight] = {}
             for v in table.terminals():
@@ -182,53 +212,21 @@ def build_deterministic(
     whose cuts all leave at most half the super-node on the far side, so
     the recursion depth is logarithmic and reruns are bit-identical.
     """
-    if not g.simple:
-        raise GraphError("deterministic builder needs a simple graph")
-    if not g.is_connected():
-        raise GraphError("deterministic builder needs a connected graph")
     cfg = config or EngineConfig()
     rep = report if report is not None else {}
-    rep.update({"algo": "deterministic", "n": g.n, "supers": 0,
-                "pivot_changes": 0})
-    flow0 = FLOW_CALLS.value
-    if g.n == 1:
-        rep["flow_calls"] = 0
-        rep["depth"] = 0
-        return PartitionTree.single(1)
 
-    t = PartitionTree.single(g.n)
-    depth = {0: 0}
-    max_depth = 0
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        vi = t.super_nodes[i]
-        if len(vi) <= 1:
-            continue
-        rep["supers"] += 1
-        aux, index = auxiliary_graph(g, t, i)
+    def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
         pivot, table, engine = single_source_dynamic_pivot(g, aux, cfg)
         rep["pivot_changes"] += engine.pivot_changes
-        members = aux.members
         sides: dict[frozenset[int], Weight] = {}
         for v in table.terminals():
-            s = frozenset().union(*(members[x] for x in table.witness(v)))
-            sides.setdefault(s, table.estimate(v))
-        pieces = _assign_largest(sides, vi, pivot)
-        covered = frozenset().union(*(p[0] for p in pieces)) if pieces else frozenset()
+            sides.setdefault(_expand(aux, table.witness(v)), table.estimate(v))
+        found = _assign_largest(sides, vi, pivot)
+        covered = frozenset().union(*(p[0] for p in found))
         if covered != vi - {pivot}:
             raise TreeError("dynamic cuts failed to cover the super-node")
-        t, new_ids = t.split(i, pieces)
-        d = depth[i] + 1
-        depth[i] = d
-        for nid in new_ids:
-            depth[nid] = d
-        max_depth = max(max_depth, d)
-        for nid in new_ids + [i]:
-            if len(t.super_nodes[nid]) > 1:
-                queue.append(nid)
-        queue.sort()
+        return found
 
-    rep["depth"] = max_depth
-    rep["flow_calls"] = FLOW_CALLS.value - flow0
-    return t
+    return _refine(g, rep, {"algo": "deterministic", "n": g.n, "supers": 0,
+                            "pivot_changes": 0},
+                   lambda: PartitionTree.single(g.n), pieces)

@@ -23,7 +23,7 @@ from .build import RandomizedAbort, build_deterministic, build_randomized
 from .classic import classic_gomory_hu, gusfield, gusfield_projection
 from .flow import FLOW_CALLS, MaxFlowSolver
 from .graph import Graph, GraphError, parse_graph, subdivide
-from .partition import TreeError, parse_tree, to_node_tree
+from .partition import GomoryHuTree, TreeError, parse_tree, to_node_tree
 from .single_source import EngineConfig
 from .weights import from_scaled
 
@@ -48,6 +48,20 @@ def _load_graph(path: str) -> Graph:
     except (OSError, GraphError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
+
+
+def _load_tree(path: str, n: int) -> GomoryHuTree:
+    """Parse a tree file that must span a graph of n nodes."""
+    try:
+        with open(path) as fh:
+            tree = parse_tree(fh.read())
+    except (OSError, TreeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
+    if tree.n != n:
+        click.echo("error: node counts differ", err=True)
+        sys.exit(EXIT_INPUT)
+    return tree
 
 
 def _build_tree(g: Graph, algo: str, seed, config: EngineConfig, report: dict):
@@ -149,15 +163,7 @@ def query(tree_path, u, v):
 def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
     """Check a tree against direct max-flow computations."""
     g = _load_graph(graph_path)
-    try:
-        with open(tree_path) as fh:
-            tree = parse_tree(fh.read())
-    except (OSError, TreeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    if tree.n != g.n:
-        click.echo("error: node counts differ", err=True)
-        sys.exit(EXIT_INPUT)
+    tree = _load_tree(tree_path, g.n)
     if mode == "full-oracle":
         if g.n > oracle_limit:
             click.echo(f"error: full-oracle limited to {oracle_limit} nodes", err=True)
@@ -250,13 +256,15 @@ def bench(family, sizes, prob, algos, seed, out_path, jobs):
 def analyze(graph_path, tree_path, pivot, w_values, out_path):
     """Bag structure of the tree's cut-membership coarsening."""
     g = _load_graph(graph_path)
-    try:
-        with open(tree_path) as fh:
-            tree = parse_tree(fh.read())
-    except (OSError, TreeError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    tree = _load_tree(tree_path, g.n)
+    if not 1 <= pivot <= g.n:
+        click.echo(f"error: pivot must be a node in 1..{g.n}", err=True)
         sys.exit(EXIT_INPUT)
-    ws = [int(x) for x in w_values.split(",")] if w_values else None
+    try:
+        ws = [int(x) for x in w_values.split(",")] if w_values else None
+    except ValueError:
+        click.echo(f"error: --w takes comma-separated integers, not {w_values!r}", err=True)
+        sys.exit(EXIT_INPUT)
     report = analyze_report(g, tree, pivot - 1, ws)
     text = json.dumps(report, indent=2)
     if out_path:

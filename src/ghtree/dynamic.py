@@ -1,6 +1,13 @@
-"""Deterministic single-source machinery: splitter families replace random
-sampling, all cuts are latest with respect to the pivot, and the pivot
-itself moves when some terminal admits no balanced minimum cut.
+"""Deterministic single-source machinery: the randomized engine with a
+dynamic pivot in place of a random one.
+
+``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
+overrides only its pivot-rule hooks: cuts are measured in the unperturbed
+graph (latest cuts with respect to the pivot), stages use the
+Nagamochi-Ibaraki sparsifier and start at w = 1, splitter families replace
+random sampling, and the pivot itself moves (``pivot_change``) when some
+terminal admits no balanced minimum cut.  This module imports
+single_source, never the reverse.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from typing import Optional
 
 from .flow import CutSide
 from .graph import Graph
+from .isolating import isolating_cuts
 from .single_source import (
     EngineConfig,
     EngineError,
@@ -17,8 +25,49 @@ from .single_source import (
     SingleSourceEngine,
     TerminalEstimate,
 )
-from .isolating import isolating_cuts
+from .sparsify import ni_sparsify
 from .weights import Weight
+
+
+class DynamicPivotEngine(SingleSourceEngine):
+    """Single-source engine whose pivot moves instead of being redrawn.
+
+    Cuts are measured in ``aux`` itself; every witness it returns is a
+    minimum cut whose terminal side holds at most half of the original
+    nodes, relative to the final pivot."""
+
+    def __init__(self, g: Graph, aux: Graph, pivot: int,
+                 config: Optional[EngineConfig] = None):
+        super().__init__(g, aux, aux, pivot, config)
+
+    def stage_graph(self, w: int) -> Graph:
+        return ni_sparsify(self.aux, 2 * w)
+
+    def first_stage(self) -> int:
+        return 0
+
+    def sample_step(self, part_nodes: frozenset[int], w: int, gw: Graph,
+                    live: set[int], phi: float) -> dict:
+        return splitter_isolating_step(self, part_nodes, w, gw, live, phi)
+
+    def moves_pivot(self, v: int, side: frozenset[int], value: Weight) -> bool:
+        if self.good(side):
+            return False
+        pivot_change(self, v, CutSide(side=side, value=value,
+                                      s=self.pivot_idx, t=self.idx(v)))
+        return True
+
+    def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
+        """Re-solve an unbalanced isolating cut for its latest form; if every
+        minimum cut to v is still unbalanced, make v the pivot."""
+        if self.good(cut.side):
+            return False
+        latest = self.latest_cut(self.idx(v), self.pivot_idx)
+        if self.good(latest.side):
+            self.offer(v, latest.value, latest.side, done=True, allow_equal=True)
+            return False
+        pivot_change(self, v, latest)
+        return True
 
 
 def splitters(universe: int, size: int) -> list[frozenset[int]]:
@@ -54,7 +103,7 @@ def splitters(universe: int, size: int) -> list[frozenset[int]]:
 
 
 def splitter_isolating_step(
-    state: SingleSourceEngine, part_nodes: frozenset[int], w: int, gw: Graph,
+    state: DynamicPivotEngine, part_nodes: frozenset[int], w: int, gw: Graph,
     live: set[int], phi: float,
 ) -> dict:
     """Deterministic replacement for the sampled isolating rounds: one
@@ -76,17 +125,15 @@ def splitter_isolating_step(
             cut = res.cuts.get(state.idx(v))
             if cut is None or v not in state.table.entries:
                 continue
-            if not state.good(cut.side):
-                from .single_source import _dynamic_bad_cut
-                if _dynamic_bad_cut(state, v, cut):
-                    live.intersection_update(state.table.entries)
-                    continue
+            if state.isolating_moves_pivot(v, cut):
+                live.intersection_update(state.table.entries)
+                continue
             if state.offer(v, cut.value, cut.side, cap=cap):
                 updates += 1
     return {"rounds": len(family), "updates": updates}
 
 
-def pivot_change(state: SingleSourceEngine, q: int, s_pq: CutSide) -> None:
+def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide) -> None:
     """Make q the pivot after finding that even the latest minimum cut
     between the pivot p and q leaves more than half the terminals on q's
     side.
@@ -169,7 +216,7 @@ def single_source_dynamic_pivot(
     g: Graph,
     g_aux: Graph,
     config: Optional[EngineConfig] = None,
-) -> tuple[int, EstimateTable, SingleSourceEngine]:
+) -> tuple[int, EstimateTable, DynamicPivotEngine]:
     """Deterministic single-source minimum cuts with a self-correcting pivot.
 
     Starts from the highest-degree original node and returns a pivot p plus,
@@ -182,7 +229,7 @@ def single_source_dynamic_pivot(
         pivot = cfg.initial_pivot
     else:
         pivot = max(g_aux.index_of, key=lambda v: (g.degree(v), -v))
-    engine = SingleSourceEngine(g, g_aux, g_aux, pivot, cfg, mode="dynamic")
+    engine = DynamicPivotEngine(g, g_aux, pivot, cfg)
     engine.run()
     for v, e in engine.table.entries.items():
         if not engine.good(e.witness):

@@ -57,9 +57,9 @@ class Graph:
                     raise GraphError(f"bad edge key ({u},{v})")
                 if mult < 1 or eps < 0:
                     raise GraphError(f"bad edge data ({mult},{eps})")
-            if simple:
-                assert all(m == 1 and e == 0 for m, e in self.edges.values())
-                assert not self.loops
+            if simple and (self.loops or any(
+                    m != 1 or e != 0 for m, e in self.edges.values())):
+                raise GraphError("a simple graph has no loops, parallel or perturbed edges")
 
     # -- construction helpers ------------------------------------------------
 

@@ -70,15 +70,14 @@ def isolating_cuts(g: Graph, p: int, terminals: set[int] | frozenset[int]) -> Is
             region[v] &= t_side
 
     cuts: dict[int, CutSide] = {}
+    covered: set[int] = set()
     for v in terms:
         cut = _latest_region_cut(g, frozenset(region[v]), p, v)
         calls += 1
+        if not covered.isdisjoint(cut.side):
+            raise RuntimeError("isolating regions overlap")
+        covered |= cut.side
         cuts[v] = cut
-
-    sides = [c.side for c in cuts.values()]
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            assert not (sides[i] & sides[j]), "isolating regions overlap"
     return IsolatingResult(cuts, flow_calls=calls)
 
 

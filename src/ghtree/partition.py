@@ -452,60 +452,3 @@ def assemble(
         final_edges.append((min(u, v), max(u, v), w))
 
     return GomoryHuTree(n, final_edges)
-
-
-# -- non-crossing cut combination ---------------------------------------------
-
-
-def noncrossing_tree(g: Graph, p: int, cuts: Sequence) -> PartitionTree:
-    """Partition tree realizing a laminar family of pivot-avoiding cuts.
-
-    Each cut side becomes a super-node slice nested per the containment
-    order; the root super holds the pivot.  Crossing cuts are rejected.
-    """
-    sides = [frozenset(c.side) for c in cuts]
-    values = [c.value for c in cuts]
-    for s in sides:
-        if p in s:
-            raise TreeError("cut side contains the pivot")
-    for a in range(len(sides)):
-        for b in range(a + 1, len(sides)):
-            x, y = sides[a], sides[b]
-            if x & y and not (x <= y or y <= x):
-                raise TreeError("crossing cuts")
-
-    order = sorted(range(len(sides)), key=lambda k: (-len(sides[k]), sorted(sides[k])))
-    parent: dict[int, Optional[int]] = {}
-    for pos, k in enumerate(order):
-        parent[k] = None
-        for prev in reversed(order[:pos]):
-            if sides[k] <= sides[prev]:
-                parent[k] = prev
-                break
-
-    all_nodes = frozenset(range(g.n))
-    super_of: dict[int, frozenset[int]] = {}
-    used: dict[int, set[int]] = {k: set() for k in range(len(sides))}
-    for k in range(len(sides)):
-        if parent[k] is not None:
-            used[parent[k]] |= set(sides[k])
-    root_used: set[int] = set()
-    for k in range(len(sides)):
-        if parent[k] is None:
-            root_used |= set(sides[k])
-
-    tree_supers: dict[int, frozenset[int]] = {0: all_nodes - frozenset(root_used)}
-    adj: dict[int, dict[int, Weight]] = {0: {}}
-    id_of = {None: 0}
-    for pos, k in enumerate(order, start=1):
-        tree_supers[pos] = frozenset(sides[k] - frozenset(used[k]))
-        if not tree_supers[pos]:
-            raise TreeError("cut adds no new vertices (duplicate side?)")
-        adj[pos] = {}
-        id_of[k] = pos
-    for k in range(len(sides)):
-        a = id_of[k]
-        b = id_of[parent[k]]
-        adj[a][b] = values[k]
-        adj[b][a] = values[k]
-    return PartitionTree(tree_supers, adj)

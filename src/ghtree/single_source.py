@@ -19,14 +19,17 @@ minimal; anything left unproven is settled by the same latest-cut solves at
 the end, so the result is correct at every scale regardless of
 decomposition quality.
 
-The same machinery runs in two modes: "randomized" (perturbed graph, unique
-minimum cuts, random sampling) and "dynamic" (no randomness, latest cuts,
-deterministic splitter sampling, and a pivot that may change when every
-minimum cut to some terminal is unbalanced; see dynamic.py).
+``SingleSourceEngine`` is the randomized engine: cuts are measured in a
+perturbed graph (unique minimum cuts) and the elimination loop samples
+candidates at random.  The deterministic engine, ``DynamicPivotEngine`` in
+dynamic.py, subclasses it and overrides the pivot-rule hooks grouped at the
+end of the class: the stage graph and first stage, the sampling step, and
+what happens when a solved cut is unbalanced (the pivot moves).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -37,8 +40,13 @@ from .expander import DecompositionReport, decompose_with_demands
 from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
 from .isolating import isolating_cuts
-from .sparsify import ni_sparsify, perturbed_sparsifier
+from .sparsify import perturbed_sparsifier
 from .weights import Weight, from_scaled
+
+
+# success-probability exponent: sampling rounds and the randomized builder's
+# bad-pivot streak bound scale with it
+GAMMA = 2.0
 
 
 class EngineError(RuntimeError):
@@ -54,22 +62,21 @@ class EngineConfig:
     latest-cut solve, which is unconditionally exact and fastest at desk
     scale.  Enabling the loop runs the doubling stages (easy step,
     elimination rounds, capped direct solves) with the standard parameters
-    (phi = 2^-sqrt(log2 n), gamma = 2, threshold log2 n) unless overridden;
-    every knob but ``initial_pivot`` and ``audit`` tunes the loop only.
+    (phi = 2^-sqrt(log2 n), gamma = GAMMA, threshold log2 n) unless
+    overridden; every knob but ``initial_pivot`` and ``audit`` tunes the loop
+    only.
     """
 
     loop_enabled: bool = False
     phi: Optional[float] = None
-    gamma: float = 2.0
     candidate_threshold: Optional[int] = None
     sample_rounds: Optional[int] = None      # override 2*e*gamma*ln(N)/phi
     priority_budget: Optional[int] = None    # override 3/phi
     stage_from_zero: bool = False
     exact_cut_limit: int = 20
-    drop_candidates: bool = True             # drop processed parts' candidates
     audit: bool = False                      # record pivot-change snapshots
-    initial_pivot: Optional[int] = None      # test hook (dynamic mode)
-    seed: Optional[int] = None               # sampling seed (randomized mode)
+    initial_pivot: Optional[int] = None      # test hook (dynamic pivot)
+    seed: Optional[int] = None               # sampling seed (randomized engine)
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:
@@ -84,7 +91,7 @@ class EngineConfig:
     def sample_rounds_for(self, n_orig: int, phi: float) -> int:
         if self.sample_rounds is not None:
             return self.sample_rounds
-        return math.ceil(2 * math.e * self.gamma * math.log(max(2, n_orig)) / phi)
+        return math.ceil(2 * math.e * GAMMA * math.log(max(2, n_orig)) / phi)
 
     def priority_budget_for(self, phi: float) -> int:
         if self.priority_budget is not None:
@@ -139,17 +146,13 @@ class SingleSourceEngine:
         work: Graph,
         pivot: int,
         config: Optional[EngineConfig] = None,
-        mode: str = "randomized",
     ):
         """g: the input graph; aux: an auxiliary (contracted) graph of it;
         work: the graph cuts are measured in (a perturbation of aux, or aux
-        itself in dynamic mode); pivot: an original vertex id in aux."""
-        if mode not in ("randomized", "dynamic"):
-            raise ValueError(mode)
+        itself for the dynamic pivot); pivot: an original vertex id in aux."""
         self.g = g
         self.aux = aux
         self.work = work
-        self.mode = mode
         self.config = config or EngineConfig()
         self.rng = random.Random(self.config.seed)
         if pivot not in aux.index_of:
@@ -169,7 +172,6 @@ class SingleSourceEngine:
         self.pivot_change_events: list[dict] = []
         self.improving_cuts: list[ImprovingCut] = []
         self.report: dict = {
-            "mode": mode,
             "aux_nodes": aux.n,
             "terminals": len(self.table.entries),
             "pivot_initial": pivot,
@@ -179,9 +181,7 @@ class SingleSourceEngine:
         }
         self._flow_start = FLOW_CALLS.value
         self._solver: Optional[MaxFlowSolver] = None
-        self._gw: Optional[Graph] = None
         self._gw_solver: Optional[MaxFlowSolver] = None
-        self._last_easy_updates = 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -251,11 +251,6 @@ class SingleSourceEngine:
 
     # -- stage machinery -------------------------------------------------------
 
-    def stage_graph(self, w: int) -> Graph:
-        if self.mode == "randomized":
-            return perturbed_sparsifier(self.aux, self.work, 2 * w)
-        return ni_sparsify(self.aux, 2 * w)
-
     def candidates(self, w: int) -> list[int]:
         thr = Weight(w, 0)
         return [
@@ -274,11 +269,7 @@ class SingleSourceEngine:
         if self.config.loop_enabled:
             n_orig = self.g.n
             j_hi = max(0, math.ceil(math.log2(max(2, n_orig))))
-            if self.mode == "dynamic" or self.config.stage_from_zero:
-                j_lo = 0
-            else:
-                j_lo = max(0, math.floor(math.log2(max(2, n_orig)) / 2))
-            for j in range(j_lo, j_hi + 1):
+            for j in range(self.first_stage(), j_hi + 1):
                 stage_w(self, 2 ** j)
         self.final_sweep()
         self.report["pivot_changes"] = self.pivot_changes
@@ -291,8 +282,8 @@ class SingleSourceEngine:
     def final_sweep(self) -> None:
         """One uncapped latest-cut solve for every terminal not proven done.
 
-        In dynamic mode an unbalanced latest cut moves the pivot, and the
-        sweep restarts over whatever the change left undone."""
+        When an unbalanced latest cut moves the pivot, the sweep restarts
+        over whatever the change left undone."""
         solves = 0
         guard = 0
         while True:
@@ -305,12 +296,37 @@ class SingleSourceEngine:
             for v in undone:
                 cut = self.latest_cut(self.idx(v), self.pivot_idx)
                 solves += 1
-                if self.mode == "dynamic" and not self.good(cut.side):
-                    from .dynamic import pivot_change
-                    pivot_change(self, v, cut)
+                if self.moves_pivot(v, cut.side, cut.value):
                     break
                 self.offer(v, cut.value, cut.side, done=True, allow_equal=True)
         self.report["final_sweep_solves"] = solves
+
+    # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
+
+    def stage_graph(self, w: int) -> Graph:
+        """Stage w's graph: keeps every cut below 2w exact."""
+        return perturbed_sparsifier(self.aux, self.work, 2 * w)
+
+    def first_stage(self) -> int:
+        """Exponent j of the first doubling stage, w = 2^j."""
+        if self.config.stage_from_zero:
+            return 0
+        return max(0, math.floor(math.log2(max(2, self.g.n)) / 2))
+
+    def sample_step(self, part_nodes: frozenset[int], w: int, gw: Graph,
+                    live: set[int], phi: float) -> dict:
+        """Isolating rounds over one expander part's candidates."""
+        return isolating_sample_step(self, part_nodes, w, gw, live, phi)
+
+    def moves_pivot(self, v: int, side: frozenset[int], value: Weight) -> bool:
+        """Called with an exact minimum (pivot, v)-cut before it is recorded.
+        True means the cut moved the pivot and must be dropped; a random
+        pivot never moves."""
+        return False
+
+    def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
+        """As ``moves_pivot``, for an isolating cut (not proven minimum)."""
+        return False
 
 
 # -- spec-level operations ----------------------------------------------------
@@ -328,7 +344,7 @@ def single_source_mincuts(
     Terminals are the auxiliary graph's original vertices; witnesses are
     node sets of the perturbed graph.  All terminals are done on return.
     """
-    engine = SingleSourceEngine(g, g_aux, g_pert, p, config, mode="randomized")
+    engine = SingleSourceEngine(g, g_aux, g_pert, p, config)
     engine.run()
     return engine.table
 
@@ -345,12 +361,9 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         state.report["stages"].append(srep)
         return
     gw = state.stage_graph(w)
-    state._gw = gw
     state._gw_solver = MaxFlowSolver(gw)
     srep["gw_edges"] = gw.edge_instances
-
-    easy_cuts_step(state, w, gw)
-    srep["easy_updates"] = state._last_easy_updates
+    srep["easy_updates"] = easy_cuts_step(state, w, gw)
 
     cand = state.candidates(w)
     srep["candidates"] = len(cand)
@@ -379,17 +392,15 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     cand = sorted(live)
     # stage-end claim: estimates now below 2w are final for certified
     # parts; mark them so the sweep trusts them
-    if cfg.drop_candidates:
-        lim = Weight(2 * w, 0)
-        for v in state.table.terminals():
-            e = state.table.entries[v]
-            if not e.done and e.value < lim and v not in live:
-                e.done = True
+    lim = Weight(2 * w, 0)
+    for v in state.table.terminals():
+        e = state.table.entries[v]
+        if not e.done and e.value < lim and v not in live:
+            e.done = True
 
     srep["c_trajectory"] = trajectory
     srep["direct_solves"] = _direct_solves(state, w, gw, cand)
     state.report["stages"].append(srep)
-    state._gw = None
     state._gw_solver = None
 
 
@@ -398,11 +409,7 @@ def _direct_solves(state: SingleSourceEngine, w: int, gw: Graph, cand: list[int]
     cutoff = 2 * w * gw.unit
     solver = state._gw_solver
     solves = 0
-    queue = list(cand)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in cand:
         e = state.table.entries.get(v)
         if e is None or e.done or not e.floor < lim:
             continue
@@ -413,59 +420,37 @@ def _direct_solves(state: SingleSourceEngine, w: int, gw: Graph, cand: list[int]
             continue
         side = solver.sink_side(state.idx(v))
         value = from_scaled(val_scaled, gw.unit)
-        if state.mode == "dynamic" and not state.good(side):
-            from .dynamic import pivot_change
-            pivot_change(state, v, _as_cut(state, side, value, v))
+        if state.moves_pivot(v, side, value):
             continue
         state.offer(v, value, side, done=True, allow_equal=True)
     return solves
 
 
-def _as_cut(state, side, value, v):
-    return CutSide(side=side, value=value, s=state.pivot_idx, t=state.idx(v))
-
-
-def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> None:
-    """Isolating cuts over all degree >= w terminals.
+def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> int:
+    """Isolating cuts over all degree >= w terminals; returns the number of
+    estimates improved.
 
     Any terminal whose latest minimum cut from the pivot contains exactly
     one high-degree node is settled exactly here (its estimate, not its
     done flag: minimality is proven later by a direct solve)."""
-    state._last_easy_updates = 0
     high = [
         v for v in state.table.terminals()
         if state.g.degree(v) >= w
     ]
     if not high:
-        return
+        return 0
+    updates = 0
     res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in high})
     cap = Weight(2 * w, 0)
     for v in high:
         if v not in state.table.entries:
             continue
         cut = res.cuts.get(state.idx(v))
-        if cut is None:
+        if cut is None or state.isolating_moves_pivot(v, cut):
             continue
-        if state.mode == "dynamic" and not state.good(cut.side):
-            changed = _dynamic_bad_cut(state, v, cut)
-            if changed:
-                continue
         if state.offer(v, cut.value, cut.side, cap=cap):
-            state._last_easy_updates += 1
-
-
-def _dynamic_bad_cut(state: SingleSourceEngine, q: int, cut) -> bool:
-    """Re-solve a bad (unbalanced) cut for its latest form; if every minimum
-    cut to q is still unbalanced, make q the pivot.  Returns True if the
-    pivot changed."""
-    latest = state.latest_cut(state.idx(q), state.pivot_idx)
-    if state.good(latest.side):
-        state.offer(q, latest.value, latest.side, done=True, allow_equal=True)
-        return False
-    from .dynamic import pivot_change
-
-    pivot_change(state, q, latest)
-    return True
+            updates += 1
+    return updates
 
 
 def isolating_sample_step(
@@ -508,8 +493,6 @@ def priority_solve_step(
     one extra repetition whenever the solve strictly improved the popped
     node's estimate.  Exact (below-2w) improvements are recorded for the
     distinct/non-easy accounting."""
-    import heapq
-
     cfg = state.config
     budget = cfg.priority_budget_for(phi)
     cap = Weight(2 * w, 0)
@@ -538,9 +521,7 @@ def priority_solve_step(
             continue
         side = solver.sink_side(state.idx(v))
         value = from_scaled(val_scaled, gw.unit)
-        if state.mode == "dynamic" and not state.good(side):
-            from .dynamic import pivot_change
-            pivot_change(state, v, _as_cut(state, side, value, v))
+        if state.moves_pivot(v, side, value):
             live.discard(v)
             live.intersection_update(state.table.entries)
             continue
@@ -599,21 +580,12 @@ def _elimination_round(
         part_live = {v for v in live if state.idx(v) in part.nodes}
         if not part_live:
             continue
-        if state.mode == "randomized":
-            rrep["sample"].append(
-                isolating_sample_step(state, part.nodes, w, gw, live, phi)
-            )
-        else:
-            from .dynamic import splitter_isolating_step
-            rrep["sample"].append(
-                splitter_isolating_step(state, part.nodes, w, gw, live, phi)
-            )
+        rrep["sample"].append(state.sample_step(part.nodes, w, gw, live, phi))
         pr = priority_solve_step(state, part.nodes, w, gw, live, phi)
         lefty_inc += pr["increments"]
         rrep["priority"].append(pr)
-        if state.config.drop_candidates:
-            for v in list(live):
-                if v in state.table.entries and state.idx(v) in part.nodes:
-                    live.discard(v)
+        for v in list(live):
+            if v in state.table.entries and state.idx(v) in part.nodes:
+                live.discard(v)
     rrep["lefty_increments"] = lefty_inc
     return rrep

@@ -173,8 +173,7 @@ def _loop_engine_runs():
         (families.clique_chain([8, 8, 8]), 2, False),
     ]
     for g, p, _ in instances:
-        engine = SingleSourceEngine(g, g, perturb(g, seed=11), p, cfg,
-                                    mode="randomized")
+        engine = SingleSourceEngine(g, g, perturb(g, seed=11), p, cfg)
         engine.run()
         runs.append((g, p, engine))
     return runs

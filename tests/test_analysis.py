@@ -4,6 +4,9 @@ import pytest
 
 from ghtree import families
 from ghtree.analysis import (
+    Bag,
+    CutMembershipTree,
+    _check_monotone,
     analyze_report,
     count_non_easy_bags,
     cut_membership_tree,
@@ -196,3 +199,32 @@ def test_analyze_report_shape():
     assert {b["id"] for b in rep["bags"]}
     for entry in rep["thresholds"]:
         assert set(entry) == {"w", "bags", "easy", "non_easy"}
+
+
+def _rising_bags():
+    """Cut-membership tree whose bag values rise away from the pivot."""
+    bags = {
+        0: Bag(0, frozenset({0}), None, None, frozenset({0, 1, 2})),
+        1: Bag(1, frozenset({1}), Weight(1, 0), 0, frozenset({1, 2})),
+        2: Bag(2, frozenset({2}), Weight(5, 0), 1, frozenset({2})),
+    }
+    return CutMembershipTree(pivot=0, bags=bags, children={0: [1], 1: [2], 2: []},
+                             node_bag={0: 0, 1: 1, 2: 2})
+
+
+def test_rising_bag_values_are_an_error():
+    with pytest.raises(RuntimeError, match="increase"):
+        _check_monotone(_rising_bags())
+    with pytest.raises(RuntimeError, match="parent"):
+        w_large_subtree(_rising_bags(), 3)
+
+
+def test_non_easy_bound_is_an_error(monkeypatch):
+    import ghtree.analysis as analysis
+
+    g = families.star(5)
+    tree = to_node_tree(classic_gomory_hu(g))
+    assert count_non_easy_bags(g, tree, 0, 1) == 1
+    monkeypatch.setattr(analysis, "NON_EASY_CONSTANT", 0)
+    with pytest.raises(RuntimeError, match="bound"):
+        count_non_easy_bags(g, tree, 0, 1)

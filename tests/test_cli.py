@@ -168,6 +168,25 @@ def test_analyze_json(tmp_path, runner):
     assert rep["thresholds"]
 
 
+@pytest.mark.parametrize("tree_text, args", [
+    ("t 3\ne 1 2 1.0\ne 2 3 1.0\n", ["--pivot", "1"]),   # tree spans 3 of 4 nodes
+    (None, ["--pivot", "0"]),
+    (None, ["--pivot", "5"]),
+    (None, ["--pivot", "1", "--w", "1,x"]),
+], ids=["tree_node_count", "pivot_zero", "pivot_above_n", "w_not_integers"])
+def test_analyze_bad_input_exits_4(tmp_path, runner, tree_text, args):
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    tree = tmp_path / "g.tree"
+    if tree_text is None:
+        res = runner.invoke(main, ["build", gp, "--algo", "classic", "--out", str(tree)])
+        assert res.exit_code == 0, res.output
+    else:
+        tree.write_text(tree_text)
+    res = runner.invoke(main, ["analyze", gp, str(tree), *args])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
 def test_env_seed_fallback(tmp_path, runner, monkeypatch):
     gp = write_graph(tmp_path / "g.gr", families.er_connected(9, 0.5, seed=8))
     monkeypatch.setenv("GHT_SEED", "17")

@@ -4,9 +4,14 @@ import random
 import pytest
 
 from ghtree import families
-from ghtree.dynamic import pivot_change, single_source_dynamic_pivot, splitters
+from ghtree.dynamic import (
+    DynamicPivotEngine,
+    pivot_change,
+    single_source_dynamic_pivot,
+    splitters,
+)
 from ghtree.flow import MaxFlowSolver, latest_min_cut
-from ghtree.single_source import EngineConfig, EngineError, SingleSourceEngine
+from ghtree.single_source import EngineConfig, EngineError
 from ghtree.weights import Weight
 
 
@@ -112,7 +117,7 @@ def test_two_runs_identical():
 
 def engine_for(g, pivot, audit=False):
     cfg = EngineConfig(initial_pivot=pivot, audit=audit)
-    return SingleSourceEngine(g, g, g, pivot, cfg, mode="dynamic")
+    return DynamicPivotEngine(g, g, pivot, cfg)
 
 
 def test_change_updates_only_pivot_when_nothing_exceeds():

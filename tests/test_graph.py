@@ -175,3 +175,14 @@ def test_parse_graph_errors():
         parse_graph("p 3 1\ne 1 1\n")
     with pytest.raises(GraphError):
         parse_graph("p 2 1\nx 1 2\n")
+
+
+@pytest.mark.parametrize("edges, loops", [
+    ({(0, 1): (2, 0)}, None),    # parallel edges
+    ({(0, 1): (1, 3)}, None),    # perturbed edge
+    ({(0, 1): (1, 0)}, {0: (1, 0)}),
+])
+def test_simple_flag_is_checked(edges, loops):
+    """A graph marked simple is checked by an exception, not an assert."""
+    with pytest.raises(GraphError, match="simple"):
+        Graph(2, edges, loops=loops, simple=True)

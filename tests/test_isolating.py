@@ -5,6 +5,7 @@ import pytest
 from ghtree import families
 from ghtree.graph import GraphError
 from ghtree.isolating import isolating_cuts
+from ghtree.weights import Weight
 
 from oracles import enum_latest_all
 
@@ -100,3 +101,16 @@ def test_contract_when_latest_cut_isolated(small_corpus):
                         assert res.cuts[v].value.scaled(g.unit) == val
                         checked += 1
     assert checked > 300
+
+
+def test_overlapping_regions_are_an_error(monkeypatch):
+    """The disjointness check is an exception, so it survives python -O."""
+    from ghtree import isolating
+    from ghtree.flow import CutSide
+
+    def whole_graph(g, region, p, v):
+        return CutSide(side=frozenset(range(g.n)) - {p}, value=Weight(1, 0), s=p, t=v)
+
+    monkeypatch.setattr(isolating, "_latest_region_cut", whole_graph)
+    with pytest.raises(RuntimeError, match="overlap"):
+        isolating_cuts(families.star(4), 0, {1, 2})

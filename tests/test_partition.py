@@ -4,7 +4,7 @@ import pytest
 
 from ghtree import families
 from ghtree.classic import classic_gomory_hu
-from ghtree.flow import CutSide, all_pairs_oracle
+from ghtree.flow import all_pairs_oracle
 from ghtree.graph import auxiliary_graph
 from ghtree.partition import (
     GomoryHuTree,
@@ -12,7 +12,6 @@ from ghtree.partition import (
     TreeError,
     assemble,
     gh_refine,
-    noncrossing_tree,
     parse_tree,
     to_node_tree,
     tree_query,
@@ -116,47 +115,6 @@ def test_tree_loader_validates():
         parse_tree("t 3\ne 1 2 1.0\n")  # not spanning
     with pytest.raises(TreeError):
         parse_tree("t 3\ne 1 2 1.0\ne 1 2 2.0\ne 2 3 1.0\n")  # not a tree
-
-
-def test_noncrossing_tree_single_cut():
-    g = families.path(4)
-    cut = CutSide(side=frozenset({3}), value=Weight(1, 0), s=0, t=3)
-    t = noncrossing_tree(g, 0, [cut])
-    assert len(t.super_nodes) == 2
-    assert t.verify(g)
-
-
-def test_noncrossing_tree_nested_chain():
-    g = families.path(6)
-    cuts = [
-        CutSide(side=frozenset({3, 4, 5}), value=Weight(1, 0), s=0, t=3),
-        CutSide(side=frozenset({4, 5}), value=Weight(1, 0), s=0, t=4),
-        CutSide(side=frozenset({5}), value=Weight(1, 0), s=0, t=5),
-    ]
-    t = noncrossing_tree(g, 0, cuts)
-    assert len(t.super_nodes) == 4
-    sizes = sorted(len(s) for s in t.super_nodes.values())
-    assert sizes == [1, 1, 1, 3]
-    assert t.verify(g)
-
-
-def test_noncrossing_tree_star_partition():
-    g = families.star(4)
-    cuts = [CutSide(side=frozenset({v}), value=Weight(1, 0), s=0, t=v)
-            for v in range(1, 5)]
-    t = noncrossing_tree(g, 0, cuts)
-    assert len(t.super_nodes) == 5
-    assert t.verify(g)
-
-
-def test_noncrossing_tree_rejects_crossing():
-    g = families.path(5)
-    cuts = [
-        CutSide(side=frozenset({1, 2}), value=Weight(1, 0), s=0, t=2),
-        CutSide(side=frozenset({2, 3}), value=Weight(1, 0), s=0, t=3),
-    ]
-    with pytest.raises(TreeError):
-        noncrossing_tree(g, 0, cuts)
 
 
 def _full_subtrees(g, t):

@@ -22,7 +22,7 @@ from ghtree.weights import Weight
 def make_engine(g, p, config=None, perturbed=True, seed=0):
     work = perturb(g, seed=seed) if perturbed else g
     cfg = config or EngineConfig(stage_from_zero=True)
-    return SingleSourceEngine(g, g, work, p, cfg, mode="randomized")
+    return SingleSourceEngine(g, g, work, p, cfg)
 
 
 def oracle_check(g, engine, p):
@@ -186,7 +186,6 @@ def test_easy_cut_settles_singleton():
     g = families.star(5)
     engine = make_engine(g, 0, seed=11)
     gw = engine.stage_graph(1)
-    engine._gw = gw
     from ghtree.flow import MaxFlowSolver as MFS
     engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, 1, gw)
@@ -204,7 +203,6 @@ def test_easy_cut_dumbbell_bridge_side():
     w = 2
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, w, gw)
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
@@ -218,7 +216,6 @@ def test_easy_step_never_marks_done():
     w = 2
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, w, gw)
     assert not any(engine.table.done(v) for v in engine.table.terminals())
@@ -232,7 +229,6 @@ def test_sample_step_empty_part_is_noop():
     engine = make_engine(g, 0, seed=14)
     gw = engine.stage_graph(2)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     rep = isolating_sample_step(engine, frozenset(), 2, gw, set(), 0.5)
     assert rep["updates"] == 0
@@ -247,7 +243,6 @@ def test_sample_step_phi_one_samples_everyone():
     w = 1
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     live = {0}
     rep = isolating_sample_step(engine, frozenset(range(8)), w, gw, live, 1.0)
@@ -264,13 +259,11 @@ def test_sample_step_statistical_success():
     hits = 0
     for seed in range(50):
         cfg = EngineConfig(stage_from_zero=True, sample_rounds=None, phi=0.25,
-                           gamma=2.0, seed=seed)
-        engine = SingleSourceEngine(g, g, perturb(g, seed=seed), 11, cfg,
-                                    mode="randomized")
+                           seed=seed)
+        engine = SingleSourceEngine(g, g, perturb(g, seed=seed), 11, cfg)
         w = 2
         gw = engine.stage_graph(w)
         from ghtree.flow import MaxFlowSolver as MFS
-        engine._gw = gw
         engine._gw_solver = MFS(gw)
         live = {v for v in engine.table.terminals()
                 if engine.table.estimate(v) > Weight(w, 0)}
@@ -292,7 +285,6 @@ def test_priority_step_budget_without_improvements():
     w = 4
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     live = {1, 2, 3, 4}
     rep = priority_solve_step(engine, frozenset(range(5)), w, gw, live, 1.0)
@@ -307,7 +299,6 @@ def test_priority_step_increments_on_improvement():
     w = 1
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     live = {0, 1}
     rep = priority_solve_step(engine, frozenset(range(10)), w, gw, live, 1.0)
@@ -326,7 +317,6 @@ def test_priority_step_forced_chain_settles_target():
     w = 2
     gw = engine.stage_graph(w)
     from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw = gw
     engine._gw_solver = MFS(gw)
     live = {0, 1, 2}
     priority_solve_step(engine, frozenset(range(12)), w, gw, live, 1.0)
@@ -343,7 +333,7 @@ def test_improving_cuts_distinct():
                            candidate_threshold=2, exact_cut_limit=10,
                            seed=rng.randrange(2 ** 32))
         engine = SingleSourceEngine(g, g, perturb(g, seed=rng.randrange(2 ** 32)),
-                                    0, cfg, mode="randomized")
+                                    0, cfg)
         engine.run()
         sides = [c.side for c in engine.improving_cuts]
         assert len(sides) == len(set(sides))
@@ -354,8 +344,7 @@ def test_candidate_halving_on_designed_instance():
     g = families.dumbbell(20, bridges=10)
     cfg = EngineConfig(stage_from_zero=False, loop_enabled=True, phi=0.25,
                        candidate_threshold=4, exact_cut_limit=12, seed=20)
-    engine = SingleSourceEngine(g, g, perturb(g, seed=20), 25, cfg,
-                                mode="randomized")
+    engine = SingleSourceEngine(g, g, perturb(g, seed=20), 25, cfg)
     engine.run()
     saw_round = False
     for stage in engine.report["stages"]:

@@ -1,0 +1,48 @@
+"""Import structure of the library, checked on its source.
+
+Intra-package imports stay at module level, so the module dependency graph
+is what the import statements say; a function-local import is how an
+import cycle hides.  The deterministic engine extends the randomized one,
+so dynamic.py may import single_source.py but not the other way round.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ghtree"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def relative_imports(tree: ast.Module):
+    """(node, imported module names) for every ``from .x import ...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                yield node, [node.module]
+            else:
+                yield node, [alias.name for alias in node.names]
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_modules_found():
+    assert {"single_source.py", "dynamic.py", "build.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_relative_imports(path):
+    tree = parse(path)
+    top = {id(node) for node in tree.body}
+    local = [f"line {node.lineno}" for node, _ in relative_imports(tree)
+             if id(node) not in top]
+    assert not local, f"{path.name}: function-local relative imports at {local}"
+
+
+def test_single_source_does_not_import_dynamic():
+    tree = parse(SRC / "single_source.py")
+    for node, names in relative_imports(tree):
+        assert "dynamic" not in names, f"single_source.py imports .dynamic at line {node.lineno}"
