@@ -29,7 +29,6 @@ from .isolating import isolating_cuts
 from .expander import (
     ExpanderPart,
     decompose_with_demands,
-    size_g,
     verify_expansion,
 )
 from .partition import (

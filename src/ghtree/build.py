@@ -86,12 +86,6 @@ def _assign_largest(
     return pieces
 
 
-def _expand(aux: Graph, side: frozenset[int]) -> frozenset[int]:
-    """Auxiliary-node side -> original-vertex side."""
-    members = aux.members
-    return frozenset().union(*(members[x] for x in side))
-
-
 def _refine(
     g: Graph,
     rep: dict,
@@ -188,7 +182,7 @@ def _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep):
     for _ in range(max_bad):
         p = rng.choice(sorted(vi))
         table = single_source_mincuts(g, aux, pert, p, cfg)
-        expanded = {v: _expand(aux, table.witness(v)) for v in table.terminals()}
+        expanded = {v: aux.expand(table.witness(v)) for v in table.terminals()}
         if is_good_pivot(expanded, vi):
             sides: dict[frozenset[int], Weight] = {}
             for v in table.terminals():
@@ -220,7 +214,7 @@ def build_deterministic(
         rep["pivot_changes"] += engine.pivot_changes
         sides: dict[frozenset[int], Weight] = {}
         for v in table.terminals():
-            sides.setdefault(_expand(aux, table.witness(v)), table.estimate(v))
+            sides.setdefault(aux.expand(table.witness(v)), table.estimate(v))
         found = _assign_largest(sides, vi, pivot)
         covered = frozenset().union(*(p[0] for p in found))
         if covered != vi - {pivot}:

@@ -15,30 +15,16 @@ from .sparsify import perturb, perturbed_sparsifier
 from .weights import Weight, from_scaled
 
 
-def _components_forest(g: Graph):
-    """Per-component node lists plus zero-weight joining edges."""
-    comps = g.components()
-    comps.sort(key=min)
-    joins = []
-    for a, b in zip(comps, comps[1:]):
-        joins.append((min(a), min(b)))
-    return comps, joins
-
-
 def classic_gomory_hu(g: Graph) -> PartitionTree:
     """Gomory-Hu construction: n-1 max-flows on contracted auxiliary graphs.
 
     Pair selection is the lexicographically smallest pair inside the largest
-    super-node, for deterministic replay.  Disconnected inputs are built per
-    component and joined with zero-weight edges.
+    super-node, for deterministic replay.  Disconnected inputs need no
+    special case: a pair in different components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
     g = g.rebase()  # contraction book-keeping in this graph's own node space
-    comps, joins = _components_forest(g)
-    if len(comps) > 1:
-        return _join_component_trees(g, comps, joins, classic_gomory_hu)
-
     t = PartitionTree.single(g.n)
     while True:
         pending = [i for i, s in t.super_nodes.items() if len(s) > 1]
@@ -48,51 +34,15 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
         s, tnode = sorted(t.super_nodes[i])[:2]
         aux, index = auxiliary_graph(g, t, i)
         cut = max_flow_min_cut(aux, index[s], index[tnode])
-        side = frozenset().union(*(aux.members[v] for v in cut.side))
+        side = aux.expand(cut.side)
         t = gh_refine(t, i, side, cut.value, s, tnode)
 
 
-def _join_component_trees(g, comps, joins, builder):
-    supers: dict[int, frozenset[int]] = {}
-    adj: dict[int, dict[int, Weight]] = {}
-    offset = 0
-    for comp in comps:
-        nodes = sorted(comp)
-        fwd = {v: k for k, v in enumerate(nodes)}
-        sub_edges = {}
-        for (u, v), data in g.edges.items():
-            if u in comp and v in comp:
-                iu, iv = fwd[u], fwd[v]
-                key = (iu, iv) if iu < iv else (iv, iu)
-                sub_edges[key] = data
-        sub = Graph(len(nodes), sub_edges, unit=g.unit)
-        sub_tree = builder(sub)
-        remap = {}
-        for sid, sset in sub_tree.super_nodes.items():
-            nid = offset + sid
-            remap[sid] = nid
-            supers[nid] = frozenset(nodes[x] for x in sset)
-            adj[nid] = {}
-        for a, b, w in sub_tree.edges():
-            adj[remap[a]][remap[b]] = w
-            adj[remap[b]][remap[a]] = w
-        offset += max(sub_tree.super_nodes) + 1
-    tree = PartitionTree(supers, adj)
-    for u, v in joins:
-        a, b = tree.node_super[u], tree.node_super[v]
-        tree.adj[a][b] = Weight(0, 0)
-        tree.adj[b][a] = Weight(0, 0)
-    return tree
-
-
 def gusfield(g: Graph) -> PartitionTree:
-    """Cut tree with all n-1 max-flows made on the original graph."""
+    """Cut tree with all n-1 max-flows made on the original graph (on a
+    disconnected one too: a cut between components has value 0)."""
     if g.n == 1:
         return PartitionTree.single(1)
-    comps, joins = _components_forest(g)
-    if len(comps) > 1:
-        return _join_component_trees(g, comps, joins, gusfield)
-
     sol = MaxFlowSolver(g)
 
     def solve(s, t):

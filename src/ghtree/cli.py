@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -199,8 +198,7 @@ def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
 @click.option("--algos", default="classic,deterministic")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--jobs", type=int, default=1)
-def bench(family, sizes, prob, algos, seed, out_path, jobs):
+def bench(family, sizes, prob, algos, seed, out_path):
     """Benchmark builders over a graph family; CSV out."""
     seed = _seed_option(seed) or 0
     size_list = [int(s) for s in sizes.split(",") if s]
@@ -210,17 +208,15 @@ def bench(family, sizes, prob, algos, seed, out_path, jobs):
             click.echo(f"error: unknown algo {a}", err=True)
             sys.exit(EXIT_INPUT)
 
-    def cell(args):
-        n, algo = args
+    def cell(n, algo):
         g = families.er_connected(n, prob, seed=seed + n)
         config = EngineConfig(seed=seed)
         report: dict = {}
+        flow0 = FLOW_CALLS.value
         t0 = time.perf_counter()
-        tree = _build_tree(g, algo, seed, config, report)
+        _build_tree(g, algo, seed, config, report)
         wall = round(1000 * (time.perf_counter() - t0), 3)
-        # classic/gusfield make exactly n-1 solves on connected inputs; the
-        # other builders report their own counts, so cells stay lock-free
-        calls = report.get("flow_calls", g.n - 1)
+        calls = FLOW_CALLS.value - flow0
         increments = 0
         for stage in report.get("stages", []):
             for rnd in stage.get("rounds", []):
@@ -232,12 +228,7 @@ def bench(family, sizes, prob, algos, seed, out_path, jobs):
             "seed": seed,
         }
 
-    cells = [(n, a) for n in size_list for a in algo_list]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = [cell(c) for c in cells]
+    rows = [cell(n, a) for n in size_list for a in algo_list]
     fields = ["n", "m", "algo", "maxflow_calls", "lefty_increments",
               "wall_ms", "depth", "seed"]
     with open(out_path, "w", newline="") as fh:

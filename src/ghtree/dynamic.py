@@ -6,8 +6,10 @@ overrides only its pivot-rule hooks: cuts are measured in the unperturbed
 graph (latest cuts with respect to the pivot), stages use the
 Nagamochi-Ibaraki sparsifier and start at w = 1, splitter families replace
 random sampling, and the pivot itself moves (``pivot_change``) when some
-terminal admits no balanced minimum cut.  This module imports
-single_source, never the reverse.
+terminal admits no balanced minimum cut.  A pivot change reads the old
+pivot's side from the residual graph of the solve that triggered it, so it
+makes no max-flow of its own.  This module imports single_source, never
+the reverse.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .flow import CutSide
+from .flow import CutSide, MaxFlowSolver
 from .graph import Graph
-from .isolating import isolating_cuts
 from .single_source import (
     EngineConfig,
     EngineError,
     EstimateTable,
     SingleSourceEngine,
     TerminalEstimate,
+    offer_isolating_cuts,
 )
 from .sparsify import ni_sparsify
-from .weights import Weight
 
 
 class DynamicPivotEngine(SingleSourceEngine):
@@ -50,11 +51,10 @@ class DynamicPivotEngine(SingleSourceEngine):
                     live: set[int], phi: float) -> dict:
         return splitter_isolating_step(self, part_nodes, w, gw, live, phi)
 
-    def moves_pivot(self, v: int, side: frozenset[int], value: Weight) -> bool:
-        if self.good(side):
+    def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
+        if self.good(cut.side):
             return False
-        pivot_change(self, v, CutSide(side=side, value=value,
-                                      s=self.pivot_idx, t=self.idx(v)))
+        pivot_change(self, v, cut, solver.sink_side(self.pivot_idx))
         return True
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
@@ -62,12 +62,11 @@ class DynamicPivotEngine(SingleSourceEngine):
         minimum cut to v is still unbalanced, make v the pivot."""
         if self.good(cut.side):
             return False
-        latest = self.latest_cut(self.idx(v), self.pivot_idx)
-        if self.good(latest.side):
-            self.offer(v, latest.value, latest.side, done=True, allow_equal=True)
-            return False
-        pivot_change(self, v, latest)
-        return True
+        latest = self.latest_cut(v)
+        if self.moves_pivot(v, latest, self.work_solver):
+            return True
+        self.offer(v, latest.value, latest.side, done=True, allow_equal=True)
+        return False
 
 
 def splitters(universe: int, size: int) -> list[frozenset[int]]:
@@ -113,52 +112,40 @@ def splitter_isolating_step(
         return {"rounds": 0, "updates": 0}
     k = min(len(cand), max(1, math.ceil(2.0 / phi)))
     family = splitters(len(cand), k)
-    cap = Weight(2 * w, 0)
     updates = 0
     for subset in family:
         batch = [cand[i] for i in sorted(subset) if i < len(cand)]
         batch = [v for v in batch if v in state.table.entries]
-        if not batch:
-            continue
-        res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in batch})
-        for v in batch:
-            cut = res.cuts.get(state.idx(v))
-            if cut is None or v not in state.table.entries:
-                continue
-            if state.isolating_moves_pivot(v, cut):
-                live.intersection_update(state.table.entries)
-                continue
-            if state.offer(v, cut.value, cut.side, cap=cap):
-                updates += 1
+        updates += offer_isolating_cuts(state, w, gw, batch, live)
     return {"rounds": len(family), "updates": updates}
 
 
-def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide) -> None:
+def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
+                 p_side: frozenset[int]) -> None:
     """Make q the pivot after finding that even the latest minimum cut
     between the pivot p and q leaves more than half the terminals on q's
     side.
 
-    One max-flow from p toward q, on the engine's shared solver, finds the
-    latest cut with respect to q (the minimal p-side); its value lam is the
-    exact p,q connectivity.  Every terminal on the p-side whose estimate
-    exceeds lam drops to lam with the p-side as witness (exact, and still
-    exact for terminals that were already done).  Terminals on q's side
-    keep their witnesses, which still avoid q, except that a witness
-    containing q is replaced by the degree bound.  The old pivot becomes a
-    terminal with the exact estimate lam.
+    ``s_pq`` is that cut, from a max-flow from q toward p, and ``p_side``
+    is the minimal p-side of the same flow (the nodes that reach p in its
+    residual graph), i.e. the latest cut with respect to q; no max-flow is
+    made here.  The cut's value lam is the exact p,q connectivity.  Every
+    terminal on the p-side whose estimate exceeds lam drops to lam with the
+    p-side as witness (exact, and still exact for terminals that were
+    already done).  Terminals on q's side keep their witnesses, which still
+    avoid q, except that a witness containing q is replaced by the degree
+    bound.  The old pivot becomes a terminal with the exact estimate lam.
     """
     p = state.pivot_orig
     p_idx, q_idx = state.pivot_idx, state.idx(q)
     if not 2 * state.vprime_count(s_pq.side) > len(state.vprime):
         raise EngineError("premature pivot change: the cut is balanced")
 
-    back = state.latest_cut(p_idx, q_idx)
-    lam = back.value
-    p_side = back.side
+    lam = s_pq.value
     if p_idx not in p_side or q_idx in p_side:
-        raise EngineError("back cut does not separate the old and new pivot")
+        raise EngineError("the old pivot's side does not separate it from the new pivot")
     if not 2 * state.vprime_count(p_side) < len(state.vprime):
-        raise EngineError("back cut leaves the old pivot an unbalanced side")
+        raise EngineError("the old pivot's side is unbalanced")
 
     event: Optional[dict] = None
     if state.config.audit:

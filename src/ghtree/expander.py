@@ -40,20 +40,6 @@ class DecompositionReport:
     part_sizes: list[int] = None
     certified_parts: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "parts": self.part_count,
-            "boundary_weight": self.boundary_weight,
-            "b_factor": self.b_factor,
-            "part_size_g": self.part_sizes,
-            "certified_parts": self.certified_parts,
-        }
-
-
-def size_g(part: ExpanderPart) -> int:
-    """Original-graph node count inside the part, O(1) from the cache."""
-    return part.size_g
-
 
 def _piece_demand(g: Graph, piece: Sequence[int], base: dict[int, Fraction]) -> dict[int, Fraction]:
     inside = set(piece)

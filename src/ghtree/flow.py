@@ -46,9 +46,6 @@ class CutSide:
     s: int
     t: int
 
-    def contains(self, v: int) -> bool:
-        return v in self.side
-
     def verify(self, g: Graph) -> bool:
         return g.cut_weight(self.side) == self.value
 

@@ -117,6 +117,11 @@ class Graph:
     def member_count(self, v: int) -> int:
         return self._member_count[v]
 
+    def expand(self, side: Iterable[int]) -> frozenset[int]:
+        """The original vertices a set of this graph's nodes represents."""
+        members = self.members
+        return frozenset().union(*(members[x] for x in side))
+
     @property
     def edge_instances(self) -> int:
         return sum(m for m, _ in self.edges.values())

@@ -55,9 +55,6 @@ class PartitionTree:
     def fully_resolved(self) -> bool:
         return all(len(s) == 1 for s in self.super_nodes.values())
 
-    def edge_weight(self, i: int, j: int) -> Weight:
-        return self.adj[i][j]
-
     def edges(self) -> list[tuple[int, int, Weight]]:
         out = []
         for i, nb in self.adj.items():

@@ -1,18 +1,22 @@
 """Single-source minimum cuts from a pivot to every terminal of an
 auxiliary graph.
 
-The default profile (elimination loop off) settles every terminal with one
-uncapped max-flow from the terminal toward the pivot.  The nodes reachable
-from the terminal in the residual graph form the inclusion-minimal terminal
-side, i.e. the latest minimum cut with respect to the pivot; latest cuts are
-unique, so this is the witness any exact method must return.  All solves of
-one engine share a single solver over the work graph.
+Every exact cut the engines record comes from one method,
+``SingleSourceEngine.latest_cut``: one max-flow from the terminal toward the
+pivot, whose residual reach from the terminal is the inclusion-minimal
+terminal side, i.e. the latest minimum cut with respect to the pivot.
+Latest cuts are unique, so this is the witness any exact method must
+return.  The default profile (elimination loop off) settles every terminal
+with one uncapped such solve; all of them share a single solver over the
+work graph.
 
 With the loop on, the engine first walks doubling stages.  Stage w works on
 a sparsifier preserving all cuts below 2w, isolates the high-degree
 terminals (cuts containing a single high-degree node are caught here), runs
 candidate elimination over a demand-weighted expander decomposition, and
-solves the surviving candidates directly.  Estimates only decrease, every
+solves the surviving candidates directly, capped at 2w, on one solver over
+the stage graph that ``stage_w`` builds and hands down.  Every isolating
+batch goes through ``offer_isolating_cuts``.  Estimates only decrease, every
 estimate is the exact weight of its witness cut, and a terminal is marked
 done only when a direct solve (or an exact stage bound) proves its estimate
 minimal; anything left unproven is settled by the same latest-cut solves at
@@ -24,7 +28,9 @@ perturbed graph (unique minimum cuts) and the elimination loop samples
 candidates at random.  The deterministic engine, ``DynamicPivotEngine`` in
 dynamic.py, subclasses it and overrides the pivot-rule hooks grouped at the
 end of the class: the stage graph and first stage, the sampling step, and
-what happens when a solved cut is unbalanced (the pivot moves).
+what happens when a solved cut is unbalanced (the pivot moves).  Such a
+cut's solve ends with the pivot as its sink, so its residual graph already
+holds the minimal pivot side the move needs, and a move costs no flow.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .expander import DecompositionReport, decompose_with_demands
@@ -180,8 +187,6 @@ class SingleSourceEngine:
             "flow_calls": 0,
         }
         self._flow_start = FLOW_CALLS.value
-        self._solver: Optional[MaxFlowSolver] = None
-        self._gw_solver: Optional[MaxFlowSolver] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -191,10 +196,6 @@ class SingleSourceEngine:
 
     def idx(self, v: int) -> int:
         return self.aux.index_of[v]
-
-    def expand(self, side: frozenset[int]) -> frozenset[int]:
-        """Auxiliary-node side -> original-vertex side."""
-        return frozenset().union(*(self.aux.members[x] for x in side)) if side else frozenset()
 
     def vprime_count(self, side: frozenset[int]) -> int:
         orig = self.aux.orig_id
@@ -231,18 +232,30 @@ class SingleSourceEngine:
             e.floor = e.value
         return True
 
-    def latest_cut(self, t_idx: int, toward: int) -> CutSide:
-        """Latest minimum cut between t_idx and ``toward`` with respect to
-        ``toward``: the inclusion-minimal side holding t_idx.
+    @cached_property
+    def work_solver(self) -> MaxFlowSolver:
+        """The engine's one solver over the work graph, built on first use."""
+        return MaxFlowSolver(self.work)
 
-        Solves from t_idx, so the residual search that yields the side
-        starts at the (usually low-degree) terminal, and reuses the engine's
-        one solver over the work graph."""
-        if self._solver is None:
-            self._solver = MaxFlowSolver(self.work)
-        val = self._solver.solve(t_idx, toward)
-        return CutSide(side=self._solver.source_side(t_idx),
-                       value=from_scaled(val, self.work.unit), s=toward, t=t_idx)
+    def latest_cut(self, v: int, solver: Optional[MaxFlowSolver] = None,
+                   cutoff: Optional[Weight] = None) -> Optional[CutSide]:
+        """Latest minimum (pivot, v)-cut: the inclusion-minimal side holding
+        terminal v, or None once the value reaches ``cutoff``.
+
+        Solves from v toward the pivot on ``solver`` (default: the work
+        graph's), so the residual search for the side starts at the
+        (usually low-degree) terminal, and afterwards
+        ``solver.sink_side(self.pivot_idx)`` is the minimal pivot side."""
+        if solver is None:
+            solver = self.work_solver
+        unit = solver.g.unit
+        cap = None if cutoff is None else cutoff.scaled(unit)
+        t_idx = self.idx(v)
+        val = solver.solve(t_idx, self.pivot_idx, cutoff=cap)
+        if cap is not None and val >= cap:
+            return None
+        return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, unit),
+                       s=self.pivot_idx, t=t_idx)
 
     def raise_floor(self, v: int, floor: Weight) -> None:
         e = self.table.entries[v]
@@ -294,9 +307,9 @@ class SingleSourceEngine:
             if guard > 4 * len(self.vprime) + 4:
                 raise EngineError("pivot changes do not settle")
             for v in undone:
-                cut = self.latest_cut(self.idx(v), self.pivot_idx)
+                cut = self.latest_cut(v)
                 solves += 1
-                if self.moves_pivot(v, cut.side, cut.value):
+                if self.moves_pivot(v, cut, self.work_solver):
                     break
                 self.offer(v, cut.value, cut.side, done=True, allow_equal=True)
         self.report["final_sweep_solves"] = solves
@@ -318,10 +331,11 @@ class SingleSourceEngine:
         """Isolating rounds over one expander part's candidates."""
         return isolating_sample_step(self, part_nodes, w, gw, live, phi)
 
-    def moves_pivot(self, v: int, side: frozenset[int], value: Weight) -> bool:
-        """Called with an exact minimum (pivot, v)-cut before it is recorded.
-        True means the cut moved the pivot and must be dropped; a random
-        pivot never moves."""
+    def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
+        """Called with the latest minimum (pivot, v)-cut before it is
+        recorded, and the solver whose last solve found it.  True means the
+        cut moved the pivot and must be dropped; a random pivot never
+        moves."""
         return False
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
@@ -353,7 +367,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     """One doubling stage of the elimination loop: after it, terminals with
     connectivity below 2w are done for certified expander parts, and
     everything else falls through to capped direct solves or the final
-    sweep."""
+    sweep.  The stage's capped solves share one solver over its graph."""
     cfg = state.config
     srep: dict = {"w": w}
     if not state.stage_pending(w):
@@ -361,7 +375,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         state.report["stages"].append(srep)
         return
     gw = state.stage_graph(w)
-    state._gw_solver = MaxFlowSolver(gw)
+    solver = MaxFlowSolver(gw)
     srep["gw_edges"] = gw.edge_instances
     srep["easy_updates"] = easy_cuts_step(state, w, gw)
 
@@ -378,7 +392,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     while len(live) > threshold:
         round_no += 1
         before = len(live)
-        rrep = _elimination_round(state, w, gw, live, phi)
+        rrep = _elimination_round(state, w, gw, solver, live, phi)
         srep["rounds"].append(rrep)
         trajectory.append(len(live))
         if 2 * len(live) >= before:
@@ -399,31 +413,51 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
             e.done = True
 
     srep["c_trajectory"] = trajectory
-    srep["direct_solves"] = _direct_solves(state, w, gw, cand)
+    srep["direct_solves"] = _direct_solves(state, w, solver, cand)
     state.report["stages"].append(srep)
-    state._gw_solver = None
 
 
-def _direct_solves(state: SingleSourceEngine, w: int, gw: Graph, cand: list[int]) -> int:
+def _direct_solves(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
+                   cand: list[int]) -> int:
     lim = Weight(2 * w, 0)
-    cutoff = 2 * w * gw.unit
-    solver = state._gw_solver
     solves = 0
     for v in cand:
         e = state.table.entries.get(v)
         if e is None or e.done or not e.floor < lim:
             continue
-        val_scaled = solver.solve(state.pivot_idx, state.idx(v), cutoff=cutoff)
+        cut = state.latest_cut(v, solver, lim)
         solves += 1
-        if val_scaled >= cutoff:
+        if cut is None:
             state.raise_floor(v, lim)
             continue
-        side = solver.sink_side(state.idx(v))
-        value = from_scaled(val_scaled, gw.unit)
-        if state.moves_pivot(v, side, value):
+        if state.moves_pivot(v, cut, solver):
             continue
-        state.offer(v, value, side, done=True, allow_equal=True)
+        state.offer(v, cut.value, cut.side, done=True, allow_equal=True)
     return solves
+
+
+def offer_isolating_cuts(state: SingleSourceEngine, w: int, gw: Graph,
+                         batch: list[int], live: Optional[set[int]] = None) -> int:
+    """Isolating cuts in the stage graph for a batch of terminals, each
+    offered below the stage bound 2w unless it moves the pivot; returns the
+    number of estimates improved.  A terminal that becomes the pivot leaves
+    the ``live`` candidates."""
+    if not batch:
+        return 0
+    res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in batch})
+    cap = Weight(2 * w, 0)
+    updates = 0
+    for v in batch:
+        cut = res.cuts.get(state.idx(v))
+        if cut is None or v not in state.table.entries:
+            continue
+        if state.isolating_moves_pivot(v, cut):
+            if live is not None:
+                live.discard(v)
+            continue
+        if state.offer(v, cut.value, cut.side, cap=cap):
+            updates += 1
+    return updates
 
 
 def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> int:
@@ -437,20 +471,7 @@ def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> int:
         v for v in state.table.terminals()
         if state.g.degree(v) >= w
     ]
-    if not high:
-        return 0
-    updates = 0
-    res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in high})
-    cap = Weight(2 * w, 0)
-    for v in high:
-        if v not in state.table.entries:
-            continue
-        cut = res.cuts.get(state.idx(v))
-        if cut is None or state.isolating_moves_pivot(v, cut):
-            continue
-        if state.offer(v, cut.value, cut.side, cap=cap):
-            updates += 1
-    return updates
+    return offer_isolating_cuts(state, w, gw, high)
 
 
 def isolating_sample_step(
@@ -466,38 +487,27 @@ def isolating_sample_step(
     cfg = state.config
     rounds = cfg.sample_rounds_for(state.g.n, phi)
     cand = sorted(v for v in live if state.idx(v) in part_nodes)
-    cap = Weight(2 * w, 0)
     updates = 0
     for _ in range(rounds):
         batch = [v for v in cand if state.rng.random() < phi]
-        if not batch:
-            continue
-        res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in batch})
-        for v in batch:
-            cut = res.cuts.get(state.idx(v))
-            if cut is None or v not in state.table.entries:
-                continue
-            if state.offer(v, cut.value, cut.side, cap=cap):
-                updates += 1
+        updates += offer_isolating_cuts(state, w, gw, batch, live)
     return {"rounds": rounds, "updates": updates}
 
 
 def priority_solve_step(
-    state: SingleSourceEngine, part_nodes: frozenset[int], w: int, gw: Graph,
-    live: set[int], phi: float,
+    state: SingleSourceEngine, part_nodes: frozenset[int], w: int,
+    solver: MaxFlowSolver, live: set[int], phi: float,
 ) -> dict:
     """Highest-estimate-first direct solves over one expander part.
 
-    Pops the candidate with the largest estimate, solves its cut in the
-    stage graph, updates every terminal inside the returned side, and earns
-    one extra repetition whenever the solve strictly improved the popped
-    node's estimate.  Exact (below-2w) improvements are recorded for the
-    distinct/non-easy accounting."""
+    Pops the candidate with the largest estimate, solves its cut on the
+    stage graph's solver, updates every terminal inside the returned side,
+    and earns one extra repetition whenever the solve strictly improved the
+    popped node's estimate.  Exact (below-2w) improvements are recorded for
+    the distinct/non-easy accounting."""
     cfg = state.config
     budget = cfg.priority_budget_for(phi)
     cap = Weight(2 * w, 0)
-    cutoff = 2 * w * gw.unit
-    solver = state._gw_solver
     heap: list[tuple[tuple[int, int], int]] = []
     for v in sorted(live):
         if state.idx(v) in part_nodes:
@@ -513,18 +523,17 @@ def priority_solve_step(
         if (-key[0], -key[1]) != (e.value.base, e.value.eps):
             continue  # stale heap entry
         budget -= 1
-        val_scaled = solver.solve(state.pivot_idx, state.idx(v), cutoff=cutoff)
+        cut = state.latest_cut(v, solver, cap)
         solves += 1
-        if val_scaled >= cutoff:
+        if cut is None:
             state.raise_floor(v, cap)
             live.discard(v)
             continue
-        side = solver.sink_side(state.idx(v))
-        value = from_scaled(val_scaled, gw.unit)
-        if state.moves_pivot(v, side, value):
+        if state.moves_pivot(v, cut, solver):
             live.discard(v)
             live.intersection_update(state.table.entries)
             continue
+        side, value = cut.side, cut.value
         improved = value < e.value
         if improved:
             budget += 1
@@ -551,7 +560,8 @@ def priority_solve_step(
 
 
 def _elimination_round(
-    state: SingleSourceEngine, w: int, gw: Graph, live: set[int], phi: float,
+    state: SingleSourceEngine, w: int, gw: Graph, solver: MaxFlowSolver,
+    live: set[int], phi: float,
 ) -> dict:
     """One decomposition round: demand w on live candidates, process every
     part holding at least w/2 original-graph nodes, then drop its
@@ -581,7 +591,7 @@ def _elimination_round(
         if not part_live:
             continue
         rrep["sample"].append(state.sample_step(part.nodes, w, gw, live, phi))
-        pr = priority_solve_step(state, part.nodes, w, gw, live, phi)
+        pr = priority_solve_step(state, part.nodes, w, solver, live, phi)
         lefty_inc += pr["increments"]
         rrep["priority"].append(pr)
         for v in list(live):

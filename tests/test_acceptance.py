@@ -218,7 +218,7 @@ def test_criterion_06_increment_accounting():
         for cut in engine.improving_cuts:
             assert cut.side not in sides_seen
             sides_seen.add(cut.side)
-            expanded = engine.expand(cut.side)
+            expanded = engine.aux.expand(cut.side)
             high = sum(1 for x in expanded if degs[x] >= cut.w)
             assert high != 1, (cut.w, sorted(expanded))
             total_increments += 1

@@ -143,9 +143,10 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
 
 
 def test_deterministic_one_flow_per_terminal(monkeypatch):
-    """With the loop off, a dynamic-pivot run whose pivot never moves makes
-    exactly one max-flow per terminal, and the build makes no flow outside
-    those runs; so a pivot-free build that resolves the whole graph as one
+    """With the loop off, every dynamic-pivot run makes exactly one max-flow
+    per terminal, pivot changes included (a change reads the old pivot's
+    side from the flow that triggered it), and the build makes no flow
+    outside those runs; so a build that resolves the whole graph as one
     super-node (every minimum cut a degree cut) makes exactly n - 1."""
     import ghtree.build as build_mod
     from ghtree.flow import FLOW_CALLS
@@ -165,8 +166,8 @@ def test_deterministic_one_flow_per_terminal(monkeypatch):
     graphs = [families.er_connected(rng.randint(10, 40), rng.choice([0.3, 0.5]),
                                     seed=rng.randrange(2 ** 32)) for _ in range(6)]
     graphs += [families.clique_chain([6] * 5), families.clique_chain([5, 8, 5]),
-               families.dumbbell(8, bridges=3)]
-    one_shot = pivot_free_runs = 0
+               families.clique_chain([4] * 30), families.dumbbell(8, bridges=3)]
+    one_shot = moved_runs = 0
     for g in graphs:
         runs.clear()
         rep = {}
@@ -174,13 +175,12 @@ def test_deterministic_one_flow_per_terminal(monkeypatch):
         build_deterministic(g, report=rep)
         assert FLOW_CALLS.value == sum(f for _, _, f in runs)
         for terminals, changes, flows in runs:
-            if changes == 0:
-                pivot_free_runs += 1
-                assert flows == terminals
-        if rep["supers"] == 1 and rep["pivot_changes"] == 0:
+            moved_runs += changes > 0
+            assert flows == terminals, (g.n, terminals, changes, flows)
+        if rep["supers"] == 1:
             one_shot += 1
             assert FLOW_CALLS.value == g.n - 1
-    assert one_shot >= 3 and pivot_free_runs >= 10, (one_shot, pivot_free_runs)
+    assert one_shot >= 3 and moved_runs >= 10, (one_shot, moved_runs)
 
 
 def test_loop_enabled_builders():

@@ -46,11 +46,35 @@ def test_classic_random_oracle():
     assert_tree_matches_oracle(g, classic_gomory_hu(g))
 
 
+def disconnected_graphs():
+    """A hand-made forest-like graph, random disconnected simple graphs
+    and one disconnected multigraph."""
+    graphs = [Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])]
+    rng = random.Random(33)
+    while len(graphs) < 5:
+        g = families.er(rng.randint(5, 14), rng.choice([0.15, 0.3]),
+                        seed=rng.randrange(2 ** 32))
+        if not g.is_connected():
+            graphs.append(g)
+    seed = 0
+    while True:
+        g = families.random_multigraph(9, 0.25, 3, seed=seed)
+        if not g.is_connected() and not g.simple:
+            graphs.append(g)
+            return graphs
+        seed += 1
+
+
 def test_classic_disconnected():
-    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
-    t = to_node_tree(classic_gomory_hu(g))
-    assert t.query(0, 3)[0] == Weight(0, 0)
-    assert t.query(3, 4)[0] == Weight(1, 0)
+    """Both classic builders handle several components with no special
+    case: cuts between components have value 0."""
+    for builder in (classic_gomory_hu, gusfield):
+        g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        t = to_node_tree(builder(g))
+        assert t.query(0, 3)[0] == Weight(0, 0)
+        assert t.query(3, 4)[0] == Weight(1, 0)
+        for g in disconnected_graphs():
+            assert_tree_matches_oracle(g, builder(g))
 
 
 def test_gusfield_same_contract():

@@ -4,8 +4,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ghtree import families
+from ghtree import EngineConfig, families
+from ghtree.build import build_deterministic, build_randomized
+from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.cli import main
+from ghtree.flow import FLOW_CALLS
 from ghtree.graph import emit_graph
 
 
@@ -143,18 +146,37 @@ def test_sampled_verify(tmp_path, runner):
     assert res.exit_code == 0
 
 
+def standalone_flow_calls(n, algo, prob, seed):
+    """FLOW_CALLS delta of one bench cell built outside the CLI."""
+    g = families.er_connected(n, prob, seed=seed + n)
+    flow0 = FLOW_CALLS.value
+    if algo == "classic":
+        classic_gomory_hu(g)
+    elif algo == "gusfield":
+        gusfield(g)
+    elif algo == "randomized":
+        build_randomized(g, seed=seed, config=EngineConfig(seed=seed))
+    else:
+        build_deterministic(g, config=EngineConfig(seed=seed))
+    return FLOW_CALLS.value - flow0
+
+
 def test_bench_csv_fields(tmp_path, runner):
     out = str(tmp_path / "bench.csv")
+    algos = ["classic", "gusfield", "randomized", "deterministic"]
     res = runner.invoke(main, ["bench", "--sizes", "12,16", "--p", "0.4",
-                               "--algos", "classic,deterministic",
+                               "--algos", ",".join(algos),
                                "--seed", "3", "--out", out])
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(open(out)))
-    assert len(rows) == 4
+    assert len(rows) == 8
     assert set(rows[0]) >= {"n", "m", "algo", "maxflow_calls",
                             "lefty_increments", "wall_ms", "depth"}
     ns = [int(r["n"]) for r in rows]
     assert ns == sorted(ns)
+    for r in rows:
+        assert int(r["maxflow_calls"]) == standalone_flow_calls(
+            int(r["n"]), r["algo"], 0.4, 3), r
 
 
 def test_analyze_json(tmp_path, runner):

@@ -10,7 +10,7 @@ from ghtree.dynamic import (
     single_source_dynamic_pivot,
     splitters,
 )
-from ghtree.flow import MaxFlowSolver, latest_min_cut
+from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.single_source import EngineConfig, EngineError
 from ghtree.weights import Weight
 
@@ -130,7 +130,10 @@ def test_change_updates_only_pivot_when_nothing_exceeds():
     # trigger needs an unbalanced side; force the situation via node 1
     cut10 = latest_min_cut(g, 0, 1, wrt=0)
     assert cut10.side == frozenset({1, 2, 3})
-    pivot_change(engine, 1, cut10)
+    p_side = latest_min_cut(g, 1, 0).side
+    flows = FLOW_CALLS.value
+    pivot_change(engine, 1, cut10, p_side=p_side)
+    assert FLOW_CALLS.value == flows  # the caller's flow gave both sides
     assert engine.pivot_orig == 1
     # old pivot got the exact connectivity with a balanced witness
     assert engine.table.estimate(0) == Weight(1, 0)
@@ -144,7 +147,7 @@ def test_premature_change_is_an_error():
     cut = latest_min_cut(g, 0, 3, wrt=0)
     assert 2 * engine.vprime_count(cut.side) <= len(engine.vprime)
     with pytest.raises(EngineError, match="premature"):
-        pivot_change(engine, 3, cut)
+        pivot_change(engine, 3, cut, p_side=latest_min_cut(g, 3, 0).side)
     assert engine.pivot_orig == 0
 
 
@@ -153,7 +156,7 @@ def test_change_star_leaf_to_center_drops_everyone():
     engine = engine_for(g, 1)
     cut = latest_min_cut(g, 1, 0, wrt=1)
     assert 2 * engine.vprime_count(cut.side) > len(engine.vprime)
-    pivot_change(engine, 0, cut)
+    pivot_change(engine, 0, cut, p_side=latest_min_cut(g, 0, 1).side)
     assert engine.pivot_orig == 0
     for v in engine.table.terminals():
         assert engine.table.estimate(v) == Weight(1, 0)

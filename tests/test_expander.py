@@ -8,7 +8,6 @@ from ghtree.expander import (
     DecompositionReport,
     ExpanderPart,
     decompose_with_demands,
-    size_g,
     verify_expansion,
     verify_expansion_detail,
 )
@@ -92,10 +91,10 @@ def test_size_g_counts_original_nodes():
     g = families.dumbbell(4)
     contracted, _ = g.contract([[4, 5, 6, 7]])
     parts = decompose_with_demands(contracted, uniform(contracted.n), Fraction(1, 1000))
-    assert sum(size_g(p) for p in parts) == 8
-    single = [p for p in parts if len(p.nodes) == 1 and size_g(p) == 4]
+    assert sum(p.size_g for p in parts) == 8
+    single = [p for p in parts if len(p.nodes) == 1 and p.size_g == 4]
     # the contracted clique counts its four original nodes wherever it lands
-    total = sum(size_g(p) for p in parts if any(
+    total = sum(p.size_g for p in parts if any(
         contracted.orig_id[v] is None for v in p.nodes))
     assert total >= 4
 

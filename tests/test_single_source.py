@@ -61,7 +61,7 @@ def test_dumbbell_of_cliques_n40():
         if v < 20:
             # across the ten-edge band
             assert engine.table.estimate(v).base == 10, v
-            assert len(engine.expand(engine.table.witness(v)) & set(range(20))) == 20
+            assert len(engine.aux.expand(engine.table.witness(v)) & set(range(20))) == 20
         else:
             assert engine.table.estimate(v).base in (19, 20), v
     oracle_check(g, engine, p)
@@ -186,8 +186,6 @@ def test_easy_cut_settles_singleton():
     g = families.star(5)
     engine = make_engine(g, 0, seed=11)
     gw = engine.stage_graph(1)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, 1, gw)
     for v in range(1, 6):
         assert engine.table.estimate(v).base == 1
@@ -202,12 +200,10 @@ def test_easy_cut_dumbbell_bridge_side():
     engine = make_engine(g, 1, seed=12)
     w = 2
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, w, gw)
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
     assert engine.table.estimate(0).base == 1
-    assert engine.expand(engine.table.witness(0)) == frozenset({0, 2})
+    assert engine.aux.expand(engine.table.witness(0)) == frozenset({0, 2})
 
 
 def test_easy_step_never_marks_done():
@@ -215,8 +211,6 @@ def test_easy_step_never_marks_done():
     engine = make_engine(g, 0, seed=13)
     w = 2
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     easy_cuts_step(engine, w, gw)
     assert not any(engine.table.done(v) for v in engine.table.terminals())
 
@@ -228,8 +222,6 @@ def test_sample_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0, seed=14)
     gw = engine.stage_graph(2)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     rep = isolating_sample_step(engine, frozenset(), 2, gw, set(), 0.5)
     assert rep["updates"] == 0
 
@@ -242,8 +234,6 @@ def test_sample_step_phi_one_samples_everyone():
     engine = make_engine(g, 7, config=cfg, seed=15)
     w = 1
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     live = {0}
     rep = isolating_sample_step(engine, frozenset(range(8)), w, gw, live, 1.0)
     assert rep["rounds"] == 3
@@ -263,8 +253,6 @@ def test_sample_step_statistical_success():
         engine = SingleSourceEngine(g, g, perturb(g, seed=seed), 11, cfg)
         w = 2
         gw = engine.stage_graph(w)
-        from ghtree.flow import MaxFlowSolver as MFS
-        engine._gw_solver = MFS(gw)
         live = {v for v in engine.table.terminals()
                 if engine.table.estimate(v) > Weight(w, 0)}
         isolating_sample_step(engine, frozenset(range(12)), w, gw, live, 0.25)
@@ -284,10 +272,8 @@ def test_priority_step_budget_without_improvements():
     engine = make_engine(g, 0, config=cfg, seed=16)
     w = 4
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     live = {1, 2, 3, 4}
-    rep = priority_solve_step(engine, frozenset(range(5)), w, gw, live, 1.0)
+    rep = priority_solve_step(engine, frozenset(range(5)), w, MaxFlowSolver(gw), live, 1.0)
     assert rep["solves"] == 3
     assert rep["increments"] == 0
 
@@ -298,10 +284,9 @@ def test_priority_step_increments_on_improvement():
                                                    priority_budget=2), seed=17)
     w = 1
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     live = {0, 1}
-    rep = priority_solve_step(engine, frozenset(range(10)), w, gw, live, 1.0)
+    rep = priority_solve_step(engine, frozenset(range(10)), w, MaxFlowSolver(gw),
+                              live, 1.0)
     assert rep["increments"] >= 1
     assert engine.improving_cuts
     for cut in engine.improving_cuts:
@@ -316,10 +301,8 @@ def test_priority_step_forced_chain_settles_target():
     engine = make_engine(g, 11, config=cfg, seed=18)
     w = 2
     gw = engine.stage_graph(w)
-    from ghtree.flow import MaxFlowSolver as MFS
-    engine._gw_solver = MFS(gw)
     live = {0, 1, 2}
-    priority_solve_step(engine, frozenset(range(12)), w, gw, live, 1.0)
+    priority_solve_step(engine, frozenset(range(12)), w, MaxFlowSolver(gw), live, 1.0)
     assert engine.table.estimate(0).base == 2
     assert engine.table.done(0)
 

@@ -1,9 +1,11 @@
-"""Import structure of the library, checked on its source.
+"""Structure of the library, checked on its source.
 
 Intra-package imports stay at module level, so the module dependency graph
 is what the import statements say; a function-local import is how an
 import cycle hides.  The deterministic engine extends the randomized one,
 so dynamic.py may import single_source.py but not the other way round.
+The engines make their max-flows through one method, and the stage solver
+travels as an argument.
 """
 
 import ast
@@ -46,3 +48,28 @@ def test_single_source_does_not_import_dynamic():
     tree = parse(SRC / "single_source.py")
     for node, names in relative_imports(tree):
         assert "dynamic" not in names, f"single_source.py imports .dynamic at line {node.lineno}"
+
+
+def solve_calls(tree: ast.Module) -> list[int]:
+    """Line numbers of every ``<expr>.solve(...)`` call."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "solve"]
+
+
+def test_engines_have_one_solve_path():
+    """Every exact cut of the single-source engines comes from
+    ``SingleSourceEngine.latest_cut``; a pivot change reuses its flow."""
+    assert len(solve_calls(parse(SRC / "single_source.py"))) == 1
+    assert solve_calls(parse(SRC / "dynamic.py")) == []
+
+
+def test_stage_solver_is_explicit():
+    """The stage solver is passed as an argument, never parked on the
+    engine: no source or test file names a ``_gw_solver`` attribute."""
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    for path in MODULES + tests:
+        lines = [node.lineno for node in ast.walk(parse(path))
+                 if (isinstance(node, ast.Attribute) and node.attr == "_gw_solver")
+                 or (isinstance(node, ast.Name) and node.id == "_gw_solver")]
+        assert not lines, f"{path.name} names _gw_solver at lines {lines}"
