@@ -11,7 +11,6 @@ from .graph import (
     Graph,
     GraphError,
     auxiliary_graph,
-    induced_with_self_loops,
     parse_graph,
     emit_graph,
     subdivide,
@@ -35,11 +34,9 @@ from .partition import (
     GomoryHuTree,
     PartitionTree,
     TreeError,
-    assemble,
     gh_refine,
     parse_tree,
     to_node_tree,
-    tree_query,
 )
 from .classic import classic_gomory_hu, gusfield, gusfield_projection, k_partial_tree
 from .single_source import (

@@ -92,9 +92,8 @@ def main():
               help="expansion parameter override (enables the elimination loop)")
 @click.option("--stage-from-zero", is_flag=True,
               help="with --phi-exp: the doubling stages start at w=1")
-@click.option("--oracle-limit", type=int, default=64)
 def build(input_path, algo, seed, out_path, report_path, via_subdivision,
-          phi_exp, stage_from_zero, oracle_limit):
+          phi_exp, stage_from_zero):
     """Build a cut-equivalent tree of a graph file."""
     g = _load_graph(input_path)
     seed = _seed_option(seed)
@@ -217,20 +216,14 @@ def bench(family, sizes, prob, algos, seed, out_path):
         _build_tree(g, algo, seed, config, report)
         wall = round(1000 * (time.perf_counter() - t0), 3)
         calls = FLOW_CALLS.value - flow0
-        increments = 0
-        for stage in report.get("stages", []):
-            for rnd in stage.get("rounds", []):
-                increments += rnd.get("lefty_increments", 0)
         return {
             "n": n, "m": g.edge_instances, "algo": algo,
-            "maxflow_calls": calls, "lefty_increments": increments,
-            "wall_ms": wall, "depth": report.get("depth", ""),
+            "maxflow_calls": calls, "wall_ms": wall, "depth": report.get("depth", ""),
             "seed": seed,
         }
 
     rows = [cell(n, a) for n in size_list for a in algo_list]
-    fields = ["n", "m", "algo", "maxflow_calls", "lefty_increments",
-              "wall_ms", "depth", "seed"]
+    fields = ["n", "m", "algo", "maxflow_calls", "wall_ms", "depth", "seed"]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

@@ -147,18 +147,6 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     if not 2 * state.vprime_count(p_side) < len(state.vprime):
         raise EngineError("the old pivot's side is unbalanced")
 
-    event: Optional[dict] = None
-    if state.config.audit:
-        event = {
-            "old": p,
-            "new": q,
-            "lam": str(lam),
-            "before": {
-                v: (e.value, e.witness, e.done)
-                for v, e in state.table.entries.items()
-            },
-        }
-
     entries = state.table.entries
     del entries[q]
     state.pivot_orig = q
@@ -192,11 +180,6 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
             e.floor = lam
 
     state.pivot_changes += 1
-    if event is not None:
-        event["after"] = {
-            v: (e.value, e.witness, e.done) for v, e in entries.items()
-        }
-        state.pivot_change_events.append(event)
 
 
 def single_source_dynamic_pivot(
@@ -211,12 +194,8 @@ def single_source_dynamic_pivot(
     half of the original nodes.  No randomness is consumed; two runs on the
     same input produce identical tables.
     """
-    cfg = config or EngineConfig()
-    if cfg.initial_pivot is not None:
-        pivot = cfg.initial_pivot
-    else:
-        pivot = max(g_aux.index_of, key=lambda v: (g.degree(v), -v))
-    engine = DynamicPivotEngine(g, g_aux, pivot, cfg)
+    pivot = max(g_aux.index_of, key=lambda v: (g.degree(v), -v))
+    engine = DynamicPivotEngine(g, g_aux, pivot, config)
     engine.run()
     for v, e in engine.table.entries.items():
         if not engine.good(e.witness):

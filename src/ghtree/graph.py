@@ -1,11 +1,12 @@
-"""Undirected multigraph with contraction, subdivision, and self-loop
-preserving induced subgraphs.
+"""Undirected loop-free multigraph with contraction and subdivision.
 
 Nodes are indices 0..n-1.  Every node carries the set of original-graph
 vertices it represents: plain vertices represent themselves, contracted
 nodes carry the union of what they swallowed.  Edges store an integer
 multiplicity and an integer count of perturbation units (see weights.py).
-Graphs are immutable after construction.
+No graph holds a self-loop: edge keys satisfy u < v, the parsers reject
+u == v, and contraction drops the edges inside a group.  Graphs are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class GraphError(ValueError):
 
 class Graph:
     __slots__ = (
-        "n", "edges", "loops", "members", "orig_id", "simple", "unit",
+        "n", "edges", "members", "orig_id", "simple", "unit",
         "_adj", "_index_of", "_member_count",
     )
 
@@ -30,7 +31,6 @@ class Graph:
         n: int,
         edges: Mapping[tuple[int, int], tuple[int, int]],
         *,
-        loops: Optional[Mapping[int, tuple[int, int]]] = None,
         members: Optional[Sequence[frozenset[int]]] = None,
         orig_id: Optional[Sequence[Optional[int]]] = None,
         simple: bool = False,
@@ -39,7 +39,6 @@ class Graph:
     ):
         self.n = n
         self.edges: dict[tuple[int, int], tuple[int, int]] = dict(edges)
-        self.loops: dict[int, tuple[int, int]] = dict(loops) if loops else {}
         if members is None:
             members = [frozenset((v,)) for v in range(n)]
         self.members: tuple[frozenset[int], ...] = tuple(members)
@@ -57,9 +56,8 @@ class Graph:
                     raise GraphError(f"bad edge key ({u},{v})")
                 if mult < 1 or eps < 0:
                     raise GraphError(f"bad edge data ({mult},{eps})")
-            if simple and (self.loops or any(
-                    m != 1 or e != 0 for m, e in self.edges.values())):
-                raise GraphError("a simple graph has no loops, parallel or perturbed edges")
+            if simple and any(m != 1 or e != 0 for m, e in self.edges.values()):
+                raise GraphError("a simple graph has no parallel or perturbed edges")
 
     # -- construction helpers ------------------------------------------------
 
@@ -80,14 +78,13 @@ class Graph:
         """Copy with identity node book-keeping: every node counts as an
         original node of itself.  Used when a contracted graph is handed to
         an algorithm that should treat it as a standalone input."""
-        return Graph(self.n, self.edges, loops=self.loops, simple=self.simple,
-                     unit=self.unit, validate=False)
+        return Graph(self.n, self.edges, simple=self.simple, unit=self.unit,
+                     validate=False)
 
     def with_edges(self, edges, *, unit: Optional[int] = None, simple: Optional[bool] = None) -> "Graph":
         """Copy of this graph with a replaced edge map (same node book-keeping)."""
         return Graph(
-            self.n, edges, loops=self.loops, members=self.members,
-            orig_id=self.orig_id,
+            self.n, edges, members=self.members, orig_id=self.orig_id,
             simple=self.simple if simple is None else simple,
             unit=self.unit if unit is None else unit,
             validate=False,
@@ -127,26 +124,19 @@ class Graph:
         return sum(m for m, _ in self.edges.values())
 
     def degree(self, v: int) -> int:
-        """Edge-instance degree; each self-loop contributes one."""
-        d = sum(m for m, _ in self.adj[v].values())
-        if v in self.loops:
-            d += self.loops[v][0]
-        return d
+        """Edge-instance degree."""
+        return sum(m for m, _ in self.adj[v].values())
 
     def degree_weight(self, v: int) -> Weight:
-        """Degree including perturbation units (loops included)."""
+        """Degree including perturbation units."""
         base = eps = 0
         for m, e in self.adj[v].values():
             base += m
             eps += e
-        if v in self.loops:
-            lm, le = self.loops[v]
-            base += lm
-            eps += le
         return Weight(base, eps)
 
     def cut_units(self, side: frozenset[int] | set[int]) -> int:
-        """Scaled weight of edges crossing (side, complement); loops never cross."""
+        """Scaled weight of edges crossing (side, complement)."""
         total = 0
         unit = self.unit
         if len(side) * 2 <= self.n:
@@ -302,50 +292,17 @@ def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
     return out, records
 
 
-def induced_with_self_loops(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph where boundary edges become degree-preserving loops.
-
-    Each edge from an inside node to an outside node turns into that many
-    self-loops on the inside endpoint, each contributing one to its degree,
-    so degrees match the host graph exactly.
-    """
-    inside = sorted(set(nodes))
-    if not inside:
-        raise GraphError("empty node set")
-    idx = {v: i for i, v in enumerate(inside)}
-    edges: dict[tuple[int, int], tuple[int, int]] = {}
-    loops: dict[int, list[int]] = {}
-    for (u, v), (m, e) in g.edges.items():
-        iu, iv = idx.get(u), idx.get(v)
-        if iu is not None and iv is not None:
-            key = (iu, iv) if iu < iv else (iv, iu)
-            edges[key] = (m, e)
-        elif iu is not None:
-            cur = loops.setdefault(iu, [0, 0])
-            cur[0] += m
-            cur[1] += e
-        elif iv is not None:
-            cur = loops.setdefault(iv, [0, 0])
-            cur[0] += m
-            cur[1] += e
-    for v, (lm, le) in g.loops.items():
-        if v in idx:
-            cur = loops.setdefault(idx[v], [0, 0])
-            cur[0] += lm
-            cur[1] += le
-    members = [g.members[v] for v in inside]
-    orig = [g.orig_id[v] for v in inside]
-    out = Graph(len(inside), edges,
-                loops={v: (m, e) for v, (m, e) in loops.items()},
-                members=members, orig_id=orig, simple=False, unit=g.unit)
-    return out, idx
-
-
 # -- text format -------------------------------------------------------------
 
 
 def parse_graph(text: str) -> Graph:
-    """Read the 1-indexed `p n m` / `e u v [mult]` format."""
+    """Read the 1-indexed `p n m` / `e u v [mult]` format.
+
+    The header's edge count m may be left out; when present it must be a
+    non-negative integer.  It is not compared with the edge records:
+    repeated `e` lines for one pair merge into a multi-edge, and
+    ``emit_graph`` writes the number of distinct pairs.
+    """
     n = None
     pairs: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -358,10 +315,13 @@ def parse_graph(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: duplicate header")
             try:
                 n = int(parts[1])
+                edge_count = int(parts[2]) if len(parts) > 2 else 0
             except (IndexError, ValueError):
                 raise GraphError(f"line {lineno}: malformed header") from None
             if n < 1:
                 raise GraphError(f"line {lineno}: node count must be positive")
+            if edge_count < 0:
+                raise GraphError(f"line {lineno}: edge count must be non-negative")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before header")
@@ -378,7 +338,6 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing header")
-    # the header's edge count is informative only; repeated lines merge
     edges = {k: (m, 0) for k, m in pairs.items()}
     simple = all(m == 1 for m in pairs.values())
     return Graph(n, edges, simple=simple)

@@ -1,4 +1,4 @@
-"""Partition trees, refinement steps, tree queries, assembly, and formats.
+"""Partition trees, refinement steps, tree queries, and formats.
 
 A partition tree's nodes are disjoint vertex subsets (super-nodes) covering
 the graph; each tree edge induces a vertex bipartition whose cut value in
@@ -320,13 +320,6 @@ class GomoryHuTree:
         return "\n".join(lines) + "\n"
 
 
-def tree_query(t: "PartitionTree | GomoryHuTree", u: int, v: int) -> tuple[Weight, frozenset[int]]:
-    """Minimum u,v-cut (value and u's side) read off a fully resolved tree."""
-    if isinstance(t, PartitionTree):
-        t = to_node_tree(t)
-    return t.query(u, v)
-
-
 def to_node_tree(t: PartitionTree) -> GomoryHuTree:
     if not t.fully_resolved:
         raise TreeError("partition tree is not fully resolved")
@@ -369,83 +362,3 @@ def parse_tree(text: str) -> GomoryHuTree:
     if n is None:
         raise TreeError("missing header")
     return GomoryHuTree(n, edges)
-
-
-# -- assembly of subtrees into a full tree ------------------------------------
-
-
-def assemble(
-    t_partial: PartitionTree,
-    subtrees: Mapping[int, tuple[Graph, GomoryHuTree]],
-) -> GomoryHuTree:
-    """Stitch per-super-node trees of auxiliary graphs into one full tree.
-
-    Each super-node i supplies its auxiliary graph and a cut-equivalent
-    tree of it.  Contracted nodes are identified with the partial-tree
-    component they hold; every partial-tree edge (i, j) becomes one final
-    edge between i's anchor toward j and j's anchor toward i, keeping the
-    partial edge's weight.  Edges between two original nodes pass through.
-    """
-    n = sum(len(s) for s in t_partial.super_nodes.values())
-    final_edges: list[tuple[int, int, Weight]] = []
-    anchors: dict[tuple[int, int], int] = {}
-
-    for i, nodes in t_partial.super_nodes.items():
-        if i not in subtrees:
-            raise TreeError(f"missing subtree for super-node {i}")
-        aux, tree = subtrees[i]
-        if tree.n != aux.n:
-            raise TreeError("subtree does not span its auxiliary graph")
-        span = frozenset().union(*(aux.members[v] for v in range(aux.n)))
-        if span != frozenset(t_partial.node_super):
-            raise TreeError("auxiliary graph does not cover the vertex set")
-        # map contracted aux nodes to the adjacent super-node of i
-        contracted_super: dict[int, int] = {}
-        for q in range(aux.n):
-            if aux.orig_id[q] is not None:
-                continue
-            for j in t_partial.adj[i]:
-                if t_partial.subtree_side(i, j) == aux.members[q]:
-                    contracted_super[q] = j
-                    break
-            else:
-                raise TreeError("contracted node matches no tree component")
-        # anchor of each contracted node: nearest original node in the subtree
-        root = next(
-            q for q in range(aux.n) if aux.orig_id[q] is not None
-        )
-        order = [root]
-        par = {root: root}
-        dq = deque([root])
-        while dq:
-            a = dq.popleft()
-            for b in tree.adj[a]:
-                if b not in par:
-                    par[b] = a
-                    order.append(b)
-                    dq.append(b)
-        for q, j in sorted(contracted_super.items()):
-            x = q
-            while aux.orig_id[x] is None:
-                x = par[x]
-                if x == par[x] and aux.orig_id[x] is None:
-                    raise TreeError("no original anchor for contracted node")
-            anchors[(i, j)] = aux.orig_id[x]
-        for a in range(aux.n):
-            oa = aux.orig_id[a]
-            if oa is None:
-                continue
-            for b, w in tree.adj[a].items():
-                ob = aux.orig_id[b]
-                if ob is not None and oa < ob:
-                    final_edges.append((oa, ob, w))
-
-    for i, j, w in t_partial.edges():
-        try:
-            u = anchors[(i, j)]
-            v = anchors[(j, i)]
-        except KeyError:
-            raise TreeError("partial edge has no anchors on both sides")
-        final_edges.append((min(u, v), max(u, v), w))
-
-    return GomoryHuTree(n, final_edges)

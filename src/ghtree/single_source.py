@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
+from . import expander
 from .expander import DecompositionReport, decompose_with_demands
 from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
@@ -62,48 +63,43 @@ class EngineError(RuntimeError):
 
 @dataclass
 class EngineConfig:
-    """Knobs for the single-source engines.
+    """Settings of the single-source engines.
 
     Defaults give the direct profile: the candidate-elimination loop is off,
     no doubling stage runs, and every terminal is settled by one uncapped
     latest-cut solve, which is unconditionally exact and fastest at desk
-    scale.  Enabling the loop runs the doubling stages (easy step,
-    elimination rounds, capped direct solves) with the standard parameters
-    (phi = 2^-sqrt(log2 n), gamma = GAMMA, threshold log2 n) unless
-    overridden; every knob but ``initial_pivot`` and ``audit`` tunes the loop
-    only.
+    scale.  ``loop_enabled`` runs the doubling stages (easy step,
+    elimination rounds, capped direct solves) with expansion parameter
+    ``phi`` (default 2^-sqrt(log2 n)); ``stage_from_zero`` starts them at
+    w = 1 and, like ``phi``, does nothing without the loop.  ``seed`` seeds
+    the randomized engine's sampling.
     """
 
     loop_enabled: bool = False
     phi: Optional[float] = None
-    candidate_threshold: Optional[int] = None
-    sample_rounds: Optional[int] = None      # override 2*e*gamma*ln(N)/phi
-    priority_budget: Optional[int] = None    # override 3/phi
     stage_from_zero: bool = False
-    exact_cut_limit: int = 20
-    audit: bool = False                      # record pivot-change snapshots
-    initial_pivot: Optional[int] = None      # test hook (dynamic pivot)
-    seed: Optional[int] = None               # sampling seed (randomized engine)
+    seed: Optional[int] = None
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:
             return self.phi
         return 2.0 ** -math.sqrt(max(1.0, math.log2(max(2, n))))
 
-    def threshold_for(self, n: int) -> int:
-        if self.candidate_threshold is not None:
-            return self.candidate_threshold
-        return max(1, math.ceil(math.log2(max(2, n))))
 
-    def sample_rounds_for(self, n_orig: int, phi: float) -> int:
-        if self.sample_rounds is not None:
-            return self.sample_rounds
-        return math.ceil(2 * math.e * GAMMA * math.log(max(2, n_orig)) / phi)
+def candidate_threshold(n: int) -> int:
+    """A stage eliminates candidates while more than this many are live:
+    log2 n."""
+    return max(1, math.ceil(math.log2(max(2, n))))
 
-    def priority_budget_for(self, phi: float) -> int:
-        if self.priority_budget is not None:
-            return self.priority_budget
-        return math.ceil(3.0 / phi)
+
+def sample_rounds(n_orig: int, phi: float) -> int:
+    """Sampled isolating rounds per expander part: 2 e gamma ln(n) / phi."""
+    return math.ceil(2 * math.e * GAMMA * math.log(max(2, n_orig)) / phi)
+
+
+def priority_budget(phi: float) -> int:
+    """Base number of highest-estimate-first solves per part: 3 / phi."""
+    return math.ceil(3.0 / phi)
 
 
 @dataclass
@@ -176,7 +172,6 @@ class SingleSourceEngine:
                 witness=frozenset((vi,)),
             )
         self.pivot_changes = 0
-        self.pivot_change_events: list[dict] = []
         self.improving_cuts: list[ImprovingCut] = []
         self.report: dict = {
             "aux_nodes": aux.n,
@@ -368,7 +363,6 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     connectivity below 2w are done for certified expander parts, and
     everything else falls through to capped direct solves or the final
     sweep.  The stage's capped solves share one solver over its graph."""
-    cfg = state.config
     srep: dict = {"w": w}
     if not state.stage_pending(w):
         srep["skipped"] = True
@@ -385,8 +379,8 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     srep["rounds"] = []
     srep["fallback"] = False
 
-    threshold = cfg.threshold_for(state.aux.n)
-    phi = cfg.phi_for(state.aux.n)
+    threshold = candidate_threshold(state.aux.n)
+    phi = state.config.phi_for(state.aux.n)
     live = set(cand)
     round_no = 0
     while len(live) > threshold:
@@ -484,8 +478,7 @@ def isolating_sample_step(
     candidates is isolated at least once with high probability; each round
     samples candidates with probability phi and keeps every returned cut
     that beats the current estimate and stays below the stage bound."""
-    cfg = state.config
-    rounds = cfg.sample_rounds_for(state.g.n, phi)
+    rounds = sample_rounds(state.g.n, phi)
     cand = sorted(v for v in live if state.idx(v) in part_nodes)
     updates = 0
     for _ in range(rounds):
@@ -505,8 +498,7 @@ def priority_solve_step(
     and earns one extra repetition whenever the solve strictly improved the
     popped node's estimate.  Exact (below-2w) improvements are recorded for
     the distinct/non-easy accounting."""
-    cfg = state.config
-    budget = cfg.priority_budget_for(phi)
+    budget = priority_budget(phi)
     cap = Weight(2 * w, 0)
     heap: list[tuple[tuple[int, int], int]] = []
     for v in sorted(live):
@@ -572,7 +564,7 @@ def _elimination_round(
     drep = DecompositionReport()
     parts = decompose_with_demands(
         state.aux, demand, Fraction(phi).limit_denominator(10 ** 6),
-        exact_cut_limit=state.config.exact_cut_limit, report=drep,
+        exact_cut_limit=expander.EXACT_CUT_LIMIT, report=drep,
     )
     rrep = {
         "parts": drep.part_count,

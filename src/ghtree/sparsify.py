@@ -27,8 +27,6 @@ def ni_sparsify(g: Graph, w: int) -> Graph:
     """
     if w < 1:
         raise GraphError("sparsifier parameter must be >= 1")
-    if g.loops:
-        raise GraphError("sparsifier input must be loop-free")
     remaining = {key: m for key, (m, _) in g.edges.items()}
     taken: dict[tuple[int, int], int] = {}
     adj: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(g.n)]

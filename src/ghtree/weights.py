@@ -35,10 +35,6 @@ class Weight:
     def __lt__(self, other: "Weight") -> bool:
         return (self.base, self.eps) < (other.base, other.eps)
 
-    def round_back(self) -> int:
-        """Drop the perturbation residue, recovering the unperturbed value."""
-        return self.base
-
     def scaled(self, unit: int) -> int:
         return self.base * unit + self.eps
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ghtree import families
+from ghtree import dynamic, families
 from ghtree.graph import Graph
 
 
@@ -68,3 +68,25 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def medium_corpus():
     return medium_random()
+
+
+@pytest.fixture
+def pivot_change_events(monkeypatch):
+    """Every pivot change made during the test, as a dict with the old and
+    new pivot and the estimate table (value, witness, done per terminal)
+    before and after it.  Recorded by wrapping ``ghtree.dynamic.pivot_change``,
+    which the engine looks up as a module global."""
+    events = []
+    change = dynamic.pivot_change
+
+    def snapshot(state):
+        return {v: (e.value, e.witness, e.done) for v, e in state.table.entries.items()}
+
+    def recording(state, q, s_pq, p_side):
+        event = {"old": state.pivot_orig, "new": q, "before": snapshot(state)}
+        change(state, q, s_pq, p_side)
+        event["after"] = snapshot(state)
+        events.append(event)
+
+    monkeypatch.setattr(dynamic, "pivot_change", recording)
+    return events

@@ -2,13 +2,22 @@
 
 These deliberately avoid the package's flow solver so that solver, builders,
 and oracles fail independently.  Usable up to ~12 nodes.
+
+Also the reference code and helpers only tests use: a loop-free induced
+subgraph, a dynamic-pivot run from a chosen start pivot, and ``assemble``,
+which stitches per-super-node trees into one full tree.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from typing import Iterable, Mapping
 
+from ghtree.dynamic import DynamicPivotEngine
 from ghtree.graph import Graph
+from ghtree.partition import GomoryHuTree, PartitionTree, TreeError
+from ghtree.weights import Weight
 
 
 def cut_units(g: Graph, side) -> int:
@@ -142,3 +151,101 @@ def enum_latest_all(g: Graph, p: int) -> dict[int, tuple[frozenset[int], int]]:
         assert len(minimal) == 1
         out[v] = (minimal[0], best[v])
     return out
+
+
+def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph on ``nodes`` with the edges leaving it dropped, plus the map
+    from g's node indices to the subgraph's."""
+    inside = sorted(set(nodes))
+    idx = {v: i for i, v in enumerate(inside)}
+    edges = {(idx[u], idx[v]): data for (u, v), data in g.edges.items()
+             if u in idx and v in idx}
+    return Graph(len(inside), edges, unit=g.unit), idx
+
+
+def dynamic_from(g: Graph, pivot: int, config=None):
+    """``single_source_dynamic_pivot(g, g, config)`` started at ``pivot``
+    instead of the highest-degree node, with the same balanced-witness
+    check: (final pivot, estimate table, engine)."""
+    engine = DynamicPivotEngine(g, g, pivot, config)
+    engine.run()
+    for e in engine.table.entries.values():
+        assert engine.good(e.witness), "dynamic engine returned an unbalanced cut"
+    return engine.pivot_orig, engine.table, engine
+
+
+def assemble(
+    t_partial: PartitionTree,
+    subtrees: Mapping[int, tuple[Graph, GomoryHuTree]],
+) -> GomoryHuTree:
+    """Stitch per-super-node trees of auxiliary graphs into one full tree.
+
+    Each super-node i supplies its auxiliary graph and a cut-equivalent
+    tree of it.  Contracted nodes are identified with the partial-tree
+    component they hold; every partial-tree edge (i, j) becomes one final
+    edge between i's anchor toward j and j's anchor toward i, keeping the
+    partial edge's weight.  Edges between two original nodes pass through.
+    """
+    n = sum(len(s) for s in t_partial.super_nodes.values())
+    final_edges: list[tuple[int, int, Weight]] = []
+    anchors: dict[tuple[int, int], int] = {}
+
+    for i, nodes in t_partial.super_nodes.items():
+        if i not in subtrees:
+            raise TreeError(f"missing subtree for super-node {i}")
+        aux, tree = subtrees[i]
+        if tree.n != aux.n:
+            raise TreeError("subtree does not span its auxiliary graph")
+        span = frozenset().union(*(aux.members[v] for v in range(aux.n)))
+        if span != frozenset(t_partial.node_super):
+            raise TreeError("auxiliary graph does not cover the vertex set")
+        # map contracted aux nodes to the adjacent super-node of i
+        contracted_super: dict[int, int] = {}
+        for q in range(aux.n):
+            if aux.orig_id[q] is not None:
+                continue
+            for j in t_partial.adj[i]:
+                if t_partial.subtree_side(i, j) == aux.members[q]:
+                    contracted_super[q] = j
+                    break
+            else:
+                raise TreeError("contracted node matches no tree component")
+        # anchor of each contracted node: nearest original node in the subtree
+        root = next(
+            q for q in range(aux.n) if aux.orig_id[q] is not None
+        )
+        order = [root]
+        par = {root: root}
+        dq = deque([root])
+        while dq:
+            a = dq.popleft()
+            for b in tree.adj[a]:
+                if b not in par:
+                    par[b] = a
+                    order.append(b)
+                    dq.append(b)
+        for q, j in sorted(contracted_super.items()):
+            x = q
+            while aux.orig_id[x] is None:
+                x = par[x]
+                if x == par[x] and aux.orig_id[x] is None:
+                    raise TreeError("no original anchor for contracted node")
+            anchors[(i, j)] = aux.orig_id[x]
+        for a in range(aux.n):
+            oa = aux.orig_id[a]
+            if oa is None:
+                continue
+            for b, w in tree.adj[a].items():
+                ob = aux.orig_id[b]
+                if ob is not None and oa < ob:
+                    final_edges.append((oa, ob, w))
+
+    for i, j, w in t_partial.edges():
+        try:
+            u = anchors[(i, j)]
+            v = anchors[(j, i)]
+        except KeyError:
+            raise TreeError("partial edge has no anchors on both sides")
+        final_edges.append((min(u, v), max(u, v), w))
+
+    return GomoryHuTree(n, final_edges)

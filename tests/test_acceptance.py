@@ -14,18 +14,18 @@ import time
 
 import pytest
 
-from ghtree import families
+from ghtree import expander, families, single_source
 from ghtree.analysis import count_non_easy_bags, cut_membership_tree, is_easy_bag, w_large_subtree
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection
-from ghtree.dynamic import single_source_dynamic_pivot, splitters
+from ghtree.dynamic import splitters
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.graph import Graph, subdivide
 from ghtree.isolating import isolating_cuts
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from oracles import mask_cut_values, mask_latest_all
+from oracles import dynamic_from, mask_cut_values, mask_latest_all
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
 
@@ -160,11 +160,12 @@ def test_criterion_04_latest_cut_minimality(small_corpus):
     print(f"\nCRITERION 4 PASS: latest-cut minimality on {pairs} pivot/terminal pairs")
 
 
-def _loop_engine_runs():
+def _loop_engine_runs(monkeypatch):
     """Single-source runs with the elimination loop exercised."""
     runs = []
-    cfg = EngineConfig(loop_enabled=True, phi=0.25, candidate_threshold=4,
-                       exact_cut_limit=12, seed=5)
+    cfg = EngineConfig(loop_enabled=True, phi=0.25, seed=5)
+    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
+    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
     instances = [
         (families.dumbbell(20, bridges=10), 25, False),
         (families.dumbbell(12, bridges=6), 14, False),
@@ -179,11 +180,11 @@ def _loop_engine_runs():
     return runs
 
 
-def test_criterion_05_candidate_halving():
+def test_criterion_05_candidate_halving(monkeypatch):
     """Every decomposition round of every logged stage more than halves the
     candidate set, or the run is flagged as having taken the fallback."""
     rounds_seen = 0
-    for g, p, engine in _loop_engine_runs():
+    for g, p, engine in _loop_engine_runs(monkeypatch):
         for stage in engine.report["stages"]:
             if stage.get("skipped"):
                 continue
@@ -202,11 +203,11 @@ def test_criterion_05_candidate_halving():
           "zero unflagged halving violations")
 
 
-def test_criterion_06_increment_accounting():
+def test_criterion_06_increment_accounting(monkeypatch):
     """Priority-solve increments stay within the structural budget per stage;
     improving cuts are pairwise distinct and non-easy."""
     total_increments = 0
-    for g, p, engine in _loop_engine_runs():
+    for g, p, engine in _loop_engine_runs(monkeypatch):
         n_orig = g.n
         per_stage: dict[int, int] = {}
         for stage in engine.report["stages"]:
@@ -226,7 +227,7 @@ def test_criterion_06_increment_accounting():
           "all distinct and non-easy, budgets respected")
 
 
-def test_criterion_07_pivot_change_audit():
+def test_criterion_07_pivot_change_audit(pivot_change_events):
     """Forced bad initial pivots: done-and-good terminals stay done-and-good
     across changes, and every returned cut is balanced."""
     rng = random.Random(71)
@@ -239,15 +240,15 @@ def test_criterion_07_pivot_change_audit():
     audited = 0
     for g in instances:
         worst = min(range(g.n), key=lambda v: (g.degree(v), v))
-        cfg = EngineConfig(initial_pivot=worst, audit=True)
-        pivot, table, engine = single_source_dynamic_pivot(g, g, cfg)
+        pivot_change_events.clear()
+        pivot, table, engine = dynamic_from(g, worst)
         sol = MaxFlowSolver(g)
         half = len(engine.vprime)
         for v in table.terminals():
             assert 2 * engine.vprime_count(table.witness(v)) <= half
             assert table.estimate(v).base == sol.solve(g.index_of[pivot],
                                                        g.index_of[v])
-        for event in engine.pivot_change_events:
+        for event in pivot_change_events:
             changes_seen += 1
             q = event["new"]
             for v, (val, side, done) in event["before"].items():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ghtree import families
+from ghtree import expander, families, single_source
 from ghtree.build import (
     LaminarityError,
     RandomizedAbort,
@@ -183,9 +183,10 @@ def test_deterministic_one_flow_per_terminal(monkeypatch):
     assert one_shot >= 3 and moved_runs >= 10, (one_shot, moved_runs)
 
 
-def test_loop_enabled_builders():
-    cfg = EngineConfig(loop_enabled=True, phi=0.25, candidate_threshold=4,
-                       exact_cut_limit=12, seed=3)
+def test_loop_enabled_builders(monkeypatch):
+    cfg = EngineConfig(loop_enabled=True, phi=0.25, seed=3)
+    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
+    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
     rng = random.Random(77)
     for _ in range(6):
         n = rng.randint(8, 16)

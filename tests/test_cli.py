@@ -102,6 +102,7 @@ def test_input_error_exit_code(tmp_path, runner):
     "p 3 2\ne 1\n",          # short record
     "p\ne 1 2\n",            # header without n
     "p 0 0\n",               # no nodes
+    "p 3 abc\n",             # non-integer edge count
 ])
 def test_malformed_graph_exits_4(tmp_path, runner, text):
     bad = tmp_path / "bad.gr"
@@ -109,6 +110,24 @@ def test_malformed_graph_exits_4(tmp_path, runner, text):
     res = runner.invoke(main, ["build", str(bad), "--out", str(tmp_path / "x")])
     assert res.exit_code == 4, res.output
     assert "error:" in res.output
+
+
+def test_header_edge_count_is_not_compared(tmp_path, runner):
+    """Repeated edge lines merge, so the header's m need not match them."""
+    gp = tmp_path / "g.gr"
+    gp.write_text("p 3 7\ne 1 2\ne 2 3\n")
+    tree = tmp_path / "g.tree"
+    res = runner.invoke(main, ["build", str(gp), "--out", str(tree)])
+    assert res.exit_code == 0, res.output
+    assert tree.read_text() == "t 3\ne 1 2 1.0\ne 2 3 1.0\n"
+
+
+def test_build_has_no_oracle_limit(tmp_path, runner):
+    gp = write_graph(tmp_path / "g.gr", families.path(3))
+    res = runner.invoke(main, ["build", gp, "--out", str(tmp_path / "t"),
+                               "--oracle-limit", "5"])
+    assert res.exit_code != 0
+    assert "No such option" in res.output
 
 
 @pytest.mark.parametrize("text", [
@@ -170,8 +189,8 @@ def test_bench_csv_fields(tmp_path, runner):
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 8
-    assert set(rows[0]) >= {"n", "m", "algo", "maxflow_calls",
-                            "lefty_increments", "wall_ms", "depth"}
+    assert list(rows[0]) == ["n", "m", "algo", "maxflow_calls", "wall_ms",
+                             "depth", "seed"]
     ns = [int(r["n"]) for r in rows]
     assert ns == sorted(ns)
     for r in rows:

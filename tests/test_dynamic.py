@@ -11,8 +11,10 @@ from ghtree.dynamic import (
     splitters,
 )
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
-from ghtree.single_source import EngineConfig, EngineError
+from ghtree.single_source import EngineError
 from ghtree.weights import Weight
+
+from oracles import dynamic_from, mask_latest_all
 
 
 def splitter_covers(family, universe, k):
@@ -78,13 +80,12 @@ def test_star_center_never_changes():
         assert table.witness(v) == frozenset({v})
 
 
-def test_star_forced_leaf_pivot_changes_to_center():
+def test_star_forced_leaf_pivot_changes_to_center(pivot_change_events):
     g = families.star(5)
-    cfg = EngineConfig(initial_pivot=1, audit=True)
-    pivot, table, engine = single_source_dynamic_pivot(g, g, cfg)
+    pivot, table, engine = dynamic_from(g, 1)
     assert pivot == 0
     assert engine.pivot_changes == 1
-    event = engine.pivot_change_events[0]
+    event = pivot_change_events[0]
     assert event["old"] == 1 and event["new"] == 0
     oracle_table(g, pivot, table)
 
@@ -115,9 +116,8 @@ def test_two_runs_identical():
 # -- pivot-change protocol -----------------------------------------------------
 
 
-def engine_for(g, pivot, audit=False):
-    cfg = EngineConfig(initial_pivot=pivot, audit=audit)
-    return DynamicPivotEngine(g, g, pivot, cfg)
+def engine_for(g, pivot):
+    return DynamicPivotEngine(g, g, pivot)
 
 
 def test_change_updates_only_pivot_when_nothing_exceeds():
@@ -164,11 +164,9 @@ def test_change_star_leaf_to_center_drops_everyone():
     assert engine.table.witness(1) == frozenset({1})
 
 
-def test_change_preserves_latest_witnesses():
+def test_change_preserves_latest_witnesses(pivot_change_events):
     """If a terminal's witness was the latest cut for the old pivot, the
     post-change witness is the latest cut for the new pivot (enumerated)."""
-    from oracles import mask_latest_all
-
     rng = random.Random(47)
     audited = 0
     for _ in range(20):
@@ -176,9 +174,9 @@ def test_change_preserves_latest_witnesses():
         g = families.er_connected(n, rng.choice([0.3, 0.5]),
                                   seed=rng.randrange(2 ** 32))
         worst = min(range(n), key=lambda v: (g.degree(v), v))
-        cfg = EngineConfig(initial_pivot=worst, audit=True)
-        pivot, table, engine = single_source_dynamic_pivot(g, g, cfg)
-        for event in engine.pivot_change_events:
+        pivot_change_events.clear()
+        pivot, table, engine = dynamic_from(g, worst)
+        for event in pivot_change_events:
             old, new = event["old"], event["new"]
             latest_old = mask_latest_all(g, old)
             latest_new = mask_latest_all(g, new)
@@ -193,7 +191,7 @@ def test_change_preserves_latest_witnesses():
     assert audited >= 5, audited
 
 
-def test_change_preserves_done_and_good():
+def test_change_preserves_done_and_good(pivot_change_events):
     """Oracle audit on designed instances up to 20 nodes: every terminal
     done-and-good before a change stays done-and-good for the new pivot."""
     rng = random.Random(43)
@@ -203,12 +201,12 @@ def test_change_preserves_done_and_good():
                                   seed=rng.randrange(2 ** 32))
         # force the worst initial pivot: smallest degree
         worst = min(range(n), key=lambda v: (g.degree(v), v))
-        cfg = EngineConfig(initial_pivot=worst, audit=True)
-        pivot, table, engine = single_source_dynamic_pivot(g, g, cfg)
+        pivot_change_events.clear()
+        pivot, table, engine = dynamic_from(g, worst)
         oracle_table(g, pivot, table)
         sol = MaxFlowSolver(g)
         half = len(engine.vprime)
-        for event in engine.pivot_change_events:
+        for event in pivot_change_events:
             q = event["new"]
             for v, (val, side, done) in event["before"].items():
                 if not done or v == q:

@@ -7,7 +7,6 @@ from ghtree.graph import (
     GraphError,
     auxiliary_graph,
     emit_graph,
-    induced_with_self_loops,
     parse_graph,
     subdivide,
 )
@@ -124,32 +123,6 @@ def test_subdivide_preserves_connectivity_small_multigraphs():
             assert got == lam
 
 
-def test_induced_with_self_loops_all_nodes():
-    g = families.complete(4)
-    sub, idx = induced_with_self_loops(g, range(4))
-    assert sub.edges == g.edges and not sub.loops
-
-
-def test_induced_with_self_loops_triangle_of_k4():
-    g = families.complete(4)
-    sub, idx = induced_with_self_loops(g, [0, 1, 2])
-    assert sub.n == 3
-    for v in range(3):
-        assert sub.degree(v) == 3
-    assert all(sub.loops[v][0] == 1 for v in range(3))
-
-
-def test_induced_with_self_loops_single_node():
-    g = families.star(4)
-    sub, idx = induced_with_self_loops(g, [0])
-    assert sub.n == 1 and sub.degree(0) == 4
-
-
-def test_induced_with_self_loops_rejects_empty():
-    with pytest.raises(GraphError):
-        induced_with_self_loops(families.path(3), [])
-
-
 def test_contract_disjointness_and_members():
     g = families.dumbbell(3)
     aux, new_index = g.contract([[0, 1], [4, 5]])
@@ -177,12 +150,11 @@ def test_parse_graph_errors():
         parse_graph("p 2 1\nx 1 2\n")
 
 
-@pytest.mark.parametrize("edges, loops", [
-    ({(0, 1): (2, 0)}, None),    # parallel edges
-    ({(0, 1): (1, 3)}, None),    # perturbed edge
-    ({(0, 1): (1, 0)}, {0: (1, 0)}),
+@pytest.mark.parametrize("edges", [
+    {(0, 1): (2, 0)},    # parallel edges
+    {(0, 1): (1, 3)},    # perturbed edge
 ])
-def test_simple_flag_is_checked(edges, loops):
+def test_simple_flag_is_checked(edges):
     """A graph marked simple is checked by an exception, not an assert."""
     with pytest.raises(GraphError, match="simple"):
-        Graph(2, edges, loops=loops, simple=True)
+        Graph(2, edges, simple=True)

@@ -10,13 +10,13 @@ from ghtree.partition import (
     GomoryHuTree,
     PartitionTree,
     TreeError,
-    assemble,
     gh_refine,
     parse_tree,
     to_node_tree,
-    tree_query,
 )
 from ghtree.weights import Weight
+
+from oracles import assemble
 
 
 def test_gh_refine_p3():
@@ -99,7 +99,7 @@ def test_tree_query_matches_oracle_random():
 def test_tree_query_requires_resolved():
     t = PartitionTree.single(3)
     with pytest.raises(TreeError):
-        tree_query(t, 0, 1)
+        to_node_tree(t).query(0, 1)
 
 
 def test_tree_format_round_trip():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ghtree import families
+from ghtree import expander, families, single_source
 from ghtree.dynamic import single_source_dynamic_pivot
 from ghtree.flow import MaxFlowSolver, latest_min_cut
 from ghtree.single_source import (
@@ -17,6 +17,8 @@ from ghtree.single_source import (
 )
 from ghtree.sparsify import perturb
 from ghtree.weights import Weight
+
+from oracles import dynamic_from
 
 
 def make_engine(g, p, config=None, perturbed=True, seed=0):
@@ -111,8 +113,8 @@ def test_loop_off_witnesses_are_latest_cuts(mode):
                                      seed=rng.randrange(2 ** 32))
                 engine.run()
             else:
-                _, _, engine = single_source_dynamic_pivot(
-                    g, g, EngineConfig(initial_pivot=start))
+                _, _, engine = (single_source_dynamic_pivot(g, g) if start is None
+                                else dynamic_from(g, start))
                 moved += engine.pivot_changes > 0
             pivot = engine.pivot_idx
             for v in engine.table.terminals():
@@ -132,10 +134,11 @@ def test_unsettled_run_is_an_error(monkeypatch):
         engine.run()
 
 
-def test_stage_small_candidate_set_goes_direct():
+def test_stage_small_candidate_set_goes_direct(monkeypatch):
     g = families.er_connected(12, 0.5, seed=6)
-    cfg = EngineConfig(stage_from_zero=True, loop_enabled=True,
-                       candidate_threshold=50)  # loop never triggers
+    cfg = EngineConfig(stage_from_zero=True, loop_enabled=True)
+    monkeypatch.setattr(single_source, "candidate_threshold",
+                        lambda n: 50)  # loop never triggers
     engine = make_engine(g, 0, config=cfg, seed=6)
     engine.run()
     for s in engine.report["stages"]:
@@ -226,12 +229,12 @@ def test_sample_step_empty_part_is_noop():
     assert rep["updates"] == 0
 
 
-def test_sample_step_phi_one_samples_everyone():
+def test_sample_step_phi_one_samples_everyone(monkeypatch):
     # probability one degenerates to repeated full isolating calls: the lone
     # candidate is in every batch, improves once, then nothing changes
     g = families.dumbbell(4)
-    cfg = EngineConfig(stage_from_zero=True, sample_rounds=3)
-    engine = make_engine(g, 7, config=cfg, seed=15)
+    monkeypatch.setattr(single_source, "sample_rounds", lambda n_orig, phi: 3)
+    engine = make_engine(g, 7, seed=15)
     w = 1
     gw = engine.stage_graph(w)
     live = {0}
@@ -248,8 +251,7 @@ def test_sample_step_statistical_success():
     # pivot 11 in the right clique; candidate 0 in the left clique
     hits = 0
     for seed in range(50):
-        cfg = EngineConfig(stage_from_zero=True, sample_rounds=None, phi=0.25,
-                           seed=seed)
+        cfg = EngineConfig(stage_from_zero=True, phi=0.25, seed=seed)
         engine = SingleSourceEngine(g, g, perturb(g, seed=seed), 11, cfg)
         w = 2
         gw = engine.stage_graph(w)
@@ -264,12 +266,12 @@ def test_sample_step_statistical_success():
 # -- highest-estimate solves (the heap procedure) -----------------------------
 
 
-def test_priority_step_budget_without_improvements():
+def test_priority_step_budget_without_improvements(monkeypatch):
     """When every popped node is already settled, exactly the base budget of
     solves happens and nothing increments."""
     g = families.complete(5)
-    cfg = EngineConfig(stage_from_zero=True, priority_budget=3)
-    engine = make_engine(g, 0, config=cfg, seed=16)
+    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 3)
+    engine = make_engine(g, 0, seed=16)
     w = 4
     gw = engine.stage_graph(w)
     live = {1, 2, 3, 4}
@@ -278,10 +280,10 @@ def test_priority_step_budget_without_improvements():
     assert rep["increments"] == 0
 
 
-def test_priority_step_increments_on_improvement():
+def test_priority_step_increments_on_improvement(monkeypatch):
     g = families.dumbbell(5)
-    engine = make_engine(g, 9, config=EngineConfig(stage_from_zero=True,
-                                                   priority_budget=2), seed=17)
+    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 2)
+    engine = make_engine(g, 9, seed=17)
     w = 1
     gw = engine.stage_graph(w)
     live = {0, 1}
@@ -293,12 +295,12 @@ def test_priority_step_increments_on_improvement():
         assert engine.work.cut_weight(cut.side) == cut.value
 
 
-def test_priority_step_forced_chain_settles_target():
+def test_priority_step_forced_chain_settles_target(monkeypatch):
     """Highest-estimate-first order proves the target done before the budget
     runs out when few candidates sit across the cut."""
     g = families.dumbbell(6, bridges=2)
-    cfg = EngineConfig(stage_from_zero=True, priority_budget=4)
-    engine = make_engine(g, 11, config=cfg, seed=18)
+    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 4)
+    engine = make_engine(g, 11, seed=18)
     w = 2
     gw = engine.stage_graph(w)
     live = {0, 1, 2}
@@ -307,13 +309,14 @@ def test_priority_step_forced_chain_settles_target():
     assert engine.table.done(0)
 
 
-def test_improving_cuts_distinct():
+def test_improving_cuts_distinct(monkeypatch):
+    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 2)
+    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 10)
     rng = random.Random(19)
     for _ in range(10):
         g = families.er_connected(rng.randint(8, 16), 0.4,
                                   seed=rng.randrange(2 ** 32))
         cfg = EngineConfig(stage_from_zero=True, loop_enabled=True, phi=0.25,
-                           candidate_threshold=2, exact_cut_limit=10,
                            seed=rng.randrange(2 ** 32))
         engine = SingleSourceEngine(g, g, perturb(g, seed=rng.randrange(2 ** 32)),
                                     0, cfg)
@@ -323,10 +326,11 @@ def test_improving_cuts_distinct():
         oracle_check(g, engine, 0)
 
 
-def test_candidate_halving_on_designed_instance():
+def test_candidate_halving_on_designed_instance(monkeypatch):
     g = families.dumbbell(20, bridges=10)
-    cfg = EngineConfig(stage_from_zero=False, loop_enabled=True, phi=0.25,
-                       candidate_threshold=4, exact_cut_limit=12, seed=20)
+    cfg = EngineConfig(stage_from_zero=False, loop_enabled=True, phi=0.25, seed=20)
+    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
+    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
     engine = SingleSourceEngine(g, g, perturb(g, seed=20), 25, cfg)
     engine.run()
     saw_round = False

@@ -5,13 +5,21 @@ is what the import statements say; a function-local import is how an
 import cycle hides.  The deterministic engine extends the randomized one,
 so dynamic.py may import single_source.py but not the other way round.
 The engines make their max-flows through one method, and the stage solver
-travels as an argument.
+travels as an argument.  The library keeps only what a builder, the CLI or
+the benchmark runs: the engine settings have no test hooks, graphs carry no
+self-loops, and test-only helpers live under tests/.  Invariants are checked
+by exceptions, never by ``assert``, so they hold under ``python -O``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+import ghtree
+from ghtree.graph import Graph
+from ghtree.single_source import EngineConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ghtree"
 MODULES = sorted(SRC.glob("*.py"))
@@ -73,3 +81,24 @@ def test_stage_solver_is_explicit():
                  if (isinstance(node, ast.Attribute) and node.attr == "_gw_solver")
                  or (isinstance(node, ast.Name) and node.id == "_gw_solver")]
         assert not lines, f"{path.name} names _gw_solver at lines {lines}"
+
+
+def test_engine_config_fields():
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+        "loop_enabled", "phi", "stage_from_zero", "seed"}
+
+
+def test_graph_has_no_loops():
+    assert "loops" not in Graph.__slots__
+
+
+def test_test_only_helpers_not_exported():
+    for name in ("assemble", "induced_with_self_loops", "tree_query"):
+        assert not hasattr(ghtree, name), name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(parse(path))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements at lines {lines}"

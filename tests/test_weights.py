@@ -15,7 +15,7 @@ def test_ordering_is_exact_scaled_comparison():
 def test_add_and_round_back():
     a = Weight(2, 7) + Weight(3, 11)
     assert a == Weight(5, 18)
-    assert a.round_back() == 5
+    assert a.base == 5
     assert sum([Weight(1, 1), Weight(1, 2)]) == Weight(2, 3)
 
 
