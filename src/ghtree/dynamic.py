@@ -73,32 +73,17 @@ def splitters(universe: int, size: int) -> list[frozenset[int]]:
     """Deterministic subsets of range(universe) isolating any small target.
 
     For every T of at most ``size`` elements and every j in T, some subset
-    meets T exactly in {j}.  Construction: residue classes of the first
-    (size-1) * floor(log2 universe) + 1 primes; any difference below the
-    universe has fewer prime divisors than that, so for each (T, j) some
-    prime separates j from all of T's other elements, and j's residue class
-    for that prime is the isolating set.
+    meets T exactly in {j}.  For size 1 the whole universe does; otherwise
+    the singletons {j} do, in ``universe`` sets.  The prime-residue family
+    of Naor, Schulman & Srinivasan also qualifies, but at the default phi
+    (size = ceil(2 / phi) >= 4, universe = a part's candidates) it has more
+    sets than the singletons at every part size up to 3000 candidates.
     """
     if not 1 <= size <= max(universe, 1):
         raise ValueError("size must be in [1, universe]")
     if universe <= 1 or size == 1:
         return [frozenset(range(universe))]
-    need = (size - 1) * max(1, math.floor(math.log2(universe))) + 1
-    primes: list[int] = []
-    cand = 2
-    while len(primes) < need:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    family: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for p in primes:
-        for r in range(min(p, universe)):
-            cls = frozenset(range(r, universe, p))
-            if cls and cls not in seen:
-                seen.add(cls)
-                family.append(cls)
-    return family
+    return [frozenset((j,)) for j in range(universe)]
 
 
 def splitter_isolating_step(

@@ -10,6 +10,7 @@ edges leaving the piece; a zero min-demand side passes by convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,31 +56,55 @@ def _piece_demand(g: Graph, piece: Sequence[int], base: dict[int, Fraction]) -> 
 
 def _exact_sparsest_cut(g: Graph, piece: list[int], dem: dict[int, Fraction]):
     """Enumerate bipartitions of the piece; return (best_ratio, side) where
-    ratio is demand conductance (None side if every cut passes vacuously)."""
+    ratio is demand conductance (None side if every cut passes vacuously).
+
+    ``side`` never holds piece[0] and lists its nodes in piece order; of
+    several sides with the best ratio, the one whose bitmask over piece[1:]
+    is smallest wins.  The subsets are walked in Gray-code order, so each
+    step moves one node and updates the cut in O(deg).  Demands are scaled
+    to integers over a common denominator and ratios compared as integer
+    cross-products.
+    """
     k = len(piece)
-    anchor = piece[0]
-    others = piece[1:]
-    total_d = sum(dem[v] for v in piece)
-    best: tuple[Optional[Fraction], Optional[list[int]]] = (None, None)
-    inside = set(piece)
-    # incremental subset walk in gray-code order would save a little; plain
-    # enumeration is fine at the certification sizes we use
-    for mask in range(1, 1 << (k - 1)):
-        side = [others[i] for i in range(k - 1) if (mask >> i) & 1]
-        d_side = sum(dem[v] for v in side)
-        d_min = min(d_side, total_d - d_side)
+    local = {v: i for i, v in enumerate(piece)}
+    exact = [Fraction(dem[v]) for v in piece]
+    scale = math.lcm(*(x.denominator for x in exact))
+    d = [int(x * scale) for x in exact]
+    total = sum(d)
+    nbrs = [
+        [(local[u], m) for u, (m, _) in g.adj[v].items() if u in local]
+        for v in piece
+    ]
+    deg = [sum(m for _, m in row) for row in nbrs]
+    inside = [False] * k                 # piece[0] never enters the side
+    cut = d_side = mask = 0
+    best_cut = best_d = best_mask = -1
+    for i in range(1, 1 << (k - 1)):
+        bit = (i & -i).bit_length() - 1
+        x = bit + 1
+        mask ^= 1 << bit
+        to_side = 0
+        for y, m in nbrs[x]:
+            if inside[y]:
+                to_side += m
+        if inside[x]:
+            inside[x] = False
+            cut += 2 * to_side - deg[x]
+            d_side -= d[x]
+        else:
+            inside[x] = True
+            cut += deg[x] - 2 * to_side
+            d_side += d[x]
+        d_min = min(d_side, total - d_side)
         if d_min == 0:
             continue
-        sset = set(side)
-        cut = 0
-        for v in side:
-            for u, (m, _) in g.adj[v].items():
-                if u in inside and u not in sset:
-                    cut += m
-        ratio = Fraction(cut) / d_min
-        if best[0] is None or ratio < best[0]:
-            best = (ratio, side)
-    return best
+        lhs, rhs = cut * best_d, best_cut * d_min
+        if best_mask < 0 or lhs < rhs or (lhs == rhs and mask < best_mask):
+            best_cut, best_d, best_mask = cut, d_min, mask
+    if best_mask < 0:
+        return None, None
+    side = [piece[i + 1] for i in range(k - 1) if (best_mask >> i) & 1]
+    return Fraction(best_cut * scale, best_d), side
 
 
 def _fiedler_order(g: Graph, piece: list[int]) -> list[int]:

@@ -296,10 +296,11 @@ def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
 
 
 def parse_graph(text: str) -> Graph:
-    """Read the 1-indexed `p n m` / `e u v [mult]` format.
+    """Read the 1-indexed `p n [m]` / `e u v [mult]` format.
 
-    The header's edge count m may be left out; when present it must be a
-    non-negative integer.  It is not compared with the edge records:
+    A record with fields beyond these is malformed.  The header's edge
+    count m may be left out; when present it must be a non-negative
+    integer.  It is not compared with the edge records:
     repeated `e` lines for one pair merge into a multi-edge, and
     ``emit_graph`` writes the number of distinct pairs.
     """
@@ -314,9 +315,11 @@ def parse_graph(text: str) -> Graph:
             if n is not None:
                 raise GraphError(f"line {lineno}: duplicate header")
             try:
+                if not 2 <= len(parts) <= 3:
+                    raise ValueError
                 n = int(parts[1])
                 edge_count = int(parts[2]) if len(parts) > 2 else 0
-            except (IndexError, ValueError):
+            except ValueError:
                 raise GraphError(f"line {lineno}: malformed header") from None
             if n < 1:
                 raise GraphError(f"line {lineno}: node count must be positive")
@@ -326,9 +329,11 @@ def parse_graph(text: str) -> Graph:
             if n is None:
                 raise GraphError(f"line {lineno}: edge before header")
             try:
+                if not 3 <= len(parts) <= 4:
+                    raise ValueError
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
                 mult = int(parts[3]) if len(parts) > 3 else 1
-            except (IndexError, ValueError):
+            except ValueError:
                 raise GraphError(f"line {lineno}: malformed edge record") from None
             if u == v or not (0 <= u < n and 0 <= v < n) or mult < 1:
                 raise GraphError(f"line {lineno}: bad edge")

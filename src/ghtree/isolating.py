@@ -6,6 +6,12 @@ terminal's sides across all bit cuts yields disjoint candidate regions, and
 one final max-flow per region, against the contracted outside, extracts the
 cut.  Whenever a terminal's latest minimum cut from the pivot contains no
 other terminal, the output equals that cut exactly.
+
+A region that is just its terminal (once the pivot is removed) has one cut,
+the terminal's degree cut, and costs no flow.  Every other region's flow
+graph is built from the region's own adjacency: its nodes plus one outside
+node that absorbs the boundary edges, so its cost is the region's volume,
+not the size of the whole graph.
 """
 
 from __future__ import annotations
@@ -41,13 +47,8 @@ def isolating_cuts(g: Graph, p: int, terminals: set[int] | frozenset[int]) -> Is
         raise GraphError("isolating cuts need a connected graph")
 
     calls = 0
-    if len(terms) == 1:
-        v = terms[0]
-        cut = _latest_region_cut(g, frozenset(range(g.n)), p, v)
-        return IsolatingResult({v: cut}, flow_calls=1)
-
     bits = max(1, (len(terms) - 1).bit_length())
-    # side_sets[v] accumulates the intersection of v's sides over bit cuts
+    # region[v] accumulates the intersection of v's sides over bit cuts
     region: dict[int, set[int]] = {v: set(range(g.n)) for v in terms}
     for b in range(bits):
         zeros = [v for i, v in enumerate(terms) if not (i >> b) & 1]
@@ -72,8 +73,12 @@ def isolating_cuts(g: Graph, p: int, terminals: set[int] | frozenset[int]) -> Is
     cuts: dict[int, CutSide] = {}
     covered: set[int] = set()
     for v in terms:
-        cut = _latest_region_cut(g, frozenset(region[v]), p, v)
-        calls += 1
+        inner = frozenset(region[v] - {p})
+        if len(inner) == 1:
+            cut = CutSide(side=inner, value=g.degree_weight(v), s=p, t=v)
+        else:
+            cut = _latest_region_cut(g, inner, p, v)
+            calls += 1
         if not covered.isdisjoint(cut.side):
             raise RuntimeError("isolating regions overlap")
         covered |= cut.side
@@ -84,18 +89,31 @@ def isolating_cuts(g: Graph, p: int, terminals: set[int] | frozenset[int]) -> Is
 def _latest_region_cut(g: Graph, region: frozenset[int], p: int, v: int) -> CutSide:
     """Latest min cut separating v from everything outside the region.
 
-    The region's complement together with the pivot (which may have landed
-    inside a region, since it shares every bit class with one terminal) is
-    contracted to a single node; the minimal v-side of a minimum cut in
-    that graph is returned, expressed in g's node indices.
+    The region must not hold the pivot (which may land inside a region,
+    since it shares every bit class with one terminal; the caller removes
+    it).  The flow graph has the region's nodes plus one outside node
+    standing for the rest of g, the pivot included; every edge leaving the
+    region is folded into it.  The minimal v-side of a minimum cut in that
+    graph is returned, expressed in g's node indices.
     """
-    region = region - {p}
-    outside = sorted(set(range(g.n)) - region)
-    contracted, new_index = g.contract([outside])
-    s = new_index[outside[0]]
-    t = new_index[v]
-    sol = MaxFlowSolver(contracted)
-    val = sol.solve(s, t)
-    t_side_c = sol.sink_side(t)
-    side = frozenset(u for u in range(g.n) if u in region and new_index[u] in t_side_c)
+    nodes = sorted(region)
+    local = {u: i for i, u in enumerate(nodes)}
+    outside = len(nodes)
+    edges: dict[tuple[int, int], tuple[int, int]] = {}
+    adj = g.adj
+    for u in nodes:
+        a = local[u]
+        out_m = out_e = 0
+        for x, (m, e) in adj[u].items():
+            b = local.get(x)
+            if b is None:
+                out_m += m
+                out_e += e
+            elif a < b:
+                edges[(a, b)] = (m, e)
+        if out_m:
+            edges[(a, outside)] = (out_m, out_e)
+    sol = MaxFlowSolver(Graph(outside + 1, edges, unit=g.unit, validate=False))
+    val = sol.solve(outside, local[v])
+    side = frozenset(nodes[i] for i in sol.sink_side(local[v]) if i != outside)
     return CutSide(side=side, value=from_scaled(val, g.unit), s=p, t=v)

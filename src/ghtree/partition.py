@@ -341,8 +341,9 @@ def parse_tree(text: str) -> GomoryHuTree:
             if n is not None:
                 raise TreeError(f"line {lineno}: duplicate header")
             try:
-                n = int(parts[1])
-            except (IndexError, ValueError):
+                _, n_text = parts
+                n = int(n_text)
+            except ValueError:
                 raise TreeError(f"line {lineno}: malformed header") from None
             if n < 1:
                 raise TreeError(f"line {lineno}: node count must be positive")
@@ -350,9 +351,10 @@ def parse_tree(text: str) -> GomoryHuTree:
             if n is None:
                 raise TreeError(f"line {lineno}: edge before header")
             try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                w = Weight.parse(parts[3])
-            except (IndexError, ValueError):
+                _, u_text, v_text, w_text = parts
+                u, v = int(u_text) - 1, int(v_text) - 1
+                w = Weight.parse(w_text)
+            except ValueError:
                 raise TreeError(f"line {lineno}: malformed edge record") from None
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise TreeError(f"line {lineno}: bad edge")

@@ -4,15 +4,18 @@ These deliberately avoid the package's flow solver so that solver, builders,
 and oracles fail independently.  Usable up to ~12 nodes.
 
 Also the reference code and helpers only tests use: a loop-free induced
-subgraph, a dynamic-pivot run from a chosen start pivot, and ``assemble``,
-which stitches per-super-node trees into one full tree.
+subgraph, a dynamic-pivot run from a chosen start pivot, ``assemble``,
+which stitches per-super-node trees into one full tree, and the plain
+``Fraction`` enumeration of a piece's sparsest cut that the expander's
+Gray-code walk must match.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Mapping
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional
 
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.graph import Graph
@@ -161,6 +164,36 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, i
     edges = {(idx[u], idx[v]): data for (u, v), data in g.edges.items()
              if u in idx and v in idx}
     return Graph(len(inside), edges, unit=g.unit), idx
+
+
+def fraction_sparsest_cut(g: Graph, piece: list[int], dem: dict[int, Fraction]):
+    """Enumerate bipartitions of the piece; return (best_ratio, side) where
+    ratio is demand conductance (None side if every cut passes vacuously).
+
+    Masks over piece[1:] in increasing order, each side rescanned, ratios
+    as ``Fraction``: the reference for ``expander._exact_sparsest_cut``."""
+    k = len(piece)
+    anchor = piece[0]
+    others = piece[1:]
+    total_d = sum(dem[v] for v in piece)
+    best: tuple[Optional[Fraction], Optional[list[int]]] = (None, None)
+    inside = set(piece)
+    for mask in range(1, 1 << (k - 1)):
+        side = [others[i] for i in range(k - 1) if (mask >> i) & 1]
+        d_side = sum(dem[v] for v in side)
+        d_min = min(d_side, total_d - d_side)
+        if d_min == 0:
+            continue
+        sset = set(side)
+        cut = 0
+        for v in side:
+            for u, (m, _) in g.adj[v].items():
+                if u in inside and u not in sset:
+                    cut += m
+        ratio = Fraction(cut) / d_min
+        if best[0] is None or ratio < best[0]:
+            best = (ratio, side)
+    return best
 
 
 def dynamic_from(g: Graph, pivot: int, config=None):

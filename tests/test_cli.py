@@ -103,6 +103,8 @@ def test_input_error_exit_code(tmp_path, runner):
     "p\ne 1 2\n",            # header without n
     "p 0 0\n",               # no nodes
     "p 3 abc\n",             # non-integer edge count
+    "p 3 2 junk\ne 1 2\ne 2 3\n",    # trailing header field
+    "p 3 2\ne 1 2 1 junk\ne 2 3\n",  # trailing edge field
 ])
 def test_malformed_graph_exits_4(tmp_path, runner, text):
     bad = tmp_path / "bad.gr"
@@ -138,6 +140,8 @@ def test_build_has_no_oracle_limit(tmp_path, runner):
     "t 3\ne 1 9 1.0\ne 2 3 1.0\n",    # node out of range
     "t 2\ne 1 2 -3.0\n",              # negative weight
     "t 2\ne 1 2 3.-1\n",              # negative perturbation part
+    "t 3 junk\ne 1 2 1.0\ne 2 3 1.0\n",  # trailing header field
+    "t 3\ne 1 2 1.0 x\ne 2 3 1.0\n",     # trailing edge field
 ])
 def test_malformed_tree_query_exits_4(tmp_path, runner, text):
     bad = tmp_path / "bad.tree"

@@ -54,6 +54,12 @@ def test_splitters_sampled_n64_k8():
         assert any(u & ts == {j} for u in fam)
 
 
+def test_splitters_never_exceed_universe():
+    for u in range(1, 65):
+        for k in range(1, u + 1):
+            assert len(splitters(u, k)) <= u, (u, k)
+
+
 def test_splitters_rejects_bad_size():
     with pytest.raises(ValueError):
         splitters(5, 0)

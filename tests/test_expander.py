@@ -7,12 +7,13 @@ from ghtree import families
 from ghtree.expander import (
     DecompositionReport,
     ExpanderPart,
+    _exact_sparsest_cut,
     decompose_with_demands,
     verify_expansion,
     verify_expansion_detail,
 )
 
-from oracles import induced_subgraph
+from oracles import fraction_sparsest_cut, induced_subgraph
 
 
 def uniform(n):
@@ -107,3 +108,51 @@ def test_boundary_bound_logged():
     assert rep.part_count >= 1
     # realized polylog factor stays modest on benign inputs
     assert rep.b_factor <= (max(2, g.n).bit_length()) ** 3
+
+
+def sparsest_cut_cases(seed, count):
+    """Seeded (graph, piece, demand) triples with 2-13 piece nodes.
+
+    Pieces are random node subsets, in random order, of multigraphs with
+    up to three parallel edges per pair (edges leaving the piece are
+    ignored, as for the decomposer's pieces).  Cycles and complete graphs
+    with equal demands tie many sides by symmetry.  Demands are all zero,
+    partly zero, unit, integer or Fraction."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 2 + i % 12
+        shape = i % 3
+        if shape == 0:
+            g = families.random_multigraph(k + rng.randint(0, 3), rng.choice([0.3, 0.6]),
+                                           3, seed=rng.randrange(2 ** 32))
+        elif shape == 1:
+            g = families.cycle(k) if k > 2 else families.path(2)
+        else:
+            g = families.complete(k)
+        piece = rng.sample(range(g.n), k)
+        kind = rng.choice(["zero", "sparse", "unit", "int", "fraction"])
+        if kind == "zero":
+            dem = {v: Fraction(0) for v in piece}
+        elif kind == "sparse":
+            dem = {v: Fraction(rng.choice([0, 0, 1, 2])) for v in piece}
+        elif kind == "unit":
+            dem = {v: Fraction(1) for v in piece}
+        elif kind == "int":
+            dem = {v: Fraction(rng.randint(0, 5)) for v in piece}
+        else:
+            dem = {v: Fraction(rng.randint(0, 7), rng.randint(1, 6)) for v in piece}
+        yield g, piece, dem
+
+
+def test_exact_sparsest_cut_matches_fraction_enumeration():
+    """The Gray-code walk returns the reference's (ratio, side) exactly,
+    ties going to the smallest mask."""
+    checked = vacuous = 0
+    for g, piece, dem in sparsest_cut_cases(seed=71, count=336):
+        want = fraction_sparsest_cut(g, piece, dem)
+        got = _exact_sparsest_cut(g, piece, dem)
+        assert got == want, (sorted(g.edges.items()), piece, dem)
+        checked += 1
+        vacuous += want == (None, None)
+    assert checked >= 300
+    assert 0 < vacuous < checked

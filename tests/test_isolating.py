@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ghtree import families
+from ghtree.flow import FLOW_CALLS
 from ghtree.graph import GraphError
 from ghtree.isolating import isolating_cuts
 from ghtree.weights import Weight
@@ -114,3 +115,29 @@ def test_overlapping_regions_are_an_error(monkeypatch):
     monkeypatch.setattr(isolating, "_latest_region_cut", whole_graph)
     with pytest.raises(RuntimeError, match="overlap"):
         isolating_cuts(families.star(4), 0, {1, 2})
+
+
+def test_flow_calls_match_the_flow_counter():
+    """``flow_calls`` is what the call costs in max-flow solves."""
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(3, 14)
+        g = families.er_connected(n, rng.choice([0.3, 0.6]), seed=rng.randrange(2 ** 32))
+        p = rng.randrange(n)
+        c = set(rng.sample([v for v in range(n) if v != p], rng.randint(1, n - 1)))
+        before = FLOW_CALLS.value
+        res = isolating_cuts(g, p, c)
+        assert res.flow_calls == FLOW_CALLS.value - before
+
+
+def test_singleton_regions_cost_no_flow():
+    """With the centre as pivot and every leaf a terminal, each region is
+    one leaf: only the three bit-class flows run, and each leaf gets its
+    degree cut."""
+    g = families.star(8)
+    before = FLOW_CALLS.value
+    res = isolating_cuts(g, 0, set(range(1, 9)))
+    assert res.flow_calls == FLOW_CALLS.value - before == 3
+    for v in range(1, 9):
+        assert res.cuts[v].side == frozenset({v})
+        assert res.cuts[v].value == Weight(1, 0)
