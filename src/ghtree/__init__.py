@@ -50,7 +50,7 @@ from .single_source import (
     isolating_sample_step,
     priority_solve_step,
 )
-from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot, splitters
+from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot
 from .build import (
     LaminarityError,
     RandomizedAbort,

@@ -13,6 +13,7 @@ import os
 import random
 import sys
 import time
+from typing import NoReturn
 
 import click
 
@@ -33,11 +34,21 @@ EXIT_INPUT = 4
 ALGOS = ("classic", "gusfield", "randomized", "deterministic")
 
 
+def _input_error(message) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_INPUT)
+
+
 def _seed_option(seed):
     if seed is not None:
         return seed
     env = os.environ.get("GHT_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        _input_error(f"GHT_SEED must be an integer, not {env!r}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -45,8 +56,7 @@ def _load_graph(path: str) -> Graph:
         with open(path) as fh:
             return parse_graph(fh.read())
     except (OSError, GraphError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(exc)
 
 
 def _load_tree(path: str, n: int) -> GomoryHuTree:
@@ -55,11 +65,9 @@ def _load_tree(path: str, n: int) -> GomoryHuTree:
         with open(path) as fh:
             tree = parse_tree(fh.read())
     except (OSError, TreeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(exc)
     if tree.n != n:
-        click.echo("error: node counts differ", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error("node counts differ")
     return tree
 
 
@@ -95,6 +103,8 @@ def main():
 def build(input_path, algo, seed, out_path, report_path, via_subdivision,
           phi_exp, stage_from_zero):
     """Build a cut-equivalent tree of a graph file."""
+    if phi_exp is not None and not 0 < phi_exp <= 1:
+        _input_error(f"--phi-exp must be in (0, 1], not {phi_exp}")
     g = _load_graph(input_path)
     seed = _seed_option(seed)
     config = EngineConfig(stage_from_zero=stage_from_zero)
@@ -114,15 +124,13 @@ def build(input_path, algo, seed, out_path, report_path, via_subdivision,
             report["subdivided_nodes"] = simple.n
         else:
             if algo in ("randomized", "deterministic") and not g.simple:
-                click.echo("error: input is a multigraph; use --via-subdivision", err=True)
-                sys.exit(EXIT_INPUT)
+                _input_error("input is a multigraph; use --via-subdivision")
             tree = _build_tree(g, algo, seed, config, report)
     except RandomizedAbort as exc:
         click.echo(f"abort: {exc}", err=True)
         sys.exit(EXIT_ABORT)
     except (GraphError, TreeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(exc)
     report["wall_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     report["maxflow_calls"] = FLOW_CALLS.value
     node_tree = to_node_tree(tree)
@@ -145,8 +153,7 @@ def query(tree_path, u, v):
             tree = parse_tree(fh.read())
         value, side = tree.query(u - 1, v - 1)
     except (OSError, TreeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(exc)
     click.echo(f"value {value}")
     click.echo("side " + " ".join(str(x + 1) for x in sorted(side)))
 
@@ -164,8 +171,7 @@ def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
     tree = _load_tree(tree_path, g.n)
     if mode == "full-oracle":
         if g.n > oracle_limit:
-            click.echo(f"error: full-oracle limited to {oracle_limit} nodes", err=True)
-            sys.exit(EXIT_INPUT)
+            _input_error(f"full-oracle limited to {oracle_limit} nodes")
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     else:
         rng = random.Random(_seed_option(seed))
@@ -200,12 +206,18 @@ def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
 def bench(family, sizes, prob, algos, seed, out_path):
     """Benchmark builders over a graph family; CSV out."""
     seed = _seed_option(seed) or 0
-    size_list = [int(s) for s in sizes.split(",") if s]
+    try:
+        size_list = [int(s) for s in sizes.split(",") if s]
+        if any(n < 1 for n in size_list):
+            raise ValueError
+    except ValueError:
+        _input_error(f"--sizes takes comma-separated positive integers, not {sizes!r}")
+    if not 0 < prob <= 1:
+        _input_error(f"--p must be in (0, 1], not {prob}")
     algo_list = [a.strip() for a in algos.split(",") if a.strip()]
     for a in algo_list:
         if a not in ALGOS:
-            click.echo(f"error: unknown algo {a}", err=True)
-            sys.exit(EXIT_INPUT)
+            _input_error(f"unknown algo {a}")
 
     def cell(n, algo):
         g = families.er_connected(n, prob, seed=seed + n)
@@ -242,13 +254,11 @@ def analyze(graph_path, tree_path, pivot, w_values, out_path):
     g = _load_graph(graph_path)
     tree = _load_tree(tree_path, g.n)
     if not 1 <= pivot <= g.n:
-        click.echo(f"error: pivot must be a node in 1..{g.n}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"pivot must be a node in 1..{g.n}")
     try:
         ws = [int(x) for x in w_values.split(",")] if w_values else None
     except ValueError:
-        click.echo(f"error: --w takes comma-separated integers, not {w_values!r}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"--w takes comma-separated integers, not {w_values!r}")
     report = analyze_report(g, tree, pivot - 1, ws)
     text = json.dumps(report, indent=2)
     if out_path:

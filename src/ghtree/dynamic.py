@@ -4,17 +4,17 @@ dynamic pivot in place of a random one.
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
 overrides only its pivot-rule hooks: cuts are measured in the unperturbed
 graph (latest cuts with respect to the pivot), stages use the
-Nagamochi-Ibaraki sparsifier and start at w = 1, splitter families replace
-random sampling, and the pivot itself moves (``pivot_change``) when some
-terminal admits no balanced minimum cut.  A pivot change reads the old
-pivot's side from the residual graph of the solve that triggered it, so it
-makes no max-flow of its own.  This module imports single_source, never
-the reverse.
+Nagamochi-Ibaraki sparsifier and start at w = 1, each candidate of an
+expander part is offered to isolating cuts on its own (one latest-cut solve
+on the stage solver) in place of random sampling, and the pivot itself
+moves (``pivot_change``) when some terminal admits no balanced minimum cut.
+A pivot change reads the old pivot's side from the residual graph of the
+solve that triggered it, so it makes no max-flow of its own.  This module
+imports single_source, never the reverse.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .flow import CutSide, MaxFlowSolver
@@ -47,9 +47,9 @@ class DynamicPivotEngine(SingleSourceEngine):
     def first_stage(self) -> int:
         return 0
 
-    def sample_step(self, part_nodes: frozenset[int], w: int, gw: Graph,
+    def sample_step(self, part_nodes: frozenset[int], w: int, solver: MaxFlowSolver,
                     live: set[int], phi: float) -> dict:
-        return splitter_isolating_step(self, part_nodes, w, gw, live, phi)
+        return splitter_isolating_step(self, part_nodes, w, solver, live, phi)
 
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         if self.good(cut.side):
@@ -69,40 +69,16 @@ class DynamicPivotEngine(SingleSourceEngine):
         return False
 
 
-def splitters(universe: int, size: int) -> list[frozenset[int]]:
-    """Deterministic subsets of range(universe) isolating any small target.
-
-    For every T of at most ``size`` elements and every j in T, some subset
-    meets T exactly in {j}.  For size 1 the whole universe does; otherwise
-    the singletons {j} do, in ``universe`` sets.  The prime-residue family
-    of Naor, Schulman & Srinivasan also qualifies, but at the default phi
-    (size = ceil(2 / phi) >= 4, universe = a part's candidates) it has more
-    sets than the singletons at every part size up to 3000 candidates.
-    """
-    if not 1 <= size <= max(universe, 1):
-        raise ValueError("size must be in [1, universe]")
-    if universe <= 1 or size == 1:
-        return [frozenset(range(universe))]
-    return [frozenset((j,)) for j in range(universe)]
-
-
 def splitter_isolating_step(
-    state: DynamicPivotEngine, part_nodes: frozenset[int], w: int, gw: Graph,
-    live: set[int], phi: float,
+    state: DynamicPivotEngine, part_nodes: frozenset[int], w: int,
+    solver: MaxFlowSolver, live: set[int], phi: float,
 ) -> dict:
-    """Deterministic replacement for the sampled isolating rounds: one
-    isolating call per splitter subset of the part's candidates."""
+    """Deterministic replacement for the sampled isolating rounds: every
+    candidate of the part, in sorted order, is offered on its own, so its
+    isolating cut is its latest cut on the stage solver."""
     cand = sorted(v for v in live if state.idx(v) in part_nodes)
-    if not cand:
-        return {"rounds": 0, "updates": 0}
-    k = min(len(cand), max(1, math.ceil(2.0 / phi)))
-    family = splitters(len(cand), k)
-    updates = 0
-    for subset in family:
-        batch = [cand[i] for i in sorted(subset) if i < len(cand)]
-        batch = [v for v in batch if v in state.table.entries]
-        updates += offer_isolating_cuts(state, w, gw, batch, live)
-    return {"rounds": len(family), "updates": updates}
+    updates = sum(offer_isolating_cuts(state, w, solver, [v], live) for v in cand)
+    return {"rounds": len(cand), "updates": updates}
 
 
 def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,

@@ -14,14 +14,16 @@ With the loop on, the engine first walks doubling stages.  Stage w works on
 a sparsifier preserving all cuts below 2w, isolates the high-degree
 terminals (cuts containing a single high-degree node are caught here), runs
 candidate elimination over a demand-weighted expander decomposition, and
-solves the surviving candidates directly, capped at 2w, on one solver over
-the stage graph that ``stage_w`` builds and hands down.  Every isolating
-batch goes through ``offer_isolating_cuts``.  Estimates only decrease, every
-estimate is the exact weight of its witness cut, and a terminal is marked
-done only when a direct solve (or an exact stage bound) proves its estimate
-minimal; anything left unproven is settled by the same latest-cut solves at
-the end, so the result is correct at every scale regardless of
-decomposition quality.
+solves the surviving candidates directly, capped at 2w.  ``stage_w`` builds
+the stage graph and one solver over it, and every step below it takes that
+solver, not the graph.  Every isolating batch goes through
+``offer_isolating_cuts``; a lone terminal's isolating cut is its latest cut
+in the stage graph, so it is one ``latest_cut`` solve on the stage solver.
+Estimates only decrease, every estimate is the exact weight of its witness
+cut, and a terminal is marked done only when a direct solve (or an exact
+stage bound) proves its estimate minimal; anything left unproven is settled
+by the same latest-cut solves at the end, so the result is correct at every
+scale regardless of decomposition quality.
 
 ``SingleSourceEngine`` is the randomized engine: cuts are measured in a
 perturbed graph (unique minimum cuts) and the elimination loop samples
@@ -321,10 +323,10 @@ class SingleSourceEngine:
             return 0
         return max(0, math.floor(math.log2(max(2, self.g.n)) / 2))
 
-    def sample_step(self, part_nodes: frozenset[int], w: int, gw: Graph,
+    def sample_step(self, part_nodes: frozenset[int], w: int, solver: MaxFlowSolver,
                     live: set[int], phi: float) -> dict:
         """Isolating rounds over one expander part's candidates."""
-        return isolating_sample_step(self, part_nodes, w, gw, live, phi)
+        return isolating_sample_step(self, part_nodes, w, solver, live, phi)
 
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         """Called with the latest minimum (pivot, v)-cut before it is
@@ -371,7 +373,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     gw = state.stage_graph(w)
     solver = MaxFlowSolver(gw)
     srep["gw_edges"] = gw.edge_instances
-    srep["easy_updates"] = easy_cuts_step(state, w, gw)
+    srep["easy_updates"] = easy_cuts_step(state, w, solver)
 
     cand = state.candidates(w)
     srep["candidates"] = len(cand)
@@ -386,7 +388,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     while len(live) > threshold:
         round_no += 1
         before = len(live)
-        rrep = _elimination_round(state, w, gw, solver, live, phi)
+        rrep = _elimination_round(state, w, solver, live, phi)
         srep["rounds"].append(rrep)
         trajectory.append(len(live))
         if 2 * len(live) >= before:
@@ -430,19 +432,26 @@ def _direct_solves(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
     return solves
 
 
-def offer_isolating_cuts(state: SingleSourceEngine, w: int, gw: Graph,
+def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
                          batch: list[int], live: Optional[set[int]] = None) -> int:
-    """Isolating cuts in the stage graph for a batch of terminals, each
-    offered below the stage bound 2w unless it moves the pivot; returns the
-    number of estimates improved.  A terminal that becomes the pivot leaves
-    the ``live`` candidates."""
+    """Isolating cuts in the stage graph (``solver.g``) for a batch of
+    terminals, each offered below the stage bound 2w unless it moves the
+    pivot; returns the number of estimates improved.  A terminal that
+    becomes the pivot leaves the ``live`` candidates.
+
+    A lone terminal's isolating cut is its latest minimum cut from the
+    pivot, so it is one uncapped ``latest_cut`` solve on the stage solver."""
     if not batch:
         return 0
-    res = isolating_cuts(gw, state.pivot_idx, {state.idx(v) for v in batch})
+    if len(batch) == 1:
+        cuts = {state.idx(batch[0]): state.latest_cut(batch[0], solver)}
+    else:
+        cuts = isolating_cuts(solver.g, state.pivot_idx,
+                              {state.idx(v) for v in batch}).cuts
     cap = Weight(2 * w, 0)
     updates = 0
     for v in batch:
-        cut = res.cuts.get(state.idx(v))
+        cut = cuts.get(state.idx(v))
         if cut is None or v not in state.table.entries:
             continue
         if state.isolating_moves_pivot(v, cut):
@@ -454,7 +463,7 @@ def offer_isolating_cuts(state: SingleSourceEngine, w: int, gw: Graph,
     return updates
 
 
-def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> int:
+def easy_cuts_step(state: SingleSourceEngine, w: int, solver: MaxFlowSolver) -> int:
     """Isolating cuts over all degree >= w terminals; returns the number of
     estimates improved.
 
@@ -465,12 +474,12 @@ def easy_cuts_step(state: SingleSourceEngine, w: int, gw: Graph) -> int:
         v for v in state.table.terminals()
         if state.g.degree(v) >= w
     ]
-    return offer_isolating_cuts(state, w, gw, high)
+    return offer_isolating_cuts(state, w, solver, high)
 
 
 def isolating_sample_step(
-    state: SingleSourceEngine, part_nodes: frozenset[int], w: int, gw: Graph,
-    live: set[int], phi: float,
+    state: SingleSourceEngine, part_nodes: frozenset[int], w: int,
+    solver: MaxFlowSolver, live: set[int], phi: float,
 ) -> dict:
     """Random sampled isolating rounds over one expander part.
 
@@ -483,7 +492,7 @@ def isolating_sample_step(
     updates = 0
     for _ in range(rounds):
         batch = [v for v in cand if state.rng.random() < phi]
-        updates += offer_isolating_cuts(state, w, gw, batch, live)
+        updates += offer_isolating_cuts(state, w, solver, batch, live)
     return {"rounds": rounds, "updates": updates}
 
 
@@ -552,7 +561,7 @@ def priority_solve_step(
 
 
 def _elimination_round(
-    state: SingleSourceEngine, w: int, gw: Graph, solver: MaxFlowSolver,
+    state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
     live: set[int], phi: float,
 ) -> dict:
     """One decomposition round: demand w on live candidates, process every
@@ -582,7 +591,7 @@ def _elimination_round(
         part_live = {v for v in live if state.idx(v) in part.nodes}
         if not part_live:
             continue
-        rrep["sample"].append(state.sample_step(part.nodes, w, gw, live, phi))
+        rrep["sample"].append(state.sample_step(part.nodes, w, solver, live, phi))
         pr = priority_solve_step(state, part.nodes, w, solver, live, phi)
         lefty_inc += pr["increments"]
         rrep["priority"].append(pr)

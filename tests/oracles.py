@@ -4,7 +4,8 @@ These deliberately avoid the package's flow solver so that solver, builders,
 and oracles fail independently.  Usable up to ~12 nodes.
 
 Also the reference code and helpers only tests use: a loop-free induced
-subgraph, a dynamic-pivot run from a chosen start pivot, ``assemble``,
+subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
+start pivot, ``assemble``,
 which stitches per-super-node trees into one full tree, and the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
 Gray-code walk must match.
@@ -13,6 +14,7 @@ Gray-code walk must match.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -194,6 +196,25 @@ def fraction_sparsest_cut(g: Graph, piece: list[int], dem: dict[int, Fraction]):
         if best[0] is None or ratio < best[0]:
             best = (ratio, side)
     return best
+
+
+def planted_partition(blocks: int, size: int, p_in: float, p_out: float,
+                      seed: int) -> Graph:
+    """Connected graph of ``blocks`` groups of ``size`` nodes: pairs inside
+    a group are edges with probability p_in, pairs across with p_out.  The
+    same recipe as the benchmark's ``elimination_loop`` corpus, so seed 42
+    gives its graph."""
+    rng = random.Random(seed)
+    n = blocks * size
+    for _ in range(200):
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < (p_in if u // size == v // size else p_out)
+        ]
+        g = Graph.from_edges(n, pairs)
+        if g.is_connected():
+            return g
+    raise RuntimeError("no connected planted partition after 200 tries")
 
 
 def dynamic_from(g: Graph, pivot: int, config=None):

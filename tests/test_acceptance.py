@@ -18,14 +18,13 @@ from ghtree import expander, families, single_source
 from ghtree.analysis import count_non_easy_bags, cut_membership_tree, is_easy_bag, w_large_subtree
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection
-from ghtree.dynamic import splitters
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.graph import Graph, subdivide
 from ghtree.isolating import isolating_cuts
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from oracles import dynamic_from, mask_cut_values, mask_latest_all
+from oracles import dynamic_from, mask_cut_values, mask_latest_all, planted_partition
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
 
@@ -279,29 +278,38 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
           "depth within ceil(log2 n) + 1")
 
 
-def test_criterion_09_splitters():
-    import itertools
+def test_criterion_09_splitters(monkeypatch):
+    """The deterministic engine's splitter family is the singletons: in a
+    loop-on build, every live candidate of every processed expander part is
+    offered to isolating cuts alone, exactly once, in sorted order."""
+    from ghtree import dynamic
 
-    for n in range(2, 17):
-        for k in range(1, min(4, n) + 1):
-            fam = splitters(n, k)
-            for size in range(1, k + 1):
-                for t_set in itertools.combinations(range(n), size):
-                    ts = set(t_set)
-                    for j in ts:
-                        assert any(u & ts == {j} for u in fam), (n, k, ts, j)
-    fam = [set(u) for u in splitters(64, 8)]
-    rng = random.Random(99)
-    failures = 0
-    for _ in range(10 ** 5):
-        size = rng.randint(1, 8)
-        ts = set(rng.sample(range(64), size))
-        j = rng.choice(sorted(ts))
-        if not any(u & ts == {j} for u in fam):
-            failures += 1
-    assert failures == 0
-    print("\nCRITERION 9 PASS: splitters exhaustive (n<=16, k<=4) and "
-          "100000 sampled draws at n=64, k=8, zero failures")
+    steps = []
+    step, offer = dynamic.splitter_isolating_step, dynamic.offer_isolating_cuts
+
+    def recording_step(state, part_nodes, w, solver, live, phi):
+        cand = sorted(v for v in live if state.idx(v) in part_nodes)
+        steps.append((cand, []))
+        return step(state, part_nodes, w, solver, live, phi)
+
+    def recording_offer(state, w, solver, batch, live=None):
+        steps[-1][1].append(list(batch))
+        return offer(state, w, solver, batch, live)
+
+    monkeypatch.setattr(dynamic, "splitter_isolating_step", recording_step)
+    monkeypatch.setattr(dynamic, "offer_isolating_cuts", recording_offer)
+    graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8])]
+    offered = 0
+    for g in graphs:
+        before = len(steps)
+        tree = build_deterministic(g, config=EngineConfig(loop_enabled=True, phi=0.25))
+        assert len(steps) > before, "no expander part was processed"
+        for cand, batches in steps[before:]:
+            assert batches == [[v] for v in cand]
+            offered += len(cand)
+        assert _tree_values_match(g, tree, _oracle_values(g)) is None
+    print(f"\nCRITERION 9 PASS: {len(steps)} splitter steps, {offered} candidates "
+          "each offered alone exactly once")
 
 
 def test_criterion_10_subdivision_reduction():

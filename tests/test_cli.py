@@ -241,3 +241,45 @@ def test_env_seed_fallback(tmp_path, runner, monkeypatch):
     assert res.exit_code == 0
     rep = json.loads(open(tmp_path / "r.json").read())
     assert rep["seed"] == 17
+
+
+@pytest.mark.parametrize("phi", ["0", "-1", "nan", "inf", "1.5"])
+def test_build_phi_exp_outside_unit_interval_exits_4(tmp_path, runner, phi):
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
+                               f"--phi-exp={phi}", "--out", str(tmp_path / "t")])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+def test_non_integer_env_seed_exits_4(tmp_path, runner, monkeypatch, command):
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    tree = tmp_path / "g.tree"
+    res = runner.invoke(main, ["build", gp, "--algo", "classic", "--out", str(tree)])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setenv("GHT_SEED", "abc")
+    args = {
+        "build": ["build", gp, "--algo", "randomized", "--out", str(tmp_path / "r")],
+        "verify": ["verify", gp, str(tree), "--mode", "sampled"],
+        "bench": ["bench", "--sizes", "8", "--out", str(tmp_path / "b.csv")],
+    }[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--sizes", "8,x"],
+    ["--sizes=8,-3"],
+    ["--p", "0"],
+    ["--p", "-0.5"],
+    ["--p", "1.5"],
+    ["--p", "nan"],
+], ids=["sizes_not_integers", "sizes_negative", "p_zero", "p_negative", "p_above_one", "p_nan"])
+def test_bench_bad_input_exits_4(tmp_path, runner, args):
+    out = tmp_path / "b.csv"
+    res = runner.invoke(main, ["bench", "--sizes", "8", *args, "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+    assert not out.exists()

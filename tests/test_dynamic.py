@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -8,63 +7,12 @@ from ghtree.dynamic import (
     DynamicPivotEngine,
     pivot_change,
     single_source_dynamic_pivot,
-    splitters,
 )
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.single_source import EngineError
 from ghtree.weights import Weight
 
 from oracles import dynamic_from, mask_latest_all
-
-
-def splitter_covers(family, universe, k):
-    for size in range(1, k + 1):
-        for t_set in itertools.combinations(range(universe), size):
-            ts = set(t_set)
-            for j in t_set:
-                if not any(u & ts == {j} for u in family):
-                    return False, (ts, j)
-    return True, None
-
-
-def test_splitters_k1_single_set():
-    fam = splitters(10, 1)
-    assert fam == [frozenset(range(10))]
-
-
-def test_splitters_small_exhaustive():
-    fam = splitters(8, 2)
-    ok, witness = splitter_covers(fam, 8, 2)
-    assert ok, witness
-
-
-def test_splitters_n16_k4_exhaustive():
-    fam = splitters(16, 4)
-    ok, witness = splitter_covers(fam, 16, 4)
-    assert ok, witness
-
-
-def test_splitters_sampled_n64_k8():
-    fam = [set(u) for u in splitters(64, 8)]
-    rng = random.Random(0)
-    for _ in range(20000):
-        size = rng.randint(1, 8)
-        ts = set(rng.sample(range(64), size))
-        j = rng.choice(sorted(ts))
-        assert any(u & ts == {j} for u in fam)
-
-
-def test_splitters_never_exceed_universe():
-    for u in range(1, 65):
-        for k in range(1, u + 1):
-            assert len(splitters(u, k)) <= u, (u, k)
-
-
-def test_splitters_rejects_bad_size():
-    with pytest.raises(ValueError):
-        splitters(5, 0)
-    with pytest.raises(ValueError):
-        splitters(5, 6)
 
 
 # -- dynamic-pivot single source ----------------------------------------------

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from ghtree import families
-from ghtree.flow import FLOW_CALLS
+from ghtree import families, single_source
+from ghtree.build import build_deterministic, build_randomized
+from ghtree.dynamic import DynamicPivotEngine
+from ghtree.flow import FLOW_CALLS, MaxFlowSolver
 from ghtree.graph import GraphError
 from ghtree.isolating import isolating_cuts
+from ghtree.single_source import EngineConfig, SingleSourceEngine
+from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import enum_latest_all
@@ -32,6 +36,42 @@ def test_singleton_terminal_is_latest_cut():
     assert res.cuts[0].side == want[0]
     assert res.cuts[0].value.scaled(1) == want[1]
     assert res.flow_calls <= 2
+
+    # the engines' stage graphs: one terminal's isolating cut is its latest
+    # cut on the stage solver, which is how the loop computes it
+    checked = 0
+    for g in (families.dumbbell(4), families.clique_chain([5, 9, 3, 12, 7]),
+              families.er_connected(20, 0.3, seed=3), families.double_star(3, 5)):
+        pivot = max(range(g.n), key=g.degree)
+        engines = (DynamicPivotEngine(g, g, pivot),
+                   SingleSourceEngine(g, g, perturb(g, seed=g.n), pivot))
+        for engine in engines:
+            p = engine.pivot_idx
+            for w in (1, 2, 4):
+                gw = engine.stage_graph(w)
+                solver = MaxFlowSolver(gw)
+                for v in engine.table.terminals():
+                    iso = isolating_cuts(gw, p, {engine.idx(v)}).cuts[engine.idx(v)]
+                    assert iso == engine.latest_cut(v, solver), (g.n, w, v)
+                    checked += 1
+    assert checked > 300
+
+
+def test_loop_never_isolates_a_lone_terminal(monkeypatch):
+    """Loop-on builds of both paper builders compute a lone terminal's
+    isolating cut as a latest-cut solve, never through ``isolating_cuts``."""
+    sizes = []
+
+    def recording(g, p, terminals):
+        sizes.append(len(terminals))
+        return isolating_cuts(g, p, terminals)
+
+    monkeypatch.setattr(single_source, "isolating_cuts", recording)
+    for g in (families.clique_chain([5, 9, 3, 12, 7]), families.er_connected(20, 0.3, seed=5)):
+        build_deterministic(g, config=EngineConfig(loop_enabled=True))
+        build_randomized(g, seed=1, config=EngineConfig(loop_enabled=True, seed=1))
+    assert sizes, "no isolating batch ran"
+    assert min(sizes) >= 2
 
 
 def test_dumbbell_mixed_terminals():

@@ -189,7 +189,7 @@ def test_easy_cut_settles_singleton():
     g = families.star(5)
     engine = make_engine(g, 0, seed=11)
     gw = engine.stage_graph(1)
-    easy_cuts_step(engine, 1, gw)
+    easy_cuts_step(engine, 1, MaxFlowSolver(gw))
     for v in range(1, 6):
         assert engine.table.estimate(v).base == 1
         assert engine.table.witness(v) == frozenset({engine.idx(v)})
@@ -203,7 +203,7 @@ def test_easy_cut_dumbbell_bridge_side():
     engine = make_engine(g, 1, seed=12)
     w = 2
     gw = engine.stage_graph(w)
-    easy_cuts_step(engine, w, gw)
+    easy_cuts_step(engine, w, MaxFlowSolver(gw))
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
     assert engine.table.estimate(0).base == 1
     assert engine.aux.expand(engine.table.witness(0)) == frozenset({0, 2})
@@ -214,7 +214,7 @@ def test_easy_step_never_marks_done():
     engine = make_engine(g, 0, seed=13)
     w = 2
     gw = engine.stage_graph(w)
-    easy_cuts_step(engine, w, gw)
+    easy_cuts_step(engine, w, MaxFlowSolver(gw))
     assert not any(engine.table.done(v) for v in engine.table.terminals())
 
 
@@ -225,7 +225,7 @@ def test_sample_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0, seed=14)
     gw = engine.stage_graph(2)
-    rep = isolating_sample_step(engine, frozenset(), 2, gw, set(), 0.5)
+    rep = isolating_sample_step(engine, frozenset(), 2, MaxFlowSolver(gw), set(), 0.5)
     assert rep["updates"] == 0
 
 
@@ -238,7 +238,7 @@ def test_sample_step_phi_one_samples_everyone(monkeypatch):
     w = 1
     gw = engine.stage_graph(w)
     live = {0}
-    rep = isolating_sample_step(engine, frozenset(range(8)), w, gw, live, 1.0)
+    rep = isolating_sample_step(engine, frozenset(range(8)), w, MaxFlowSolver(gw), live, 1.0)
     assert rep["rounds"] == 3
     assert rep["updates"] == 1
     assert engine.table.estimate(0).base == 1
@@ -257,7 +257,7 @@ def test_sample_step_statistical_success():
         gw = engine.stage_graph(w)
         live = {v for v in engine.table.terminals()
                 if engine.table.estimate(v) > Weight(w, 0)}
-        isolating_sample_step(engine, frozenset(range(12)), w, gw, live, 0.25)
+        isolating_sample_step(engine, frozenset(range(12)), w, MaxFlowSolver(gw), live, 0.25)
         if engine.table.estimate(0).base == 2:
             hits += 1
     assert hits >= 48, hits
