@@ -174,6 +174,8 @@ def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
             _input_error(f"full-oracle limited to {oracle_limit} nodes")
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     else:
+        if samples < 1:
+            _input_error(f"--samples must be at least 1, not {samples}")
         rng = random.Random(_seed_option(seed))
         pairs = []
         seen = set()

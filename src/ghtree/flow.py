@@ -1,15 +1,21 @@
 """Exact max-flow / min-cut on multiplicity- and perturbation-weighted graphs.
 
 Blocking-flow (Dinic) augmentation over scaled integer capacities
-(mult * unit + eps), so perturbed weights are handled exactly.  Each solve
-owns private residual state; a graph's arc arrays are built once per solver
-and shared across solves.  A module-level invocation counter feeds the
+(mult * unit + eps), so perturbed weights are handled exactly.  A solver
+builds a graph's arcs once: paired arc ids (e and e ^ 1 are the two
+directions of one edge) and, per node, the list of arc ids leaving it.
+Each solve owns private residual state.  A phase's breadth-first search
+stops as soon as the sink is labelled; the depth-first search keeps a
+current-arc index per node and drops the nodes it backs out of.  The
+residual searches of ``source_side`` and ``sink_side`` give the
+inclusion-minimal minimum-cut sides, which are the same for every maximum
+flow, so every cut this module returns is independent of the flow the
+kernel happens to find.  A module-level invocation counter feeds the
 benchmark harness.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError
@@ -51,82 +57,110 @@ class CutSide:
 
 
 class MaxFlowSolver:
-    """Reusable Dinic solver over one immutable graph."""
+    """Reusable Dinic solver over one immutable graph.
+
+    Edge i of ``g.edges`` (u < v) becomes the arc pair 2i: u -> v and
+    2i + 1: v -> u, each with the edge's scaled capacity (``unit`` on a
+    simple graph); the pair of arc e is e ^ 1.  Every node keeps the list of
+    arc ids leaving it.  ``solve`` copies the capacities into a private
+    residual array, so one solver serves any number of solves; the side
+    queries read the residual of the last solve.  An uncapped solve ends
+    with a search from s that cannot reach t, which is the residual reach
+    of s, so ``source_side`` of that s needs no second search.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
-        self.n = g.n
-        m2 = 2 * len(g.edges)
-        to = [0] * m2
-        cap0 = [0] * m2
-        nxt = [0] * m2
-        first = [-1] * g.n
+        n = self.n = g.n
+        edges = g.edges
+        m2 = 2 * len(edges)
         unit = g.unit
-        i = 0
-        for (u, v), (m, e) in g.edges.items():
-            c = m * unit + e
-            to[i] = v
-            cap0[i] = c
-            nxt[i] = first[u]
-            first[u] = i
-            i += 1
-            to[i] = u
-            cap0[i] = c
-            nxt[i] = first[v]
-            first[v] = i
-            i += 1
+        if g.simple:
+            cap0 = [unit] * m2
+        else:
+            # most edges have multiplicity 1, and skipping the product saves
+            # a bigint allocation per edge on perturbed graphs
+            caps = [unit + e if m == 1 else m * unit + e for m, e in edges.values()]
+            cap0 = [0] * m2
+            cap0[0::2] = caps
+            cap0[1::2] = caps
+        to = [0] * m2
+        arcs: list[list[int]] = [[] for _ in range(n)]
+        e = 0
+        for u, v in edges:
+            to[e] = v
+            arcs[u].append(e)
+            e += 1
+            to[e] = u
+            arcs[v].append(e)
+            e += 1
         self._to = to
         self._cap0 = cap0
-        self._first = first
-        self._nxt = nxt
-        self.cap: list[int] = []
+        self._arcs = arcs
+        self._cap = cap0
+        self._reach: tuple[int, list[int]] | None = None
 
     def solve(self, s: int, t: int, cutoff: int | None = None) -> int:
         """Max flow from s to t as a scaled integer.
 
-        With a cutoff, augmentation stops once the flow reaches it; the
-        residual state is then only good for answering "value >= cutoff".
+        With a cutoff, augmentation stops once the flow reaches it and the
+        result is ``min(max flow, cutoff)``; the residual state is then only
+        good for answering "value >= cutoff".
         """
         if s == t:
             raise GraphError("source equals sink")
         FLOW_CALLS.value += 1
         n = self.n
         to = self._to
-        first = self._first
-        nxt = self._nxt
+        arcs = self._arcs
         cap = self._cap0.copy()
-        self.cap = cap
-        it = [0] * n
+        self._cap = cap
+        self._reach = None
         flow = 0
         while True:
+            # BFS levels, stopping as soon as t gets one: every node below
+            # t's level is labelled by then
             level = [-1] * n
             level[s] = 0
-            q = deque([s])
-            pop = q.popleft
-            push = q.append
-            t_level = -1
-            while q:
-                u = pop()
-                lu = level[u]
-                if t_level != -1 and lu + 1 >= t_level:
-                    continue
-                e = first[u]
-                while e != -1:
+            queue = [s]
+            push = queue.append
+            t_level = 0
+            for u in queue:
+                lv = level[u] + 1
+                for e in arcs[u]:
                     v = to[e]
-                    if cap[e] > 0 and level[v] == -1:
-                        level[v] = lu + 1
+                    if level[v] < 0 and cap[e]:
+                        level[v] = lv
                         if v == t:
-                            t_level = lu + 1
+                            t_level = lv
+                            break
                         push(v)
-                    e = nxt[e]
-            if level[t] == -1:
+                if t_level:
+                    break
+            if not t_level:
+                # the search ran out: queue is the residual reach of s
+                self._reach = (s, queue)
                 return flow
-            it[:] = first
+            # nodes at t's level other than t lead nowhere, so a node one
+            # level below t can only use its own residual arc into t, and
+            # one without such an arc leads nowhere either
+            while level[queue[-1]] == t_level:
+                level[queue.pop()] = -1
+            last = t_level - 1
+            into_t = {to[e]: e ^ 1 for e in arcs[t]
+                      if level[to[e]] == last and cap[e ^ 1]}
+            for v in reversed(queue):
+                if level[v] != last:
+                    break
+                if v not in into_t:
+                    level[v] = -1
+            # DFS for a blocking flow; ptr[u] is u's current arc
+            ptr = [0] * n
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[e] for e in path)
+                    pushed = min(map(cap.__getitem__, path))
                     if cutoff is not None and pushed > cutoff - flow:
                         pushed = cutoff - flow
                     for e in path:
@@ -136,61 +170,71 @@ class MaxFlowSolver:
                     if cutoff is not None and flow >= cutoff:
                         return flow
                     i = 0
-                    while i < len(path) and cap[path[i]] > 0:
+                    while cap[path[i]]:
                         i += 1
                     del path[i:]
-                    u = s if not path else to[path[-1]]
+                    u = to[path[-1]] if path else s
                     continue
-                e = it[u]
-                while e != -1 and not (cap[e] > 0 and level[to[e]] == level[u] + 1):
-                    e = nxt[e]
-                it[u] = e
-                if e == -1:
+                lv = level[u]
+                e = -1
+                if lv == last:
+                    a = into_t[u]
+                    if cap[a]:
+                        e = a
+                else:
+                    lv += 1
+                    au = arcs[u]
+                    for i in range(ptr[u], len(au)):
+                        a = au[i]
+                        if level[to[a]] == lv and cap[a]:
+                            ptr[u] = i
+                            e = a
+                            break
+                if e >= 0:
+                    path.append(e)
+                    u = to[e]
+                else:
+                    # u is a dead end in this phase
                     level[u] = -1
                     if not path:
                         break
                     path.pop()
-                    u = s if not path else to[path[-1]]
-                else:
-                    path.append(e)
-                    u = to[e]
+                    u = to[path[-1]] if path else s
 
     # -- residual side extraction (valid after an uncapped solve) ----------
 
     def source_side(self, s: int) -> frozenset[int]:
         """Nodes reachable from s in the residual graph."""
+        if self._reach is not None and self._reach[0] == s:
+            return frozenset(self._reach[1])
         seen = bytearray(self.n)
         seen[s] = 1
-        stack = [s]
-        to, nxt, first, cap = self._to, self._nxt, self._first, self.cap
-        while stack:
-            u = stack.pop()
-            e = first[u]
-            while e != -1:
+        reached = [s]
+        push = reached.append
+        to, arcs, cap = self._to, self._arcs, self._cap
+        for u in reached:
+            for e in arcs[u]:
                 v = to[e]
-                if cap[e] > 0 and not seen[v]:
+                if not seen[v] and cap[e]:
                     seen[v] = 1
-                    stack.append(v)
-                e = nxt[e]
-        return frozenset(i for i in range(self.n) if seen[i])
+                    push(v)
+        return frozenset(reached)
 
     def sink_side(self, t: int) -> frozenset[int]:
         """Nodes that can reach t in the residual graph (the latest cut side)."""
         seen = bytearray(self.n)
         seen[t] = 1
-        stack = [t]
-        to, nxt, first, cap = self._to, self._nxt, self._first, self.cap
-        while stack:
-            u = stack.pop()
-            e = first[u]
-            while e != -1:
-                # arc e leaves u; its pair e^1 runs to[e] -> u
+        reached = [t]
+        push = reached.append
+        to, arcs, cap = self._to, self._arcs, self._cap
+        for u in reached:
+            for e in arcs[u]:
+                # arc e leaves u; its pair e ^ 1 runs to[e] -> u
                 v = to[e]
-                if cap[e ^ 1] > 0 and not seen[v]:
+                if not seen[v] and cap[e ^ 1]:
                     seen[v] = 1
-                    stack.append(v)
-                e = nxt[e]
-        return frozenset(i for i in range(self.n) if seen[i])
+                    push(v)
+        return frozenset(reached)
 
 
 def max_flow_min_cut(g: Graph, s: int, t: int) -> CutSide:

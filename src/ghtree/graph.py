@@ -23,7 +23,7 @@ class GraphError(ValueError):
 class Graph:
     __slots__ = (
         "n", "edges", "members", "orig_id", "simple", "unit",
-        "_adj", "_index_of", "_member_count",
+        "_adj", "_index_of", "_member_count", "_connected",
     )
 
     def __init__(
@@ -49,6 +49,7 @@ class Graph:
         self.unit = unit
         self._adj: Optional[list[dict[int, tuple[int, int]]]] = None
         self._index_of: Optional[dict[int, int]] = None
+        self._connected: Optional[bool] = None
         self._member_count = tuple(len(m) for m in self.members)
         if validate:
             for (u, v), (mult, eps) in self.edges.items():
@@ -157,17 +158,11 @@ class Graph:
         return from_scaled(self.cut_units(side), self.unit)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        """At most one component; computed on the first call only, since
+        the graph never changes."""
+        if self._connected is None:
+            self._connected = len(self.components()) <= 1
+        return self._connected
 
     def components(self) -> list[set[int]]:
         seen: set[int] = set()

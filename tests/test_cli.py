@@ -169,6 +169,29 @@ def test_sampled_verify(tmp_path, runner):
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sampled_verify_without_samples_exits_4(tmp_path, runner, samples):
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    tree = str(tmp_path / "g.tree")
+    res = runner.invoke(main, ["build", gp, "--algo", "classic", "--out", tree])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["verify", gp, tree, "--mode", "sampled",
+                               "--samples", samples])
+    assert res.exit_code == 4, res.output
+    assert "error:" in res.output
+
+
+def test_sampled_verify_single_node_passes(tmp_path, runner):
+    gp = tmp_path / "g.gr"
+    gp.write_text("p 1 0\n")
+    tree = str(tmp_path / "g.tree")
+    res = runner.invoke(main, ["build", str(gp), "--algo", "classic", "--out", tree])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["verify", str(gp), tree, "--mode", "sampled"])
+    assert res.exit_code == 0, res.output
+    assert "pass: 0 pairs verified" in res.output
+
+
 def standalone_flow_calls(n, algo, prob, seed):
     """FLOW_CALLS delta of one bench cell built outside the CLI."""
     g = families.er_connected(n, prob, seed=seed + n)

@@ -7,12 +7,14 @@ from ghtree import families
 from ghtree.classic import classic_gomory_hu
 from ghtree.flow import (
     FLOW_CALLS,
+    MaxFlowSolver,
     all_pairs_oracle,
     latest_min_cut,
     max_flow_min_cut,
 )
 from ghtree.graph import Graph, GraphError
 from ghtree.partition import to_node_tree
+from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import enum_latest_side, enum_min_cut
@@ -162,13 +164,37 @@ def graphs(draw):
         for v in range(u + 1, n):
             mult = draw(st.integers(min_value=0, max_value=2))
             edges += [(u, v)] * mult
-    return Graph.from_edges(n, edges, simple=False) if edges else None
+    if not edges:
+        return None
+    g = Graph.from_edges(n, edges, simple=draw(st.booleans()))
+    if draw(st.booleans()):
+        g = perturb(g, seed=draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    return g
 
 
-@given(graphs(), st.randoms())
+@given(graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_flow_matches_enumeration(g, rnd):
+    """The kernel contract, on plain and perturbed multigraphs: the value,
+    the inclusion-minimal minimum-cut side of each terminal, a capped solve
+    returning min(value, cutoff), and a solver reused over pairs in random
+    order answering like a fresh one."""
     if g is None:
         return
-    s, t = rnd.sample(range(g.n), 2)
-    assert max_flow_min_cut(g, s, t).value.scaled(g.unit) == enum_min_cut(g, s, t)
+    shared = MaxFlowSolver(g)
+    for _ in range(4):
+        s, t = rnd.sample(range(g.n), 2)
+        value = enum_min_cut(g, s, t)
+        s_side, _ = enum_latest_side(g, t, s)
+        t_side, _ = enum_latest_side(g, s, t)
+        cutoff = rnd.randint(0, value + 1)
+        for sol in (MaxFlowSolver(g), shared):
+            assert sol.solve(s, t, cutoff=cutoff) == min(value, cutoff)
+            assert sol.solve(s, t) == value
+            assert sol.source_side(s) == s_side
+            assert sol.sink_side(t) == t_side
+            # a solve capped at the value still leaves a maximum flow
+            assert sol.solve(s, t, cutoff=value) == value
+            assert sol.source_side(s) == s_side
+            assert sol.sink_side(t) == t_side
+        assert max_flow_min_cut(g, s, t).value.scaled(g.unit) == value

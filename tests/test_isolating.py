@@ -6,7 +6,7 @@ from ghtree import families, single_source
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver
-from ghtree.graph import GraphError
+from ghtree.graph import Graph, GraphError
 from ghtree.isolating import isolating_cuts
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb
@@ -90,10 +90,25 @@ def test_errors():
         isolating_cuts(g, 1, {1, 2})
     with pytest.raises(GraphError):
         isolating_cuts(g, 0, set())
-    from ghtree.graph import Graph
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphError):
-        isolating_cuts(disconnected, 0, {1, 3})
+    for terminals in ({1, 3}, {2, 3}):   # the second batch reads the cached check
+        with pytest.raises(GraphError):
+            isolating_cuts(disconnected, 0, terminals)
+
+
+def test_connectivity_computed_once_per_graph(monkeypatch):
+    calls = []
+    components = Graph.components
+
+    def counting(self):
+        calls.append(self)
+        return components(self)
+
+    monkeypatch.setattr(Graph, "components", counting)
+    g = families.clique_chain([4, 5, 4, 6])
+    for terminals in ({1, 5}, {2, 6, 10}, {3, 12, 15, 18}):
+        isolating_cuts(g, 0, terminals)
+    assert calls == [g]
 
 
 def test_outputs_disjoint_and_avoid_pivot():

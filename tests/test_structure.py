@@ -8,7 +8,9 @@ The engines make their max-flows through one method, and the stage solver
 travels as an argument.  The library keeps only what a builder, the CLI or
 the benchmark runs: the engine settings have no test hooks, graphs carry no
 self-loops, and test-only helpers live under tests/.  Invariants are checked
-by exceptions, never by ``assert``, so they hold under ``python -O``.
+by exceptions, never by ``assert``, so they hold under ``python -O``.  The
+max-flow kernel's state is private to flow.py, so a new kernel changes one
+file.
 """
 
 import ast
@@ -21,7 +23,8 @@ import ghtree
 from ghtree.graph import Graph
 from ghtree.single_source import EngineConfig
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ghtree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ghtree"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -102,3 +105,29 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(parse(path))
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def solver_private_fields() -> set[str]:
+    """The underscore attributes MaxFlowSolver sets on itself."""
+    tree = parse(SRC / "flow.py")
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "MaxFlowSolver")
+    return {node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self" and node.attr.startswith("_")
+            and not node.attr.startswith("__")}
+
+
+def test_flow_kernel_state_is_private():
+    """No file outside flow.py touches the solver's residual or arc arrays;
+    callers use solve, source_side, sink_side and ``.g``."""
+    private = solver_private_fields()
+    assert {"_cap", "_to", "_arcs"} <= private
+    assert "cap" not in {node.attr for node in ast.walk(parse(SRC / "flow.py"))
+                         if isinstance(node, ast.Attribute)}
+    paths = [p for p in MODULES if p.name != "flow.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        lines = [node.lineno for node in ast.walk(parse(path))
+                 if isinstance(node, ast.Attribute) and node.attr in private]
+        assert not lines, f"{path.name} reads MaxFlowSolver private fields at lines {lines}"
