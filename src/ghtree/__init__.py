@@ -19,17 +19,12 @@ from .flow import (
     FLOW_CALLS,
     CutSide,
     MaxFlowSolver,
-    all_pairs_oracle,
     latest_min_cut,
     max_flow_min_cut,
 )
 from .sparsify import ni_sparsify, perturb, perturbed_sparsifier
 from .isolating import isolating_cuts
-from .expander import (
-    ExpanderPart,
-    decompose_with_demands,
-    verify_expansion,
-)
+from .expander import ExpanderPart, decompose_with_demands
 from .partition import (
     GomoryHuTree,
     PartitionTree,

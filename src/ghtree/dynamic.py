@@ -58,15 +58,9 @@ class DynamicPivotEngine(SingleSourceEngine):
         return True
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """Re-solve an unbalanced isolating cut for its latest form; if every
-        minimum cut to v is still unbalanced, make v the pivot."""
-        if self.good(cut.side):
-            return False
-        latest = self.latest_cut(v)
-        if self.moves_pivot(v, latest, self.work_solver):
-            return True
-        self.offer(v, latest.value, latest.side, done=True, allow_equal=True)
-        return False
+        """Settle v on the work graph when its isolating cut is unbalanced;
+        if every minimum cut to v is unbalanced too, v becomes the pivot."""
+        return not self.good(cut.side) and self.settle(v)
 
 
 def splitter_isolating_step(

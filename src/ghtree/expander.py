@@ -1,4 +1,4 @@
-"""Expander decomposition with vertex demands, and expansion certification.
+"""Expander decomposition with vertex demands.
 
 The decomposer recursively finds a demand-sparsest cut of each piece (exact
 subset enumeration for small pieces, Fiedler-vector sweep rounding above)
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .graph import Graph
 
 EXACT_CUT_LIMIT = 20
-CERTIFY_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,7 @@ class ExpanderPart:
 class DecompositionReport:
     part_count: int = 0
     boundary_weight: int = 0
-    demand_total: Fraction = Fraction(0)
-    phi: float = 0.0
     b_factor: float = 0.0            # boundary / (phi * d(V)), the logged B
-    part_sizes: list[int] = None
-    certified_parts: int = 0
 
 
 def _piece_demand(g: Graph, piece: Sequence[int], base: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -163,7 +158,6 @@ def decompose_with_demands(
     g: Graph,
     demand: dict[int, int] | dict[int, Fraction],
     phi: Fraction | float,
-    eps: float = 0.0,
     *,
     exact_cut_limit: int = EXACT_CUT_LIMIT,
     report: Optional[DecompositionReport] = None,
@@ -172,7 +166,7 @@ def decompose_with_demands(
 
     d_i augments the input demand with each node's boundary weight.  Parts
     at or below the exact-cut limit carry an exact certificate; larger parts
-    are screened by sweep rounding and labeled non-certified.  The\
+    are screened by sweep rounding and labeled non-certified.  The
     inter-cluster weight and the realized polylog factor B are recorded in
     the report.
     """
@@ -214,13 +208,9 @@ def decompose_with_demands(
         d_total = sum(base.values())
         report.part_count = len(parts)
         report.boundary_weight = boundary
-        report.demand_total = d_total
-        report.phi = float(phi)
         report.b_factor = (
             float(boundary) / (float(phi) * float(d_total)) if d_total else 0.0
         )
-        report.part_sizes = [p.size_g for p in parts]
-        report.certified_parts = sum(1 for p in parts if p.certified)
     return parts
 
 
@@ -232,41 +222,3 @@ def _make_part(g: Graph, piece: Sequence[int], base: dict[int, Fraction], certif
         size_g=sum(g.member_count(v) for v in piece),
         certified=certified,
     )
-
-
-def verify_expansion(
-    part_graph: Graph,
-    demand: dict[int, int] | dict[int, Fraction],
-    phi: Fraction | float,
-    *,
-    certify_limit: int = CERTIFY_LIMIT,
-) -> bool:
-    """Check that every bipartition has demand conductance >= phi.
-
-    Exact enumeration up to the certification limit; above it a sweep screen
-    runs instead and the result is not a certificate.  Singletons pass by
-    convention.
-    """
-    ok, _ = verify_expansion_detail(part_graph, demand, phi, certify_limit=certify_limit)
-    return ok
-
-
-def verify_expansion_detail(
-    part_graph: Graph,
-    demand: dict[int, int] | dict[int, Fraction],
-    phi: Fraction | float,
-    *,
-    certify_limit: int = CERTIFY_LIMIT,
-) -> tuple[bool, bool]:
-    """(passes, certified) form of verify_expansion."""
-    g = part_graph
-    if g.n <= 1:
-        return True, True
-    phi = Fraction(phi) if not isinstance(phi, Fraction) else phi
-    dem = {v: Fraction(demand.get(v, 0)) for v in range(g.n)}
-    piece = list(range(g.n))
-    if g.n <= certify_limit:
-        ratio, _ = _exact_sparsest_cut(g, piece, dem)
-        return (ratio is None or ratio >= phi), True
-    ratio, _ = _sweep_sparsest_cut(g, piece, dem)
-    return (ratio is None or ratio >= phi), False

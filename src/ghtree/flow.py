@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from .graph import Graph, GraphError
 from .weights import Weight, from_scaled
 
-DEFAULT_ORACLE_LIMIT = 64
-
 
 class _Counter:
     __slots__ = ("value",)
@@ -263,22 +261,3 @@ def latest_min_cut(g: Graph, s: int, t: int, *, wrt: int | None = None) -> CutSi
     val = sol.solve(s, t)
     side = sol.sink_side(t)
     return CutSide(side=side, value=from_scaled(val, g.unit), s=s, t=t)
-
-
-def all_pairs_oracle(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[tuple[int, int], Weight]:
-    """Brute-force all-pairs min-cut values by direct max-flow calls."""
-    if g.n > limit:
-        raise GraphError(f"oracle limit exceeded: {g.n} > {limit}")
-    out: dict[tuple[int, int], Weight] = {}
-    comp_id = [-1] * g.n
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_id[v] = ci
-    sol = MaxFlowSolver(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if comp_id[u] != comp_id[v]:
-                out[(u, v)] = Weight(0, 0)
-            else:
-                out[(u, v)] = from_scaled(sol.solve(u, v), g.unit)
-    return out

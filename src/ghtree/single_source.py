@@ -6,9 +6,12 @@ Every exact cut the engines record comes from one method,
 pivot, whose residual reach from the terminal is the inclusion-minimal
 terminal side, i.e. the latest minimum cut with respect to the pivot.
 Latest cuts are unique, so this is the witness any exact method must
-return.  The default profile (elimination loop off) settles every terminal
-with one uncapped such solve; all of them share a single solver over the
-work graph.
+return.  Every proven fact about a terminal comes from one other method,
+``SingleSourceEngine.settle``: a latest cut below the solver graph's
+exactness cap is the terminal's done witness, and one at or above it proves
+the floor.  The default profile (elimination loop off) settles every
+terminal with one uncapped such solve; all of them share a single solver
+over the work graph.
 
 With the loop on, the engine first walks doubling stages.  Stage w works on
 a sparsifier preserving all cuts below 2w, isolates the high-degree
@@ -18,12 +21,12 @@ solves the surviving candidates directly, capped at 2w.  ``stage_w`` builds
 the stage graph and one solver over it, and every step below it takes that
 solver, not the graph.  Every isolating batch goes through
 ``offer_isolating_cuts``; a lone terminal's isolating cut is its latest cut
-in the stage graph, so it is one ``latest_cut`` solve on the stage solver.
-Estimates only decrease, every estimate is the exact weight of its witness
-cut, and a terminal is marked done only when a direct solve (or an exact
-stage bound) proves its estimate minimal; anything left unproven is settled
-by the same latest-cut solves at the end, so the result is correct at every
-scale regardless of decomposition quality.
+in the stage graph, so it is one ``latest_cut`` solve on the stage solver,
+and ``settle`` records it.  Estimates only decrease, every estimate is the
+exact weight of its witness cut, and a terminal is marked done only by
+``settle``, when a solve (or the stage-end claim) makes its estimate
+minimal; anything left unproven is settled uncapped at the end, so the
+result is correct at every scale regardless of decomposition quality.
 
 ``SingleSourceEngine`` is the randomized engine: cuts are measured in a
 perturbed graph (unique minimum cuts) and the elimination loop samples
@@ -201,33 +204,61 @@ class SingleSourceEngine:
     def good(self, side: frozenset[int]) -> bool:
         return 2 * self.vprime_count(side) <= len(self.vprime)
 
-    def offer(self, v: int, value: Weight, side: frozenset[int], *,
-              done: bool = False, cap: Optional[Weight] = None,
-              allow_equal: bool = False) -> bool:
-        """Record a cut for terminal v if it improves the estimate.
-
-        ``cap``: ignore cuts at or above this value (the stage's exactness
-        boundary).  ``allow_equal`` swaps in an equal-value witness (used by
-        direct solves so final witnesses are latest cuts).
-        """
+    def offer(self, v: int, value: Weight, side: frozenset[int],
+              cap: Optional[Weight] = None) -> bool:
+        """Lower terminal v's estimate to a cut of that value and v-side, if
+        the cut is lower and (given ``cap``, the stage's exactness boundary)
+        below the cap; True when the estimate dropped."""
         e = self.table.entries[v]
-        if cap is not None and not value < cap:
+        if not value < e.value or (cap is not None and not value < cap):
             return False
-        if done and e.value < value:
-            # a done offer is an exact solve; it can never exceed an estimate
-            raise EngineError("estimate below a proven minimum")
-        better = value < e.value or (allow_equal and value == e.value)
-        if not better:
-            return False
+        self._set_witness(e, v, value, side)
+        return True
+
+    def _set_witness(self, e: TerminalEstimate, v: int, value: Weight,
+                     side: frozenset[int]) -> None:
         if self.idx(v) not in side or self.pivot_idx in side:
             raise EngineError("witness does not separate the terminal from the pivot")
-        if value < e.value:
-            e.value = value
+        e.value = value
         e.witness = side
-        if done:
-            e.done = True
-            e.floor = e.value
-        return True
+
+    def unsettled(self, v: int, cap: Optional[Weight] = None) -> bool:
+        """True when terminal v is not done and, given ``cap``, its floor is
+        still below the cap, so a solve below the cap can teach something."""
+        e = self.table.entries.get(v)
+        return e is not None and not e.done and (cap is None or e.floor < cap)
+
+    def settle(self, v: int, solver: Optional[MaxFlowSolver] = None,
+               cap: Optional[Weight] = None, cut: Optional[CutSide] = None) -> bool:
+        """Turn terminal v's latest cut into a proven estimate; True when the
+        cut moved the pivot instead (v is then the pivot).
+
+        Skips v unless it is ``unsettled`` below ``cap``.  Otherwise solves
+        the latest cut on ``solver`` (default: the work graph's), capped at
+        ``cap``, or takes ``cut``, which is the latest cut of the solver's
+        last solve or a balanced witness.  ``cap`` is where the solver's
+        graph stops being exact: a cut that reaches it only proves the floor
+        ``cap`` (an unbalanced one goes to ``isolating_moves_pivot``).  A cut
+        below it is the minimum cut; ``moves_pivot`` may drop it, and
+        otherwise it becomes v's done witness."""
+        if not self.unsettled(v, cap):
+            return False
+        if solver is None:
+            solver = self.work_solver
+        if cut is None:
+            cut = self.latest_cut(v, solver, cap)
+        e = self.table.entries[v]
+        if cut is None or (cap is not None and not cut.value < cap):
+            e.floor = cap
+            return cut is not None and self.isolating_moves_pivot(v, cut)
+        if self.moves_pivot(v, cut, solver):
+            return True
+        if e.value < cut.value:
+            raise EngineError("estimate below a proven minimum")
+        self._set_witness(e, v, cut.value, cut.side)
+        e.floor = cut.value
+        e.done = True
+        return False
 
     @cached_property
     def work_solver(self) -> MaxFlowSolver:
@@ -253,11 +284,6 @@ class SingleSourceEngine:
             return None
         return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, unit),
                        s=self.pivot_idx, t=t_idx)
-
-    def raise_floor(self, v: int, floor: Weight) -> None:
-        e = self.table.entries[v]
-        if e.floor < floor:
-            e.floor = floor
 
     # -- stage machinery -------------------------------------------------------
 
@@ -290,11 +316,11 @@ class SingleSourceEngine:
         return self.table
 
     def final_sweep(self) -> None:
-        """One uncapped latest-cut solve for every terminal not proven done.
+        """Settle every terminal not proven done with an uncapped solve.
 
         When an unbalanced latest cut moves the pivot, the sweep restarts
         over whatever the change left undone."""
-        solves = 0
+        flows = FLOW_CALLS.value
         guard = 0
         while True:
             undone = [v for v in self.table.terminals() if not self.table.entries[v].done]
@@ -304,12 +330,9 @@ class SingleSourceEngine:
             if guard > 4 * len(self.vprime) + 4:
                 raise EngineError("pivot changes do not settle")
             for v in undone:
-                cut = self.latest_cut(v)
-                solves += 1
-                if self.moves_pivot(v, cut, self.work_solver):
+                if self.settle(v):
                     break
-                self.offer(v, cut.value, cut.side, done=True, allow_equal=True)
-        self.report["final_sweep_solves"] = solves
+        self.report["final_sweep_solves"] = FLOW_CALLS.value - flows
 
     # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
 
@@ -336,7 +359,8 @@ class SingleSourceEngine:
         return False
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """As ``moves_pivot``, for an isolating cut (not proven minimum)."""
+        """As ``moves_pivot``, for a cut not proven minimum: a batch's
+        isolating cut, or a lone one at or above the stage bound."""
         return False
 
 
@@ -399,37 +423,22 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         if round_no > 4 * max(4, math.ceil(math.log2(max(2, state.aux.n)))):
             srep["fallback"] = True
             break
-    cand = sorted(live)
-    # stage-end claim: estimates now below 2w are final for certified
-    # parts; mark them so the sweep trusts them
+    # stage-end claim: an estimate below 2w of a candidate the rounds
+    # dropped is taken as final for certified parts, its witness as is
+    # (balanced, since every witness passed the pivot rule when offered)
     lim = Weight(2 * w, 0)
     for v in state.table.terminals():
         e = state.table.entries[v]
-        if not e.done and e.value < lim and v not in live:
-            e.done = True
+        if e.value < lim and v not in live:
+            state.settle(v, solver, lim,
+                         CutSide(side=e.witness, value=e.value, s=state.pivot_idx, t=state.idx(v)))
 
     srep["c_trajectory"] = trajectory
-    srep["direct_solves"] = _direct_solves(state, w, solver, cand)
+    flows = FLOW_CALLS.value
+    for v in sorted(live):
+        state.settle(v, solver, lim)
+    srep["direct_solves"] = FLOW_CALLS.value - flows
     state.report["stages"].append(srep)
-
-
-def _direct_solves(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
-                   cand: list[int]) -> int:
-    lim = Weight(2 * w, 0)
-    solves = 0
-    for v in cand:
-        e = state.table.entries.get(v)
-        if e is None or e.done or not e.floor < lim:
-            continue
-        cut = state.latest_cut(v, solver, lim)
-        solves += 1
-        if cut is None:
-            state.raise_floor(v, lim)
-            continue
-        if state.moves_pivot(v, cut, solver):
-            continue
-        state.offer(v, cut.value, cut.side, done=True, allow_equal=True)
-    return solves
 
 
 def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
@@ -440,15 +449,23 @@ def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolve
     becomes the pivot leaves the ``live`` candidates.
 
     A lone terminal's isolating cut is its latest minimum cut from the
-    pivot, so it is one uncapped ``latest_cut`` solve on the stage solver."""
+    pivot, so it is one uncapped ``latest_cut`` solve on the stage solver,
+    and ``settle`` records what it proves: below 2w the stage graph keeps
+    it exact, at or above 2w it proves the floor 2w."""
     if not batch:
         return 0
-    if len(batch) == 1:
-        cuts = {state.idx(batch[0]): state.latest_cut(batch[0], solver)}
-    else:
-        cuts = isolating_cuts(solver.g, state.pivot_idx,
-                              {state.idx(v) for v in batch}).cuts
     cap = Weight(2 * w, 0)
+    if len(batch) == 1:
+        v = batch[0]
+        if not state.unsettled(v, cap):
+            return 0
+        before = state.table.estimate(v)
+        if state.settle(v, solver, cap, state.latest_cut(v, solver)):
+            if live is not None:
+                live.discard(v)
+            return 0
+        return int(state.table.estimate(v) < before)
+    cuts = isolating_cuts(solver.g, state.pivot_idx, {state.idx(v) for v in batch}).cuts
     updates = 0
     for v in batch:
         cut = cuts.get(state.idx(v))
@@ -458,8 +475,7 @@ def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolve
             if live is not None:
                 live.discard(v)
             continue
-        if state.offer(v, cut.value, cut.side, cap=cap):
-            updates += 1
+        updates += state.offer(v, cut.value, cut.side, cap)
     return updates
 
 
@@ -502,8 +518,8 @@ def priority_solve_step(
 ) -> dict:
     """Highest-estimate-first direct solves over one expander part.
 
-    Pops the candidate with the largest estimate, solves its cut on the
-    stage graph's solver, updates every terminal inside the returned side,
+    Pops the candidate with the largest estimate, settles it on the stage
+    graph's solver, updates every terminal inside its witness side,
     and earns one extra repetition whenever the solve strictly improved the
     popped node's estimate.  Exact (below-2w) improvements are recorded for
     the distinct/non-easy accounting."""
@@ -514,7 +530,7 @@ def priority_solve_step(
         if state.idx(v) in part_nodes:
             e = state.table.entries[v]
             heapq.heappush(heap, ((-e.value.base, -e.value.eps, v), v))
-    solves = 0
+    flows = FLOW_CALLS.value
     increments = 0
     while budget > 0 and heap:
         key, v = heapq.heappop(heap)
@@ -524,40 +540,25 @@ def priority_solve_step(
         if (-key[0], -key[1]) != (e.value.base, e.value.eps):
             continue  # stale heap entry
         budget -= 1
-        cut = state.latest_cut(v, solver, cap)
-        solves += 1
-        if cut is None:
-            state.raise_floor(v, cap)
-            live.discard(v)
+        before = e.value
+        moved = state.settle(v, solver, cap)
+        live.discard(v)
+        if moved or not e.done:
             continue
-        if state.moves_pivot(v, cut, solver):
-            live.discard(v)
-            live.intersection_update(state.table.entries)
-            continue
-        side, value = cut.side, cut.value
-        improved = value < e.value
-        if improved:
+        side, value = e.witness, e.value
+        if value < before:
             budget += 1
             increments += 1
             state.improving_cuts.append(ImprovingCut(w=w, side=side, value=value))
         orig = state.aux.orig_id
         for x in side:
             u = orig[x]
-            if u is None or u == state.pivot_orig or u not in state.table.entries:
+            if u is None or u == v or u == state.pivot_orig or u not in state.table.entries:
                 continue
-            if u == v:
-                state.offer(u, value, side, done=True, allow_equal=True)
-            else:
-                ue = state.table.entries[u]
-                if value < ue.value:
-                    state.offer(u, value, side)
-                    # refresh heap ordering for still-live part candidates
-                    if u in live and state.idx(u) in part_nodes:
-                        heapq.heappush(
-                            heap, ((-value.base, -value.eps, u), u)
-                        )
-        live.discard(v)
-    return {"solves": solves, "increments": increments}
+            # refresh heap ordering for still-live part candidates
+            if state.offer(u, value, side) and u in live and state.idx(u) in part_nodes:
+                heapq.heappush(heap, ((-value.base, -value.eps, u), u))
+    return {"solves": FLOW_CALLS.value - flows, "increments": increments}
 
 
 def _elimination_round(

@@ -3,7 +3,9 @@
 These deliberately avoid the package's flow solver so that solver, builders,
 and oracles fail independently.  Usable up to ~12 nodes.
 
-Also the reference code and helpers only tests use: a loop-free induced
+Also the reference code and helpers only tests use: all-pairs values by
+direct max-flows (``all_pairs_oracle``, which does use the solver), an
+expansion check of one part (``verify_expansion``), a loop-free induced
 subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
 start pivot, ``assemble``,
 which stitches per-super-node trees into one full tree, and the plain
@@ -20,9 +22,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from ghtree.dynamic import DynamicPivotEngine
-from ghtree.graph import Graph
+from ghtree.expander import _exact_sparsest_cut, _sweep_sparsest_cut
+from ghtree.flow import MaxFlowSolver
+from ghtree.graph import Graph, GraphError
 from ghtree.partition import GomoryHuTree, PartitionTree, TreeError
-from ghtree.weights import Weight
+from ghtree.weights import Weight, from_scaled
+
+DEFAULT_ORACLE_LIMIT = 64
+CERTIFY_LIMIT = 20
 
 
 def cut_units(g: Graph, side) -> int:
@@ -156,6 +163,57 @@ def enum_latest_all(g: Graph, p: int) -> dict[int, tuple[frozenset[int], int]]:
         assert len(minimal) == 1
         out[v] = (minimal[0], best[v])
     return out
+
+
+def all_pairs_oracle(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[tuple[int, int], Weight]:
+    """All-pairs min-cut values by direct max-flow calls."""
+    if g.n > limit:
+        raise GraphError(f"oracle limit exceeded: {g.n} > {limit}")
+    out: dict[tuple[int, int], Weight] = {}
+    comp_id = [-1] * g.n
+    for ci, comp in enumerate(g.components()):
+        for v in comp:
+            comp_id[v] = ci
+    sol = MaxFlowSolver(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if comp_id[u] != comp_id[v]:
+                out[(u, v)] = Weight(0, 0)
+            else:
+                out[(u, v)] = from_scaled(sol.solve(u, v), g.unit)
+    return out
+
+
+def verify_expansion_detail(
+    part_graph: Graph,
+    demand: dict[int, int] | dict[int, Fraction],
+    phi: Fraction | float,
+    *,
+    certify_limit: int = CERTIFY_LIMIT,
+) -> tuple[bool, bool]:
+    """(passes, certified): whether every bipartition of the part has
+    demand conductance >= phi.
+
+    Exact enumeration up to the certification limit; above it a sweep screen
+    runs instead and the result is not a certificate.  Singletons pass by
+    convention.
+    """
+    g = part_graph
+    if g.n <= 1:
+        return True, True
+    phi = Fraction(phi)
+    dem = {v: Fraction(demand.get(v, 0)) for v in range(g.n)}
+    piece = list(range(g.n))
+    certified = g.n <= certify_limit
+    find = _exact_sparsest_cut if certified else _sweep_sparsest_cut
+    ratio, _ = find(g, piece, dem)
+    return (ratio is None or ratio >= phi), certified
+
+
+def verify_expansion(part_graph: Graph, demand, phi, *,
+                     certify_limit: int = CERTIFY_LIMIT) -> bool:
+    """The pass flag of ``verify_expansion_detail``."""
+    return verify_expansion_detail(part_graph, demand, phi, certify_limit=certify_limit)[0]
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:

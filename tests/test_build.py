@@ -11,11 +11,12 @@ from ghtree.build import (
     build_randomized,
     is_good_pivot,
 )
-from ghtree.flow import all_pairs_oracle
 from ghtree.graph import Graph, GraphError
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig
 from ghtree.weights import Weight
+
+from oracles import all_pairs_oracle, planted_partition
 
 
 def assert_oracle_equal(g, tree):
@@ -193,3 +194,30 @@ def test_loop_enabled_builders(monkeypatch):
         g = families.er_connected(n, 0.5, seed=rng.randrange(2 ** 32))
         assert_oracle_equal(g, build_deterministic(g, config=cfg))
         assert_oracle_equal(g, build_randomized(g, seed=1, config=cfg))
+
+
+@pytest.mark.parametrize("graph", ["planted_4x16", "clique_chain_8x3", "er_200"])
+def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph):
+    """Loop-on builds ask each solver for a (pivot, terminal) latest cut at
+    most once: what a solve proves is recorded by ``settle``, so no later
+    step solves the same pair on the same solver again."""
+    g = {"planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
+         "clique_chain_8x3": lambda: families.clique_chain([8, 8, 8]),
+         "er_200": lambda: families.er_connected(200, 0.045, seed=42)}[graph]()
+    asked: list[tuple] = []
+    solvers = []     # keeps every solver alive, so no id is reused
+    latest_cut = single_source.SingleSourceEngine.latest_cut
+
+    def recording(engine, v, solver=None, cutoff=None):
+        s = solver if solver is not None else engine.work_solver
+        solvers.append(s)
+        asked.append((id(s), engine.pivot_orig, v))
+        return latest_cut(engine, v, solver, cutoff)
+
+    monkeypatch.setattr(single_source.SingleSourceEngine, "latest_cut", recording)
+    cfg = EngineConfig(loop_enabled=True, seed=42)
+    for build in (lambda: build_deterministic(g, config=cfg),
+                  lambda: build_randomized(g, seed=42, config=cfg)):
+        asked.clear()
+        build()
+        assert asked and len(asked) == len(set(asked))

@@ -5,13 +5,13 @@ import pytest
 
 from ghtree import families
 from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection, k_partial_tree
-from ghtree.flow import FLOW_CALLS, all_pairs_oracle
+from ghtree.flow import FLOW_CALLS
 from ghtree.graph import Graph, auxiliary_graph, subdivide
 from ghtree.partition import to_node_tree
 from ghtree.sparsify import perturb, perturbed_sparsifier
 from ghtree.weights import Weight
 
-from oracles import assemble
+from oracles import all_pairs_oracle, assemble
 
 
 def assert_tree_matches_oracle(g, tree):

@@ -9,11 +9,14 @@ from ghtree.expander import (
     ExpanderPart,
     _exact_sparsest_cut,
     decompose_with_demands,
+)
+
+from oracles import (
+    fraction_sparsest_cut,
+    induced_subgraph,
     verify_expansion,
     verify_expansion_detail,
 )
-
-from oracles import fraction_sparsest_cut, induced_subgraph
 
 
 def uniform(n):

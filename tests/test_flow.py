@@ -8,7 +8,6 @@ from ghtree.classic import classic_gomory_hu
 from ghtree.flow import (
     FLOW_CALLS,
     MaxFlowSolver,
-    all_pairs_oracle,
     latest_min_cut,
     max_flow_min_cut,
 )
@@ -17,7 +16,7 @@ from ghtree.partition import to_node_tree
 from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
-from oracles import enum_latest_side, enum_min_cut
+from oracles import all_pairs_oracle, enum_latest_side, enum_min_cut
 
 
 def test_bridge_path():

@@ -4,7 +4,6 @@ import pytest
 
 from ghtree import families
 from ghtree.classic import classic_gomory_hu
-from ghtree.flow import all_pairs_oracle
 from ghtree.graph import auxiliary_graph
 from ghtree.partition import (
     GomoryHuTree,
@@ -16,7 +15,7 @@ from ghtree.partition import (
 )
 from ghtree.weights import Weight
 
-from oracles import assemble
+from oracles import all_pairs_oracle, assemble
 
 
 def test_gh_refine_p3():

@@ -11,6 +11,7 @@ from ghtree.single_source import (
     SingleSourceEngine,
     easy_cuts_step,
     isolating_sample_step,
+    offer_isolating_cuts,
     priority_solve_step,
     single_source_mincuts,
     stage_w,
@@ -154,14 +155,17 @@ def test_estimates_monotone_and_sound():
         p = rng.randrange(n)
         engine = make_engine(g, p, seed=rng.randrange(2 ** 32))
         history = {v: [engine.table.estimate(v)] for v in engine.table.terminals()}
-        orig_offer = engine.offer
 
-        def spy(v, value, side, **kw):
-            out = orig_offer(v, value, side, **kw)
-            history[v].append(engine.table.estimate(v))
-            return out
+        def spying(method):
+            def spy(v, *args, **kw):
+                out = method(v, *args, **kw)
+                history[v].append(engine.table.estimate(v))
+                return out
+            return spy
 
-        engine.offer = spy
+        # offer lowers estimates and settle records proven ones
+        engine.offer = spying(engine.offer)
+        engine.settle = spying(engine.settle)
         engine.run()
         sol = MaxFlowSolver(engine.work)
         for v, hist in history.items():
@@ -207,6 +211,27 @@ def test_easy_cut_dumbbell_bridge_side():
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
     assert engine.table.estimate(0).base == 1
     assert engine.aux.expand(engine.table.witness(0)) == frozenset({0, 2})
+
+
+def test_lone_isolating_cut_below_the_stage_bound_settles():
+    """Stage w keeps every cut below 2w exact, so a lone terminal's
+    isolating cut below 2w is its latest minimum cut: the terminal is done,
+    with that cut as witness.  One at or above 2w proves the floor 2w."""
+    g = families.dumbbell(6, bridges=2)
+    engine = make_engine(g, 11, seed=21)
+    w = 2
+    cap = Weight(2 * w, 0)
+    solver = MaxFlowSolver(engine.stage_graph(w))
+    assert offer_isolating_cuts(engine, w, solver, [0]) == 1
+    latest = latest_min_cut(engine.work, engine.pivot_idx, engine.idx(0), wrt=engine.pivot_idx)
+    assert latest.value < cap
+    assert engine.table.done(0)
+    assert engine.table.witness(0) == latest.side
+    assert engine.table.estimate(0) == latest.value
+    # node 6 sits in the pivot's clique: lambda = 5 >= 2w
+    assert offer_isolating_cuts(engine, w, solver, [6]) == 0
+    assert not engine.table.done(6)
+    assert engine.table.entries[6].floor >= cap
 
 
 def test_easy_step_never_marks_done():

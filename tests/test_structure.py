@@ -4,8 +4,8 @@ Intra-package imports stay at module level, so the module dependency graph
 is what the import statements say; a function-local import is how an
 import cycle hides.  The deterministic engine extends the randomized one,
 so dynamic.py may import single_source.py but not the other way round.
-The engines make their max-flows through one method, and the stage solver
-travels as an argument.  The library keeps only what a builder, the CLI or
+The engines make their max-flows through one method, prove estimates
+through one other, and the stage solver travels as an argument.  The library keeps only what a builder, the CLI or
 the benchmark runs: the engine settings have no test hooks, graphs carry no
 self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
@@ -15,13 +15,14 @@ file.
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import ghtree
 from ghtree.graph import Graph
-from ghtree.single_source import EngineConfig
+from ghtree.single_source import EngineConfig, SingleSourceEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ghtree"
@@ -75,6 +76,39 @@ def test_engines_have_one_solve_path():
     assert solve_calls(parse(SRC / "dynamic.py")) == []
 
 
+def done_assignments(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every ``<expr>.done = True``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Assign) and isinstance(child.value, ast.Constant)
+                    and child.value.value is True
+                    and any(isinstance(t, ast.Attribute) and t.attr == "done"
+                            for t in child.targets)):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_engines_have_one_settle_path():
+    """Every proven estimate comes from ``SingleSourceEngine.settle``:
+    ``offer`` only lowers an estimate, with no ``done`` or ``allow_equal``
+    flag, and only ``settle`` marks a terminal done."""
+    assert "done" not in inspect.signature(SingleSourceEngine.offer).parameters
+    for path in MODULES:
+        assert "allow_equal" not in path.read_text(), path.name
+        outside = [(func, line) for func, line in done_assignments(parse(path))
+                   if func != "settle"]
+        assert not outside, f"{path.name} marks terminals done outside settle: {outside}"
+    assert [func for func, _ in done_assignments(parse(SRC / "single_source.py"))] == ["settle"]
+
+
 def test_stage_solver_is_explicit():
     """The stage solver is passed as an argument, never parked on the
     engine: no source or test file names a ``_gw_solver`` attribute."""
@@ -96,8 +130,13 @@ def test_graph_has_no_loops():
 
 
 def test_test_only_helpers_not_exported():
-    for name in ("assemble", "induced_with_self_loops", "tree_query"):
+    for name in ("assemble", "induced_with_self_loops", "tree_query",
+                 "verify_expansion", "verify_expansion_detail", "all_pairs_oracle"):
         assert not hasattr(ghtree, name), name
+    for module, name in (("expander", "verify_expansion"), ("expander", "verify_expansion_detail"),
+                         ("expander", "CERTIFY_LIMIT"), ("flow", "all_pairs_oracle"),
+                         ("flow", "DEFAULT_ORACLE_LIMIT")):
+        assert not hasattr(getattr(ghtree, module), name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
