@@ -11,6 +11,15 @@ from a partial tree so every later cut is large, perturbs each auxiliary
 graph for unique cuts, and retries unlucky random pivots; the deterministic
 builder starts from the one-super-node tree, uses no randomness, and always
 receives balanced cuts thanks to the dynamic pivot.
+
+Neither builder solves a terminal that lies inside another terminal's
+balanced latest cut found earlier in the same run: such a terminal is
+*covered* (see single_source.py).  Its own latest cut is a subset of the
+coverer's, so it is balanced and never one of the maximal cuts the split
+uses.  The split is therefore built from the done terminals' cuts alone,
+and ``is_good_pivot`` counts a covered terminal by its coverer's side; both
+give what solving every terminal would.  The report's ``covered`` counts
+the solves skipped this way.
 """
 
 from __future__ import annotations
@@ -20,11 +29,11 @@ import random
 from typing import Callable, Optional
 
 from .classic import k_partial_tree
-from .dynamic import single_source_dynamic_pivot
+from .dynamic import _dynamic_pivot_engine
 from .flow import FLOW_CALLS
 from .graph import Graph, GraphError, auxiliary_graph
 from .partition import PartitionTree, TreeError
-from .single_source import GAMMA, EngineConfig, single_source_mincuts
+from .single_source import GAMMA, EngineConfig, SingleSourceEngine
 from .sparsify import perturb
 from .weights import Weight
 
@@ -175,20 +184,29 @@ def build_randomized(
 
     return _refine(g, rep, {"algo": "randomized", "seed": seed, "n": n,
                             "bad_pivot_retries": 0, "reperturbs": 0,
-                            "supers": 0}, start, pieces)
+                            "supers": 0, "covered": 0}, start, pieces)
+
+
+def _done_sides(engine: SingleSourceEngine, aux: Graph) -> dict[int, frozenset[int]]:
+    """Each done terminal's witness as a set of original vertices, in
+    terminal order."""
+    table = engine.table
+    return {v: aux.expand(table.witness(v)) for v in table.terminals() if table.done(v)}
 
 
 def _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep):
     for _ in range(max_bad):
         p = rng.choice(sorted(vi))
-        table = single_source_mincuts(g, aux, pert, p, cfg)
-        expanded = {v: aux.expand(table.witness(v)) for v in table.terminals()}
-        if is_good_pivot(expanded, vi):
+        engine = SingleSourceEngine(g, aux, pert, p, cfg)
+        engine.run()
+        rep["covered"] += engine.report["covered"]
+        expanded = _done_sides(engine, aux)
+        by_coverer = {u: expanded[v] for u, v in engine.covered.items()}
+        if is_good_pivot(expanded | by_coverer, vi):
             sides: dict[frozenset[int], Weight] = {}
-            for v in table.terminals():
-                s = expanded[v]
+            for v, s in expanded.items():
                 if 2 * len(s & vi) <= len(vi):
-                    sides.setdefault(s, Weight(table.estimate(v).base, 0))
+                    sides.setdefault(s, Weight(engine.table.estimate(v).base, 0))
             return _assign_largest(sides, vi, p)
         rep["bad_pivot_retries"] += 1
     raise RandomizedAbort(
@@ -210,17 +228,19 @@ def build_deterministic(
     rep = report if report is not None else {}
 
     def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
-        pivot, table, engine = single_source_dynamic_pivot(g, aux, cfg)
+        engine = _dynamic_pivot_engine(g, aux, cfg)
         rep["pivot_changes"] += engine.pivot_changes
+        rep["covered"] += engine.report["covered"]
         sides: dict[frozenset[int], Weight] = {}
-        for v in table.terminals():
-            sides.setdefault(aux.expand(table.witness(v)), table.estimate(v))
+        for v, s in _done_sides(engine, aux).items():
+            sides.setdefault(s, engine.table.estimate(v))
+        pivot = engine.pivot_orig
         found = _assign_largest(sides, vi, pivot)
-        covered = frozenset().union(*(p[0] for p in found))
-        if covered != vi - {pivot}:
+        claimed = frozenset().union(*(p[0] for p in found))
+        if claimed != vi - {pivot}:
             raise TreeError("dynamic cuts failed to cover the super-node")
         return found
 
     return _refine(g, rep, {"algo": "deterministic", "n": g.n, "supers": 0,
-                            "pivot_changes": 0},
+                            "pivot_changes": 0, "covered": 0},
                    lambda: PartitionTree.single(g.n), pieces)

@@ -53,7 +53,11 @@ def gusfield(g: Graph) -> PartitionTree:
 
 
 def _gusfield_frame(n: int, solve) -> PartitionTree:
-    """Gusfield's scheme over an abstract (value, s-side) min-cut oracle."""
+    """Gusfield's scheme over an abstract (value, s-side) min-cut oracle.
+
+    After each flow only the nodes of its s-side can move under v, and
+    each one's move reads only its own ``pred`` entry, so the update scans
+    the s-side instead of all n nodes."""
     root = 0
     pred = [root] * n
     weight: list[Optional[Weight]] = [None] * n
@@ -61,8 +65,8 @@ def _gusfield_frame(n: int, solve) -> PartitionTree:
         pv = pred[v]
         value, s_side = solve(v, pv)
         weight[v] = value
-        for w in range(n):
-            if w != v and pred[w] == pv and w in s_side:
+        for w in s_side:
+            if w != v and pred[w] == pv:
                 pred[w] = v
         if pred[pv] != pv and pred[pv] in s_side:
             # v takes its grandparent's place

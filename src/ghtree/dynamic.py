@@ -9,8 +9,9 @@ expander part is offered to isolating cuts on its own (one latest-cut solve
 on the stage solver) in place of random sampling, and the pivot itself
 moves (``pivot_change``) when some terminal admits no balanced minimum cut.
 A pivot change reads the old pivot's side from the residual graph of the
-solve that triggered it, so it makes no max-flow of its own.  This module
-imports single_source, never the reverse.
+solve that triggered it, so it makes no max-flow of its own, and it drops
+every cover (``SingleSourceEngine.covered``), since covers hold for one
+pivot.  This module imports single_source, never the reverse.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
 
     entries = state.table.entries
     del entries[q]
+    state.covered.clear()
     state.pivot_orig = q
     state.table.pivot = q
     entries[p] = TerminalEstimate(value=lam, witness=p_side, done=True, floor=lam)
@@ -149,10 +151,22 @@ def single_source_dynamic_pivot(
     half of the original nodes.  No randomness is consumed; two runs on the
     same input produce identical tables.
     """
+    engine = _dynamic_pivot_engine(g, g_aux, config)
+    engine.settle_covered()
+    return engine.pivot_orig, engine.table, engine
+
+
+def _dynamic_pivot_engine(g: Graph, g_aux: Graph,
+                          config: Optional[EngineConfig]) -> DynamicPivotEngine:
+    """The deterministic builder's entry: a run from the highest-degree
+    original node whose covered terminals stay unsolved (see
+    ``SingleSourceEngine.covered``).  Every done witness is balanced, and
+    ``settle_covered`` keeps it so: it raises if a cut would move the
+    pivot."""
     pivot = max(g_aux.index_of, key=lambda v: (g.degree(v), -v))
     engine = DynamicPivotEngine(g, g_aux, pivot, config)
     engine.run()
-    for v, e in engine.table.entries.items():
-        if not engine.good(e.witness):
+    for e in engine.table.entries.values():
+        if e.done and not engine.good(e.witness):
             raise EngineError("dynamic engine returned an unbalanced cut")
-    return engine.pivot_orig, engine.table, engine
+    return engine

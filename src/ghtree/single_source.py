@@ -28,6 +28,19 @@ exact weight of its witness cut, and a terminal is marked done only by
 minimal; anything left unproven is settled uncapped at the end, so the
 result is correct at every scale regardless of decomposition quality.
 
+That final sweep solves the undone terminals in sorted order and skips the
+ones a solve of this sweep has already *covered*: when terminal v settles
+with a balanced latest cut S_v, every undone terminal u inside S_v is
+covered by v (``SingleSourceEngine.covered``), and u's own solve is
+skipped.  Covered is not done: u's estimate proves nothing.  The lemma that
+makes the skip safe is Gomory and Hu's uncrossing argument: L_u ∩ S_v is a
+minimum (pivot, u)-cut, so u's latest cut L_u is a subset of S_v, hence
+balanced and never a maximal cut of a split.  A builder therefore needs
+only the done terminals' cuts, and counts a covered terminal by its
+coverer's side.  ``run`` leaves covered terminals unsolved;
+``settle_covered`` solves them, one flow each, for the public
+``single_source_mincuts``, whose table is entirely done.
+
 ``SingleSourceEngine`` is the randomized engine: cuts are measured in a
 perturbed graph (unique minimum cuts) and the elimination loop samples
 candidates at random.  The deterministic engine, ``DynamicPivotEngine`` in
@@ -134,10 +147,6 @@ class EstimateTable:
     def done(self, v: int) -> bool:
         return self.entries[v].done
 
-    @property
-    def all_done(self) -> bool:
-        return all(e.done for e in self.entries.values())
-
 
 @dataclass
 class ImprovingCut:
@@ -177,6 +186,8 @@ class SingleSourceEngine:
                 witness=frozenset((vi,)),
             )
         self.pivot_changes = 0
+        # undone terminal -> the terminal whose balanced latest cut holds it
+        self.covered: dict[int, int] = {}
         self.improving_cuts: list[ImprovingCut] = []
         self.report: dict = {
             "aux_nodes": aux.n,
@@ -185,6 +196,7 @@ class SingleSourceEngine:
             "stages": [],
             "pivot_changes": 0,
             "flow_calls": 0,
+            "covered": 0,
         }
         self._flow_start = FLOW_CALLS.value
 
@@ -311,28 +323,60 @@ class SingleSourceEngine:
         self.report["pivot_changes"] = self.pivot_changes
         self.report["pivot_final"] = self.pivot_orig
         self.report["flow_calls"] = FLOW_CALLS.value - self._flow_start
-        if not self.table.all_done:
+        self.report["covered"] = len(self.covered)
+        if not all(e.done or v in self.covered for v, e in self.table.entries.items()):
             raise EngineError("single-source run left terminals unsettled")
         return self.table
 
     def final_sweep(self) -> None:
-        """Settle every terminal not proven done with an uncapped solve.
+        """Settle every terminal neither done nor covered with an uncapped
+        solve, in sorted order; a balanced witness it finds covers the undone
+        terminals inside it.
 
         When an unbalanced latest cut moves the pivot, the sweep restarts
-        over whatever the change left undone."""
+        over whatever the change left undone or uncovered."""
         flows = FLOW_CALLS.value
+        entries = self.table.entries
         guard = 0
         while True:
-            undone = [v for v in self.table.terminals() if not self.table.entries[v].done]
+            undone = [v for v in self.table.terminals()
+                      if not entries[v].done and v not in self.covered]
             if not undone:
                 break
             guard += 1
             if guard > 4 * len(self.vprime) + 4:
                 raise EngineError("pivot changes do not settle")
             for v in undone:
+                if v in self.covered:
+                    continue
                 if self.settle(v):
                     break
+                self.cover(v)
         self.report["final_sweep_solves"] = FLOW_CALLS.value - flows
+
+    def cover(self, v: int) -> None:
+        """Mark every undone terminal inside done terminal v's witness as
+        covered by v, if that witness is balanced."""
+        side = self.table.witness(v)
+        if not self.good(side):
+            return
+        entries = self.table.entries
+        orig = self.aux.orig_id
+        for x in side:
+            u = orig[x]
+            if u is not None and u != v and not entries[u].done:
+                self.covered.setdefault(u, v)
+
+    def settle_covered(self) -> None:
+        """Solve every covered terminal, one uncapped flow each, so the
+        whole table is done.  A covered terminal's latest cut lies inside
+        its coverer's balanced witness, so it never moves the pivot."""
+        for u in sorted(self.covered):
+            if self.settle(u):
+                raise EngineError("a covered terminal's latest cut moved the pivot")
+        self.covered.clear()
+        self.report["covered"] = 0
+        self.report["flow_calls"] = FLOW_CALLS.value - self._flow_start
 
     # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
 
@@ -381,6 +425,7 @@ def single_source_mincuts(
     """
     engine = SingleSourceEngine(g, g_aux, g_pert, p, config)
     engine.run()
+    engine.settle_covered()
     return engine.table
 
 

@@ -8,9 +8,10 @@ direct max-flows (``all_pairs_oracle``, which does use the solver), an
 expansion check of one part (``verify_expansion``), a loop-free induced
 subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
 start pivot, ``assemble``,
-which stitches per-super-node trees into one full tree, and the plain
+which stitches per-super-node trees into one full tree, the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
-Gray-code walk must match.
+Gray-code walk must match, and Gusfield's scheme with the all-node
+``pred`` scan that ``classic._gusfield_frame`` must match.
 """
 
 from __future__ import annotations
@@ -281,6 +282,7 @@ def dynamic_from(g: Graph, pivot: int, config=None):
     check: (final pivot, estimate table, engine)."""
     engine = DynamicPivotEngine(g, g, pivot, config)
     engine.run()
+    engine.settle_covered()
     for e in engine.table.entries.values():
         assert engine.good(e.witness), "dynamic engine returned an unbalanced cut"
     return engine.pivot_orig, engine.table, engine
@@ -361,3 +363,28 @@ def assemble(
         final_edges.append((min(u, v), max(u, v), w))
 
     return GomoryHuTree(n, final_edges)
+
+
+def gusfield_frame_full_scan(n: int, solve) -> PartitionTree:
+    """Gusfield's scheme as first written: after each flow, all n nodes are
+    checked for a move under the new node.  ``classic._gusfield_frame``
+    checks only the flow's s-side and must build the same tree."""
+    pred = [0] * n
+    weight: list[Optional[Weight]] = [None] * n
+    for v in range(1, n):
+        pv = pred[v]
+        value, s_side = solve(v, pv)
+        weight[v] = value
+        for w in range(n):
+            if w != v and pred[w] == pv and w in s_side:
+                pred[w] = v
+        if pred[pv] != pv and pred[pv] in s_side:
+            pred[v] = pred[pv]
+            pred[pv] = v
+            weight[v] = weight[pv]
+            weight[pv] = value
+    adj: dict[int, dict[int, Weight]] = {v: {} for v in range(n)}
+    for v in range(1, n):
+        adj[v][pred[v]] = weight[v]
+        adj[pred[v]][v] = weight[v]
+    return PartitionTree({v: frozenset((v,)) for v in range(n)}, adj)

@@ -175,6 +175,7 @@ def _loop_engine_runs(monkeypatch):
     for g, p, _ in instances:
         engine = SingleSourceEngine(g, g, perturb(g, seed=11), p, cfg)
         engine.run()
+        engine.settle_covered()
         runs.append((g, p, engine))
     return runs
 

@@ -11,9 +11,12 @@ from ghtree.build import (
     build_randomized,
     is_good_pivot,
 )
+from ghtree.dynamic import DynamicPivotEngine, _dynamic_pivot_engine
+from ghtree.flow import FLOW_CALLS, latest_min_cut
 from ghtree.graph import Graph, GraphError
 from ghtree.partition import to_node_tree
-from ghtree.single_source import EngineConfig
+from ghtree.single_source import EngineConfig, SingleSourceEngine
+from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import all_pairs_oracle, planted_partition
@@ -145,43 +148,96 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
 
 def test_deterministic_one_flow_per_terminal(monkeypatch):
     """With the loop off, every dynamic-pivot run makes exactly one max-flow
-    per terminal, pivot changes included (a change reads the old pivot's
-    side from the flow that triggered it), and the build makes no flow
-    outside those runs; so a build that resolves the whole graph as one
-    super-node (every minimum cut a degree cut) makes exactly n - 1."""
+    per terminal it does not skip as covered, pivot changes included (a
+    change reads the old pivot's side from the flow that triggered it), and
+    the build makes no flow outside those runs.  A build that resolves the
+    whole graph as one super-node (every minimum cut a degree cut) covers
+    nothing, so it makes exactly n - 1."""
     import ghtree.build as build_mod
-    from ghtree.flow import FLOW_CALLS
 
     runs = []
-    orig = build_mod.single_source_dynamic_pivot
+    orig = build_mod._dynamic_pivot_engine
 
     def recording(g, aux, cfg):
-        out = orig(g, aux, cfg)
-        engine = out[2]
-        runs.append((len(engine.table.terminals()), engine.pivot_changes,
-                     engine.report["flow_calls"]))
-        return out
+        engine = orig(g, aux, cfg)
+        runs.append((len(engine.table.terminals()), len(engine.covered),
+                     engine.pivot_changes, engine.report["flow_calls"]))
+        return engine
 
-    monkeypatch.setattr(build_mod, "single_source_dynamic_pivot", recording)
+    monkeypatch.setattr(build_mod, "_dynamic_pivot_engine", recording)
     rng = random.Random(61)
     graphs = [families.er_connected(rng.randint(10, 40), rng.choice([0.3, 0.5]),
                                     seed=rng.randrange(2 ** 32)) for _ in range(6)]
     graphs += [families.clique_chain([6] * 5), families.clique_chain([5, 8, 5]),
                families.clique_chain([4] * 30), families.dumbbell(8, bridges=3)]
-    one_shot = moved_runs = 0
+    one_shot = moved_runs = covering_runs = 0
     for g in graphs:
         runs.clear()
         rep = {}
         FLOW_CALLS.reset()
         build_deterministic(g, report=rep)
-        assert FLOW_CALLS.value == sum(f for _, _, f in runs)
-        for terminals, changes, flows in runs:
+        assert FLOW_CALLS.value == sum(f for *_, f in runs)
+        assert rep["covered"] == sum(c for _, c, _, _ in runs)
+        for terminals, covered, changes, flows in runs:
             moved_runs += changes > 0
-            assert flows == terminals, (g.n, terminals, changes, flows)
+            covering_runs += covered > 0
+            assert flows == terminals - covered, (g.n, terminals, covered, changes, flows)
         if rep["supers"] == 1:
             one_shot += 1
+            assert rep["covered"] == 0
             assert FLOW_CALLS.value == g.n - 1
-    assert one_shot >= 3 and moved_runs >= 10, (one_shot, moved_runs)
+    assert one_shot >= 3 and moved_runs >= 10 and covering_runs >= 4, (
+        one_shot, moved_runs, covering_runs)
+
+
+def _lemma_graphs():
+    rng = random.Random(62)
+    graphs = [families.er_connected(rng.randint(8, 30), rng.choice([0.2, 0.4]),
+                                    seed=rng.randrange(2 ** 32)) for _ in range(8)]
+    graphs += [families.clique_chain([5, 8, 5]), families.clique_chain([4] * 8),
+               families.clique_chain([6, 3, 6, 3]), families.dumbbell(6, bridges=2),
+               families.dumbbell(9, bridges=4), families.dumbbell(12, 3)]
+    return graphs
+
+
+@pytest.mark.parametrize("engine_kind", ["dynamic", "randomized"])
+def test_covered_terminal_cut_inside_coverer(engine_kind):
+    """The lemma behind the skip: for every covered terminal u with coverer
+    v, u's own latest cut (solved directly) lies inside v's witness and is
+    balanced.  Runs start at the deterministic builder's pivot and at
+    every third node, from many of which the dynamic pivot moves while
+    covers are held."""
+    checked = 0
+    for g in _lemma_graphs():
+        for start in (None, *range(0, g.n, 3)):
+            if engine_kind == "randomized":
+                engine = SingleSourceEngine(g, g, perturb(g, seed=g.n), start or 0)
+                engine.run()
+            elif start is None:
+                engine = _dynamic_pivot_engine(g, g, None)
+            else:
+                engine = DynamicPivotEngine(g, g, start)
+                engine.run()
+            p = engine.pivot_idx
+            for u, v in engine.covered.items():
+                assert engine.table.done(v) and not engine.table.done(u)
+                cut = latest_min_cut(engine.work, p, engine.idx(u), wrt=p)
+                assert cut.side <= engine.table.witness(v), (g.n, u, v)
+                assert engine.good(cut.side)
+                checked += 1
+    assert checked >= 40, checked
+
+
+def test_deterministic_flow_pins():
+    """Skipping covered terminals: clique_chain([10]*20) took 735 flows and
+    dumbbell(12, 3) 34 when every terminal was solved."""
+    for g, most in ((families.clique_chain([10] * 20), 437),
+                    (families.dumbbell(12, 3), 23)):
+        FLOW_CALLS.reset()
+        rep = {}
+        build_deterministic(g, report=rep)
+        assert FLOW_CALLS.value <= most, (g.n, FLOW_CALLS.value)
+        assert rep["covered"] > 0
 
 
 def test_loop_enabled_builders(monkeypatch):

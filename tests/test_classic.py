@@ -4,14 +4,20 @@ import random
 import pytest
 
 from ghtree import families
-from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection, k_partial_tree
-from ghtree.flow import FLOW_CALLS
+from ghtree.classic import (
+    _gusfield_frame,
+    classic_gomory_hu,
+    gusfield,
+    gusfield_projection,
+    k_partial_tree,
+)
+from ghtree.flow import FLOW_CALLS, MaxFlowSolver
 from ghtree.graph import Graph, auxiliary_graph, subdivide
 from ghtree.partition import to_node_tree
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from ghtree.weights import Weight
+from ghtree.weights import Weight, from_scaled
 
-from oracles import all_pairs_oracle, assemble
+from oracles import all_pairs_oracle, assemble, gusfield_frame_full_scan
 
 
 def assert_tree_matches_oracle(g, tree):
@@ -224,3 +230,24 @@ def test_gusfield_projection_round_trip():
         for u in range(n):
             for v in range(u + 1, n):
                 assert nt_p.query(u, v)[0].base == nt_d.query(u, v)[0].base
+
+
+def test_gusfield_frame_matches_full_scan():
+    """Scanning only each flow's s-side re-points ``pred`` exactly as the
+    all-node scan does, on tied (plain) and tie-free (perturbed) graphs."""
+    rng = random.Random(71)
+    graphs = [families.er_connected(rng.randint(5, 40), rng.choice([0.1, 0.3, 0.6]),
+                                    seed=rng.randrange(2 ** 32)) for _ in range(10)]
+    graphs += [families.clique_chain([5, 8, 5]), families.dumbbell(6, bridges=2),
+               families.cycle(9), families.star(7),
+               families.random_multigraph(15, 0.4, 3, seed=72)]
+    graphs += [perturb(g, seed=73) for g in graphs[:4]]
+    for g in graphs:
+        sol = MaxFlowSolver(g)
+
+        def solve(s, t):
+            return from_scaled(sol.solve(s, t), g.unit), sol.source_side(s)
+
+        fast, full = _gusfield_frame(g.n, solve), gusfield_frame_full_scan(g.n, solve)
+        assert fast.super_nodes == full.super_nodes
+        assert fast.adj == full.adj

@@ -51,6 +51,21 @@ def test_build_all_algos(tmp_path, runner):
         assert res.exit_code == 0, (algo, res.output)
 
 
+def test_build_report_counts_covered_terminals(tmp_path, runner):
+    """dumbbell(12, 3): the paper builders report the solves they skip as
+    covered, and the flow count drops by exactly that many (34 for the
+    deterministic builder when every terminal is solved)."""
+    gp = write_graph(tmp_path / "g.gr", families.dumbbell(12, 3))
+    for algo in ("randomized", "deterministic"):
+        rep = tmp_path / f"{algo}.json"
+        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "5",
+                                   "--out", str(tmp_path / "t.tree"), "--report", str(rep)])
+        assert res.exit_code == 0, (algo, res.output)
+        report = json.loads(rep.read_text())
+        assert report["covered"] >= 0
+    assert report["covered"] == 11 and report["maxflow_calls"] == 34 - 11
+
+
 def test_deterministic_cli_is_bit_identical(tmp_path, runner):
     gp = write_graph(tmp_path / "g.gr", families.er_connected(12, 0.4, seed=9))
     outs = []

@@ -5,11 +5,13 @@ import pytest
 from ghtree import families
 from ghtree.dynamic import (
     DynamicPivotEngine,
+    _dynamic_pivot_engine,
     pivot_change,
     single_source_dynamic_pivot,
 )
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
-from ghtree.single_source import EngineError
+from ghtree.single_source import EngineError, SingleSourceEngine, single_source_mincuts
+from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import dynamic_from, mask_latest_all
@@ -67,6 +69,41 @@ def test_two_runs_identical():
            {v: (t2.estimate(v), t2.witness(v)) for v in t2.terminals()}
 
 
+def _covering_graphs():
+    return [families.clique_chain([5, 8, 5]), families.clique_chain([4] * 6),
+            families.dumbbell(6, bridges=2), families.dumbbell(12, 3),
+            families.er_connected(20, 0.2, seed=44)]
+
+
+def test_public_functions_settle_covered_terminals():
+    """The builders' runs skip covered terminals; the public functions
+    still return every terminal done with its exact latest cut, at one flow
+    per terminal, on graphs where those runs do skip."""
+    skipped = 0
+    for g in _covering_graphs():
+        skipped += len(_dynamic_pivot_engine(g, g, None).covered)
+        flows = FLOW_CALLS.value
+        pivot, table, engine = single_source_dynamic_pivot(g, g)
+        assert FLOW_CALLS.value - flows == engine.report["flow_calls"] == len(table.terminals())
+        assert engine.report["covered"] == 0 and not engine.covered
+        oracle_table(g, pivot, table)
+        for v in table.terminals():
+            assert table.done(v)
+            assert table.witness(v) == latest_min_cut(g, g.index_of[pivot], g.index_of[v],
+                                                      wrt=g.index_of[pivot]).side
+
+        pert = perturb(g, seed=45)
+        engine = SingleSourceEngine(g, g, pert, 0)
+        engine.run()
+        skipped += len(engine.covered)
+        flows = FLOW_CALLS.value
+        table = single_source_mincuts(g, g, pert, 0)
+        assert FLOW_CALLS.value - flows == len(table.terminals())
+        oracle_table(pert, 0, table)
+        assert all(table.done(v) for v in table.terminals())
+    assert skipped >= 20, skipped
+
+
 # -- pivot-change protocol -----------------------------------------------------
 
 
@@ -108,10 +145,12 @@ def test_premature_change_is_an_error():
 def test_change_star_leaf_to_center_drops_everyone():
     g = families.star(5)
     engine = engine_for(g, 1)
+    engine.covered[3] = 2   # a cover holds for one pivot only
     cut = latest_min_cut(g, 1, 0, wrt=1)
     assert 2 * engine.vprime_count(cut.side) > len(engine.vprime)
     pivot_change(engine, 0, cut, p_side=latest_min_cut(g, 0, 1).side)
     assert engine.pivot_orig == 0
+    assert engine.covered == {}
     for v in engine.table.terminals():
         assert engine.table.estimate(v) == Weight(1, 0)
     # previous pivot's witness is the minimal far side

@@ -60,6 +60,7 @@ def test_dumbbell_of_cliques_n40():
     p = 25  # right clique
     engine = make_engine(g, p, seed=3)
     engine.run()
+    engine.settle_covered()
     for v in engine.table.terminals():
         if v < 20:
             # across the ten-edge band
@@ -75,18 +76,28 @@ def test_stage_empty_candidates_skips():
     cfg = EngineConfig(stage_from_zero=True, loop_enabled=True)
     engine = make_engine(g, 0, config=cfg, seed=4)
     engine.run()
+    engine.settle_covered()
     skipped = [s for s in engine.report["stages"] if s.get("skipped")]
     assert skipped, "complete graph stages beyond the degree should skip"
     oracle_check(g, engine, 0)
 
 
 def test_loop_off_runs_no_stages():
+    """Loop off, the run is the final sweep alone: one flow per terminal
+    it does not skip as covered, and ``settle_covered`` solves the rest.
+    Terminal 0's latest cut is the left clique, which covers 1..5."""
     g = families.dumbbell(6, bridges=2)
     engine = make_engine(g, 11, config=EngineConfig(), seed=5)
     engine.run()
+    terminals = len(engine.table.terminals())
     assert engine.report["stages"] == []
-    assert engine.report["final_sweep_solves"] == len(engine.table.terminals())
-    assert engine.report["flow_calls"] == len(engine.table.terminals())
+    assert engine.report["covered"] == len(engine.covered) == 5
+    assert engine.covered == {u: 0 for u in range(1, 6)}
+    assert engine.report["final_sweep_solves"] == terminals - 5
+    assert engine.report["flow_calls"] == terminals - 5
+    engine.settle_covered()
+    assert engine.report["flow_calls"] == terminals
+    assert engine.report["covered"] == 0 and not engine.covered
     oracle_check(g, engine, 11)
 
 
@@ -113,6 +124,7 @@ def test_loop_off_witnesses_are_latest_cuts(mode):
                 engine = make_engine(g, p, config=EngineConfig(),
                                      seed=rng.randrange(2 ** 32))
                 engine.run()
+                engine.settle_covered()
             else:
                 _, _, engine = (single_source_dynamic_pivot(g, g) if start is None
                                 else dynamic_from(g, start))
@@ -142,6 +154,7 @@ def test_stage_small_candidate_set_goes_direct(monkeypatch):
                         lambda n: 50)  # loop never triggers
     engine = make_engine(g, 0, config=cfg, seed=6)
     engine.run()
+    engine.settle_covered()
     for s in engine.report["stages"]:
         assert not s.get("rounds")
     oracle_check(g, engine, 0)
@@ -167,6 +180,7 @@ def test_estimates_monotone_and_sound():
         engine.offer = spying(engine.offer)
         engine.settle = spying(engine.settle)
         engine.run()
+        engine.settle_covered()
         sol = MaxFlowSolver(engine.work)
         for v, hist in history.items():
             assert all(b <= a for a, b in zip(hist, hist[1:]))
@@ -183,6 +197,7 @@ def test_end_to_end_many_seeds():
         p = rng.randrange(n)
         engine = make_engine(g, p, seed=rng.randrange(2 ** 32))
         engine.run()
+        engine.settle_covered()
         oracle_check(g, engine, p)
 
 
@@ -346,6 +361,7 @@ def test_improving_cuts_distinct(monkeypatch):
         engine = SingleSourceEngine(g, g, perturb(g, seed=rng.randrange(2 ** 32)),
                                     0, cfg)
         engine.run()
+        engine.settle_covered()
         sides = [c.side for c in engine.improving_cuts]
         assert len(sides) == len(set(sides))
         oracle_check(g, engine, 0)
@@ -358,6 +374,7 @@ def test_candidate_halving_on_designed_instance(monkeypatch):
     monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
     engine = SingleSourceEngine(g, g, perturb(g, seed=20), 25, cfg)
     engine.run()
+    engine.settle_covered()
     saw_round = False
     for stage in engine.report["stages"]:
         if stage.get("skipped"):
