@@ -2,14 +2,18 @@
 uncontracted variant, and partial trees that resolve only low-connectivity
 pairs (a Gusfield tree of a perturbed sparsifier with its heavy edges
 contracted).
+
+Gomory-Hu builds one flow solver for its input and derives each contracted
+flow graph from it by a node remap (``MaxFlowSolver.remapped``): no
+contracted ``Graph`` is built, and parallel arcs are not folded.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .flow import MaxFlowSolver, max_flow_min_cut
-from .graph import Graph, auxiliary_graph
+from .flow import MaxFlowSolver
+from .graph import Graph
 from .partition import GomoryHuTree, PartitionTree, gh_refine, to_node_tree
 from .sparsify import perturb, perturbed_sparsifier
 from .weights import Weight, from_scaled
@@ -19,23 +23,39 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
     """Gomory-Hu construction: n-1 max-flows on contracted auxiliary graphs.
 
     Pair selection is the lexicographically smallest pair inside the largest
-    super-node, for deterministic replay.  Disconnected inputs need no
-    special case: a pair in different components gets a cut of value 0.
+    super-node, for deterministic replay.  Each flow runs on the input's
+    solver remapped so that every vertex of the chosen super-node keeps a
+    node of its own and every component of the tree without it becomes one
+    node.  Disconnected inputs need no special case: a pair in different
+    components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
-    g = g.rebase()  # contraction book-keeping in this graph's own node space
+    base = MaxFlowSolver(g)
+    index = [0] * g.n
     t = PartitionTree.single(g.n)
     while True:
         pending = [i for i, s in t.super_nodes.items() if len(s) > 1]
         if not pending:
             return t
         i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
-        s, tnode = sorted(t.super_nodes[i])[:2]
-        aux, index = auxiliary_graph(g, t, i)
-        cut = max_flow_min_cut(aux, index[s], index[tnode])
-        side = aux.expand(cut.side)
-        t = gh_refine(t, i, side, cut.value, s, tnode)
+        kept = sorted(t.super_nodes[i])
+        s, tnode = kept[:2]
+        for x, v in enumerate(kept):
+            index[v] = x
+        comps = t.components_without(i)
+        for x, comp in enumerate(comps, len(kept)):
+            for v in comp:
+                index[v] = x
+        sol = base.remapped(index, len(kept) + len(comps))
+        value = sol.solve(index[s], index[tnode])
+        side: set[int] = set()
+        for x in sol.source_side(index[s]):
+            if x < len(kept):
+                side.add(kept[x])
+            else:
+                side |= comps[x - len(kept)]
+        t = gh_refine(t, i, frozenset(side), from_scaled(value, g.unit), s, tnode)
 
 
 def gusfield(g: Graph) -> PartitionTree:

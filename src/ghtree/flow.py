@@ -10,13 +10,17 @@ current-arc index per node and drops the nodes it backs out of.  The
 residual searches of ``source_side`` and ``sink_side`` give the
 inclusion-minimal minimum-cut sides, which are the same for every maximum
 flow, so every cut this module returns is independent of the flow the
-kernel happens to find.  A module-level invocation counter feeds the
-benchmark harness.
+kernel happens to find.  ``MaxFlowSolver.remapped`` derives the solver of
+a contracted graph from an existing solver's arcs through a node remap,
+without building the contracted ``Graph``: arcs inside a group are
+dropped and parallel arcs are kept as they are.  A module-level
+invocation counter feeds the benchmark harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import Graph, GraphError
 from .weights import Weight, from_scaled
@@ -65,10 +69,16 @@ class MaxFlowSolver:
     queries read the residual of the last solve.  An uncapped solve ends
     with a search from s that cannot reach t, which is the residual reach
     of s, so ``source_side`` of that s needs no second search.
+
+    ``g`` is the graph the solver's arcs came from.  A solver made by
+    ``remapped`` has none until ``g`` is first read; it is then folded from
+    the solver's own arcs, one edge per node pair, and every node of it
+    stands for itself.
     """
 
     def __init__(self, g: Graph):
-        self.g = g
+        self._g: Graph | None = g
+        self._unit = g.unit
         n = self.n = g.n
         edges = g.edges
         m2 = 2 * len(edges)
@@ -97,6 +107,52 @@ class MaxFlowSolver:
         self._arcs = arcs
         self._cap = cap0
         self._reach: tuple[int, list[int]] | None = None
+
+    @property
+    def g(self) -> Graph:
+        if self._g is None:
+            to, cap0, unit = self._to, self._cap0, self._unit
+            folded: dict[tuple[int, int], int] = {}
+            for e in range(0, len(to), 2):
+                a, b = to[e + 1], to[e]
+                key = (a, b) if a < b else (b, a)
+                folded[key] = folded.get(key, 0) + cap0[e]
+            # the perturbation units of a whole graph stay below one unit
+            self._g = Graph(self.n, {k: divmod(c, unit) for k, c in folded.items()},
+                            unit=unit, validate=False)
+        return self._g
+
+    def remapped(self, index: Sequence[int], n: int) -> "MaxFlowSolver":
+        """Solver of the graph that merges the nodes sharing an ``index``.
+
+        Node x becomes node ``index[x]`` of 0..n-1.  Every arc pair whose
+        ends map to different nodes is copied with its capacity, in this
+        solver's order; pairs inside a group are dropped, and parallel
+        pairs stay separate (the flow and the residual sides do not change
+        when they are not folded).  No ``Graph`` is built.
+        """
+        to0 = self._to
+        to: list[int] = []
+        cap: list[int] = []
+        arcs: list[list[int]] = [[] for _ in range(n)]
+        e = 0
+        for a, b, c in zip(map(index.__getitem__, to0[1::2]),
+                           map(index.__getitem__, to0[0::2]), self._cap0[0::2]):
+            if a != b:
+                to += (b, a)
+                cap += (c, c)
+                arcs[a].append(e)
+                arcs[b].append(e + 1)
+                e += 2
+        sub = MaxFlowSolver.__new__(MaxFlowSolver)
+        sub._g = None
+        sub._unit = self._unit
+        sub.n = n
+        sub._to = to
+        sub._cap0 = sub._cap = cap
+        sub._arcs = arcs
+        sub._reach = None
+        return sub
 
     def solve(self, s: int, t: int, cutoff: int | None = None) -> int:
         """Max flow from s to t as a scaled integer.

@@ -75,13 +75,6 @@ class Graph:
         is_simple = simple and all(m == 1 for m, _ in edges.values())
         return Graph(n, edges, simple=is_simple)
 
-    def rebase(self) -> "Graph":
-        """Copy with identity node book-keeping: every node counts as an
-        original node of itself.  Used when a contracted graph is handed to
-        an algorithm that should treat it as a standalone input."""
-        return Graph(self.n, self.edges, simple=self.simple, unit=self.unit,
-                     validate=False)
-
     def with_edges(self, edges, *, unit: Optional[int] = None, simple: Optional[bool] = None) -> "Graph":
         """Copy of this graph with a replaced edge map (same node book-keeping)."""
         return Graph(

@@ -10,8 +10,10 @@ subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
 start pivot, ``assemble``,
 which stitches per-super-node trees into one full tree, the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
-Gray-code walk must match, and Gusfield's scheme with the all-node
-``pred`` scan that ``classic._gusfield_frame`` must match.
+Gray-code walk must match, Gusfield's scheme with the all-node
+``pred`` scan that ``classic._gusfield_frame`` must match, and the
+Gomory-Hu loop on contracted ``Graph`` objects that
+``classic.classic_gomory_hu`` must match.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Iterable, Mapping, Optional
 
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.expander import _exact_sparsest_cut, _sweep_sparsest_cut
-from ghtree.flow import MaxFlowSolver
-from ghtree.graph import Graph, GraphError
-from ghtree.partition import GomoryHuTree, PartitionTree, TreeError
+from ghtree.flow import MaxFlowSolver, max_flow_min_cut
+from ghtree.graph import Graph, GraphError, auxiliary_graph
+from ghtree.partition import GomoryHuTree, PartitionTree, TreeError, gh_refine
 from ghtree.weights import Weight, from_scaled
 
 DEFAULT_ORACLE_LIMIT = 64
@@ -388,3 +390,25 @@ def gusfield_frame_full_scan(n: int, solve) -> PartitionTree:
         adj[v][pred[v]] = weight[v]
         adj[pred[v]][v] = weight[v]
     return PartitionTree({v: frozenset((v,)) for v in range(n)}, adj)
+
+
+def classic_via_contract(g: Graph) -> PartitionTree:
+    """Gomory-Hu as first written: every flow builds its auxiliary graph
+    with ``Graph.contract`` and a fresh solver for it.  The remapped-solver
+    loop in ``classic.classic_gomory_hu`` must build the same tree with the
+    same number of flows."""
+    if g.n == 1:
+        return PartitionTree.single(1)
+    # identity node book-keeping, so a contracted input's nodes expand to themselves
+    g = Graph(g.n, g.edges, simple=g.simple, unit=g.unit, validate=False)
+    t = PartitionTree.single(g.n)
+    while True:
+        pending = [i for i, s in t.super_nodes.items() if len(s) > 1]
+        if not pending:
+            return t
+        i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
+        s, tnode = sorted(t.super_nodes[i])[:2]
+        aux, index = auxiliary_graph(g, t, i)
+        cut = max_flow_min_cut(aux, index[s], index[tnode])
+        side = aux.expand(cut.side)
+        t = gh_refine(t, i, side, cut.value, s, tnode)

@@ -17,7 +17,13 @@ from ghtree.partition import to_node_tree
 from ghtree.sparsify import perturb, perturbed_sparsifier
 from ghtree.weights import Weight, from_scaled
 
-from oracles import all_pairs_oracle, assemble, gusfield_frame_full_scan
+from oracles import (
+    all_pairs_oracle,
+    assemble,
+    classic_via_contract,
+    gusfield_frame_full_scan,
+    planted_partition,
+)
 
 
 def assert_tree_matches_oracle(g, tree):
@@ -71,6 +77,39 @@ def disconnected_graphs():
             graphs.append(g)
             return graphs
         seed += 1
+
+
+def contract_path_graphs():
+    """ER graphs, clique chains, planted partitions, a dumbbell, disconnected
+    graphs and a multigraph, perturbed sparsifiers (bigint capacities) and
+    the graphs of one and two nodes."""
+    rng = random.Random(75)
+    graphs = [families.er_connected(rng.randint(5, 60), rng.choice([0.1, 0.3, 0.6]),
+                                    seed=rng.randrange(2 ** 32)) for _ in range(8)]
+    graphs += [families.clique_chain([5, 8, 5]), families.clique_chain([6] * 5),
+               planted_partition(3, 10, 0.6, 0.05, seed=76),
+               planted_partition(4, 16, 0.5, 0.03, seed=42),
+               families.dumbbell(6, bridges=2)]
+    graphs += disconnected_graphs()
+    graphs.append(families.random_multigraph(20, 0.4, 3, seed=77))
+    for g, k in ((graphs[0], 2), (graphs[8], 4), (graphs[11], 3)):
+        gp = perturb(g, seed=rng.randrange(2 ** 62))
+        graphs.append(perturbed_sparsifier(g, gp, k + 1))
+    graphs += [families.path(1), families.path(2), Graph(2, {})]
+    return graphs
+
+
+def test_classic_matches_contract_path():
+    """Remapping one solver's arcs builds byte-identical trees with the same
+    number of flows as building a contracted graph and solver per flow."""
+    for g in contract_path_graphs():
+        start = FLOW_CALLS.value
+        fast = to_node_tree(classic_gomory_hu(g)).serialize()
+        fast_flows = FLOW_CALLS.value - start
+        start = FLOW_CALLS.value
+        slow = to_node_tree(classic_via_contract(g)).serialize()
+        assert fast == slow
+        assert fast_flows == FLOW_CALLS.value - start == g.n - 1
 
 
 def test_classic_disconnected():

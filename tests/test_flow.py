@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ghtree import families
 from ghtree.classic import classic_gomory_hu
@@ -197,3 +197,49 @@ def test_flow_matches_enumeration(g, rnd):
             assert sol.source_side(s) == s_side
             assert sol.sink_side(t) == t_side
         assert max_flow_min_cut(g, s, t).value.scaled(g.unit) == value
+
+
+@given(graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+         None)
+def test_remapped_matches_contracted_graph(g, data):
+    """A solver remapped onto a grouping answers like a fresh solver of the
+    contracted graph: the same value, the same residual sides expanded to
+    the original nodes, and the same edges in its folded ``g``.  Groups may
+    hold s or t, touch each other, or have no arc between them."""
+    if g is None:
+        return
+    if data is None:
+        # two triangles, each merged but for its terminal: value 0
+        labels, s, t = [0, 1, 1, 2, 3, 3], 0, 3
+    else:
+        labels = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
+        s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2,
+                                  unique=True))
+    assume(labels[s] != labels[t])
+    classes: dict[int, list[int]] = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(label, []).append(v)
+    aux, new_index = g.contract(list(classes.values()))
+    # an independent numbering: the classes in reverse label order
+    order = {label: x for x, label in enumerate(sorted(classes, reverse=True))}
+    index = [order[label] for label in labels]
+    sub = MaxFlowSolver(g).remapped(index, len(classes))
+    ref = MaxFlowSolver(aux)
+
+    value = ref.solve(new_index[s], new_index[t])
+    assert sub.solve(index[s], index[t]) == value
+    if data is None:
+        assert value == 0
+
+    def expand(side):
+        return frozenset(v for v in range(g.n) if index[v] in side)
+
+    assert expand(sub.source_side(index[s])) == aux.expand(ref.source_side(new_index[s]))
+    assert expand(sub.sink_side(index[t])) == aux.expand(ref.sink_side(new_index[t]))
+    to_sub = {new_index[v]: index[v] for v in range(g.n)}
+    folded = {tuple(sorted((to_sub[a], to_sub[b]))): mult_eps
+              for (a, b), mult_eps in aux.edges.items()}
+    assert sub.g.edges == folded
+    assert sub.g.unit == g.unit and sub.g.n == len(classes)

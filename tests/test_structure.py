@@ -10,7 +10,8 @@ the benchmark runs: the engine settings have no test hooks, graphs carry no
 self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
-file.
+file.  The classic builders build no contracted graph and make at most one
+solver per run.
 """
 
 import ast
@@ -170,3 +171,23 @@ def test_flow_kernel_state_is_private():
         lines = [node.lineno for node in ast.walk(parse(path))
                  if isinstance(node, ast.Attribute) and node.attr in private]
         assert not lines, f"{path.name} reads MaxFlowSolver private fields at lines {lines}"
+
+
+def test_classic_builds_one_solver_and_no_contracted_graph():
+    """Gomory-Hu derives every flow's solver from one base solver; no
+    function in classic.py builds a solver inside a loop, and the module
+    never contracts a graph or calls the one-shot flow helpers."""
+    tree = parse(SRC / "classic.py")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"contract", "auxiliary_graph", "max_flow_min_cut"}
+
+    def constructions(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Name) and c.func.id == "MaxFlowSolver"]
+
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert len(constructions(funcs["classic_gomory_hu"])) == 1
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.While)):
+            assert not constructions(loop), f"classic.py builds a solver in a loop at line {loop.lineno}"
