@@ -42,7 +42,7 @@ from .single_source import (
     single_source_mincuts,
     stage_w,
     easy_cuts_step,
-    isolating_sample_step,
+    splitter_isolating_step,
     priority_solve_step,
 )
 from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot

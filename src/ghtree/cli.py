@@ -111,8 +111,6 @@ def build(input_path, algo, seed, out_path, report_path, via_subdivision,
     if phi_exp is not None:
         config.loop_enabled = True
         config.phi = phi_exp
-    if seed is not None:
-        config.seed = seed
     report: dict = {"algo": algo, "n": g.n, "m": g.edge_instances, "seed": seed}
     FLOW_CALLS.reset()
     t0 = time.perf_counter()
@@ -223,7 +221,7 @@ def bench(family, sizes, prob, algos, seed, out_path):
 
     def cell(n, algo):
         g = families.er_connected(n, prob, seed=seed + n)
-        config = EngineConfig(seed=seed)
+        config = EngineConfig()
         report: dict = {}
         flow0 = FLOW_CALLS.value
         t0 = time.perf_counter()

@@ -4,10 +4,12 @@ dynamic pivot in place of a random one.
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
 overrides only its pivot-rule hooks: cuts are measured in the unperturbed
 graph (latest cuts with respect to the pivot), stages use the
-Nagamochi-Ibaraki sparsifier and start at w = 1, each candidate of an
-expander part is offered to isolating cuts on its own (one latest-cut solve
-on the stage solver) in place of random sampling, and the pivot itself
+Nagamochi-Ibaraki sparsifier and start at w = 1, and the pivot itself
 moves (``pivot_change``) when some terminal admits no balanced minimum cut.
+The isolating step over an expander part, which offers each candidate on
+its own, is shared with the randomized engine and lives in single_source;
+this module re-exports it as ``splitter_isolating_step`` because the
+benchmark's tracer (perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
 solve that triggered it, so it makes no max-flow of its own, and it drops
 every cover (``SingleSourceEngine.covered``), since covers hold for one
@@ -26,7 +28,7 @@ from .single_source import (
     EstimateTable,
     SingleSourceEngine,
     TerminalEstimate,
-    offer_isolating_cuts,
+    splitter_isolating_step,
 )
 from .sparsify import ni_sparsify
 
@@ -48,10 +50,6 @@ class DynamicPivotEngine(SingleSourceEngine):
     def first_stage(self) -> int:
         return 0
 
-    def sample_step(self, part_nodes: frozenset[int], w: int, solver: MaxFlowSolver,
-                    live: set[int], phi: float) -> dict:
-        return splitter_isolating_step(self, part_nodes, w, solver, live, phi)
-
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         if self.good(cut.side):
             return False
@@ -62,18 +60,6 @@ class DynamicPivotEngine(SingleSourceEngine):
         """Settle v on the work graph when its isolating cut is unbalanced;
         if every minimum cut to v is unbalanced too, v becomes the pivot."""
         return not self.good(cut.side) and self.settle(v)
-
-
-def splitter_isolating_step(
-    state: DynamicPivotEngine, part_nodes: frozenset[int], w: int,
-    solver: MaxFlowSolver, live: set[int], phi: float,
-) -> dict:
-    """Deterministic replacement for the sampled isolating rounds: every
-    candidate of the part, in sorted order, is offered on its own, so its
-    isolating cut is its latest cut on the stage solver."""
-    cand = sorted(v for v in live if state.idx(v) in part_nodes)
-    updates = sum(offer_isolating_cuts(state, w, solver, [v], live) for v in cand)
-    return {"rounds": len(cand), "updates": updates}
 
 
 def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,

@@ -41,21 +41,25 @@ coverer's side.  ``run`` leaves covered terminals unsolved;
 ``settle_covered`` solves them, one flow each, for the public
 ``single_source_mincuts``, whose table is entirely done.
 
+Both engines process an expander part the same way
+(``splitter_isolating_step``): every live candidate, in sorted order, is
+offered to isolating cuts on its own, so the splitter family is the
+singletons and each offer is one latest-cut solve on the stage solver.
+
 ``SingleSourceEngine`` is the randomized engine: cuts are measured in a
-perturbed graph (unique minimum cuts) and the elimination loop samples
-candidates at random.  The deterministic engine, ``DynamicPivotEngine`` in
-dynamic.py, subclasses it and overrides the pivot-rule hooks grouped at the
-end of the class: the stage graph and first stage, the sampling step, and
-what happens when a solved cut is unbalanced (the pivot moves).  Such a
-cut's solve ends with the pivot as its sink, so its residual graph already
-holds the minimal pivot side the move needs, and a move costs no flow.
+perturbed graph (unique minimum cuts) and the builder draws the pivot at
+random.  The deterministic engine, ``DynamicPivotEngine`` in dynamic.py,
+subclasses it and overrides the pivot-rule hooks grouped at the end of the
+class: the stage graph and first stage, and what happens when a solved cut
+is unbalanced (the pivot moves).  Such a cut's solve ends with the pivot as
+its sink, so its residual graph already holds the minimal pivot side the
+move needs, and a move costs no flow.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,8 +74,8 @@ from .sparsify import perturbed_sparsifier
 from .weights import Weight, from_scaled
 
 
-# success-probability exponent: sampling rounds and the randomized builder's
-# bad-pivot streak bound scale with it
+# success-probability exponent: the randomized builder's bad-pivot streak
+# bound scales with it
 GAMMA = 2.0
 
 
@@ -89,8 +93,10 @@ class EngineConfig:
     scale.  ``loop_enabled`` runs the doubling stages (easy step,
     elimination rounds, capped direct solves) with expansion parameter
     ``phi`` (default 2^-sqrt(log2 n)); ``stage_from_zero`` starts them at
-    w = 1 and, like ``phi``, does nothing without the loop.  ``seed`` seeds
-    the randomized engine's sampling.
+    w = 1 and, like ``phi``, does nothing without the loop; ``phi`` must
+    lie in (0, 1].  ``seed`` has no effect: no engine step draws random
+    numbers (the randomized builder takes its own seed).  The field stays
+    because the benchmark constructs it.
     """
 
     loop_enabled: bool = False
@@ -100,6 +106,8 @@ class EngineConfig:
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:
+            if not 0 < self.phi <= 1:
+                raise ValueError(f"phi must lie in (0, 1], not {self.phi}")
             return self.phi
         return 2.0 ** -math.sqrt(max(1.0, math.log2(max(2, n))))
 
@@ -108,11 +116,6 @@ def candidate_threshold(n: int) -> int:
     """A stage eliminates candidates while more than this many are live:
     log2 n."""
     return max(1, math.ceil(math.log2(max(2, n))))
-
-
-def sample_rounds(n_orig: int, phi: float) -> int:
-    """Sampled isolating rounds per expander part: 2 e gamma ln(n) / phi."""
-    return math.ceil(2 * math.e * GAMMA * math.log(max(2, n_orig)) / phi)
 
 
 def priority_budget(phi: float) -> int:
@@ -171,7 +174,6 @@ class SingleSourceEngine:
         self.aux = aux
         self.work = work
         self.config = config or EngineConfig()
-        self.rng = random.Random(self.config.seed)
         if pivot not in aux.index_of:
             raise GraphError("pivot is not an original node of the auxiliary graph")
         self.pivot_orig = pivot
@@ -390,11 +392,6 @@ class SingleSourceEngine:
             return 0
         return max(0, math.floor(math.log2(max(2, self.g.n)) / 2))
 
-    def sample_step(self, part_nodes: frozenset[int], w: int, solver: MaxFlowSolver,
-                    live: set[int], phi: float) -> dict:
-        """Isolating rounds over one expander part's candidates."""
-        return isolating_sample_step(self, part_nodes, w, solver, live, phi)
-
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         """Called with the latest minimum (pivot, v)-cut before it is
         recorded, and the solver whose last solve found it.  True means the
@@ -434,6 +431,7 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     connectivity below 2w are done for certified expander parts, and
     everything else falls through to capped direct solves or the final
     sweep.  The stage's capped solves share one solver over its graph."""
+    phi = state.config.phi_for(state.aux.n)
     srep: dict = {"w": w}
     if not state.stage_pending(w):
         srep["skipped"] = True
@@ -451,7 +449,6 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     srep["fallback"] = False
 
     threshold = candidate_threshold(state.aux.n)
-    phi = state.config.phi_for(state.aux.n)
     live = set(cand)
     round_no = 0
     while len(live) > threshold:
@@ -538,23 +535,22 @@ def easy_cuts_step(state: SingleSourceEngine, w: int, solver: MaxFlowSolver) -> 
     return offer_isolating_cuts(state, w, solver, high)
 
 
-def isolating_sample_step(
+def splitter_isolating_step(
     state: SingleSourceEngine, part_nodes: frozenset[int], w: int,
-    solver: MaxFlowSolver, live: set[int], phi: float,
+    solver: MaxFlowSolver, live: set[int],
 ) -> dict:
-    """Random sampled isolating rounds over one expander part.
+    """Isolating cuts over one expander part with the singleton splitter
+    family: every live candidate of the part, in sorted order, is offered
+    on its own, so its isolating cut is its latest cut on the stage solver.
 
-    Repeats enough times that any candidate alone among few same-side
-    candidates is isolated at least once with high probability; each round
-    samples candidates with probability phi and keeps every returned cut
-    that beats the current estimate and stays below the stage bound."""
-    rounds = sample_rounds(state.g.n, phi)
+    This stands in for Li and Panigrahi's sampled isolating rounds,
+    ceil(2 e gamma ln(n) / phi) of them per part (about 250 at n = 64), each
+    costing a whole-stage-graph flow per bit of the sampled batch: one
+    solve per candidate is cheaper whenever a part holds fewer candidates
+    than that."""
     cand = sorted(v for v in live if state.idx(v) in part_nodes)
-    updates = 0
-    for _ in range(rounds):
-        batch = [v for v in cand if state.rng.random() < phi]
-        updates += offer_isolating_cuts(state, w, solver, batch, live)
-    return {"rounds": rounds, "updates": updates}
+    updates = sum(offer_isolating_cuts(state, w, solver, [v], live) for v in cand)
+    return {"offered": len(cand), "updates": updates}
 
 
 def priority_solve_step(
@@ -612,9 +608,9 @@ def _elimination_round(
 ) -> dict:
     """One decomposition round: demand w on live candidates, process every
     part holding at least w/2 original-graph nodes, then drop its
-    candidates (they are settled with high probability for certified
-    parts; anything mis-dropped is caught by the final sweep only if its
-    estimate also stays above the stage bound)."""
+    candidates.  Each was offered alone, so it is done, proven at or above
+    the stage bound, or the pivot, unless a later pivot change reopened it;
+    the final sweep settles whatever is left."""
     demand = {state.idx(v): w for v in sorted(live)}
     drep = DecompositionReport()
     parts = decompose_with_demands(
@@ -626,7 +622,7 @@ def _elimination_round(
         "boundary_weight": drep.boundary_weight,
         "b_factor": drep.b_factor,
         "large_parts": 0,
-        "sample": [],
+        "isolating": [],
         "priority": [],
     }
     lefty_inc = 0
@@ -637,7 +633,7 @@ def _elimination_round(
         part_live = {v for v in live if state.idx(v) in part.nodes}
         if not part_live:
             continue
-        rrep["sample"].append(state.sample_step(part.nodes, w, solver, live, phi))
+        rrep["isolating"].append(splitter_isolating_step(state, part.nodes, w, solver, live))
         pr = priority_solve_step(state, part.nodes, w, solver, live, phi)
         lefty_inc += pr["increments"]
         rrep["priority"].append(pr)

@@ -280,37 +280,45 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
 
 
 def test_criterion_09_splitters(monkeypatch):
-    """The deterministic engine's splitter family is the singletons: in a
+    """The splitter family is the singletons, for both paper engines: in a
     loop-on build, every live candidate of every processed expander part is
     offered to isolating cuts alone, exactly once, in sorted order."""
-    from ghtree import dynamic
-
     steps = []
-    step, offer = dynamic.splitter_isolating_step, dynamic.offer_isolating_cuts
+    offers = None    # the offers of the step running now
+    step, offer = single_source.splitter_isolating_step, single_source.offer_isolating_cuts
 
-    def recording_step(state, part_nodes, w, solver, live, phi):
+    def recording_step(state, part_nodes, w, solver, live):
+        nonlocal offers
         cand = sorted(v for v in live if state.idx(v) in part_nodes)
-        steps.append((cand, []))
-        return step(state, part_nodes, w, solver, live, phi)
+        offers = []
+        steps.append((cand, offers))
+        try:
+            return step(state, part_nodes, w, solver, live)
+        finally:
+            offers = None
 
     def recording_offer(state, w, solver, batch, live=None):
-        steps[-1][1].append(list(batch))
+        if offers is not None:
+            offers.append(list(batch))
         return offer(state, w, solver, batch, live)
 
-    monkeypatch.setattr(dynamic, "splitter_isolating_step", recording_step)
-    monkeypatch.setattr(dynamic, "offer_isolating_cuts", recording_offer)
+    monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
+    monkeypatch.setattr(single_source, "offer_isolating_cuts", recording_offer)
     graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8])]
+    builders = {"deterministic": build_deterministic,
+                "randomized": lambda g, config: build_randomized(g, seed=42, config=config)}
     offered = 0
     for g in graphs:
-        before = len(steps)
-        tree = build_deterministic(g, config=EngineConfig(loop_enabled=True, phi=0.25))
-        assert len(steps) > before, "no expander part was processed"
-        for cand, batches in steps[before:]:
-            assert batches == [[v] for v in cand]
-            offered += len(cand)
-        assert _tree_values_match(g, tree, _oracle_values(g)) is None
+        for name, build in builders.items():
+            before = len(steps)
+            tree = build(g, config=EngineConfig(loop_enabled=True, phi=0.25))
+            assert len(steps) > before, f"{name}: no expander part was processed"
+            for cand, batches in steps[before:]:
+                assert batches == [[v] for v in cand], name
+                offered += len(cand)
+            assert _tree_values_match(g, tree, _oracle_values(g)) is None
     print(f"\nCRITERION 9 PASS: {len(steps)} splitter steps, {offered} candidates "
-          "each offered alone exactly once")
+          "each offered alone exactly once, by both paper engines")
 
 
 def test_criterion_10_subdivision_reduction():

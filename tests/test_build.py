@@ -11,6 +11,7 @@ from ghtree.build import (
     build_randomized,
     is_good_pivot,
 )
+from ghtree.classic import gusfield
 from ghtree.dynamic import DynamicPivotEngine, _dynamic_pivot_engine
 from ghtree.flow import FLOW_CALLS, latest_min_cut
 from ghtree.graph import Graph, GraphError
@@ -277,3 +278,22 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph):
         asked.clear()
         build()
         assert asked and len(asked) == len(set(asked))
+
+
+def test_loop_on_randomized_makes_fewer_flows_than_deterministic():
+    """Both engines offer each candidate of an expander part alone, and the
+    randomized one starts its stages later, so loop-on it makes fewer flows
+    than the deterministic one on planted 4x16 (137 against 217).  Its tree
+    matches Gusfield's on every pair."""
+    g = planted_partition(4, 16, 0.5, 0.03, seed=42)
+    flows, trees = {}, {}
+    for name, build in (("randomized", lambda cfg: build_randomized(g, seed=42, config=cfg)),
+                        ("deterministic", lambda cfg: build_deterministic(g, config=cfg))):
+        FLOW_CALLS.reset()
+        trees[name] = to_node_tree(build(EngineConfig(loop_enabled=True, seed=42)))
+        flows[name] = FLOW_CALLS.value
+    assert flows["randomized"] < flows["deterministic"], flows
+    reference = to_node_tree(gusfield(g))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert trees["randomized"].query(u, v)[0] == reference.query(u, v)[0], (u, v)

@@ -10,10 +10,10 @@ from ghtree.single_source import (
     EngineError,
     SingleSourceEngine,
     easy_cuts_step,
-    isolating_sample_step,
     offer_isolating_cuts,
     priority_solve_step,
     single_source_mincuts,
+    splitter_isolating_step,
     stage_w,
 )
 from ghtree.sparsify import perturb
@@ -80,6 +80,18 @@ def test_stage_empty_candidates_skips():
     skipped = [s for s in engine.report["stages"] if s.get("skipped")]
     assert skipped, "complete graph stages beyond the degree should skip"
     oracle_check(g, engine, 0)
+
+
+@pytest.mark.parametrize("phi", [0, -1, float("nan"), 1.5])
+def test_phi_outside_unit_interval_is_rejected(phi):
+    """phi must lie in (0, 1], the range ``ght build --phi-exp`` enforces;
+    a loop-on run rejects anything else before its first stage."""
+    with pytest.raises(ValueError):
+        EngineConfig(loop_enabled=True, phi=phi).phi_for(64)
+    g = families.er_connected(12, 0.5, seed=6)
+    engine = make_engine(g, 0, config=EngineConfig(loop_enabled=True, phi=phi), seed=6)
+    with pytest.raises(ValueError):
+        engine.run()
 
 
 def test_loop_off_runs_no_stages():
@@ -258,49 +270,15 @@ def test_easy_step_never_marks_done():
     assert not any(engine.table.done(v) for v in engine.table.terminals())
 
 
-# -- sampled isolating rounds (the probability-phi procedure) ----------------
+# -- the isolating step over one expander part -------------------------------
 
 
-def test_sample_step_empty_part_is_noop():
+def test_splitter_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0, seed=14)
     gw = engine.stage_graph(2)
-    rep = isolating_sample_step(engine, frozenset(), 2, MaxFlowSolver(gw), set(), 0.5)
-    assert rep["updates"] == 0
-
-
-def test_sample_step_phi_one_samples_everyone(monkeypatch):
-    # probability one degenerates to repeated full isolating calls: the lone
-    # candidate is in every batch, improves once, then nothing changes
-    g = families.dumbbell(4)
-    monkeypatch.setattr(single_source, "sample_rounds", lambda n_orig, phi: 3)
-    engine = make_engine(g, 7, seed=15)
-    w = 1
-    gw = engine.stage_graph(w)
-    live = {0}
-    rep = isolating_sample_step(engine, frozenset(range(8)), w, MaxFlowSolver(gw), live, 1.0)
-    assert rep["rounds"] == 3
-    assert rep["updates"] == 1
-    assert engine.table.estimate(0).base == 1
-
-
-def test_sample_step_statistical_success():
-    """A candidate alone among few same-side candidates gets isolated and
-    settled in almost every seeded run."""
-    g = families.dumbbell(6, bridges=2)
-    # pivot 11 in the right clique; candidate 0 in the left clique
-    hits = 0
-    for seed in range(50):
-        cfg = EngineConfig(stage_from_zero=True, phi=0.25, seed=seed)
-        engine = SingleSourceEngine(g, g, perturb(g, seed=seed), 11, cfg)
-        w = 2
-        gw = engine.stage_graph(w)
-        live = {v for v in engine.table.terminals()
-                if engine.table.estimate(v) > Weight(w, 0)}
-        isolating_sample_step(engine, frozenset(range(12)), w, MaxFlowSolver(gw), live, 0.25)
-        if engine.table.estimate(0).base == 2:
-            hits += 1
-    assert hits >= 48, hits
+    rep = splitter_isolating_step(engine, frozenset(), 2, MaxFlowSolver(gw), set())
+    assert rep == {"offered": 0, "updates": 0}
 
 
 # -- highest-estimate solves (the heap procedure) -----------------------------
