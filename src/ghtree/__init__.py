@@ -1,9 +1,11 @@
 """Cut-equivalent (Gomory-Hu) trees for unweighted graphs.
 
 Exact minimum s,t-cuts for all pairs at once: classical builders, a
-near-quadratic randomized strategy (partial-tree bootstrap, perturbation,
-sparsification, isolating cuts, demand-weighted expander decomposition),
+randomized strategy (partial-tree bootstrap, perturbation, and optionally
+doubling stages of sparsification and one isolating solve per candidate),
 and a fully deterministic variant built on latest cuts and a dynamic pivot.
+The demand-weighted expander decomposition stays importable, but no
+builder runs it.
 """
 
 from .weights import Weight
@@ -43,7 +45,6 @@ from .single_source import (
     stage_w,
     easy_cuts_step,
     splitter_isolating_step,
-    priority_solve_step,
 )
 from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot
 from .build import (

@@ -96,21 +96,18 @@ def main():
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--via-subdivision", is_flag=True,
               help="accept multigraphs: subdivide, build, project back")
-@click.option("--phi-exp", type=float, default=None,
-              help="expansion parameter override (enables the elimination loop)")
+@click.option("--loop", is_flag=True,
+              help="run the doubling stages of the candidate-elimination loop")
 @click.option("--stage-from-zero", is_flag=True,
-              help="with --phi-exp: the doubling stages start at w=1")
+              help="with --loop: the doubling stages start at w=1")
 def build(input_path, algo, seed, out_path, report_path, via_subdivision,
-          phi_exp, stage_from_zero):
+          loop, stage_from_zero):
     """Build a cut-equivalent tree of a graph file."""
-    if phi_exp is not None and not 0 < phi_exp <= 1:
-        _input_error(f"--phi-exp must be in (0, 1], not {phi_exp}")
+    if stage_from_zero and not loop:
+        _input_error("--stage-from-zero needs --loop")
     g = _load_graph(input_path)
     seed = _seed_option(seed)
-    config = EngineConfig(stage_from_zero=stage_from_zero)
-    if phi_exp is not None:
-        config.loop_enabled = True
-        config.phi = phi_exp
+    config = EngineConfig(loop_enabled=loop, stage_from_zero=stage_from_zero)
     report: dict = {"algo": algo, "n": g.n, "m": g.edge_instances, "seed": seed}
     FLOW_CALLS.reset()
     t0 = time.perf_counter()

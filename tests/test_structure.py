@@ -123,7 +123,20 @@ def test_stage_solver_is_explicit():
 
 def test_engine_config_fields():
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
-        "loop_enabled", "phi", "stage_from_zero", "seed"}
+        "loop_enabled", "stage_from_zero", "seed"}
+
+
+def test_loop_runs_no_expander_decomposition():
+    """A loop-on stage offers every candidate alone in one pass, so the
+    engines import nothing from the expander decomposition, and the round
+    machinery that ordered its parts is gone."""
+    for path in (SRC / "single_source.py", SRC / "dynamic.py"):
+        for node, names in relative_imports(parse(path)):
+            assert "expander" not in names, f"{path.name} imports .expander at line {node.lineno}"
+    for name in ("priority_solve_step", "priority_budget", "candidate_threshold",
+                 "ImprovingCut", "_elimination_round"):
+        assert not hasattr(ghtree, name), name
+        assert not hasattr(ghtree.single_source, name), f"single_source.{name}"
 
 
 def test_graph_has_no_loops():
