@@ -1,9 +1,10 @@
 """Cut-equivalent (Gomory-Hu) trees for unweighted graphs.
 
 Exact minimum s,t-cuts for all pairs at once: classical builders, a
-randomized strategy (partial-tree bootstrap, perturbation, and optionally
+randomized strategy (partial-tree bootstrap, random pivots, and optionally
 doubling stages of sparsification and one isolating solve per candidate),
-and a fully deterministic variant built on latest cuts and a dynamic pivot.
+and a fully deterministic variant built on a dynamic pivot; both builders
+split along latest cuts, which need no perturbation to be unique.
 The demand-weighted expander decomposition stays importable, but no
 builder runs it.
 """

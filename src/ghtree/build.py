@@ -7,10 +7,16 @@ largest balanced cut containing it, split the super-node along all the
 chosen (pairwise disjoint, laminar-maximal) cuts at once, and repeat.  The
 builders differ only in the starting tree and in how one super-node's
 pieces are found, i.e. in the pivot rule.  The randomized builder starts
-from a partial tree so every later cut is large, perturbs each auxiliary
-graph for unique cuts, and retries unlucky random pivots; the deterministic
-builder starts from the one-super-node tree, uses no randomness, and always
-receives balanced cuts thanks to the dynamic pivot.
+from a partial tree so every later cut is large, and retries unlucky random
+pivots; the deterministic builder starts from the one-super-node tree, uses
+no randomness, and always receives balanced cuts thanks to the dynamic
+pivot.
+
+Both builders measure cuts in the plain auxiliary graph, with no
+perturbation: every cut they keep is a latest cut (the inclusion-minimal
+terminal side of a minimum cut), which is unique in any graph, and for a
+fixed pivot the latest cuts to all terminals are pairwise disjoint or
+nested (Gomory and Hu's uncrossing).  So the chosen cuts never cross.
 
 Neither builder solves a terminal that lies inside another terminal's
 balanced latest cut found earlier in the same run: such a terminal is
@@ -34,7 +40,6 @@ from .flow import FLOW_CALLS
 from .graph import Graph, GraphError, auxiliary_graph
 from .partition import PartitionTree, TreeError
 from .single_source import GAMMA, EngineConfig, SingleSourceEngine
-from .sparsify import perturb
 from .weights import Weight
 
 
@@ -47,10 +52,8 @@ class RandomizedAbort(RuntimeError):
 
 
 class LaminarityError(RuntimeError):
-    """Chosen cuts cross.  In the randomized builder this means the
-    perturbation failed to make minimum cuts unique (retry with a new one);
-    in the deterministic builder latest cuts are laminar by construction,
-    so it indicates a bug."""
+    """Chosen cuts cross.  Latest cuts from one pivot are laminar, so in
+    either builder this indicates a bug."""
 
 
 def is_good_pivot(cut_sides: dict[int, frozenset[int]], vi: frozenset[int]) -> bool:
@@ -76,7 +79,7 @@ def _assign_largest(
     Returns split pieces (members, full side, value).  With a laminar
     family the chosen cuts are its maximal elements and each claims its
     whole slice of the super-node; a partial claim means two cuts cross,
-    which the callers treat as a perturbation failure.
+    and raises LaminarityError.
     """
     order = sorted(
         sides,
@@ -158,11 +161,11 @@ def build_randomized(
 ) -> PartitionTree:
     """Cut-equivalent tree via partial-tree bootstrap and random pivots.
 
-    Per super-node: contract the rest of the tree, perturb, pick pivots at
-    random until one yields balanced cuts for at least a quarter of the
-    super-node (aborting after 2*GAMMA*log2 N straight failures), split
-    along the chosen cuts, recurse.  Raises RandomizedAbort on a bad-pivot
-    streak and retries internally on detected perturbation failures.
+    Per super-node: contract the rest of the tree, pick pivots at random
+    until one yields balanced cuts for at least a quarter of the super-node
+    (aborting after 2*GAMMA*log2 N straight failures), split along the
+    chosen cuts, recurse.  The seed drives only the pivot draws.  Raises
+    RandomizedAbort on a bad-pivot streak.
     """
     cfg = config or EngineConfig()
     rng = random.Random(seed)
@@ -171,20 +174,29 @@ def build_randomized(
     max_bad = max(1, math.ceil(2 * GAMMA * math.log2(max(2, n))))
 
     def start() -> PartitionTree:
-        return k_partial_tree(g, max(1, math.isqrt(n)), seed=rng.randrange(2 ** 62))
+        return k_partial_tree(g, max(1, math.isqrt(n)))
 
     def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
-        for _ in range(3):
-            pert = perturb(aux, seed=rng.randrange(2 ** 62))
-            try:
-                return _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep)
-            except LaminarityError:
-                rep["reperturbs"] += 1
-        raise RandomizedAbort("perturbation kept producing crossing cuts")
+        for _ in range(max_bad):
+            p = rng.choice(sorted(vi))
+            engine = SingleSourceEngine(g, aux, aux, p, cfg)
+            engine.run()
+            rep["covered"] += engine.report["covered"]
+            expanded = _done_sides(engine, aux)
+            by_coverer = {u: expanded[v] for u, v in engine.covered.items()}
+            if is_good_pivot(expanded | by_coverer, vi):
+                sides: dict[frozenset[int], Weight] = {}
+                for v, s in expanded.items():
+                    if 2 * len(s & vi) <= len(vi):
+                        sides.setdefault(s, engine.table.estimate(v))
+                return _assign_largest(sides, vi, p)
+            rep["bad_pivot_retries"] += 1
+        raise RandomizedAbort(
+            f"{max_bad} bad pivots in a row on a super-node of {len(vi)} nodes")
 
     return _refine(g, rep, {"algo": "randomized", "seed": seed, "n": n,
-                            "bad_pivot_retries": 0, "reperturbs": 0,
-                            "supers": 0, "covered": 0}, start, pieces)
+                            "bad_pivot_retries": 0, "supers": 0, "covered": 0},
+                   start, pieces)
 
 
 def _done_sides(engine: SingleSourceEngine, aux: Graph) -> dict[int, frozenset[int]]:
@@ -192,25 +204,6 @@ def _done_sides(engine: SingleSourceEngine, aux: Graph) -> dict[int, frozenset[i
     terminal order."""
     table = engine.table
     return {v: aux.expand(table.witness(v)) for v in table.terminals() if table.done(v)}
-
-
-def _randomized_pieces(g, aux, pert, vi, cfg, rng, max_bad, rep):
-    for _ in range(max_bad):
-        p = rng.choice(sorted(vi))
-        engine = SingleSourceEngine(g, aux, pert, p, cfg)
-        engine.run()
-        rep["covered"] += engine.report["covered"]
-        expanded = _done_sides(engine, aux)
-        by_coverer = {u: expanded[v] for u, v in engine.covered.items()}
-        if is_good_pivot(expanded | by_coverer, vi):
-            sides: dict[frozenset[int], Weight] = {}
-            for v, s in expanded.items():
-                if 2 * len(s & vi) <= len(vi):
-                    sides.setdefault(s, Weight(engine.table.estimate(v).base, 0))
-            return _assign_largest(sides, vi, p)
-        rep["bad_pivot_retries"] += 1
-    raise RandomizedAbort(
-        f"{max_bad} bad pivots in a row on a super-node of {len(vi)} nodes")
 
 
 def build_deterministic(

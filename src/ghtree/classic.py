@@ -1,7 +1,7 @@
 """Classical cut-tree builders: Gomory-Hu on contracted graphs, Gusfield's
 uncontracted variant, and partial trees that resolve only low-connectivity
-pairs (a Gusfield tree of a perturbed sparsifier with its heavy edges
-contracted).
+pairs (a Gusfield tree of a Nagamochi-Ibaraki sparsifier with its heavy
+edges contracted).
 
 Gomory-Hu builds one flow solver for its input and derives each contracted
 flow graph from it by a node remap (``MaxFlowSolver.remapped``): no
@@ -15,7 +15,7 @@ from typing import Optional
 from .flow import MaxFlowSolver
 from .graph import Graph
 from .partition import GomoryHuTree, PartitionTree, gh_refine, to_node_tree
-from .sparsify import perturb, perturbed_sparsifier
+from .sparsify import ni_sparsify
 from .weights import Weight, from_scaled
 
 
@@ -103,24 +103,24 @@ def _gusfield_frame(n: int, solve) -> PartitionTree:
     return PartitionTree(supers, adj)
 
 
-def k_partial_tree(g: Graph, k: int, seed: int | None = 0) -> PartitionTree:
+def k_partial_tree(g: Graph, k: int) -> PartitionTree:
     """Partition tree resolving exactly the pairs with connectivity <= k.
 
-    Built as a full Gusfield tree of the perturbed (k+1)-sparsifier, whose
-    cuts of value <= k coincide with the input graph's, then contracting
-    every tree edge heavier than k.  Each pair of connectivity <= k has a
-    unique minimum cut in the perturbed sparsifier, so every cut tree of it
-    carries the same light edges and the result does not depend on which
-    full-tree builder made it; Gusfield's needs no contracted graphs and
-    reuses one flow solver for all n-1 flows.
+    Built as a full Gusfield tree of the (k+1)-sparsifier, whose cuts of
+    value <= k are exactly the input graph's and whose other cuts stay above
+    k (Nagamochi & Ibaraki), then contracting every tree edge heavier than
+    k.  Each light edge's fundamental cut is therefore a minimum cut of the
+    input, and the super-nodes are the classes of the equivalence relation
+    "connectivity > k", the same for every cut tree; which light edges join
+    them may differ between cut trees when minimum cuts tie.  Gusfield's
+    builder needs no contracted graphs and reuses one flow solver for all
+    n-1 flows.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n == 1:
         return PartitionTree.single(1)
-    gp = perturb(g, seed=seed)
-    gw = perturbed_sparsifier(g, gp, k + 1)
-    full = gusfield(gw)
+    full = gusfield(ni_sparsify(g, k + 1))
 
     node_tree = to_node_tree(full)
     # merge across heavy edges
@@ -148,9 +148,8 @@ def k_partial_tree(g: Graph, k: int, seed: int | None = 0) -> PartitionTree:
     adj: dict[int, dict[int, Weight]] = {i: {} for i in supers}
     for u, v, w in kept:
         a, b = ids[find(u)], ids[find(v)]
-        rounded = Weight(w.base, 0)
-        adj[a][b] = rounded
-        adj[b][a] = rounded
+        adj[a][b] = w
+        adj[b][a] = w
     return PartitionTree(supers, adj)
 
 

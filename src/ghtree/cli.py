@@ -2,7 +2,8 @@
 and emit structure reports.
 
 Exit codes: 0 success, 2 verification failure, 3 randomized abort,
-4 input error.
+4 input error.  Click's usage errors (an unknown command, option or choice,
+a missing input file) are input errors too, so they exit 4, not click's 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from typing import NoReturn
 
 import click
@@ -83,7 +85,29 @@ def _build_tree(g: Graph, algo: str, seed, config: EngineConfig, report: dict):
     raise ValueError(algo)
 
 
-@click.group()
+@contextmanager
+def _usage_errors_exit_as_input_errors():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT
+        raise
+
+
+class _Group(click.Group):
+    """A command group whose usage errors, its own and its commands', exit
+    with EXIT_INPUT."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_as_input_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_as_input_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Cut-equivalent (Gomory-Hu) tree toolkit."""
 

@@ -2,10 +2,11 @@
 dynamic pivot in place of a random one.
 
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
-overrides only its pivot-rule hooks: cuts are measured in the unperturbed
-graph (latest cuts with respect to the pivot), stages use the
-Nagamochi-Ibaraki sparsifier and start at w = 1, and the pivot itself
-moves (``pivot_change``) when some terminal admits no balanced minimum cut.
+overrides only its pivot-rule hooks: stages use the Nagamochi-Ibaraki
+sparsifier and start at w = 1, and the pivot itself moves
+(``pivot_change``) when some terminal admits no balanced minimum cut.  As
+in the randomized builder, cuts are latest cuts with respect to the pivot,
+measured in the plain auxiliary graph.
 The stage pass that offers each candidate to isolating cuts on its own is
 shared with the randomized engine and lives in single_source; this module
 re-exports it as ``splitter_isolating_step`` because the benchmark's tracer

@@ -44,12 +44,17 @@ coverer's side.  ``run`` leaves covered terminals unsolved;
 ``settle_covered`` solves them, one flow each, for the public
 ``single_source_mincuts``, whose table is entirely done.
 
-``SingleSourceEngine`` is the randomized engine: cuts are measured in a
-perturbed graph (unique minimum cuts) and the builder draws the pivot at
-random.  The deterministic engine, ``DynamicPivotEngine`` in dynamic.py,
-subclasses it and overrides the pivot-rule hooks grouped at the end of the
-class: the stage graph and first stage, and what happens when a solved cut
-is unbalanced (the pivot moves).  Such a cut's solve ends with the pivot as
+``SingleSourceEngine`` is the randomized engine: the builder draws the
+pivot at random and passes the plain auxiliary graph as the work graph.  No
+perturbation is needed there: a latest cut is unique in any graph, and the
+latest cuts from one pivot are pairwise disjoint or nested (the uncrossing
+argument above), so the cuts a split chooses never cross.  The public
+``single_source_mincuts`` also takes a perturbed work graph, whose minimum
+cuts are unique; its stage graphs then keep the perturbation.  The
+deterministic engine, ``DynamicPivotEngine`` in dynamic.py, subclasses it
+and overrides the pivot-rule hooks grouped at the end of the class: the
+stage graph and first stage, and what happens when a solved cut is
+unbalanced (the pivot moves).  Such a cut's solve ends with the pivot as
 its sink, so its residual graph already holds the minimal pivot side the
 move needs, and a move costs no flow.
 """
@@ -135,8 +140,8 @@ class SingleSourceEngine:
         config: Optional[EngineConfig] = None,
     ):
         """g: the input graph; aux: an auxiliary (contracted) graph of it;
-        work: the graph cuts are measured in (a perturbation of aux, or aux
-        itself for the dynamic pivot); pivot: an original vertex id in aux."""
+        work: the graph cuts are measured in (aux itself in both builders,
+        or a perturbation of it); pivot: an original vertex id in aux."""
         self.g = g
         self.aux = aux
         self.work = work
@@ -349,7 +354,8 @@ class SingleSourceEngine:
     # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
 
     def stage_graph(self, w: int) -> Graph:
-        """Stage w's graph: keeps every cut below 2w exact."""
+        """Stage w's graph: keeps every cut below 2w exact, and a perturbed
+        work graph's perturbation on the edges it keeps whole."""
         return perturbed_sparsifier(self.aux, self.work, 2 * w)
 
     def first_stage(self) -> int:

@@ -112,6 +112,21 @@ def test_input_error_exit_code(tmp_path, runner):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["--algo", "nope"], id="unknown_algo"),
+    pytest.param(["--no-such-option"], id="unknown_option"),
+    pytest.param(None, id="missing_input"),
+])
+def test_usage_errors_exit_4(tmp_path, runner, args):
+    """Click's usage errors are input errors: exit 4, not click's 2, which
+    ght keeps for a failed verification."""
+    gp = write_graph(tmp_path / "g.gr", families.path(3))
+    argv = ["build", gp] + args if args else ["build", str(tmp_path / "absent.gr")]
+    res = runner.invoke(main, argv + ["--out", str(tmp_path / "x.tree")])
+    assert res.exit_code == 4, res.output
+    assert not (tmp_path / "x.tree").exists()
+
+
 @pytest.mark.parametrize("text", [
     "p 3 2\ne 1 x\n",        # non-integer field
     "p 3 2\ne 1 2 two\n",    # non-integer multiplicity

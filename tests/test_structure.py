@@ -11,7 +11,8 @@ self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
 file.  The classic builders build no contracted graph and make at most one
-solver per run.
+solver per run.  The randomized builder and its partial-tree bootstrap run
+on plain graphs: latest cuts need no perturbation to be unique.
 """
 
 import ast
@@ -22,6 +23,9 @@ from pathlib import Path
 import pytest
 
 import ghtree
+from ghtree import families
+from ghtree.build import build_randomized
+from ghtree.classic import k_partial_tree
 from ghtree.graph import Graph
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 
@@ -204,3 +208,20 @@ def test_classic_builds_one_solver_and_no_contracted_graph():
     for loop in ast.walk(tree):
         if isinstance(loop, (ast.For, ast.While)):
             assert not constructions(loop), f"classic.py builds a solver in a loop at line {loop.lineno}"
+
+
+def test_builders_use_no_perturbation():
+    """build.py and classic.py name neither ``perturb`` nor
+    ``perturbed_sparsifier``, the partial tree takes no seed, and a
+    randomized report has no re-perturbation count."""
+    for path in (SRC / "build.py", SRC / "classic.py"):
+        tree = parse(path)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"perturb", "perturbed_sparsifier"}, path.name
+    assert "seed" not in inspect.signature(k_partial_tree).parameters
+    rep: dict = {}
+    build_randomized(families.clique_chain([4, 4, 4]), seed=0, report=rep)
+    assert rep["algo"] == "randomized" and "reperturbs" not in rep
