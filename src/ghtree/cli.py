@@ -123,7 +123,8 @@ def main():
 @click.option("--loop", is_flag=True,
               help="run the doubling stages of the candidate-elimination loop")
 @click.option("--stage-from-zero", is_flag=True,
-              help="with --loop: the doubling stages start at w=1")
+              help="with --loop: the doubling stages start at w=1 "
+                   "(more flows; not needed for exact cuts)")
 def build(input_path, algo, seed, out_path, report_path, via_subdivision,
           loop, stage_from_zero):
     """Build a cut-equivalent tree of a graph file."""

@@ -3,8 +3,9 @@ dynamic pivot in place of a random one.
 
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
 overrides only its pivot-rule hooks: stages use the Nagamochi-Ibaraki
-sparsifier and start at w = 1, and the pivot itself moves
-(``pivot_change``) when some terminal admits no balanced minimum cut.  As
+sparsifier (and start where the randomized engine's do), and the pivot
+itself moves (``pivot_change``) when some terminal admits no balanced
+minimum cut.  As
 in the randomized builder, cuts are latest cuts with respect to the pivot,
 measured in the plain auxiliary graph.
 The stage pass that offers each candidate to isolating cuts on its own is
@@ -47,9 +48,6 @@ class DynamicPivotEngine(SingleSourceEngine):
 
     def stage_graph(self, w: int) -> Graph:
         return ni_sparsify(self.aux, 2 * w)
-
-    def first_stage(self) -> int:
-        return 0
 
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         if self.good(cut.side):

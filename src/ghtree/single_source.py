@@ -23,13 +23,15 @@ below it takes that solver, not the graph.  Every isolating batch goes
 through ``offer_isolating_cuts``; a lone terminal's isolating cut is its
 latest cut in the stage graph, so it is one ``latest_cut`` solve on the
 stage solver, and ``settle`` records it: below 2w the terminal is done, at
-or above 2w its floor is 2w.  The paper's expander decomposition only
+or above 2w its floor is 2w.  A stage graph that keeps every edge is the
+work graph; the stage then solves on the work solver, and a lone solve
+settles its terminal at any value.  The paper's expander decomposition only
 chose which candidates to offer together; with every candidate offered
 alone it saves no flow, and the engine does not run it.  Estimates only
 decrease, every estimate is the exact weight of its witness cut, and a
-terminal is marked done only by ``settle``, when a solve (or the stage-end
-claim) makes its estimate minimal; anything left unproven is settled
-uncapped at the end.
+terminal is marked done only by ``settle``, when a solve makes its
+estimate minimal or the stage-end claim finds that a proven floor meets it;
+anything left unproven is settled uncapped at the end.
 
 That final sweep solves the undone terminals in sorted order and skips the
 ones a solve of this sweep has already *covered*: when terminal v settles
@@ -53,10 +55,11 @@ argument above), so the cuts a split chooses never cross.  The public
 cuts are unique; its stage graphs then keep the perturbation.  The
 deterministic engine, ``DynamicPivotEngine`` in dynamic.py, subclasses it
 and overrides the pivot-rule hooks grouped at the end of the class: the
-stage graph and first stage, and what happens when a solved cut is
-unbalanced (the pivot moves).  Such a cut's solve ends with the pivot as
-its sink, so its residual graph already holds the minimal pivot side the
-move needs, and a move costs no flow.
+stage graph, and what happens when a solved cut is unbalanced (the pivot
+moves).  Such a cut's solve ends with the pivot as its sink, so its
+residual graph already holds the minimal pivot side the move needs, and a
+move costs no flow.  Both engines start their stages at
+w = 2^floor(log2(n)/2).
 """
 
 from __future__ import annotations
@@ -90,11 +93,12 @@ class EngineConfig:
     no doubling stage runs, and every terminal is settled by one uncapped
     latest-cut solve, which is unconditionally exact and fastest at desk
     scale.  ``loop_enabled`` runs the doubling stages (the easy step, then
-    one solve per candidate on the stage solver); ``stage_from_zero``
-    starts them at w = 1 and does nothing without the loop.  ``seed`` has
-    no effect: no engine step draws random numbers (the randomized builder
-    takes its own seed).  The field stays because the benchmark constructs
-    it.
+    one solve per candidate on the stage solver), from
+    w = 2^floor(log2(n)/2); ``stage_from_zero`` starts them at w = 1, which
+    costs flows and is not needed for exactness, and does nothing without
+    the loop.  ``seed`` has no effect: no engine step draws random numbers
+    (the randomized builder takes its own seed).  The field stays because
+    the benchmark constructs it.
     """
 
     loop_enabled: bool = False
@@ -288,9 +292,9 @@ class SingleSourceEngine:
 
     def run(self) -> EstimateTable:
         if self.config.loop_enabled:
-            n_orig = self.g.n
-            j_hi = max(0, math.ceil(math.log2(max(2, n_orig))))
-            for j in range(self.first_stage(), j_hi + 1):
+            log_n = math.log2(max(2, self.g.n))
+            j_lo = 0 if self.config.stage_from_zero else math.floor(log_n / 2)
+            for j in range(j_lo, math.ceil(log_n) + 1):
                 stage_w(self, 2 ** j)
         self.final_sweep()
         self.report["pivot_changes"] = self.pivot_changes
@@ -358,12 +362,6 @@ class SingleSourceEngine:
         work graph's perturbation on the edges it keeps whole."""
         return perturbed_sparsifier(self.aux, self.work, 2 * w)
 
-    def first_stage(self) -> int:
-        """Exponent j of the first doubling stage, w = 2^j."""
-        if self.config.stage_from_zero:
-            return 0
-        return max(0, math.floor(math.log2(max(2, self.g.n)) / 2))
-
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         """Called with the latest minimum (pivot, v)-cut before it is
         recorded, and the solver whose last solve found it.  True means the
@@ -411,8 +409,14 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         state.report["stages"].append(srep)
         return
     gw = state.stage_graph(w)
-    solver = MaxFlowSolver(gw)
     srep["gw_edges"] = gw.edge_instances
+    # a stage graph that keeps every edge instance is the work graph, whose
+    # solves are exact at any value: the stage then runs on the work solver,
+    # and ``offer_isolating_cuts`` settles on it uncapped
+    if srep["gw_edges"] == state.work.edge_instances:
+        solver = state.work_solver
+    else:
+        solver = MaxFlowSolver(gw)
     srep["easy_updates"] = easy_cuts_step(state, w, solver)
 
     live = set(state.candidates(w))
@@ -420,18 +424,14 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     flows = FLOW_CALLS.value
     srep["isolating"] = splitter_isolating_step(state, w, solver, live)
     srep["direct_solves"] = FLOW_CALLS.value - flows
-    # stage-end claim: every terminal outside ``live`` whose estimate is
-    # below 2w is settled with its current witness as the cut.  The pass
-    # settled every candidate below 2w (unless a pivot change reopened it),
-    # so the claim acts on terminals with estimates at or below w, which
-    # earlier stages would have proven.  When the run starts above w = 1
-    # nothing proved them, and a standalone run can return a cut above the
-    # minimum: the strict xfail test_standalone_loop_without_stage_from_zero_is_exact
-    # (tests/test_differential.py) pins such a case.
+    # stage-end claim: an undone terminal whose proven floor meets its
+    # estimate is settled with its current witness.  The witness is a real
+    # cut whose weight equals a proven lower bound, so it is a minimum cut
+    # whatever stage the run started at.
     lim = Weight(2 * w, 0)
     for v in state.table.terminals():
         e = state.table.entries[v]
-        if e.value < lim and v not in live:
+        if e.value < lim and not e.floor < e.value:
             state.settle(v, solver, lim,
                          CutSide(side=e.witness, value=e.value, s=state.pivot_idx, t=state.idx(v)))
     state.report["stages"].append(srep)
@@ -447,10 +447,12 @@ def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolve
     A lone terminal's isolating cut is its latest minimum cut from the
     pivot, so it is one uncapped ``latest_cut`` solve on the stage solver,
     and ``settle`` records what it proves: below 2w the stage graph keeps
-    it exact, at or above 2w it proves the floor 2w."""
+    it exact, at or above 2w it proves the floor 2w.  A solver over the
+    work graph itself (a stage graph that kept every edge) is exact at any
+    value, so there is no cap."""
     if not batch:
         return 0
-    cap = Weight(2 * w, 0)
+    cap = None if solver.g is state.work else Weight(2 * w, 0)
     if len(batch) == 1:
         v = batch[0]
         if not state.unsettled(v, cap):

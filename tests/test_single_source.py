@@ -244,6 +244,17 @@ def test_lone_isolating_cut_below_the_stage_bound_settles():
     assert engine.table.entries[6].floor >= cap
 
 
+def test_stage_graph_keeping_every_edge_settles_uncapped():
+    """A cycle's stage graph at w = 1 keeps every edge, so it is the work
+    graph: the stage solves on the work solver, and each terminal settles
+    at its connectivity 2 (plus perturbation), at or above 2w."""
+    g = families.cycle(8)
+    engine = make_engine(g, 0, EngineConfig(loop_enabled=True, stage_from_zero=True), seed=22)
+    stage_w(engine, 1)
+    assert engine.report["stages"][0]["gw_edges"] == engine.work.edge_instances
+    oracle_check(g, engine, 0)
+
+
 def test_easy_step_never_marks_done():
     g = families.er_connected(10, 0.5, seed=13)
     engine = make_engine(g, 0, seed=13)

@@ -11,8 +11,9 @@ self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
 file.  The classic builders build no contracted graph and make at most one
-solver per run.  The randomized builder and its partial-tree bootstrap run
-on plain graphs: latest cuts need no perturbation to be unique.
+solver per run.  Both engines start their doubling stages at the same w.
+The randomized builder and its partial-tree bootstrap run on plain graphs:
+latest cuts need no perturbation to be unique.
 """
 
 import ast
@@ -26,6 +27,7 @@ import ghtree
 from ghtree import families
 from ghtree.build import build_randomized
 from ghtree.classic import k_partial_tree
+from ghtree.dynamic import DynamicPivotEngine
 from ghtree.graph import Graph
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 
@@ -128,6 +130,24 @@ def test_stage_solver_is_explicit():
 def test_engine_config_fields():
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
         "loop_enabled", "stage_from_zero", "seed"}
+
+
+def test_deterministic_stages_start_like_randomized():
+    """The stage-end claim settles only terminals whose proven floor meets
+    the estimate, so no engine needs its stages to begin at w = 1:
+    ``DynamicPivotEngine`` overrides the stage graph and the pivot moves,
+    not where the stages start, and loop-on it begins at 2^floor(log2(n)/2)
+    as the randomized engine does."""
+    assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
+        "stage_graph", "moves_pivot", "isolating_moves_pivot"}
+    assert not hasattr(SingleSourceEngine, "first_stage")
+    g = families.er_connected(40, 0.08, seed=0)
+    cfg = EngineConfig(loop_enabled=True)
+    first = []
+    for engine in (DynamicPivotEngine(g, g, 0, cfg), SingleSourceEngine(g, g, g, 0, cfg)):
+        engine.run()
+        first.append(engine.report["stages"][0]["w"])
+    assert first == [4, 4]   # n = 40: 2^floor(log2(40) / 2)
 
 
 def test_loop_runs_no_expander_decomposition():
