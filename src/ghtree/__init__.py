@@ -44,7 +44,6 @@ from .single_source import (
     SingleSourceEngine,
     single_source_mincuts,
     stage_w,
-    easy_cuts_step,
     splitter_isolating_step,
 )
 from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot

@@ -179,7 +179,7 @@ def build_randomized(
     def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
         for _ in range(max_bad):
             p = rng.choice(sorted(vi))
-            engine = SingleSourceEngine(g, aux, aux, p, cfg)
+            engine = SingleSourceEngine(g, aux, p, cfg)
             engine.run()
             rep["covered"] += engine.report["covered"]
             expanded = _done_sides(engine, aux)

@@ -122,17 +122,11 @@ def main():
               help="accept multigraphs: subdivide, build, project back")
 @click.option("--loop", is_flag=True,
               help="run the doubling stages of the candidate-elimination loop")
-@click.option("--stage-from-zero", is_flag=True,
-              help="with --loop: the doubling stages start at w=1 "
-                   "(more flows; not needed for exact cuts)")
-def build(input_path, algo, seed, out_path, report_path, via_subdivision,
-          loop, stage_from_zero):
+def build(input_path, algo, seed, out_path, report_path, via_subdivision, loop):
     """Build a cut-equivalent tree of a graph file."""
-    if stage_from_zero and not loop:
-        _input_error("--stage-from-zero needs --loop")
     g = _load_graph(input_path)
     seed = _seed_option(seed)
-    config = EngineConfig(loop_enabled=loop, stage_from_zero=stage_from_zero)
+    config = EngineConfig(loop_enabled=loop)
     report: dict = {"algo": algo, "n": g.n, "m": g.edge_instances, "seed": seed}
     FLOW_CALLS.reset()
     t0 = time.perf_counter()

@@ -2,15 +2,13 @@
 dynamic pivot in place of a random one.
 
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
-overrides only its pivot-rule hooks: stages use the Nagamochi-Ibaraki
-sparsifier (and start where the randomized engine's do), and the pivot
-itself moves (``pivot_change``) when some terminal admits no balanced
-minimum cut.  As
-in the randomized builder, cuts are latest cuts with respect to the pivot,
-measured in the plain auxiliary graph.
-The stage pass that offers each candidate to isolating cuts on its own is
-shared with the randomized engine and lives in single_source; this module
-re-exports it as ``splitter_isolating_step`` because the benchmark's tracer
+overrides only its pivot-rule hooks: the pivot moves (``pivot_change``)
+when some terminal admits no balanced minimum cut.  Its stages, stage
+graphs and stage pass are the randomized engine's, and as in the
+randomized builder, cuts are latest cuts with respect to the pivot,
+measured in the plain auxiliary graph.  The stage pass, which solves each
+candidate alone, lives in single_source; this module re-exports it as
+``splitter_isolating_step`` because the benchmark's tracer
 (perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
 solve that triggered it, so it makes no max-flow of its own, and it drops
@@ -32,7 +30,6 @@ from .single_source import (
     TerminalEstimate,
     splitter_isolating_step,
 )
-from .sparsify import ni_sparsify
 
 
 class DynamicPivotEngine(SingleSourceEngine):
@@ -42,13 +39,6 @@ class DynamicPivotEngine(SingleSourceEngine):
     minimum cut whose terminal side holds at most half of the original
     nodes, relative to the final pivot."""
 
-    def __init__(self, g: Graph, aux: Graph, pivot: int,
-                 config: Optional[EngineConfig] = None):
-        super().__init__(g, aux, aux, pivot, config)
-
-    def stage_graph(self, w: int) -> Graph:
-        return ni_sparsify(self.aux, 2 * w)
-
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         if self.good(cut.side):
             return False
@@ -56,8 +46,9 @@ class DynamicPivotEngine(SingleSourceEngine):
         return True
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """Settle v on the work graph when its isolating cut is unbalanced;
-        if every minimum cut to v is unbalanced too, v becomes the pivot."""
+        """Settle v on the auxiliary graph when its stage-graph cut is
+        unbalanced; if every minimum cut to v is unbalanced too, v becomes
+        the pivot."""
         return not self.good(cut.side) and self.settle(v)
 
 
@@ -108,14 +99,14 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
                 # exactly lam; undone ones keep only an upper bound
             else:
                 if q_idx in e.witness:
-                    e.value = state.work.degree_weight(v_idx)
+                    e.value = state.aux.degree_weight(v_idx)
                     e.witness = frozenset((v_idx,))
                     e.done = False
         else:
             if q_idx in e.witness:
                 # a good witness holding q would be a balanced minimum
                 # p,q-cut, contradicting the trigger; reset defensively
-                e.value = state.work.degree_weight(v_idx)
+                e.value = state.aux.degree_weight(v_idx)
                 e.witness = frozenset((v_idx,))
                 e.done = False
         if lam < e.floor:

@@ -66,8 +66,8 @@ class MaxFlowSolver:
     simple graph); the pair of arc e is e ^ 1.  Every node keeps the list of
     arc ids leaving it.  ``solve`` copies the capacities into a private
     residual array, so one solver serves any number of solves; the side
-    queries read the residual of the last solve.  An uncapped solve ends
-    with a search from s that cannot reach t, which is the residual reach
+    queries read the residual of the last solve.  A solve ends with a
+    search from s that cannot reach t, which is the residual reach
     of s, so ``source_side`` of that s needs no second search.
 
     ``g`` is the graph the solver's arcs came from.  A solver made by
@@ -154,13 +154,8 @@ class MaxFlowSolver:
         sub._reach = None
         return sub
 
-    def solve(self, s: int, t: int, cutoff: int | None = None) -> int:
-        """Max flow from s to t as a scaled integer.
-
-        With a cutoff, augmentation stops once the flow reaches it and the
-        result is ``min(max flow, cutoff)``; the residual state is then only
-        good for answering "value >= cutoff".
-        """
+    def solve(self, s: int, t: int) -> int:
+        """Max flow from s to t as a scaled integer."""
         if s == t:
             raise GraphError("source equals sink")
         FLOW_CALLS.value += 1
@@ -215,14 +210,10 @@ class MaxFlowSolver:
             while True:
                 if u == t:
                     pushed = min(map(cap.__getitem__, path))
-                    if cutoff is not None and pushed > cutoff - flow:
-                        pushed = cutoff - flow
                     for e in path:
                         cap[e] -= pushed
                         cap[e ^ 1] += pushed
                     flow += pushed
-                    if cutoff is not None and flow >= cutoff:
-                        return flow
                     i = 0
                     while cap[path[i]]:
                         i += 1
@@ -255,7 +246,7 @@ class MaxFlowSolver:
                     path.pop()
                     u = to[path[-1]] if path else s
 
-    # -- residual side extraction (valid after an uncapped solve) ----------
+    # -- residual side extraction (reads the last solve's residual) ---------
 
     def source_side(self, s: int) -> frozenset[int]:
         """Nodes reachable from s in the residual graph."""

@@ -11,23 +11,22 @@ return.  Every proven fact about a terminal comes from one other method,
 exactness cap is the terminal's done witness, and one at or above it proves
 the floor.  The default profile (elimination loop off) settles every
 terminal with one uncapped such solve; all of them share a single solver
-over the work graph.
+over the auxiliary graph.
 
-With the loop on, the engine first walks doubling stages.  Stage w works on
-a sparsifier preserving all cuts below 2w.  It isolates the high-degree
-terminals (cuts containing a single high-degree node are caught here), then
-offers every candidate (an undone terminal whose estimate exceeds w) to
-isolating cuts on its own, in sorted order (``splitter_isolating_step``).
-``stage_w`` builds the stage graph and one solver over it, and every step
-below it takes that solver, not the graph.  Every isolating batch goes
-through ``offer_isolating_cuts``; a lone terminal's isolating cut is its
-latest cut in the stage graph, so it is one ``latest_cut`` solve on the
-stage solver, and ``settle`` records it: below 2w the terminal is done, at
-or above 2w its floor is 2w.  A stage graph that keeps every edge is the
-work graph; the stage then solves on the work solver, and a lone solve
-settles its terminal at any value.  The paper's expander decomposition only
-chose which candidates to offer together; with every candidate offered
-alone it saves no flow, and the engine does not run it.  Estimates only
+With the loop on, the engine first walks doubling stages from
+w = 2^floor(log2(n)/2).  Stage w works on a Nagamochi-Ibaraki sparsifier,
+which keeps every cut below 2w exact, and makes one pass over the
+candidates (the undone terminals whose estimate exceeds w), in sorted order
+(``splitter_isolating_step``).  ``stage_w`` builds the stage graph and one
+solver over it, and the pass takes that solver, not the graph.  A lone
+terminal's isolating cut is its latest cut in the stage graph, so each
+candidate is one ``latest_cut`` solve on the stage solver, and ``settle``
+records it: below 2w the terminal is done, at or above 2w its floor is 2w.
+A stage graph that keeps every edge is the auxiliary graph; the stage then
+solves on the engine's own solver, and a solve settles its terminal at any
+value.  The paper's batch isolating cuts and expander decomposition only
+chose which candidates to solve together; with every candidate solved
+alone they save no flow, and the engine runs neither.  Estimates only
 decrease, every estimate is the exact weight of its witness cut, and a
 terminal is marked done only by ``settle``, when a solve makes its
 estimate minimal or the stage-end claim finds that a proven floor meets it;
@@ -47,19 +46,15 @@ coverer's side.  ``run`` leaves covered terminals unsolved;
 ``single_source_mincuts``, whose table is entirely done.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
-pivot at random and passes the plain auxiliary graph as the work graph.  No
-perturbation is needed there: a latest cut is unique in any graph, and the
+pivot at random.  Every cut is measured in the plain auxiliary graph; no
+perturbation is needed: a latest cut is unique in any graph, and the
 latest cuts from one pivot are pairwise disjoint or nested (the uncrossing
-argument above), so the cuts a split chooses never cross.  The public
-``single_source_mincuts`` also takes a perturbed work graph, whose minimum
-cuts are unique; its stage graphs then keep the perturbation.  The
+argument above), so the cuts a split chooses never cross.  The
 deterministic engine, ``DynamicPivotEngine`` in dynamic.py, subclasses it
-and overrides the pivot-rule hooks grouped at the end of the class: the
-stage graph, and what happens when a solved cut is unbalanced (the pivot
-moves).  Such a cut's solve ends with the pivot as its sink, so its
-residual graph already holds the minimal pivot side the move needs, and a
-move costs no flow.  Both engines start their stages at
-w = 2^floor(log2(n)/2).
+and overrides the pivot-rule hooks grouped at the end of the class: what
+happens when a solved cut is unbalanced (the pivot moves).  Such a cut's
+solve ends with the pivot as its sink, so its residual graph already holds
+the minimal pivot side the move needs, and a move costs no flow.
 """
 
 from __future__ import annotations
@@ -71,8 +66,7 @@ from typing import Optional
 
 from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
-from .isolating import isolating_cuts
-from .sparsify import perturbed_sparsifier
+from .sparsify import ni_sparsify
 from .weights import Weight, from_scaled
 
 
@@ -92,17 +86,14 @@ class EngineConfig:
     Defaults give the direct profile: the candidate-elimination loop is off,
     no doubling stage runs, and every terminal is settled by one uncapped
     latest-cut solve, which is unconditionally exact and fastest at desk
-    scale.  ``loop_enabled`` runs the doubling stages (the easy step, then
-    one solve per candidate on the stage solver), from
-    w = 2^floor(log2(n)/2); ``stage_from_zero`` starts them at w = 1, which
-    costs flows and is not needed for exactness, and does nothing without
-    the loop.  ``seed`` has no effect: no engine step draws random numbers
+    scale.  ``loop_enabled`` runs the doubling stages (one solve per
+    candidate on the stage solver) from w = 2^floor(log2(n)/2).  ``seed``
+    has no effect: no engine step draws random numbers
     (the randomized builder takes its own seed).  The field stays because
     the benchmark constructs it.
     """
 
     loop_enabled: bool = False
-    stage_from_zero: bool = False
     seed: Optional[int] = None
 
 
@@ -139,16 +130,14 @@ class SingleSourceEngine:
         self,
         g: Graph,
         aux: Graph,
-        work: Graph,
         pivot: int,
         config: Optional[EngineConfig] = None,
     ):
-        """g: the input graph; aux: an auxiliary (contracted) graph of it;
-        work: the graph cuts are measured in (aux itself in both builders,
-        or a perturbation of it); pivot: an original vertex id in aux."""
+        """g: the input graph; aux: an auxiliary (contracted) graph of it,
+        in which every cut is measured; pivot: an original vertex id in
+        aux."""
         self.g = g
         self.aux = aux
-        self.work = work
         self.config = config or EngineConfig()
         if pivot not in aux.index_of:
             raise GraphError("pivot is not an original node of the auxiliary graph")
@@ -160,7 +149,7 @@ class SingleSourceEngine:
                 continue
             vi = aux.index_of[v]
             self.table.entries[v] = TerminalEstimate(
-                value=work.degree_weight(vi),
+                value=aux.degree_weight(vi),
                 witness=frozenset((vi,)),
             )
         self.pivot_changes = 0
@@ -193,13 +182,13 @@ class SingleSourceEngine:
     def good(self, side: frozenset[int]) -> bool:
         return 2 * self.vprime_count(side) <= len(self.vprime)
 
-    def offer(self, v: int, value: Weight, side: frozenset[int],
-              cap: Optional[Weight] = None) -> bool:
+    def offer(self, v: int, value: Weight, side: frozenset[int]) -> bool:
         """Lower terminal v's estimate to a cut of that value and v-side, if
-        the cut is lower and (given ``cap``, the stage's exactness boundary)
-        below the cap; True when the estimate dropped."""
+        the cut is lower; True when the estimate dropped.  No engine step
+        calls it (estimates move in ``settle`` and ``pivot_change``); it
+        stays because the benchmark's tracer wraps it by name."""
         e = self.table.entries[v]
-        if not value < e.value or (cap is not None and not value < cap):
+        if not value < e.value:
             return False
         self._set_witness(e, v, value, side)
         return True
@@ -211,35 +200,30 @@ class SingleSourceEngine:
         e.value = value
         e.witness = side
 
-    def unsettled(self, v: int, cap: Optional[Weight] = None) -> bool:
-        """True when terminal v is not done and, given ``cap``, its floor is
-        still below the cap, so a solve below the cap can teach something."""
-        e = self.table.entries.get(v)
-        return e is not None and not e.done and (cap is None or e.floor < cap)
-
     def settle(self, v: int, solver: Optional[MaxFlowSolver] = None,
                cap: Optional[Weight] = None, cut: Optional[CutSide] = None) -> bool:
         """Turn terminal v's latest cut into a proven estimate; True when the
         cut moved the pivot instead (v is then the pivot).
 
-        Skips v unless it is ``unsettled`` below ``cap``.  Otherwise solves
-        the latest cut on ``solver`` (default: the work graph's), capped at
-        ``cap``, or takes ``cut``, which is the latest cut of the solver's
-        last solve or a balanced witness.  ``cap`` is where the solver's
-        graph stops being exact: a cut that reaches it only proves the floor
-        ``cap`` (an unbalanced one goes to ``isolating_moves_pivot``).  A cut
-        below it is the minimum cut; ``moves_pivot`` may drop it, and
-        otherwise it becomes v's done witness."""
-        if not self.unsettled(v, cap):
+        Skips v unless it is an undone terminal whose floor is below
+        ``cap``, so that a solve below the cap can teach something.
+        Otherwise solves the latest cut on ``solver`` (default: the
+        auxiliary graph's), or takes ``cut``, a witness already recorded for
+        v (the stage-end claim).  ``cap`` is where the solver's graph stops
+        being exact: a cut that reaches it only proves the floor ``cap`` (an
+        unbalanced one goes to ``isolating_moves_pivot``).  A cut below it
+        is the minimum cut; ``moves_pivot`` may drop it, and otherwise it
+        becomes v's done witness."""
+        e = self.table.entries.get(v)
+        if e is None or e.done or (cap is not None and not e.floor < cap):
             return False
         if solver is None:
-            solver = self.work_solver
+            solver = self.aux_solver
         if cut is None:
-            cut = self.latest_cut(v, solver, cap)
-        e = self.table.entries[v]
-        if cut is None or (cap is not None and not cut.value < cap):
+            cut = self.latest_cut(v, solver)
+        if cap is not None and not cut.value < cap:
             e.floor = cap
-            return cut is not None and self.isolating_moves_pivot(v, cut)
+            return self.isolating_moves_pivot(v, cut)
         if self.moves_pivot(v, cut, solver):
             return True
         if e.value < cut.value:
@@ -250,28 +234,24 @@ class SingleSourceEngine:
         return False
 
     @cached_property
-    def work_solver(self) -> MaxFlowSolver:
-        """The engine's one solver over the work graph, built on first use."""
-        return MaxFlowSolver(self.work)
+    def aux_solver(self) -> MaxFlowSolver:
+        """The engine's one solver over the auxiliary graph, built on first
+        use."""
+        return MaxFlowSolver(self.aux)
 
-    def latest_cut(self, v: int, solver: Optional[MaxFlowSolver] = None,
-                   cutoff: Optional[Weight] = None) -> Optional[CutSide]:
-        """Latest minimum (pivot, v)-cut: the inclusion-minimal side holding
-        terminal v, or None once the value reaches ``cutoff``.
+    def latest_cut(self, v: int, solver: Optional[MaxFlowSolver] = None) -> CutSide:
+        """Latest minimum (pivot, v)-cut in ``solver.g``: the
+        inclusion-minimal side holding terminal v.
 
-        Solves from v toward the pivot on ``solver`` (default: the work
+        Solves from v toward the pivot on ``solver`` (default: the auxiliary
         graph's), so the residual search for the side starts at the
         (usually low-degree) terminal, and afterwards
         ``solver.sink_side(self.pivot_idx)`` is the minimal pivot side."""
         if solver is None:
-            solver = self.work_solver
-        unit = solver.g.unit
-        cap = None if cutoff is None else cutoff.scaled(unit)
+            solver = self.aux_solver
         t_idx = self.idx(v)
-        val = solver.solve(t_idx, self.pivot_idx, cutoff=cap)
-        if cap is not None and val >= cap:
-            return None
-        return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, unit),
+        val = solver.solve(t_idx, self.pivot_idx)
+        return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, solver.g.unit),
                        s=self.pivot_idx, t=t_idx)
 
     # -- stage machinery -------------------------------------------------------
@@ -290,11 +270,15 @@ class SingleSourceEngine:
             for e in self.table.entries.values()
         )
 
+    def stage_graph(self, w: int) -> Graph:
+        """Stage w's graph: a sparsifier that keeps every cut below 2w
+        exact."""
+        return ni_sparsify(self.aux, 2 * w)
+
     def run(self) -> EstimateTable:
         if self.config.loop_enabled:
             log_n = math.log2(max(2, self.g.n))
-            j_lo = 0 if self.config.stage_from_zero else math.floor(log_n / 2)
-            for j in range(j_lo, math.ceil(log_n) + 1):
+            for j in range(math.floor(log_n / 2), math.ceil(log_n) + 1):
                 stage_w(self, 2 ** j)
         self.final_sweep()
         self.report["pivot_changes"] = self.pivot_changes
@@ -357,11 +341,6 @@ class SingleSourceEngine:
 
     # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
 
-    def stage_graph(self, w: int) -> Graph:
-        """Stage w's graph: keeps every cut below 2w exact, and a perturbed
-        work graph's perturbation on the edges it keeps whole."""
-        return perturbed_sparsifier(self.aux, self.work, 2 * w)
-
     def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
         """Called with the latest minimum (pivot, v)-cut before it is
         recorded, and the solver whose last solve found it.  True means the
@@ -370,8 +349,8 @@ class SingleSourceEngine:
         return False
 
     def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """As ``moves_pivot``, for a cut not proven minimum: a batch's
-        isolating cut, or a lone one at or above the stage bound."""
+        """As ``moves_pivot``, for a latest cut in a stage graph at or
+        above the stage bound, which is not proven minimum."""
         return False
 
 
@@ -381,28 +360,27 @@ class SingleSourceEngine:
 def single_source_mincuts(
     g: Graph,
     g_aux: Graph,
-    g_pert: Graph,
     p: int,
     config: Optional[EngineConfig] = None,
 ) -> EstimateTable:
-    """Minimum (p,v)-cut in the perturbed auxiliary graph for every terminal.
+    """Latest minimum (p,v)-cut in the auxiliary graph for every terminal.
 
     Terminals are the auxiliary graph's original vertices; witnesses are
-    node sets of the perturbed graph.  All terminals are done on return.
+    node sets of it.  All terminals are done on return.
     """
-    engine = SingleSourceEngine(g, g_aux, g_pert, p, config)
+    engine = SingleSourceEngine(g, g_aux, p, config)
     engine.run()
     engine.settle_covered()
     return engine.table
 
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
-    """One doubling stage of the elimination loop: the easy step, then one
-    pass that offers every candidate alone on the stage solver, which
-    settles each candidate whose connectivity is below 2w and proves the
-    floor 2w for the rest; then the stage-end claim.  Whatever a pivot
-    change reopens falls to the final sweep.  The report's ``direct_solves``
-    counts the pass's flows (the benchmark's tracer sums that key)."""
+    """One doubling stage of the elimination loop: one pass that solves
+    every candidate alone on the stage solver, which settles each candidate
+    whose connectivity is below 2w and proves the floor 2w for the rest;
+    then the stage-end claim.  Whatever a pivot change reopens falls to the
+    final sweep.  The report's ``direct_solves`` counts the pass's flows
+    (the benchmark's tracer sums that key)."""
     srep: dict = {"w": w}
     if not state.stage_pending(w):
         srep["skipped"] = True
@@ -410,24 +388,21 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         return
     gw = state.stage_graph(w)
     srep["gw_edges"] = gw.edge_instances
-    # a stage graph that keeps every edge instance is the work graph, whose
-    # solves are exact at any value: the stage then runs on the work solver,
-    # and ``offer_isolating_cuts`` settles on it uncapped
-    if srep["gw_edges"] == state.work.edge_instances:
-        solver = state.work_solver
+    # a stage graph that keeps every edge instance is the auxiliary graph,
+    # whose solves are exact at any value: the stage then runs on the
+    # engine's own solver, and the pass settles on it uncapped
+    if srep["gw_edges"] == state.aux.edge_instances:
+        solver = state.aux_solver
     else:
         solver = MaxFlowSolver(gw)
-    srep["easy_updates"] = easy_cuts_step(state, w, solver)
-
-    live = set(state.candidates(w))
-    srep["candidates"] = len(live)
+    candidates = state.candidates(w)
+    srep["candidates"] = len(candidates)
     flows = FLOW_CALLS.value
-    srep["isolating"] = splitter_isolating_step(state, w, solver, live)
+    srep["isolating"] = splitter_isolating_step(state, w, solver, candidates)
     srep["direct_solves"] = FLOW_CALLS.value - flows
     # stage-end claim: an undone terminal whose proven floor meets its
     # estimate is settled with its current witness.  The witness is a real
-    # cut whose weight equals a proven lower bound, so it is a minimum cut
-    # whatever stage the run started at.
+    # cut whose weight equals a proven lower bound, so it is a minimum cut.
     lim = Weight(2 * w, 0)
     for v in state.table.terminals():
         e = state.table.entries[v]
@@ -437,66 +412,18 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     state.report["stages"].append(srep)
 
 
-def offer_isolating_cuts(state: SingleSourceEngine, w: int, solver: MaxFlowSolver,
-                         batch: list[int], live: Optional[set[int]] = None) -> int:
-    """Isolating cuts in the stage graph (``solver.g``) for a batch of
-    terminals, each offered below the stage bound 2w unless it moves the
-    pivot; returns the number of estimates improved.  A terminal that
-    becomes the pivot leaves the ``live`` candidates.
-
-    A lone terminal's isolating cut is its latest minimum cut from the
-    pivot, so it is one uncapped ``latest_cut`` solve on the stage solver,
-    and ``settle`` records what it proves: below 2w the stage graph keeps
-    it exact, at or above 2w it proves the floor 2w.  A solver over the
-    work graph itself (a stage graph that kept every edge) is exact at any
-    value, so there is no cap."""
-    if not batch:
-        return 0
-    cap = None if solver.g is state.work else Weight(2 * w, 0)
-    if len(batch) == 1:
-        v = batch[0]
-        if not state.unsettled(v, cap):
-            return 0
-        before = state.table.estimate(v)
-        if state.settle(v, solver, cap, state.latest_cut(v, solver)):
-            if live is not None:
-                live.discard(v)
-            return 0
-        return int(state.table.estimate(v) < before)
-    cuts = isolating_cuts(solver.g, state.pivot_idx, {state.idx(v) for v in batch}).cuts
-    updates = 0
-    for v in batch:
-        cut = cuts.get(state.idx(v))
-        if cut is None or v not in state.table.entries:
-            continue
-        if state.isolating_moves_pivot(v, cut):
-            if live is not None:
-                live.discard(v)
-            continue
-        updates += state.offer(v, cut.value, cut.side, cap)
-    return updates
-
-
-def easy_cuts_step(state: SingleSourceEngine, w: int, solver: MaxFlowSolver) -> int:
-    """Isolating cuts over all degree >= w terminals; returns the number of
-    estimates improved.
-
-    Any terminal whose latest minimum cut from the pivot contains exactly
-    one high-degree node is settled exactly here (its estimate, not its
-    done flag: minimality is proven later by a direct solve)."""
-    high = [
-        v for v in state.table.terminals()
-        if state.g.degree(v) >= w
-    ]
-    return offer_isolating_cuts(state, w, solver, high)
-
-
 def splitter_isolating_step(
-    state: SingleSourceEngine, w: int, solver: MaxFlowSolver, live: set[int],
+    state: SingleSourceEngine, w: int, solver: MaxFlowSolver, candidates: list[int],
 ) -> dict:
-    """Isolating cuts with the singleton splitter family: every live
-    candidate, in sorted order, is offered on its own, so its isolating cut
-    is its latest cut on the stage solver; ``live`` ends empty.
+    """Isolating cuts with the singleton splitter family: every candidate,
+    in the given (sorted) order, is offered alone.  A lone terminal's
+    isolating cut is its latest cut in the stage graph (``solver.g``), so
+    each is one ``latest_cut`` solve on the stage solver, and ``settle``
+    records what it proves: below the stage bound 2w the stage graph keeps
+    it exact, at or above 2w it proves the floor 2w.  A solver over the
+    auxiliary graph itself (a stage graph that kept every edge) is exact at
+    any value, so there is no cap.  Returns how many candidates were offered
+    and how many estimates dropped.
 
     This stands in for Li and Panigrahi's sampled isolating rounds over the
     parts of an expander decomposition, ceil(2 e gamma ln(n) / phi) rounds
@@ -504,7 +431,11 @@ def splitter_isolating_step(
     per bit of the sampled batch: one solve per candidate is cheaper
     whenever a part holds fewer candidates than that, and then the
     decomposition decides nothing but the order of the solves."""
-    cand = sorted(live)
-    updates = sum(offer_isolating_cuts(state, w, solver, [v], live) for v in cand)
-    live.clear()
-    return {"offered": len(cand), "updates": updates}
+    cap = None if solver.g is state.aux else Weight(2 * w, 0)
+    updates = 0
+    for v in candidates:
+        before = state.table.estimate(v)
+        # settle is True when v's cut moved the pivot: v is then the pivot
+        if not state.settle(v, solver, cap):
+            updates += state.table.estimate(v) < before
+    return {"offered": len(candidates), "updates": updates}

@@ -7,7 +7,8 @@ Also the reference code and helpers only tests use: all-pairs values by
 direct max-flows (``all_pairs_oracle``, which does use the solver), an
 expansion check of one part (``verify_expansion``), a loop-free induced
 subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
-start pivot, ``assemble``,
+start pivot, a single-source run whose stages start at w = 1, a check of
+a single-source table against ``latest_min_cut``, ``assemble``,
 which stitches per-super-node trees into one full tree, the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
 Gray-code walk must match, Gusfield's scheme with the all-node
@@ -19,6 +20,7 @@ Gomory-Hu loop on contracted ``Graph`` objects that
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -26,9 +28,10 @@ from typing import Iterable, Mapping, Optional
 
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.expander import _exact_sparsest_cut, _sweep_sparsest_cut
-from ghtree.flow import MaxFlowSolver, max_flow_min_cut
+from ghtree.flow import MaxFlowSolver, latest_min_cut, max_flow_min_cut
 from ghtree.graph import Graph, GraphError, auxiliary_graph
 from ghtree.partition import GomoryHuTree, PartitionTree, TreeError, gh_refine
+from ghtree.single_source import SingleSourceEngine, stage_w
 from ghtree.weights import Weight, from_scaled
 
 DEFAULT_ORACLE_LIMIT = 64
@@ -288,6 +291,29 @@ def dynamic_from(g: Graph, pivot: int, config=None):
     for e in engine.table.entries.values():
         assert engine.good(e.witness), "dynamic engine returned an unbalanced cut"
     return engine.pivot_orig, engine.table, engine
+
+
+def run_from_stage_one(engine: SingleSourceEngine) -> None:
+    """Every doubling stage of the loop from w = 1 up to 2^ceil(log2 n),
+    then ``run`` (its config must have the loop off, so the run adds only
+    the final sweep) and ``settle_covered``: the loop reaching stages below
+    the engines' first one."""
+    assert not engine.config.loop_enabled
+    for j in range(math.ceil(math.log2(max(2, engine.g.n))) + 1):
+        stage_w(engine, 2 ** j)
+    engine.run()
+    engine.settle_covered()
+
+
+def assert_latest_table(g: Graph, pivot: int, table) -> None:
+    """Every terminal of a single-source table from ``pivot`` in g is done,
+    with ``latest_min_cut``'s value as estimate and its side as witness."""
+    p = g.index_of[pivot]
+    for v in table.terminals():
+        cut = latest_min_cut(g, p, g.index_of[v], wrt=p)
+        assert table.done(v), (pivot, v)
+        assert table.estimate(v) == cut.value, (pivot, v)
+        assert table.witness(v) == cut.side, (pivot, v)
 
 
 def assemble(

@@ -24,7 +24,9 @@ from ghtree.isolating import isolating_cuts
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from oracles import dynamic_from, mask_cut_values, mask_latest_all, planted_partition
+from ghtree.weights import Weight
+from oracles import (assert_latest_table, dynamic_from, mask_cut_values, mask_latest_all,
+                     planted_partition)
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
 
@@ -164,14 +166,14 @@ def _loop_engine_runs():
     runs = []
     cfg = EngineConfig(loop_enabled=True, seed=5)
     instances = [
-        (families.dumbbell(20, bridges=10), 25, False),
-        (families.dumbbell(12, bridges=6), 14, False),
-        (families.er_connected(24, 0.4, seed=3), 0, False),
-        (families.er_connected(30, 0.3, seed=4), 7, False),
-        (families.clique_chain([8, 8, 8]), 2, False),
+        (families.dumbbell(20, bridges=10), 25),
+        (families.dumbbell(12, bridges=6), 14),
+        (families.er_connected(24, 0.4, seed=3), 0),
+        (families.er_connected(30, 0.3, seed=4), 7),
+        (families.clique_chain([8, 8, 8]), 2),
     ]
-    for g, p, _ in instances:
-        engine = SingleSourceEngine(g, g, perturb(g, seed=11), p, cfg)
+    for g, p in instances:
+        engine = SingleSourceEngine(g, g, p, cfg)
         engine.run()
         engine.settle_covered()
         runs.append((g, p, engine))
@@ -179,14 +181,18 @@ def _loop_engine_runs():
 
 
 def test_criterion_05_candidate_halving(monkeypatch):
-    """Every non-skipped stage's candidate pass leaves no candidate live
-    (more than halving: the set goes to zero in one pass), and every
-    terminal ends exact."""
+    """Every non-skipped stage's candidate pass offers every candidate and
+    leaves none live, i.e. neither done nor proven at or above the stage
+    bound 2w (more than halving: the set goes to zero in one pass), and
+    every terminal ends exact."""
     passes = []
     step = single_source.splitter_isolating_step
 
-    def recording_step(state, w, solver, live):
-        rep = step(state, w, solver, live)
+    def recording_step(state, w, solver, candidates):
+        rep = step(state, w, solver, candidates)
+        entries = state.table.entries
+        live = [v for v in candidates
+                if not entries[v].done and entries[v].floor < Weight(2 * w, 0)]
         passes.append((state, rep["offered"], len(live)))
         return rep
 
@@ -198,10 +204,7 @@ def test_criterion_05_candidate_halving(monkeypatch):
         mine = [(offered, left) for state, offered, left in passes if state is engine]
         assert [(s["candidates"], 0) for s in stages] == mine, (stages, mine)
         # the run must still end correct
-        sol = MaxFlowSolver(engine.work)
-        for v in engine.table.terminals():
-            lam = sol.solve(engine.idx(p), engine.idx(v))
-            assert engine.table.estimate(v).scaled(engine.work.unit) == lam
+        assert_latest_table(g, p, engine.table)
     assert stages_seen >= 3
     print(f"\nCRITERION 5 PASS: {stages_seen} stage passes, "
           "each leaving no candidate live")
@@ -261,28 +264,29 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
 
 def test_criterion_09_splitters(monkeypatch):
     """The splitter family is the singletons, for both paper engines: in a
-    loop-on build, every candidate of every stage is offered to isolating
-    cuts alone, exactly once, in sorted order, in one pass."""
+    loop-on build, every candidate of every stage is solved alone on the
+    stage solver (a lone terminal's isolating cut is its latest cut),
+    exactly once, in sorted order, in one pass."""
     steps = []
-    offers = None    # the offers of the step running now
-    step, offer = single_source.splitter_isolating_step, single_source.offer_isolating_cuts
+    running = None   # (stage solver, its latest-cut solves) of the step running now
+    step, latest_cut = single_source.splitter_isolating_step, SingleSourceEngine.latest_cut
 
-    def recording_step(state, w, solver, live):
-        nonlocal offers
-        offers = []
-        steps.append((sorted(live), offers))
+    def recording_step(state, w, solver, candidates):
+        nonlocal running
+        running = (solver, [])
+        steps.append((list(candidates), running[1]))
         try:
-            return step(state, w, solver, live)
+            return step(state, w, solver, candidates)
         finally:
-            offers = None
+            running = None
 
-    def recording_offer(state, w, solver, batch, live=None):
-        if offers is not None:
-            offers.append(list(batch))
-        return offer(state, w, solver, batch, live)
+    def recording_latest_cut(engine, v, solver=None):
+        if running is not None and solver is running[0]:
+            running[1].append(v)
+        return latest_cut(engine, v, solver)
 
     monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
-    monkeypatch.setattr(single_source, "offer_isolating_cuts", recording_offer)
+    monkeypatch.setattr(SingleSourceEngine, "latest_cut", recording_latest_cut)
     graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8])]
     builders = {"deterministic": build_deterministic,
                 "randomized": lambda g, config: build_randomized(g, seed=42, config=config)}
@@ -292,12 +296,12 @@ def test_criterion_09_splitters(monkeypatch):
             before = len(steps)
             tree = build(g, config=EngineConfig(loop_enabled=True))
             assert len(steps) > before, f"{name}: no stage offered a candidate"
-            for cand, batches in steps[before:]:
-                assert batches == [[v] for v in cand], name
+            for cand, solved in steps[before:]:
+                assert solved == sorted(cand), name
                 offered += len(cand)
             assert _tree_values_match(g, tree, _oracle_values(g)) is None
     print(f"\nCRITERION 9 PASS: {len(steps)} stage passes, {offered} candidates "
-          "each offered alone exactly once, by both paper engines")
+          "each solved alone exactly once, by both paper engines")
 
 
 def test_criterion_10_subdivision_reduction():

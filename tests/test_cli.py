@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ghtree import EngineConfig, families
+from ghtree import EngineConfig, families, single_source
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.cli import main
@@ -297,34 +297,50 @@ def test_env_seed_fallback(tmp_path, runner, monkeypatch):
     assert rep["seed"] == 17
 
 
-@pytest.mark.parametrize("stage_from_zero", [False, True])
-def test_build_loop_flag_runs_the_loop(tmp_path, runner, stage_from_zero):
-    """``--loop`` (with ``--stage-from-zero``) builds the library's loop-on
-    tree with the same flows, which differ from the loop-off count."""
+@pytest.mark.parametrize("loop", [False, True])
+def test_build_loop_flag_runs_the_loop(tmp_path, runner, monkeypatch, loop):
+    """``--loop`` runs the doubling stages, at least one of them solving
+    candidates, and the build without it runs none; either way the CLI
+    builds the library's tree for that setting, with the same stages and
+    flows."""
     g = families.er_connected(24, 0.4, seed=3)
     gp = write_graph(tmp_path / "g.gr", g)
-    flags = ["--loop"] + (["--stage-from-zero"] if stage_from_zero else [])
+    stages = []     # (w, skipped) of every stage run
+    real_stage_w = single_source.stage_w
+
+    def spy(state, w):
+        real_stage_w(state, w)
+        stages.append((w, bool(state.report["stages"][-1].get("skipped"))))
+
+    monkeypatch.setattr(single_source, "stage_w", spy)
     for algo, build in (("deterministic", lambda c: build_deterministic(g, config=c)),
                         ("randomized", lambda c: build_randomized(g, seed=5, config=c))):
         tree, rep = tmp_path / f"{algo}.tree", tmp_path / f"{algo}.json"
-        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "5", *flags,
+        stages.clear()
+        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "5",
+                                   *(["--loop"] if loop else []),
                                    "--out", str(tree), "--report", str(rep)])
         assert res.exit_code == 0, (algo, res.output)
-        flows = {}
-        for loop in (False, True):
-            FLOW_CALLS.reset()
-            built = build(EngineConfig(loop_enabled=loop, stage_from_zero=loop and stage_from_zero))
-            flows[loop] = FLOW_CALLS.value
+        cli_stages = list(stages)
+        assert any(not skipped for _, skipped in cli_stages) if loop else not cli_stages, algo
+        stages.clear()
+        FLOW_CALLS.reset()
+        built = build(EngineConfig(loop_enabled=loop))
+        assert stages == cli_stages, algo
         assert tree.read_text() == to_node_tree(built).serialize(), algo
-        assert json.loads(rep.read_text())["maxflow_calls"] == flows[True] != flows[False], algo
+        assert json.loads(rep.read_text())["maxflow_calls"] == FLOW_CALLS.value, algo
 
 
-def test_build_stage_from_zero_without_loop_exits_4(tmp_path, runner):
+def test_build_unknown_option_exits_4(tmp_path, runner):
+    """An option ``build`` does not have, here ``--stage-from-zero`` (the
+    loop's stages always start at 2^floor(log2(n)/2)), is a usage error,
+    so it exits 4."""
     gp = write_graph(tmp_path / "g.gr", families.path(4))
-    res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
+    res = runner.invoke(main, ["build", gp, "--algo", "deterministic", "--loop",
                                "--stage-from-zero", "--out", str(tmp_path / "t")])
     assert res.exit_code == 4, res.output
-    assert "error:" in res.output
+    assert "No such option" in res.output
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "bench"])

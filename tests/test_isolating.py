@@ -1,15 +1,15 @@
 import random
+import sys
 
 import pytest
 
-from ghtree import families, single_source
+from ghtree import families
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver
 from ghtree.graph import Graph, GraphError
 from ghtree.isolating import isolating_cuts
 from ghtree.single_source import EngineConfig, SingleSourceEngine
-from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import enum_latest_all
@@ -44,7 +44,7 @@ def test_singleton_terminal_is_latest_cut():
               families.er_connected(20, 0.3, seed=3), families.double_star(3, 5)):
         pivot = max(range(g.n), key=g.degree)
         engines = (DynamicPivotEngine(g, g, pivot),
-                   SingleSourceEngine(g, g, perturb(g, seed=g.n), pivot))
+                   SingleSourceEngine(g, g, pivot))
         for engine in engines:
             p = engine.pivot_idx
             for w in (1, 2, 4):
@@ -58,20 +58,24 @@ def test_singleton_terminal_is_latest_cut():
 
 
 def test_loop_never_isolates_a_lone_terminal(monkeypatch):
-    """Loop-on builds of both paper builders compute a lone terminal's
-    isolating cut as a latest-cut solve, never through ``isolating_cuts``."""
-    sizes = []
+    """Loop-on builds of both paper builders compute every candidate's
+    isolating cut as a lone latest-cut solve: no build calls
+    ``isolating_cuts``, through any ghtree module that binds it."""
+    calls = []
 
     def recording(g, p, terminals):
-        sizes.append(len(terminals))
+        calls.append(len(terminals))
         return isolating_cuts(g, p, terminals)
 
-    monkeypatch.setattr(single_source, "isolating_cuts", recording)
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "ghtree" and getattr(m, "isolating_cuts", None) is isolating_cuts]
+    assert {m.__name__ for m in bound} >= {"ghtree", "ghtree.isolating"}
+    for module in bound:
+        monkeypatch.setattr(module, "isolating_cuts", recording)
     for g in (families.clique_chain([5, 9, 3, 12, 7]), families.er_connected(20, 0.3, seed=5)):
         build_deterministic(g, config=EngineConfig(loop_enabled=True))
         build_randomized(g, seed=1, config=EngineConfig(loop_enabled=True, seed=1))
-    assert sizes, "no isolating batch ran"
-    assert min(sizes) >= 2
+    assert not calls, calls
 
 
 def test_dumbbell_mixed_terminals():

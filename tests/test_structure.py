@@ -11,9 +11,11 @@ self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
 file.  The classic builders build no contracted graph and make at most one
-solver per run.  Both engines start their doubling stages at the same w.
-The randomized builder and its partial-tree bootstrap run on plain graphs:
-latest cuts need no perturbation to be unique.
+solver per run.  Both engines start their doubling stages at the same w
+and share the stage graph.  The builders, their partial-tree bootstrap and
+the engines run on plain graphs: latest cuts need no perturbation to be
+unique.  Every stage step is a lone latest-cut solve, so the engines call
+no batch isolating cuts.
 """
 
 import ast
@@ -128,23 +130,22 @@ def test_stage_solver_is_explicit():
 
 
 def test_engine_config_fields():
-    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
-        "loop_enabled", "stage_from_zero", "seed"}
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {"loop_enabled", "seed"}
 
 
 def test_deterministic_stages_start_like_randomized():
     """The stage-end claim settles only terminals whose proven floor meets
     the estimate, so no engine needs its stages to begin at w = 1:
-    ``DynamicPivotEngine`` overrides the stage graph and the pivot moves,
-    not where the stages start, and loop-on it begins at 2^floor(log2(n)/2)
-    as the randomized engine does."""
+    ``DynamicPivotEngine`` overrides only the pivot moves, not the stage
+    graph or where the stages start, and loop-on it begins at
+    2^floor(log2(n)/2) as the randomized engine does."""
     assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
-        "stage_graph", "moves_pivot", "isolating_moves_pivot"}
+        "moves_pivot", "isolating_moves_pivot"}
     assert not hasattr(SingleSourceEngine, "first_stage")
     g = families.er_connected(40, 0.08, seed=0)
     cfg = EngineConfig(loop_enabled=True)
     first = []
-    for engine in (DynamicPivotEngine(g, g, 0, cfg), SingleSourceEngine(g, g, g, 0, cfg)):
+    for engine in (DynamicPivotEngine(g, g, 0, cfg), SingleSourceEngine(g, g, 0, cfg)):
         engine.run()
         first.append(engine.report["stages"][0]["w"])
     assert first == [4, 4]   # n = 40: 2^floor(log2(40) / 2)
@@ -159,6 +160,24 @@ def test_loop_runs_no_expander_decomposition():
             assert "expander" not in names, f"{path.name} imports .expander at line {node.lineno}"
     for name in ("priority_solve_step", "priority_budget", "candidate_threshold",
                  "ImprovingCut", "_elimination_round"):
+        assert not hasattr(ghtree, name), name
+        assert not hasattr(ghtree.single_source, name), f"single_source.{name}"
+
+
+def test_engines_solve_each_candidate_alone_on_plain_graphs():
+    """single_source.py names neither ``isolating_cuts`` nor
+    ``perturbed_sparsifier``: a stage offers each candidate alone, as one
+    latest-cut solve, on the plain sparsifier.  The engines take no work
+    graph, and neither ``easy_cuts_step`` nor ``offer_isolating_cuts``
+    exists."""
+    tree = parse(SRC / "single_source.py")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"isolating_cuts", "perturbed_sparsifier", "perturb"}, names
+    assert "isolating" not in {m for _, mods in relative_imports(tree) for m in mods}
+    assert "work" not in inspect.signature(SingleSourceEngine).parameters
+    for name in ("easy_cuts_step", "offer_isolating_cuts"):
         assert not hasattr(ghtree, name), name
         assert not hasattr(ghtree.single_source, name), f"single_source.{name}"
 
