@@ -121,9 +121,12 @@ def main():
 @click.option("--via-subdivision", is_flag=True,
               help="accept multigraphs: subdivide, build, project back")
 @click.option("--loop", is_flag=True,
-              help="run the doubling stages of the candidate-elimination loop")
+              help="run the doubling stages of the candidate-elimination loop "
+                   "(randomized and deterministic only)")
 def build(input_path, algo, seed, out_path, report_path, via_subdivision, loop):
     """Build a cut-equivalent tree of a graph file."""
+    if loop and algo not in ("randomized", "deterministic"):
+        _input_error(f"--loop needs --algo randomized or deterministic, not {algo}")
     g = _load_graph(input_path)
     seed = _seed_option(seed)
     config = EngineConfig(loop_enabled=loop)

@@ -2,14 +2,15 @@
 dynamic pivot in place of a random one.
 
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
-overrides only its pivot-rule hooks: the pivot moves (``pivot_change``)
-when some terminal admits no balanced minimum cut.  Its stages, stage
-graphs and stage pass are the randomized engine's, and as in the
-randomized builder, cuts are latest cuts with respect to the pivot,
-measured in the plain auxiliary graph.  The stage pass, which solves each
-candidate alone, lives in single_source; this module re-exports it as
-``splitter_isolating_step`` because the benchmark's tracer
-(perfbench/tracing.py) looks it up here by name.
+overrides its one pivot-rule hook, ``moves_pivot``: the pivot moves
+(``pivot_change``) when an exact latest cut is unbalanced, i.e. the
+terminal admits no balanced minimum cut.  Its stages, stage graphs and
+sweeps are the randomized engine's; a capped stage cut proves only a
+floor, so it never moves the pivot.  As in the randomized builder, cuts
+are latest cuts with respect to the pivot, measured in the plain
+auxiliary graph.  The stage pass lives in single_source; this module
+re-exports it as ``splitter_isolating_step`` because the benchmark's
+tracer (perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
 solve that triggered it, so it makes no max-flow of its own, and it drops
 every cover (``SingleSourceEngine.covered``), since covers hold for one
@@ -44,12 +45,6 @@ class DynamicPivotEngine(SingleSourceEngine):
             return False
         pivot_change(self, v, cut, solver.sink_side(self.pivot_idx))
         return True
-
-    def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """Settle v on the auxiliary graph when its stage-graph cut is
-        unbalanced; if every minimum cut to v is unbalanced too, v becomes
-        the pivot."""
-        return not self.good(cut.side) and self.settle(v)
 
 
 def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,

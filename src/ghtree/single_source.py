@@ -13,37 +13,39 @@ the floor.  The default profile (elimination loop off) settles every
 terminal with one uncapped such solve; all of them share a single solver
 over the auxiliary graph.
 
+Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
+it skips a terminal that is *covered*, and otherwise settles it.  When
+terminal v settles with a balanced latest cut S_v, every undone terminal u
+inside S_v is covered by v (``SingleSourceEngine.covered``), and u's own
+solve is skipped.  Covered is not done: u's estimate proves nothing.  The
+lemma that makes the skip safe is Gomory and Hu's uncrossing argument:
+L_u ∩ S_v is a minimum (pivot, u)-cut, so u's latest cut L_u is a subset
+of S_v, hence balanced and never a maximal cut of a split.  A builder
+therefore needs only the done terminals' cuts, and counts a covered
+terminal by its coverer's side.  ``run`` ends with the final sweep, which
+sweeps the terminals neither done nor covered, uncapped, until none is
+left; ``settle_covered`` then solves the covered ones, one flow each, for
+the public ``single_source_mincuts``, whose table is entirely done.
+
 With the loop on, the engine first walks doubling stages from
 w = 2^floor(log2(n)/2).  Stage w works on a Nagamochi-Ibaraki sparsifier,
-which keeps every cut below 2w exact, and makes one pass over the
-candidates (the undone terminals whose estimate exceeds w), in sorted order
-(``splitter_isolating_step``).  ``stage_w`` builds the stage graph and one
-solver over it, and the pass takes that solver, not the graph.  A lone
-terminal's isolating cut is its latest cut in the stage graph, so each
-candidate is one ``latest_cut`` solve on the stage solver, and ``settle``
-records it: below 2w the terminal is done, at or above 2w its floor is 2w.
-A stage graph that keeps every edge is the auxiliary graph; the stage then
-solves on the engine's own solver, and a solve settles its terminal at any
-value.  The paper's batch isolating cuts and expander decomposition only
-chose which candidates to solve together; with every candidate solved
-alone they save no flow, and the engine runs neither.  Estimates only
-decrease, every estimate is the exact weight of its witness cut, and a
-terminal is marked done only by ``settle``, when a solve makes its
-estimate minimal or the stage-end claim finds that a proven floor meets it;
-anything left unproven is settled uncapped at the end.
-
-That final sweep solves the undone terminals in sorted order and skips the
-ones a solve of this sweep has already *covered*: when terminal v settles
-with a balanced latest cut S_v, every undone terminal u inside S_v is
-covered by v (``SingleSourceEngine.covered``), and u's own solve is
-skipped.  Covered is not done: u's estimate proves nothing.  The lemma that
-makes the skip safe is Gomory and Hu's uncrossing argument: L_u ∩ S_v is a
-minimum (pivot, u)-cut, so u's latest cut L_u is a subset of S_v, hence
-balanced and never a maximal cut of a split.  A builder therefore needs
-only the done terminals' cuts, and counts a covered terminal by its
-coverer's side.  ``run`` leaves covered terminals unsolved;
-``settle_covered`` solves them, one flow each, for the public
-``single_source_mincuts``, whose table is entirely done.
+which keeps every cut below 2w exact and every other cut at 2w or more.
+``stage_w`` builds the stage graph and one solver over it, and its pass
+(``splitter_isolating_step``) sweeps the candidates (the terminals
+neither done nor covered whose estimate exceeds w and whose floor is
+below 2w) on that solver, capped at 2w.  A lone terminal's isolating cut
+is its latest cut in the stage graph, so each candidate is one
+``latest_cut`` solve: below 2w it is the latest cut in the auxiliary graph
+too, so the terminal is done and covers as in the final sweep; at or above
+2w it proves only the floor 2w.  A stage graph that keeps every edge is
+the auxiliary graph; the stage then sweeps on the engine's own solver,
+uncapped.  The paper's batch isolating cuts and expander decomposition
+only chose which candidates to solve together; with every candidate
+solved alone they save no flow, and the engine runs neither.  Estimates
+only decrease, every estimate is the exact weight of its witness cut, and
+a terminal is marked done only by ``settle``, when a solve makes its
+estimate minimal or the stage-end claim finds that a proven floor meets
+it.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
 pivot at random.  Every cut is measured in the plain auxiliary graph; no
@@ -51,10 +53,12 @@ perturbation is needed: a latest cut is unique in any graph, and the
 latest cuts from one pivot are pairwise disjoint or nested (the uncrossing
 argument above), so the cuts a split chooses never cross.  The
 deterministic engine, ``DynamicPivotEngine`` in dynamic.py, subclasses it
-and overrides the pivot-rule hooks grouped at the end of the class: what
-happens when a solved cut is unbalanced (the pivot moves).  Such a cut's
-solve ends with the pivot as its sink, so its residual graph already holds
-the minimal pivot side the move needs, and a move costs no flow.
+and overrides the one pivot-rule hook, ``moves_pivot``: what happens when
+an exact latest cut is unbalanced (the pivot moves).  Such a cut's solve
+ends with the pivot as its sink, so its residual graph already holds the
+minimal pivot side the move needs, and a move costs no flow.  A sweep
+goes on past a move, and the final sweep's next round picks up what the
+move reopened.
 """
 
 from __future__ import annotations
@@ -86,9 +90,10 @@ class EngineConfig:
     Defaults give the direct profile: the candidate-elimination loop is off,
     no doubling stage runs, and every terminal is settled by one uncapped
     latest-cut solve, which is unconditionally exact and fastest at desk
-    scale.  ``loop_enabled`` runs the doubling stages (one solve per
-    candidate on the stage solver) from w = 2^floor(log2(n)/2).  ``seed``
-    has no effect: no engine step draws random numbers
+    scale.  ``loop_enabled`` runs the doubling stages from
+    w = 2^floor(log2(n)/2) before the final sweep: each sweeps its
+    candidates on the stage solver, one solve per candidate not yet
+    covered.  ``seed`` has no effect: no engine step draws random numbers
     (the randomized builder takes its own seed).  The field stays because
     the benchmark constructs it.
     """
@@ -210,10 +215,9 @@ class SingleSourceEngine:
         Otherwise solves the latest cut on ``solver`` (default: the
         auxiliary graph's), or takes ``cut``, a witness already recorded for
         v (the stage-end claim).  ``cap`` is where the solver's graph stops
-        being exact: a cut that reaches it only proves the floor ``cap`` (an
-        unbalanced one goes to ``isolating_moves_pivot``).  A cut below it
-        is the minimum cut; ``moves_pivot`` may drop it, and otherwise it
-        becomes v's done witness."""
+        being exact: a cut that reaches it only proves the floor ``cap``.  A
+        cut below it is the minimum cut; ``moves_pivot`` may drop it, and
+        otherwise it becomes v's done witness."""
         e = self.table.entries.get(v)
         if e is None or e.done or (cap is not None and not e.floor < cap):
             return False
@@ -223,7 +227,7 @@ class SingleSourceEngine:
             cut = self.latest_cut(v, solver)
         if cap is not None and not cut.value < cap:
             e.floor = cap
-            return self.isolating_moves_pivot(v, cut)
+            return False
         if self.moves_pivot(v, cut, solver):
             return True
         if e.value < cut.value:
@@ -232,6 +236,21 @@ class SingleSourceEngine:
         e.floor = cut.value
         e.done = True
         return False
+
+    def sweep(self, terminals: list[int], solver: Optional[MaxFlowSolver] = None,
+              cap: Optional[Weight] = None) -> None:
+        """Settle each of ``terminals`` in order on ``solver`` (default: the
+        auxiliary graph's) below ``cap`` (see ``settle``), skipping the ones
+        already covered; a terminal this makes done covers the undone
+        terminals inside its witness.  A pivot move does not stop the
+        sweep: the terminals after it are settled from the new pivot."""
+        entries = self.table.entries
+        for v in terminals:
+            if v in self.covered:
+                continue
+            self.settle(v, solver, cap)
+            if v in entries and entries[v].done:
+                self.cover(v)
 
     @cached_property
     def aux_solver(self) -> MaxFlowSolver:
@@ -257,18 +276,13 @@ class SingleSourceEngine:
     # -- stage machinery -------------------------------------------------------
 
     def candidates(self, w: int) -> list[int]:
-        thr = Weight(w, 0)
+        """Stage w's candidates, in sorted order: the terminals neither done
+        nor covered whose estimate exceeds w and whose floor is below 2w."""
+        thr, lim = Weight(w, 0), Weight(2 * w, 0)
         return [
-            v for v in self.table.terminals()
-            if not self.table.entries[v].done and self.table.entries[v].value > thr
+            v for v, e in sorted(self.table.entries.items())
+            if not e.done and v not in self.covered and e.value > thr and e.floor < lim
         ]
-
-    def stage_pending(self, w: int) -> bool:
-        lim = Weight(2 * w, 0)
-        return any(
-            not e.done and e.floor < lim and e.value > Weight(w, 0)
-            for e in self.table.entries.values()
-        )
 
     def stage_graph(self, w: int) -> Graph:
         """Stage w's graph: a sparsifier that keeps every cut below 2w
@@ -290,12 +304,9 @@ class SingleSourceEngine:
         return self.table
 
     def final_sweep(self) -> None:
-        """Settle every terminal neither done nor covered with an uncapped
-        solve, in sorted order; a balanced witness it finds covers the undone
-        terminals inside it.
-
-        When an unbalanced latest cut moves the pivot, the sweep restarts
-        over whatever the change left undone or uncovered."""
+        """Sweep the terminals neither done nor covered, uncapped on the
+        auxiliary graph, until none is left: a pivot move can reopen
+        terminals the sweep has passed, and drops every cover."""
         flows = FLOW_CALLS.value
         entries = self.table.entries
         guard = 0
@@ -307,12 +318,7 @@ class SingleSourceEngine:
             guard += 1
             if guard > 4 * len(self.vprime) + 4:
                 raise EngineError("pivot changes do not settle")
-            for v in undone:
-                if v in self.covered:
-                    continue
-                if self.settle(v):
-                    break
-                self.cover(v)
+            self.sweep(undone)
         self.report["final_sweep_solves"] = FLOW_CALLS.value - flows
 
     def cover(self, v: int) -> None:
@@ -348,11 +354,6 @@ class SingleSourceEngine:
         moves."""
         return False
 
-    def isolating_moves_pivot(self, v: int, cut: CutSide) -> bool:
-        """As ``moves_pivot``, for a latest cut in a stage graph at or
-        above the stage bound, which is not proven minimum."""
-        return False
-
 
 # -- spec-level operations ----------------------------------------------------
 
@@ -375,14 +376,16 @@ def single_source_mincuts(
 
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
-    """One doubling stage of the elimination loop: one pass that solves
-    every candidate alone on the stage solver, which settles each candidate
-    whose connectivity is below 2w and proves the floor 2w for the rest;
-    then the stage-end claim.  Whatever a pivot change reopens falls to the
-    final sweep.  The report's ``direct_solves`` counts the pass's flows
-    (the benchmark's tracer sums that key)."""
+    """One doubling stage of the elimination loop: one sweep of the
+    candidates on the stage solver, which settles each candidate whose
+    connectivity is below 2w and proves the floor 2w for the rest; then the
+    stage-end claim.  A stage with no candidate is skipped.  Whatever a
+    pivot change reopens falls to later stages and the final sweep.  The
+    report's ``direct_solves`` counts the sweep's flows (the benchmark's
+    tracer sums that key)."""
     srep: dict = {"w": w}
-    if not state.stage_pending(w):
+    candidates = state.candidates(w)
+    if not candidates:
         srep["skipped"] = True
         state.report["stages"].append(srep)
         return
@@ -390,15 +393,14 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     srep["gw_edges"] = gw.edge_instances
     # a stage graph that keeps every edge instance is the auxiliary graph,
     # whose solves are exact at any value: the stage then runs on the
-    # engine's own solver, and the pass settles on it uncapped
+    # engine's own solver, and the sweep settles on it uncapped
     if srep["gw_edges"] == state.aux.edge_instances:
         solver = state.aux_solver
     else:
         solver = MaxFlowSolver(gw)
-    candidates = state.candidates(w)
     srep["candidates"] = len(candidates)
     flows = FLOW_CALLS.value
-    srep["isolating"] = splitter_isolating_step(state, w, solver, candidates)
+    splitter_isolating_step(state, w, solver, candidates)
     srep["direct_solves"] = FLOW_CALLS.value - flows
     # stage-end claim: an undone terminal whose proven floor meets its
     # estimate is settled with its current witness.  The witness is a real
@@ -414,16 +416,17 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
 
 def splitter_isolating_step(
     state: SingleSourceEngine, w: int, solver: MaxFlowSolver, candidates: list[int],
-) -> dict:
-    """Isolating cuts with the singleton splitter family: every candidate,
-    in the given (sorted) order, is offered alone.  A lone terminal's
-    isolating cut is its latest cut in the stage graph (``solver.g``), so
-    each is one ``latest_cut`` solve on the stage solver, and ``settle``
+) -> None:
+    """Isolating cuts with the singleton splitter family: one ``sweep`` of
+    the candidates, in the given (sorted) order, on the stage solver.  A
+    lone terminal's isolating cut is its latest cut in the stage graph
+    (``solver.g``), so each is one ``latest_cut`` solve, and ``settle``
     records what it proves: below the stage bound 2w the stage graph keeps
-    it exact, at or above 2w it proves the floor 2w.  A solver over the
-    auxiliary graph itself (a stage graph that kept every edge) is exact at
-    any value, so there is no cap.  Returns how many candidates were offered
-    and how many estimates dropped.
+    it exact (Nagamochi-Ibaraki), so it is the terminal's latest cut in the
+    auxiliary graph and may cover as in the final sweep; at or above 2w it
+    proves only the floor 2w.  A solver over the auxiliary graph itself (a
+    stage graph that kept every edge) is exact at any value, so there is no
+    cap.
 
     This stands in for Li and Panigrahi's sampled isolating rounds over the
     parts of an expander decomposition, ceil(2 e gamma ln(n) / phi) rounds
@@ -432,10 +435,4 @@ def splitter_isolating_step(
     whenever a part holds fewer candidates than that, and then the
     decomposition decides nothing but the order of the solves."""
     cap = None if solver.g is state.aux else Weight(2 * w, 0)
-    updates = 0
-    for v in candidates:
-        before = state.table.estimate(v)
-        # settle is True when v's cut moved the pivot: v is then the pivot
-        if not state.settle(v, solver, cap):
-            updates += state.table.estimate(v) < before
-    return {"offered": len(candidates), "updates": updates}
+    state.sweep(candidates, solver, cap)

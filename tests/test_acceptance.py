@@ -182,32 +182,42 @@ def _loop_engine_runs():
 
 def test_criterion_05_candidate_halving(monkeypatch):
     """Every non-skipped stage's candidate pass offers every candidate and
-    leaves none live, i.e. neither done nor proven at or above the stage
-    bound 2w (more than halving: the set goes to zero in one pass), and
-    every terminal ends exact."""
+    leaves none live, i.e. neither done, nor covered, nor proven at or above
+    the stage bound 2w (more than halving: the set goes to zero in one
+    pass).  Every terminal covered during a pass lies inside the done,
+    balanced witness of a candidate solved in that pass, and every terminal
+    ends exact once ``settle_covered`` has solved the covered ones."""
     passes = []
     step = single_source.splitter_isolating_step
 
     def recording_step(state, w, solver, candidates):
-        rep = step(state, w, solver, candidates)
+        was_covered = set(state.covered)
+        step(state, w, solver, candidates)
         entries = state.table.entries
-        live = [v for v in candidates
-                if not entries[v].done and entries[v].floor < Weight(2 * w, 0)]
-        passes.append((state, rep["offered"], len(live)))
-        return rep
+        live = [v for v in candidates if not entries[v].done
+                and v not in state.covered and entries[v].floor < Weight(2 * w, 0)]
+        for u, v in state.covered.items():
+            if u in was_covered:
+                continue
+            assert v in candidates and entries[v].done, (w, u, v)
+            assert state.good(state.table.witness(v)), (w, u, v)
+            assert state.idx(u) in state.table.witness(v), (w, u, v)
+        passes.append((state, len(candidates), len(live),
+                       len(set(state.covered) - was_covered)))
 
     monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
-    stages_seen = 0
+    stages_seen = covered = 0
     for g, p, engine in _loop_engine_runs():
         stages = [s for s in engine.report["stages"] if not s.get("skipped")]
         stages_seen += len(stages)
-        mine = [(offered, left) for state, offered, left in passes if state is engine]
+        mine = [(offered, left) for state, offered, left, _ in passes if state is engine]
         assert [(s["candidates"], 0) for s in stages] == mine, (stages, mine)
+        covered += sum(c for state, _, _, c in passes if state is engine)
         # the run must still end correct
         assert_latest_table(g, p, engine.table)
     assert stages_seen >= 3
     print(f"\nCRITERION 5 PASS: {stages_seen} stage passes, "
-          "each leaving no candidate live")
+          f"each leaving no candidate live; {covered} terminals covered in them")
 
 
 def test_criterion_07_pivot_change_audit(pivot_change_events):
@@ -264,25 +274,28 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
 
 def test_criterion_09_splitters(monkeypatch):
     """The splitter family is the singletons, for both paper engines: in a
-    loop-on build, every candidate of every stage is solved alone on the
-    stage solver (a lone terminal's isolating cut is its latest cut),
-    exactly once, in sorted order, in one pass."""
+    loop-on build, every stage pass solves its candidates alone on the
+    stage solver (a lone terminal's isolating cut is its latest cut), each
+    at most once, in sorted order, in one pass; the candidates it does not
+    solve are exactly those covered when their turn came."""
     steps = []
-    running = None   # (stage solver, its latest-cut solves) of the step running now
+    running = None   # (stage solver, [(solved terminal, covered before its solve)])
     step, latest_cut = single_source.splitter_isolating_step, SingleSourceEngine.latest_cut
 
     def recording_step(state, w, solver, candidates):
         nonlocal running
         running = (solver, [])
-        steps.append((list(candidates), running[1]))
+        solves = running[1]
         try:
-            return step(state, w, solver, candidates)
+            step(state, w, solver, candidates)
         finally:
             running = None
+        steps.append((list(candidates), solves, set(state.covered)))
 
     def recording_latest_cut(engine, v, solver=None):
-        if running is not None and solver is running[0]:
-            running[1].append(v)
+        if running is not None:
+            assert solver is running[0], "a stage pass solved off the stage solver"
+            running[1].append((v, set(engine.covered)))
         return latest_cut(engine, v, solver)
 
     monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
@@ -290,18 +303,31 @@ def test_criterion_09_splitters(monkeypatch):
     graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8])]
     builders = {"deterministic": build_deterministic,
                 "randomized": lambda g, config: build_randomized(g, seed=42, config=config)}
-    offered = 0
+    offered = skipped = 0
     for g in graphs:
         for name, build in builders.items():
             before = len(steps)
             tree = build(g, config=EngineConfig(loop_enabled=True))
             assert len(steps) > before, f"{name}: no stage offered a candidate"
-            for cand, solved in steps[before:]:
-                assert solved == sorted(cand), name
+            for cand, solves, covered_after in steps[before:]:
+                assert cand == sorted(cand), name
+                # the covers in force at each turn: those before the next
+                # solve, or after the pass once no solve is left
+                turns = iter(solves + [(None, covered_after)])
+                nxt, covered_then = next(turns)
+                for u in cand:
+                    if u == nxt:
+                        assert u not in covered_then, name
+                        nxt, covered_then = next(turns)
+                    else:
+                        assert u in covered_then, (name, u)
+                        skipped += 1
+                assert nxt is None, name
                 offered += len(cand)
             assert _tree_values_match(g, tree, _oracle_values(g)) is None
-    print(f"\nCRITERION 9 PASS: {len(steps)} stage passes, {offered} candidates "
-          "each solved alone exactly once, by both paper engines")
+    print(f"\nCRITERION 9 PASS: {len(steps)} stage passes, {offered} candidates, "
+          f"each solved alone exactly once unless covered at its turn ({skipped} were), "
+          "by both paper engines")
 
 
 def test_criterion_10_subdivision_reduction():

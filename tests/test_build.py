@@ -286,12 +286,16 @@ def test_covered_terminal_cut_inside_coverer(engine_kind):
 
 def test_deterministic_flow_pins():
     """Skipping covered terminals: clique_chain([10]*20) took 735 flows and
-    dumbbell(12, 3) 34 when every terminal was solved."""
-    for g, most in ((families.clique_chain([10] * 20), 437),
-                    (families.dumbbell(12, 3), 23)):
+    dumbbell(12, 3) 34 when every terminal was solved.  Loop on, the stages
+    skip covered terminals too: clique_chain([10]*20) took 735 flows when
+    only the final sweep did."""
+    chain = families.clique_chain([10] * 20)
+    for g, cfg, most in ((chain, None, 437),
+                         (families.dumbbell(12, 3), None, 23),
+                         (chain, EngineConfig(loop_enabled=True), 437)):
         FLOW_CALLS.reset()
         rep = {}
-        build_deterministic(g, report=rep)
+        build_deterministic(g, config=cfg, report=rep)
         assert FLOW_CALLS.value <= most, (g.n, FLOW_CALLS.value)
         assert rep["covered"] > 0
 
@@ -308,7 +312,8 @@ def test_loop_enabled_builders():
 
 @pytest.mark.parametrize("graph,most", [
     pytest.param("planted_4x16", (63, 108), id="planted_4x16"),
-    pytest.param("clique_chain_8x3", (38, 44), id="clique_chain_8x3"),
+    pytest.param("clique_chain_8x3", (30, 44), id="clique_chain_8x3"),
+    pytest.param("clique_chain_16x8", (206, 247), id="clique_chain_16x8"),
     pytest.param("er_200", (199, 212), id="er_200"),
 ])
 def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
@@ -318,6 +323,7 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
     flows of the deterministic and the randomized build."""
     g = {"planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
          "clique_chain_8x3": lambda: families.clique_chain([8, 8, 8]),
+         "clique_chain_16x8": lambda: families.clique_chain([16] * 8),
          "er_200": lambda: families.er_connected(200, 0.045, seed=42)}[graph]()
     asked: list[tuple] = []
     solvers = []     # keeps every solver alive, so no id is reused
@@ -338,6 +344,29 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
         build()
         assert asked and len(asked) == len(set(asked))
         assert FLOW_CALLS.value <= bound, (FLOW_CALLS.value, bound)
+
+
+LOOP_GRAPHS = {
+    "planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
+    "planted_5x24": lambda: planted_partition(5, 24, 0.5, 0.01, seed=42),
+    "clique_chain_16x8": lambda: families.clique_chain([16] * 8),
+    "clique_chain_8x3": lambda: families.clique_chain([8] * 3),
+    "er_200": lambda: families.er_connected(200, 0.045, seed=42),
+    "er_120_dense": lambda: families.er_connected(120, 0.3, seed=42),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(LOOP_GRAPHS))
+def test_loop_on_trees_equal_loop_off(graph):
+    """The elimination loop changes how a terminal's latest cut is found,
+    never which cut it is: for both paper builders, the loop-on tree
+    serializes byte for byte like the loop-off one."""
+    g = LOOP_GRAPHS[graph]()
+    for build in (lambda cfg: build_deterministic(g, config=cfg),
+                  lambda cfg: build_randomized(g, seed=42, config=cfg)):
+        off, on = (to_node_tree(build(EngineConfig(loop_enabled=loop))).serialize()
+                   for loop in (False, True))
+        assert on == off
 
 
 def test_loop_on_randomized_er_200_flows_over_seeds():

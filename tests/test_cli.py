@@ -331,6 +331,18 @@ def test_build_loop_flag_runs_the_loop(tmp_path, runner, monkeypatch, loop):
         assert json.loads(rep.read_text())["maxflow_calls"] == FLOW_CALLS.value, algo
 
 
+@pytest.mark.parametrize("algo", ["classic", "gusfield"])
+def test_build_loop_with_classic_builder_exits_4(tmp_path, runner, algo):
+    """The classic builders have no elimination loop, so ``--loop`` with
+    them is an input error rather than a build that ignores it."""
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    res = runner.invoke(main, ["build", gp, "--algo", algo, "--loop",
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 4, res.output
+    assert "--loop" in res.output
+    assert not (tmp_path / "t").exists()
+
+
 def test_build_unknown_option_exits_4(tmp_path, runner):
     """An option ``build`` does not have, here ``--stage-from-zero`` (the
     loop's stages always start at 2^floor(log2(n)/2)), is a usage error,

@@ -4,7 +4,7 @@ import pytest
 
 from ghtree import families
 from ghtree.dynamic import single_source_dynamic_pivot
-from ghtree.flow import MaxFlowSolver, latest_min_cut
+from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.single_source import (
     EngineConfig,
     EngineError,
@@ -179,18 +179,24 @@ def test_end_to_end_many_seeds():
 # -- the stage's candidate pass ----------------------------------------------
 
 
+def _flows(step):
+    before = FLOW_CALLS.value
+    step()
+    return FLOW_CALLS.value - before
+
+
 def test_lone_solves_settle_star_leaves():
     """Each leaf of a star, solved alone on the stage-1 solver, is done
     with itself as witness: its cut, 1, is below the stage bound 2."""
     g = families.star(5)
     engine = make_engine(g, 0)
     solver = MaxFlowSolver(engine.stage_graph(1))
-    rep = splitter_isolating_step(engine, 1, solver, [1, 2, 3, 4, 5])
-    assert rep == {"offered": 5, "updates": 0}   # degree estimates were exact
+    assert _flows(lambda: splitter_isolating_step(engine, 1, solver, [1, 2, 3, 4, 5])) == 5
     for v in range(1, 6):
-        assert engine.table.done(v)
-        assert engine.table.estimate(v).base == 1
-        assert engine.table.witness(v) == frozenset({engine.idx(v)})
+        e = engine.table.entries[v]
+        assert e.done and e.value.base == e.floor.base == 1
+        assert e.witness == frozenset({engine.idx(v)})
+    assert not engine.covered
 
 
 def test_lone_solve_finds_bridge_side():
@@ -201,32 +207,41 @@ def test_lone_solve_finds_bridge_side():
     engine = make_engine(g, 1)
     w = 2
     solver = MaxFlowSolver(engine.stage_graph(w))
-    assert splitter_isolating_step(engine, w, solver, [0]) == {"offered": 1, "updates": 1}
+    assert engine.table.estimate(0).base == 2
+    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
-    assert engine.table.done(0)
-    assert engine.table.estimate(0).base == 1
-    assert engine.aux.expand(engine.table.witness(0)) == frozenset({0, 2})
+    e = engine.table.entries[0]
+    assert e.done and e.value.base == e.floor.base == 1
+    assert engine.aux.expand(e.witness) == frozenset({0, 2})
+    # the witness is balanced, so it covers the hub's leaf
+    assert engine.covered == {2: 0}
 
 
 def test_lone_isolating_cut_below_the_stage_bound_settles():
     """Stage w keeps every cut below 2w exact, so a lone terminal's
     isolating cut below 2w is its latest minimum cut: the terminal is done,
-    with that cut as witness.  One at or above 2w proves the floor 2w."""
+    with that cut as witness, and covers the terminals inside it.  One at
+    or above 2w proves only the floor 2w."""
     g = families.dumbbell(6, bridges=2)
     engine = make_engine(g, 11)
     w = 2
     cap = Weight(2 * w, 0)
     solver = MaxFlowSolver(engine.stage_graph(w))
-    assert splitter_isolating_step(engine, w, solver, [0]) == {"offered": 1, "updates": 1}
+    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
     latest = latest_min_cut(engine.aux, engine.pivot_idx, engine.idx(0), wrt=engine.pivot_idx)
     assert latest.value < cap
-    assert engine.table.done(0)
-    assert engine.table.witness(0) == latest.side
-    assert engine.table.estimate(0) == latest.value
+    e = engine.table.entries[0]
+    assert e.done and e.value == e.floor == latest.value
+    assert e.witness == latest.side
+    assert engine.covered == {u: 0 for u in range(1, 6)}
     # node 6 sits in the pivot's clique: lambda = 5 >= 2w
-    assert splitter_isolating_step(engine, w, solver, [6]) == {"offered": 1, "updates": 0}
-    assert not engine.table.done(6)
-    assert engine.table.entries[6].floor >= cap
+    before = engine.table.estimate(6)
+    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [6])) == 1
+    e = engine.table.entries[6]
+    assert not e.done and e.floor == cap and e.value == before
+    # a covered candidate is skipped, and one at its floor 2w is not solved again
+    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [1, 6])) == 0
+    assert not engine.table.done(1) and engine.table.entries[1].floor == Weight(0, 0)
 
 
 def test_stage_graph_keeping_every_edge_settles_uncapped():
@@ -243,9 +258,12 @@ def test_stage_graph_keeping_every_edge_settles_uncapped():
 def test_splitter_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0)
+    before = {v: (e.value, e.witness, e.done, e.floor) for v, e in engine.table.entries.items()}
     gw = engine.stage_graph(2)
-    rep = splitter_isolating_step(engine, 2, MaxFlowSolver(gw), [])
-    assert rep == {"offered": 0, "updates": 0}
+    assert _flows(lambda: splitter_isolating_step(engine, 2, MaxFlowSolver(gw), [])) == 0
+    assert {v: (e.value, e.witness, e.done, e.floor)
+            for v, e in engine.table.entries.items()} == before
+    assert not engine.covered
 
 
 def test_improving_cuts_distinct():

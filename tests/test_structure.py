@@ -15,7 +15,8 @@ solver per run.  Both engines start their doubling stages at the same w
 and share the stage graph.  The builders, their partial-tree bootstrap and
 the engines run on plain graphs: latest cuts need no perturbation to be
 unique.  Every stage step is a lone latest-cut solve, so the engines call
-no batch isolating cuts.
+no batch isolating cuts, and the stage pass and the final sweep are one
+settle loop.
 """
 
 import ast
@@ -136,12 +137,13 @@ def test_engine_config_fields():
 def test_deterministic_stages_start_like_randomized():
     """The stage-end claim settles only terminals whose proven floor meets
     the estimate, so no engine needs its stages to begin at w = 1:
-    ``DynamicPivotEngine`` overrides only the pivot moves, not the stage
-    graph or where the stages start, and loop-on it begins at
-    2^floor(log2(n)/2) as the randomized engine does."""
+    ``DynamicPivotEngine`` overrides only the pivot move, not the stage
+    graph, the stage pass or where the stages start, and loop-on it begins
+    at 2^floor(log2(n)/2) as the randomized engine does."""
     assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
-        "moves_pivot", "isolating_moves_pivot"}
-    assert not hasattr(SingleSourceEngine, "first_stage")
+        "moves_pivot"}
+    for name in ("first_stage", "isolating_moves_pivot", "stage_pending"):
+        assert not hasattr(SingleSourceEngine, name), name
     g = families.er_connected(40, 0.08, seed=0)
     cfg = EngineConfig(loop_enabled=True)
     first = []
@@ -149,6 +151,37 @@ def test_deterministic_stages_start_like_randomized():
         engine.run()
         first.append(engine.report["stages"][0]["w"])
     assert first == [4, 4]   # n = 40: 2^floor(log2(40) / 2)
+
+
+def method_calls(tree: ast.Module, attr: str) -> list[str]:
+    """The enclosing function of every call ``<expr>.<attr>(...)``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == attr):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_engines_have_one_settle_loop():
+    """The stage pass and the final sweep are one loop,
+    ``SingleSourceEngine.sweep``, the only per-terminal loop that calls
+    ``settle``; ``settle_covered`` and the stage-end claim are its only
+    other callers."""
+    tree = parse(SRC / "single_source.py")
+    assert sorted(method_calls(tree, "settle")) == ["settle_covered", "stage_w", "sweep"]
+    assert sorted(method_calls(tree, "sweep")) == ["final_sweep", "splitter_isolating_step"]
+    for path in MODULES:
+        if path.name != "single_source.py":
+            assert method_calls(parse(path), "settle") == [], path.name
 
 
 def test_loop_runs_no_expander_decomposition():
