@@ -63,10 +63,11 @@ def cut_membership_tree(t: "PartitionTree | GomoryHuTree", p: int) -> CutMembers
     order = [p]
     seen = bytearray(n)
     seen[p] = 1
+    adj = t.adj
     dq = deque([p])
     while dq:
         a = dq.popleft()
-        for b, w in t.adj[a].items():
+        for b, w in adj[a].items():
             if not seen[b]:
                 seen[b] = 1
                 parent[b] = a

@@ -137,7 +137,7 @@ def _refine(
             continue
         rep["supers"] += 1
         aux, _ = auxiliary_graph(g, t, i)
-        t, new_ids = t.split(i, pieces(aux, vi))
+        new_ids = t.split(i, pieces(aux, vi))
         d = depth[i] + 1
         depth[i] = d
         for nid in new_ids:

@@ -55,7 +55,7 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
                 side.add(kept[x])
             else:
                 side |= comps[x - len(kept)]
-        t = gh_refine(t, i, frozenset(side), from_scaled(value, g.unit), s, tnode)
+        gh_refine(t, i, frozenset(side), from_scaled(value, g.unit), s, tnode)
 
 
 def gusfield(g: Graph) -> PartitionTree:

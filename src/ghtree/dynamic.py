@@ -62,6 +62,8 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     already done).  Terminals on q's side keep their witnesses, which still
     avoid q, except that a witness containing q is replaced by the degree
     bound.  The old pivot becomes a terminal with the exact estimate lam.
+    A witness of weight at most lam that holds q contradicts the trigger
+    and raises EngineError before anything changes.
     """
     p = state.pivot_orig
     p_idx, q_idx = state.pivot_idx, state.idx(q)
@@ -73,8 +75,14 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
         raise EngineError("the old pivot's side does not separate it from the new pivot")
     if not 2 * state.vprime_count(p_side) < len(state.vprime):
         raise EngineError("the old pivot's side is unbalanced")
-
     entries = state.table.entries
+    # a witness of weight at most lam that holds q avoids p, so it is a
+    # minimum p,q-cut; done and pivot-change witnesses are balanced, so q's
+    # latest cut, which lies inside it, would be balanced too
+    if any(e.value <= lam and q_idx in e.witness
+           for v, e in entries.items() if v != q):
+        raise EngineError("a witness of weight at most lam holds the new pivot")
+
     del entries[q]
     state.covered.clear()
     state.pivot_orig = q
@@ -85,22 +93,13 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
         if v == p:
             continue
         v_idx = state.idx(v)
-        on_p_side = v_idx in p_side
         if e.value > lam:
-            if on_p_side:
+            if v_idx in p_side:
                 e.value = lam
                 e.witness = p_side
                 # done terminals stay done: their connectivity to q is
                 # exactly lam; undone ones keep only an upper bound
-            else:
-                if q_idx in e.witness:
-                    e.value = state.aux.degree_weight(v_idx)
-                    e.witness = frozenset((v_idx,))
-                    e.done = False
-        else:
-            if q_idx in e.witness:
-                # a good witness holding q would be a balanced minimum
-                # p,q-cut, contradicting the trigger; reset defensively
+            elif q_idx in e.witness:
                 e.value = state.aux.degree_weight(v_idx)
                 e.witness = frozenset((v_idx,))
                 e.done = False

@@ -9,7 +9,6 @@ answers minimum-cut queries by path minima.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import Graph
@@ -21,7 +20,7 @@ class TreeError(ValueError):
 
 
 class PartitionTree:
-    __slots__ = ("super_nodes", "adj", "_next_id", "_node_super")
+    __slots__ = ("super_nodes", "adj", "node_super", "_next_id")
 
     def __init__(
         self,
@@ -35,21 +34,15 @@ class PartitionTree:
         for i in self.super_nodes:
             self.adj.setdefault(i, {})
         self._next_id = max(self.super_nodes, default=-1) + 1
-        self._node_super: Optional[dict[int, int]] = None
+        self.node_super: dict[int, int] = {
+            v: i for i, nodes in self.super_nodes.items() for v in nodes
+        }
 
     @staticmethod
     def single(n: int) -> "PartitionTree":
         return PartitionTree({0: frozenset(range(n))}, {0: {}})
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def node_super(self) -> dict[int, int]:
-        if self._node_super is None:
-            self._node_super = {
-                v: i for i, nodes in self.super_nodes.items() for v in nodes
-            }
-        return self._node_super
 
     @property
     def fully_resolved(self) -> bool:
@@ -110,23 +103,23 @@ class PartitionTree:
                 return False
         return True
 
-    def copy(self) -> "PartitionTree":
-        return PartitionTree(self.super_nodes, self.adj)
-
     # -- refinement ----------------------------------------------------------
 
     def split(
         self,
         i: int,
         pieces: Sequence[tuple[frozenset[int], frozenset[int], Weight]],
-    ) -> tuple["PartitionTree", list[int]]:
-        """Split super-node i along disjoint cuts, one new super per piece.
+    ) -> list[int]:
+        """Split super-node i in place along disjoint cuts, one new super
+        per piece.
 
         Each piece is (nodes, full_side, value): ``nodes`` is the slice of
         V_i it takes, ``full_side`` the complete vertex bipartition side the
         cut induces in the graph (used to reattach neighbors), ``value`` the
         cut weight.  Remaining vertices of V_i stay in the residual super,
-        which keeps the old id.  Returns the new tree and new super ids.
+        which keeps the old id.  Every piece and every neighbor's side is
+        checked before the tree changes, so a TreeError leaves it as it was.
+        Returns the new super ids.
         """
         vi = self.super_nodes[i]
         taken: set[int] = set()
@@ -142,41 +135,41 @@ class PartitionTree:
         if not rest:
             raise TreeError("split must leave the residual side nonempty")
 
-        tree = self.copy()
-        tree._node_super = None
-        new_ids = []
-        for nodes, full_side, value in pieces:
-            nid = tree._next_id
-            tree._next_id += 1
-            tree.super_nodes[nid] = nodes
-            tree.adj[nid] = {}
-            new_ids.append(nid)
-        tree.super_nodes[i] = rest
-
-        # reattach old neighbors by their side of each cut
-        for j in list(tree.adj[i]):
-            w = tree.adj[i].pop(j)
-            del tree.adj[j][i]
-            side_of = i
+        new_ids = list(range(self._next_id, self._next_id + len(pieces)))
+        # each old neighbor moves to the first piece whose cut side holds it,
+        # else stays with the residual
+        sides: list[int] = []
+        for j in self.adj[i]:
             nbset = self.super_nodes[j]
             probe = next(iter(nbset))
-            for nid, (nodes, full_side, _) in zip(new_ids, pieces):
+            for nid, (_, full_side, _) in zip(new_ids, pieces):
                 if probe in full_side:
                     if not nbset <= full_side:
                         raise TreeError("cut is not expressed over the auxiliary graph")
-                    side_of = nid
+                    sides.append(nid)
                     break
             else:
-                for _, full_side, _ in pieces:
-                    if nbset & full_side:
-                        raise TreeError("cut is not expressed over the auxiliary graph")
-            tree.adj[side_of][j] = w
-            tree.adj[j][side_of] = w
+                if any(nbset & full_side for _, full_side, _ in pieces):
+                    raise TreeError("cut is not expressed over the auxiliary graph")
+                sides.append(i)
 
-        for nid, (nodes, full_side, value) in zip(new_ids, pieces):
-            tree.adj[i][nid] = value
-            tree.adj[nid][i] = value
-        return tree, new_ids
+        self._next_id += len(pieces)
+        for nid, (nodes, _, _) in zip(new_ids, pieces):
+            self.super_nodes[nid] = nodes
+            self.adj[nid] = {}
+            for v in nodes:
+                self.node_super[v] = nid
+        self.super_nodes[i] = rest
+        adj_i = self.adj[i]
+        for j, side_of in zip(list(adj_i), sides):
+            w = adj_i.pop(j)
+            del self.adj[j][i]
+            self.adj[side_of][j] = w
+            self.adj[j][side_of] = w
+        for nid, (_, _, value) in zip(new_ids, pieces):
+            adj_i[nid] = value
+            self.adj[nid][i] = value
+        return new_ids
 
 
 def gh_refine(
@@ -186,8 +179,9 @@ def gh_refine(
     value: Weight,
     s: int,
     tnode: int,
-) -> PartitionTree:
-    """One Gomory-Hu step: split super-node i along a minimum s,t-cut.
+) -> None:
+    """One Gomory-Hu step: split super-node i of t in place along a
+    minimum s,t-cut.
 
     ``cut_side`` is the full vertex bipartition side (expressed over the
     original vertex set); s and tnode must lie in V_i on opposite sides.
@@ -201,53 +195,66 @@ def gh_refine(
     side = cut_side if tnode in cut_side else frozenset(
         v for v in t.node_super if v not in cut_side
     )
-    piece = frozenset(vi & side)
-    tree, _ = t.split(i, [(piece, side, value)])
-    return tree
+    t.split(i, [(frozenset(vi & side), side, value)])
 
 
 # -- full (fully resolved) trees ----------------------------------------------
 
 
 class GomoryHuTree:
-    """Cut-equivalent tree over the original vertices."""
+    """Cut-equivalent tree over the original vertices, rooted at node 0.
 
-    __slots__ = ("n", "parent", "weight", "_adj")
+    One DFS from the root records each node's ``parent``, the ``weight``
+    and ``depth`` of the edge into it, and the preorder ``order``, in which
+    node v's subtree is the slice of ``size[v]`` nodes from ``pos[v]``.
+    """
+
+    __slots__ = ("n", "parent", "weight", "depth", "order", "pos", "size")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Weight]]):
         self.n = n
-        adj: dict[int, dict[int, Weight]] = {v: {} for v in range(n)}
+        nbrs: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
         cnt = 0
         for u, v, w in edges:
-            adj[u][v] = w
-            adj[v][u] = w
+            nbrs[u].append((v, w))
+            nbrs[v].append((u, w))
             cnt += 1
         if cnt != n - 1:
             raise TreeError(f"tree needs {n - 1} edges, got {cnt}")
-        self._adj = adj
-        # rooted form for canonical serialization and queries
         self.parent = [-1] * n
         self.weight: list[Optional[Weight]] = [None] * n
+        self.depth = [0] * n
+        self.order: list[int] = []
+        self.pos = [0] * n
         seen = bytearray(n)
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = 1
-            dq = deque([root])
-            while dq:
-                a = dq.popleft()
-                for b, w in adj[a].items():
-                    if not seen[b]:
-                        seen[b] = 1
-                        self.parent[b] = a
-                        self.weight[b] = w
-                        dq.append(b)
-        if not all(seen):
+        seen[0] = 1
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            self.pos[a] = len(self.order)
+            self.order.append(a)
+            for b, w in nbrs[a]:
+                if not seen[b]:
+                    seen[b] = 1
+                    self.parent[b] = a
+                    self.weight[b] = w
+                    self.depth[b] = self.depth[a] + 1
+                    stack.append(b)
+        # n - 1 edges reach all n nodes only if they form a spanning tree
+        if len(self.order) != n:
             raise TreeError("edges do not form a spanning tree")
+        self.size = [1] * n
+        for v in reversed(self.order[1:]):
+            self.size[self.parent[v]] += self.size[v]
 
     @property
     def adj(self) -> dict[int, dict[int, Weight]]:
-        return self._adj
+        """Neighbor maps in sorted edge order, built anew on each access."""
+        adj: dict[int, dict[int, Weight]] = {v: {} for v in range(self.n)}
+        for a, b, w in self.edges():
+            adj[a][b] = w
+            adj[b][a] = w
+        return adj
 
     def edges(self) -> list[tuple[int, int, Weight]]:
         out = []
@@ -259,32 +266,26 @@ class GomoryHuTree:
         return out
 
     def path(self, u: int, v: int) -> list[tuple[int, int, Weight]]:
-        prev: dict[int, tuple[int, Weight]] = {u: (-1, None)}
-        dq = deque([u])
-        while dq:
-            a = dq.popleft()
-            if a == v:
-                break
-            for b, w in self._adj[a].items():
-                if b not in prev:
-                    prev[b] = (a, w)
-                    dq.append(b)
-        if v not in prev:
-            raise TreeError("query nodes are in different components")
-        edges = []
-        x = v
-        while x != u:
-            a, w = prev[x]
-            edges.append((a, x, w))
-            x = a
-        edges.reverse()
-        return edges
+        """The u-v path's edges from u to v, each as (end nearer u, end
+        nearer v, weight)."""
+        parent, weight, depth = self.parent, self.weight, self.depth
+        up: list[tuple[int, int, Weight]] = []
+        down: list[tuple[int, int, Weight]] = []
+        while u != v:
+            if depth[u] >= depth[v]:
+                up.append((u, parent[u], weight[u]))
+                u = parent[u]
+            else:
+                down.append((parent[v], v, weight[v]))
+                v = parent[v]
+        return up + down[::-1]
 
     def query(self, u: int, v: int) -> tuple[Weight, frozenset[int]]:
         """Minimum-weight edge on the u-v path; (value, u's side).
 
         Ties go to the edge deepest from u (the query root), i.e. nearest v.
-        The side is u's component once that edge is removed.
+        The side is u's component once that edge is removed: the subtree
+        below the edge if it holds u, else that subtree's complement.
         """
         if u == v:
             raise TreeError("query needs two distinct nodes")
@@ -296,22 +297,11 @@ class GomoryHuTree:
             if path[k][2] <= path[best][2]:
                 best = k
         a, b, w = path[best]
-        side = self.component_without(u, (a, b))
-        return w, side
-
-    def component_without(self, u: int, cut_edge: tuple[int, int]) -> frozenset[int]:
-        a, b = cut_edge
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if (x, y) in ((a, b), (b, a)):
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
+        below = a if self.parent[a] == b else b
+        lo, hi = self.pos[below], self.pos[below] + self.size[below]
+        if below == a:
+            return w, frozenset(self.order[lo:hi])
+        return w, frozenset(self.order[:lo] + self.order[hi:])
 
     def serialize(self) -> str:
         lines = [f"t {self.n}"]

@@ -12,9 +12,10 @@ a single-source table against ``latest_min_cut``, ``assemble``,
 which stitches per-super-node trees into one full tree, the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
 Gray-code walk must match, Gusfield's scheme with the all-node
-``pred`` scan that ``classic._gusfield_frame`` must match, and the
+``pred`` scan that ``classic._gusfield_frame`` must match, the
 Gomory-Hu loop on contracted ``Graph`` objects that
-``classic.classic_gomory_hu`` must match.
+``classic.classic_gomory_hu`` must match, and the tree query by
+whole-tree searches that ``GomoryHuTree.query`` must match.
 """
 
 from __future__ import annotations
@@ -356,12 +357,13 @@ def assemble(
         root = next(
             q for q in range(aux.n) if aux.orig_id[q] is not None
         )
+        tree_adj = tree.adj
         order = [root]
         par = {root: root}
         dq = deque([root])
         while dq:
             a = dq.popleft()
-            for b in tree.adj[a]:
+            for b in tree_adj[a]:
                 if b not in par:
                     par[b] = a
                     order.append(b)
@@ -377,7 +379,7 @@ def assemble(
             oa = aux.orig_id[a]
             if oa is None:
                 continue
-            for b, w in tree.adj[a].items():
+            for b, w in tree_adj[a].items():
                 ob = aux.orig_id[b]
                 if ob is not None and oa < ob:
                     final_edges.append((oa, ob, w))
@@ -391,6 +393,45 @@ def assemble(
         final_edges.append((min(u, v), max(u, v), w))
 
     return GomoryHuTree(n, final_edges)
+
+
+def reference_query(tree: GomoryHuTree, u: int, v: int):
+    """The tree query as first written, by whole-tree searches over the
+    neighbor maps: the u-v path by BFS from u, its last lightest edge, and
+    u's side by a DFS from u that avoids that edge.  Returns (path, value,
+    side); ``GomoryHuTree.path`` and ``.query`` must give the same."""
+    adj = tree.adj
+    prev: dict[int, tuple[int, Optional[Weight]]] = {u: (-1, None)}
+    dq = deque([u])
+    while dq:
+        a = dq.popleft()
+        if a == v:
+            break
+        for b, w in adj[a].items():
+            if b not in prev:
+                prev[b] = (a, w)
+                dq.append(b)
+    path = []
+    x = v
+    while x != u:
+        a, w = prev[x]
+        path.append((a, x, w))
+        x = a
+    path.reverse()
+    best = 0
+    for k in range(1, len(path)):
+        if path[k][2] <= path[best][2]:
+            best = k
+    a, b, w = path[best]
+    seen = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if {x, y} != {a, b} and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return path, w, frozenset(seen)
 
 
 def gusfield_frame_full_scan(n: int, solve) -> PartitionTree:
@@ -437,4 +478,4 @@ def classic_via_contract(g: Graph) -> PartitionTree:
         aux, index = auxiliary_graph(g, t, i)
         cut = max_flow_min_cut(aux, index[s], index[tnode])
         side = aux.expand(cut.side)
-        t = gh_refine(t, i, side, cut.value, s, tnode)
+        gh_refine(t, i, side, cut.value, s, tnode)

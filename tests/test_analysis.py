@@ -16,7 +16,7 @@ from ghtree.analysis import (
 from ghtree.build import build_deterministic
 from ghtree.classic import classic_gomory_hu
 from ghtree.flow import MaxFlowSolver
-from ghtree.partition import GomoryHuTree, to_node_tree
+from ghtree.partition import GomoryHuTree, parse_tree, to_node_tree
 from ghtree.weights import Weight
 
 
@@ -25,6 +25,16 @@ def test_star_center_singleton_bags():
     tm = cut_membership_tree(t, 0)
     assert len(tm.bags) == 6
     assert all(b.size == 1 for b in tm.bags.values())
+
+
+def test_report_of_a_built_tree_equals_its_file():
+    """A tree's neighbor maps come from its sorted edges, so a built tree
+    and its serialized file give the same bags, ids included."""
+    g = families.clique_chain([5, 6, 5])
+    t = to_node_tree(build_deterministic(g))
+    again = parse_tree(t.serialize())
+    for p in (0, 3, 6, 9):
+        assert analyze_report(g, t, p) == analyze_report(g, again, p)
 
 
 def test_strictly_decreasing_path_all_singletons():

@@ -189,6 +189,23 @@ def test_query_node_out_of_range_exits_4(tmp_path, runner):
     assert res.exit_code == 4, res.output
 
 
+@pytest.mark.parametrize("text", [
+    "t 4\ne 1 2 1.0\ne 2 3 1.0\ne 1 3 1.0\n",   # a cycle, node 4 left out
+    "t 4\ne 1 2 1.0\ne 2 1 1.0\ne 2 3 1.0\n",   # a repeated pair
+])
+@pytest.mark.parametrize("command", ["query", "verify", "analyze"])
+def test_tree_of_n_minus_1_edges_that_do_not_span_exits_4(tmp_path, runner, text, command):
+    gp = write_graph(tmp_path / "g.gr", families.path(4))
+    bad = tmp_path / "bad.tree"
+    bad.write_text(text)
+    args = {"query": ["query", str(bad), "1", "2"],
+            "verify": ["verify", gp, str(bad)],
+            "analyze": ["analyze", gp, str(bad), "--pivot", "1"]}[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 4, res.output
+    assert "spanning tree" in res.output
+
+
 def test_sampled_verify(tmp_path, runner):
     g = families.er_connected(40, 0.3, seed=4)
     gp = write_graph(tmp_path / "g.gr", g)

@@ -154,6 +154,22 @@ def test_change_star_leaf_to_center_drops_everyone():
     assert engine.table.witness(1) == frozenset({1})
 
 
+def test_change_rejects_a_light_witness_holding_the_new_pivot():
+    """A witness of weight at most lam that holds q avoids p, so it would be
+    a balanced minimum p,q-cut, which contradicts the trigger: the state is
+    broken, and pivot_change raises before changing anything."""
+    g = families.star(5)
+    engine = engine_for(g, 1)
+    cut = latest_min_cut(g, 1, 0, wrt=1)
+    e = engine.table.entries[2]
+    e.value, e.witness = cut.value, frozenset({0, 2})
+    with pytest.raises(EngineError, match="holds the new pivot"):
+        pivot_change(engine, 0, cut, p_side=latest_min_cut(g, 0, 1).side)
+    assert engine.pivot_orig == 1
+    assert 0 in engine.table.entries and 1 not in engine.table.entries
+    assert e.witness == frozenset({0, 2})
+
+
 def test_change_preserves_latest_witnesses(pivot_change_events):
     """If a terminal's witness was the latest cut for the old pivot, the
     post-change witness is the latest cut for the new pivot (enumerated)."""

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ghtree import families
-from ghtree.classic import classic_gomory_hu
+from ghtree import EngineConfig, families
+from ghtree.build import build_deterministic, build_randomized
+from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.graph import auxiliary_graph
 from ghtree.partition import (
     GomoryHuTree,
@@ -15,24 +16,25 @@ from ghtree.partition import (
 )
 from ghtree.weights import Weight
 
-from oracles import all_pairs_oracle, assemble
+from oracles import all_pairs_oracle, assemble, planted_partition, reference_query
 
 
 def test_gh_refine_p3():
     g = families.path(3)
     t = PartitionTree.single(3)
-    t2 = gh_refine(t, 0, frozenset({2}), Weight(1, 0), 0, 2)
-    supers = sorted(tuple(sorted(s)) for s in t2.super_nodes.values())
+    gh_refine(t, 0, frozenset({2}), Weight(1, 0), 0, 2)
+    supers = sorted(tuple(sorted(s)) for s in t.super_nodes.values())
     assert supers == [(0, 1), (2,)]
-    assert t2.verify(g)
+    assert t.node_super == {0: 0, 1: 0, 2: 1}
+    assert t.verify(g)
 
 
 def test_gh_refine_k4_star_step():
     g = families.complete(4)
     t = PartitionTree.single(4)
-    t2 = gh_refine(t, 0, frozenset({3}), Weight(3, 0), 0, 3)
-    assert t2.verify(g)
-    assert len(t2.super_nodes) == 2
+    gh_refine(t, 0, frozenset({3}), Weight(3, 0), 0, 3)
+    assert t.verify(g)
+    assert len(t.super_nodes) == 2
 
 
 def test_gh_refine_errors():
@@ -40,10 +42,9 @@ def test_gh_refine_errors():
     with pytest.raises(TreeError):
         gh_refine(t, 0, frozenset({0, 1}), Weight(1, 0), 0, 1)  # both inside
     # refine a two-super tree with a cut that splits a neighbor component
-    g = families.path(4)
-    t2 = gh_refine(t, 0, frozenset({2, 3}), Weight(1, 0), 1, 2)
+    gh_refine(t, 0, frozenset({2, 3}), Weight(1, 0), 1, 2)
     with pytest.raises(TreeError):
-        gh_refine(t2, t2.node_super[2], frozenset({3, 1}), Weight(1, 0), 2, 3)
+        gh_refine(t, t.node_super[2], frozenset({3, 1}), Weight(1, 0), 2, 3)
 
 
 def test_multi_cut_split_equals_sequential():
@@ -58,10 +59,13 @@ def test_multi_cut_split_equals_sequential():
         for v in picks:
             side = frozenset({v})
             pieces.append((side, side, g.cut_weight(side)))
-        t_multi, _ = PartitionTree.single(n).split(0, pieces)
+        t_multi = PartitionTree.single(n)
+        t_multi.split(0, pieces)
         t_seq = PartitionTree.single(n)
         for side, full, val in pieces:
-            t_seq = gh_refine(t_seq, 0, full, val, p, next(iter(side)))
+            gh_refine(t_seq, 0, full, val, p, next(iter(side)))
+        assert t_multi.node_super == t_seq.node_super == {
+            v: i for i, nodes in t_seq.super_nodes.items() for v in nodes}
         same = {frozenset(s) for s in t_multi.super_nodes.values()} == \
                {frozenset(s) for s in t_seq.super_nodes.values()}
         assert same
@@ -71,6 +75,35 @@ def test_multi_cut_split_equals_sequential():
                      for a, b, w in t_seq.edges()}
         norm = lambda es: {(min(x, y, key=sorted), max(x, y, key=sorted), w) for x, y, w in es}
         assert norm(edges_multi) == norm(edges_seq)
+
+
+def _state(t):
+    return (dict(t.super_nodes), [(i, list(nb.items())) for i, nb in t.adj.items()],
+            list(t.node_super.items()))
+
+
+@pytest.mark.parametrize("pieces", [
+    [(frozenset(), frozenset({2}), Weight(1, 0))],                   # empty piece
+    [(frozenset({2, 3}), frozenset({2, 3}), Weight(1, 0))],          # not inside V_0
+    [(frozenset({1}), frozenset({1, 3}), Weight(1, 0)),
+     (frozenset({1, 2}), frozenset({1, 2}), Weight(1, 0))],          # pieces overlap
+    [(frozenset({1, 2}), frozenset({2, 3}), Weight(1, 0))],          # piece outside its side
+    [(frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}), Weight(1, 0))],  # no residual
+    [(frozenset({2}), frozenset({2, 3, 4}), Weight(1, 0))],          # neighbor {4, 5} straddles
+    [(frozenset({2}), frozenset({2, 3, 5}), Weight(1, 0))],          # the other way round
+])
+def test_failed_split_leaves_tree_unchanged(pieces):
+    """Every piece and every neighbor's side is checked before the tree
+    changes: here neighbor {3} reattaches cleanly before {4, 5} fails."""
+    w = Weight(1, 0)
+    t = PartitionTree({0: frozenset({0, 1, 2}), 1: frozenset({3}), 2: frozenset({4, 5})},
+                      {0: {1: w, 2: w}, 1: {0: w}, 2: {0: w}})
+    before = _state(t)
+    with pytest.raises(TreeError):
+        t.split(0, pieces)
+    assert _state(t) == before
+    assert t.split(0, [(frozenset({2}), frozenset({2, 3}), w)]) == [3]
+    assert t.node_super[2] == 3 and t.adj[3] == {1: w, 0: w}
 
 
 def test_tree_query_examples():
@@ -114,6 +147,55 @@ def test_tree_loader_validates():
         parse_tree("t 3\ne 1 2 1.0\n")  # not spanning
     with pytest.raises(TreeError):
         parse_tree("t 3\ne 1 2 1.0\ne 1 2 2.0\ne 2 3 1.0\n")  # not a tree
+    # n - 1 edges that miss node 4: a cycle, then a repeated pair
+    for text in ("t 4\ne 1 2 1.0\ne 2 3 1.0\ne 1 3 1.0\n",
+                 "t 4\ne 1 2 1.0\ne 2 1 2.0\ne 2 3 1.0\n"):
+        with pytest.raises(TreeError, match="spanning tree"):
+            parse_tree(text)
+
+
+def _random_tree(rng, n):
+    edges = [(v, rng.randrange(v), Weight(rng.randint(1, 4), 0)) for v in range(1, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return GomoryHuTree(n, [(perm[a], perm[b], w) for a, b, w in edges])
+
+
+def _assert_matches_reference(tree, pairs):
+    for u, v in pairs:
+        path, value, side = reference_query(tree, u, v)
+        assert tree.path(u, v) == path, (u, v)
+        assert tree.query(u, v) == (value, side), (u, v)
+
+
+def test_query_matches_reference_on_random_trees():
+    """Weights 1 to 4 make ties common, so the last-lightest-edge rule and
+    the side's orientation are both exercised."""
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 60)
+        tree = _random_tree(rng, n)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(10)]
+        _assert_matches_reference(tree, pairs)
+
+
+def test_query_matches_reference_on_corpus_trees():
+    """Every tree the four builders make of the benchmark corpus (corpus
+    seed 42; the planted 4x16 graph is built loop-on, as its workload is)."""
+    corpus = [(families.er_connected(200, 0.045, seed=42), False),
+              (families.clique_chain([16] * 8), False),
+              (planted_partition(5, 24, 0.5, 0.01, seed=42), False),
+              (planted_partition(4, 16, 0.5, 0.03, seed=42), True)]
+    rng = random.Random(42)
+    for g, loop in corpus:
+        cfg = lambda: EngineConfig(loop_enabled=loop)
+        for t in (classic_gomory_hu(g), gusfield(g),
+                  build_randomized(g, seed=42, config=cfg()),
+                  build_deterministic(g, config=cfg())):
+            tree = to_node_tree(t)
+            _assert_matches_reference(tree, [tuple(rng.sample(range(g.n), 2))
+                                             for _ in range(60)])
 
 
 def _full_subtrees(g, t):

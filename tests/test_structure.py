@@ -16,7 +16,8 @@ and share the stage graph.  The builders, their partial-tree bootstrap and
 the engines run on plain graphs: latest cuts need no perturbation to be
 unique.  Every stage step is a lone latest-cut solve, so the engines call
 no batch isolating cuts, and the stage pass and the final sweep are one
-settle loop.
+settle loop.  A cut tree keeps one live representation: partition trees
+split in place and Gomory-Hu trees answer from their rooted arrays.
 """
 
 import ast
@@ -32,6 +33,7 @@ from ghtree.build import build_randomized
 from ghtree.classic import k_partial_tree
 from ghtree.dynamic import DynamicPivotEngine
 from ghtree.graph import Graph
+from ghtree.partition import GomoryHuTree, PartitionTree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +215,17 @@ def test_engines_solve_each_candidate_alone_on_plain_graphs():
     for name in ("easy_cuts_step", "offer_isolating_cuts"):
         assert not hasattr(ghtree, name), name
         assert not hasattr(ghtree.single_source, name), f"single_source.{name}"
+
+
+def test_cut_trees_keep_one_representation():
+    """A partition tree refines in place, and a Gomory-Hu tree answers
+    queries from its rooted arrays: neither keeps a second copy of itself."""
+    assert not hasattr(PartitionTree, "copy")
+    assert "_adj" not in GomoryHuTree.__slots__
+    assert not hasattr(GomoryHuTree, "component_without")
+    imported = {alias.name for node in ast.walk(parse(SRC / "partition.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "deque" not in imported
 
 
 def test_graph_has_no_loops():
