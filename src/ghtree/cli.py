@@ -239,12 +239,19 @@ def bench(family, sizes, prob, algos, seed, out_path):
             _input_error(f"unknown algo {a}")
 
     def cell(n, algo):
-        g = families.er_connected(n, prob, seed=seed + n)
+        try:
+            g = families.er_connected(n, prob, seed=seed + n)
+        except RuntimeError as exc:
+            _input_error(f"--p {prob} is too sparse for n = {n}: {exc}")
         config = EngineConfig()
         report: dict = {}
         flow0 = FLOW_CALLS.value
         t0 = time.perf_counter()
-        _build_tree(g, algo, seed, config, report)
+        try:
+            _build_tree(g, algo, seed, config, report)
+        except RandomizedAbort as exc:
+            click.echo(f"abort: {exc}", err=True)
+            sys.exit(EXIT_ABORT)
         wall = round(1000 * (time.perf_counter() - t0), 3)
         calls = FLOW_CALLS.value - flow0
         return {

@@ -86,7 +86,6 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     del entries[q]
     state.covered.clear()
     state.pivot_orig = q
-    state.table.pivot = q
     entries[p] = TerminalEstimate(value=lam, witness=p_side, done=True, floor=lam)
 
     for v, e in entries.items():

@@ -54,9 +54,6 @@ class CutSide:
     s: int
     t: int
 
-    def verify(self, g: Graph) -> bool:
-        return g.cut_weight(self.side) == self.value
-
 
 class MaxFlowSolver:
     """Reusable Dinic solver over one immutable graph.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph
 from .weights import Weight
 
 
@@ -80,28 +79,6 @@ class PartitionTree:
                 nodes |= self.super_nodes[a]
             comps.append(nodes)
         return comps
-
-    def subtree_side(self, i: int, j: int) -> frozenset[int]:
-        """Vertices on j's side of tree edge (i, j)."""
-        nodes: set[int] = set()
-        seen = {i, j}
-        stack = [j]
-        nodes |= self.super_nodes[j]
-        while stack:
-            a = stack.pop()
-            for b in self.adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    nodes |= self.super_nodes[b]
-                    stack.append(b)
-        return frozenset(nodes)
-
-    def verify(self, g: Graph) -> bool:
-        """Recompute every edge's induced-bipartition value in g."""
-        for i, j, w in self.edges():
-            if g.cut_weight(self.subtree_side(i, j)) != w:
-                return False
-        return True
 
     # -- refinement ----------------------------------------------------------
 

@@ -9,9 +9,10 @@ Latest cuts are unique, so this is the witness any exact method must
 return.  Every proven fact about a terminal comes from one other method,
 ``SingleSourceEngine.settle``: a latest cut below the solver graph's
 exactness cap is the terminal's done witness, and one at or above it proves
-the floor.  The default profile (elimination loop off) settles every
-terminal with one uncapped such solve; all of them share a single solver
-over the auxiliary graph.
+the floor.  A terminal whose proven floor already meets its estimate is
+done with its current witness and no flow (the floor rule).  The default
+profile (elimination loop off) settles every terminal with one uncapped
+such solve; all of them share a single solver over the auxiliary graph.
 
 Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
 it skips a terminal that is *covered*, and otherwise settles it.  When
@@ -44,8 +45,9 @@ only chose which candidates to solve together; with every candidate
 solved alone they save no flow, and the engine runs neither.  Estimates
 only decrease, every estimate is the exact weight of its witness cut, and
 a terminal is marked done only by ``settle``, when a solve makes its
-estimate minimal or the stage-end claim finds that a proven floor meets
-it.
+estimate minimal or its proven floor meets it.  The one exception is the
+old pivot after a pivot change (dynamic.py), whose estimate is exact from
+the flow that triggered the change.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
 pivot at random.  Every cut is measured in the plain auxiliary graph; no
@@ -113,8 +115,7 @@ class TerminalEstimate:
 class EstimateTable:
     """Per-terminal connectivity estimates with witness cuts."""
 
-    def __init__(self, pivot: int):
-        self.pivot = pivot
+    def __init__(self):
         self.entries: dict[int, TerminalEstimate] = {}
 
     def terminals(self) -> list[int]:
@@ -148,7 +149,7 @@ class SingleSourceEngine:
             raise GraphError("pivot is not an original node of the auxiliary graph")
         self.pivot_orig = pivot
         self.vprime = sorted(aux.index_of)
-        self.table = EstimateTable(pivot)
+        self.table = EstimateTable()
         for v in self.vprime:
             if v == pivot:
                 continue
@@ -206,34 +207,37 @@ class SingleSourceEngine:
         e.witness = side
 
     def settle(self, v: int, solver: Optional[MaxFlowSolver] = None,
-               cap: Optional[Weight] = None, cut: Optional[CutSide] = None) -> bool:
+               cap: Optional[Weight] = None) -> bool:
         """Turn terminal v's latest cut into a proven estimate; True when the
         cut moved the pivot instead (v is then the pivot).
 
-        Skips v unless it is an undone terminal whose floor is below
-        ``cap``, so that a solve below the cap can teach something.
-        Otherwise solves the latest cut on ``solver`` (default: the
-        auxiliary graph's), or takes ``cut``, a witness already recorded for
-        v (the stage-end claim).  ``cap`` is where the solver's graph stops
-        being exact: a cut that reaches it only proves the floor ``cap``.  A
-        cut below it is the minimum cut; ``moves_pivot`` may drop it, and
-        otherwise it becomes v's done witness."""
+        An undone terminal whose proven floor already meets its estimate is
+        done with its current witness, a cut of exactly that weight, and no
+        flow (the floor rule).  Otherwise v is skipped unless its floor is
+        below ``cap``, so that a solve below the cap can teach something,
+        and its latest cut is solved on ``solver`` (default: the auxiliary
+        graph's).  ``cap`` is where the solver's graph stops being exact: a
+        cut that reaches it only proves the floor ``cap``.  A cut below it
+        is the minimum cut; ``moves_pivot`` may drop it, and otherwise it
+        becomes v's done witness."""
         e = self.table.entries.get(v)
-        if e is None or e.done or (cap is not None and not e.floor < cap):
+        if e is None or e.done:
             return False
-        if solver is None:
-            solver = self.aux_solver
-        if cut is None:
+        if e.floor < e.value:
+            if cap is not None and not e.floor < cap:
+                return False
+            if solver is None:
+                solver = self.aux_solver
             cut = self.latest_cut(v, solver)
-        if cap is not None and not cut.value < cap:
-            e.floor = cap
-            return False
-        if self.moves_pivot(v, cut, solver):
-            return True
-        if e.value < cut.value:
-            raise EngineError("estimate below a proven minimum")
-        self._set_witness(e, v, cut.value, cut.side)
-        e.floor = cut.value
+            if cap is not None and not cut.value < cap:
+                e.floor = cap
+                return False
+            if self.moves_pivot(v, cut, solver):
+                return True
+            if e.value < cut.value:
+                raise EngineError("estimate below a proven minimum")
+            self._set_witness(e, v, cut.value, cut.side)
+            e.floor = cut.value
         e.done = True
         return False
 
@@ -283,11 +287,6 @@ class SingleSourceEngine:
             v for v, e in sorted(self.table.entries.items())
             if not e.done and v not in self.covered and e.value > thr and e.floor < lim
         ]
-
-    def stage_graph(self, w: int) -> Graph:
-        """Stage w's graph: a sparsifier that keeps every cut below 2w
-        exact."""
-        return ni_sparsify(self.aux, 2 * w)
 
     def run(self) -> EstimateTable:
         if self.config.loop_enabled:
@@ -378,18 +377,17 @@ def single_source_mincuts(
 def stage_w(state: SingleSourceEngine, w: int) -> None:
     """One doubling stage of the elimination loop: one sweep of the
     candidates on the stage solver, which settles each candidate whose
-    connectivity is below 2w and proves the floor 2w for the rest; then the
-    stage-end claim.  A stage with no candidate is skipped.  Whatever a
-    pivot change reopens falls to later stages and the final sweep.  The
-    report's ``direct_solves`` counts the sweep's flows (the benchmark's
-    tracer sums that key)."""
+    connectivity is below 2w and proves the floor 2w for the rest.  A stage
+    with no candidate is skipped.  Whatever a pivot change reopens falls to
+    later stages and the final sweep.  The report's ``direct_solves`` counts
+    the sweep's flows (the benchmark's tracer sums that key)."""
     srep: dict = {"w": w}
     candidates = state.candidates(w)
     if not candidates:
         srep["skipped"] = True
         state.report["stages"].append(srep)
         return
-    gw = state.stage_graph(w)
+    gw = ni_sparsify(state.aux, 2 * w)
     srep["gw_edges"] = gw.edge_instances
     # a stage graph that keeps every edge instance is the auxiliary graph,
     # whose solves are exact at any value: the stage then runs on the
@@ -402,15 +400,6 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
     flows = FLOW_CALLS.value
     splitter_isolating_step(state, w, solver, candidates)
     srep["direct_solves"] = FLOW_CALLS.value - flows
-    # stage-end claim: an undone terminal whose proven floor meets its
-    # estimate is settled with its current witness.  The witness is a real
-    # cut whose weight equals a proven lower bound, so it is a minimum cut.
-    lim = Weight(2 * w, 0)
-    for v in state.table.terminals():
-        e = state.table.entries[v]
-        if e.value < lim and not e.floor < e.value:
-            state.settle(v, solver, lim,
-                         CutSide(side=e.witness, value=e.value, s=state.pivot_idx, t=state.idx(v)))
     state.report["stages"].append(srep)
 
 

@@ -15,7 +15,9 @@ Gray-code walk must match, Gusfield's scheme with the all-node
 ``pred`` scan that ``classic._gusfield_frame`` must match, the
 Gomory-Hu loop on contracted ``Graph`` objects that
 ``classic.classic_gomory_hu`` must match, and the tree query by
-whole-tree searches that ``GomoryHuTree.query`` must match.
+whole-tree searches that ``GomoryHuTree.query`` must match, and the
+checks that a cut or a partition tree has the weights it claims
+(``verify_cut``, ``subtree_side``, ``verify_partition_tree``).
 """
 
 from __future__ import annotations
@@ -317,6 +319,31 @@ def assert_latest_table(g: Graph, pivot: int, table) -> None:
         assert table.witness(v) == cut.side, (pivot, v)
 
 
+def verify_cut(cut, g: Graph) -> bool:
+    """True when the cut's side crosses exactly its claimed value in g."""
+    return g.cut_weight(cut.side) == cut.value
+
+
+def subtree_side(t: PartitionTree, i: int, j: int) -> frozenset[int]:
+    """Vertices on j's side of the partition tree's edge (i, j)."""
+    nodes: set[int] = set(t.super_nodes[j])
+    seen = {i, j}
+    stack = [j]
+    while stack:
+        a = stack.pop()
+        for b in t.adj[a]:
+            if b not in seen:
+                seen.add(b)
+                nodes |= t.super_nodes[b]
+                stack.append(b)
+    return frozenset(nodes)
+
+
+def verify_partition_tree(t: PartitionTree, g: Graph) -> bool:
+    """Recompute every edge's induced-bipartition value in g."""
+    return all(g.cut_weight(subtree_side(t, i, j)) == w for i, j, w in t.edges())
+
+
 def assemble(
     t_partial: PartitionTree,
     subtrees: Mapping[int, tuple[Graph, GomoryHuTree]],
@@ -348,7 +375,7 @@ def assemble(
             if aux.orig_id[q] is not None:
                 continue
             for j in t_partial.adj[i]:
-                if t_partial.subtree_side(i, j) == aux.members[q]:
+                if subtree_side(t_partial, i, j) == aux.members[q]:
                     contracted_super[q] = j
                     break
             else:

@@ -23,6 +23,7 @@ from oracles import (
     classic_via_contract,
     gusfield_frame_full_scan,
     planted_partition,
+    subtree_side,
 )
 
 
@@ -215,7 +216,7 @@ def assert_partial_tree_is_valid(g, t, k, oracle):
     the lightest edge on its tree path."""
     for a, b, w in t.edges():
         assert w.eps == 0 and w.base <= k
-        assert g.cut_weight(t.subtree_side(a, b)) == w
+        assert g.cut_weight(subtree_side(t, a, b)) == w
     # the tree over super-node ids, which k_partial_tree numbers from 0
     nt = GomoryHuTree(len(t.super_nodes), t.edges())
     ns = t.node_super

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from ghtree import EngineConfig, families, single_source
-from ghtree.build import build_deterministic, build_randomized
+from ghtree import cli
+from ghtree.build import RandomizedAbort, build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.cli import main
 from ghtree.flow import FLOW_CALLS
@@ -396,10 +397,27 @@ def test_non_integer_env_seed_exits_4(tmp_path, runner, monkeypatch, command):
     ["--p", "-0.5"],
     ["--p", "1.5"],
     ["--p", "nan"],
-], ids=["sizes_not_integers", "sizes_negative", "p_zero", "p_negative", "p_above_one", "p_nan"])
+    ["--p", "0.001"],
+], ids=["sizes_not_integers", "sizes_negative", "p_zero", "p_negative", "p_above_one", "p_nan",
+        "p_too_sparse"])
 def test_bench_bad_input_exits_4(tmp_path, runner, args):
     out = tmp_path / "b.csv"
     res = runner.invoke(main, ["bench", "--sizes", "8", *args, "--out", str(out)])
     assert res.exit_code == 4, res.output
     assert "error:" in res.output
+    assert not out.exists()
+
+
+def test_bench_randomized_abort_exits_3(tmp_path, runner, monkeypatch):
+    """A randomized abort inside a bench cell exits 3, as in ``ght build``,
+    and writes no CSV."""
+    def abort(*args, **kwargs):
+        raise RandomizedAbort("bad pivots")
+
+    monkeypatch.setattr(cli, "build_randomized", abort)
+    out = tmp_path / "b.csv"
+    res = runner.invoke(main, ["bench", "--sizes", "8", "--p", "0.5", "--algos", "randomized",
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "abort: bad pivots" in res.output
     assert not out.exists()

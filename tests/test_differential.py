@@ -125,9 +125,9 @@ def test_standalone_single_source_exact(g, seed, loop):
 def test_standalone_loop_without_stage_from_zero_is_exact():
     """Loop on, with the stages starting where ``run`` starts them,
     w = 2^floor(log2(n)/2), not at w = 1, over 40 graphs: every terminal's
-    estimate and witness are its latest cut's.  The stage-end claim settles
-    only terminals whose proven floor meets the estimate, so exactness
-    needs no stage below the first."""
+    estimate and witness are its latest cut's.  ``settle``'s floor rule
+    takes only terminals whose proven floor meets the estimate, so
+    exactness needs no stage below the first."""
     for seed in range(40):
         g = families.er_connected(40, 0.08, seed=seed)
         p = max(range(g.n), key=lambda v: (g.degree(v), -v))

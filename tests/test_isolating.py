@@ -10,6 +10,7 @@ from ghtree.flow import FLOW_CALLS, MaxFlowSolver
 from ghtree.graph import Graph, GraphError
 from ghtree.isolating import isolating_cuts
 from ghtree.single_source import EngineConfig, SingleSourceEngine
+from ghtree.sparsify import ni_sparsify
 from ghtree.weights import Weight
 
 from oracles import enum_latest_all
@@ -48,7 +49,7 @@ def test_singleton_terminal_is_latest_cut():
         for engine in engines:
             p = engine.pivot_idx
             for w in (1, 2, 4):
-                gw = engine.stage_graph(w)
+                gw = ni_sparsify(engine.aux, 2 * w)
                 solver = MaxFlowSolver(gw)
                 for v in engine.table.terminals():
                     iso = isolating_cuts(gw, p, {engine.idx(v)}).cuts[engine.idx(v)]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ghtree import families
-from ghtree.dynamic import single_source_dynamic_pivot
+from ghtree.dynamic import DynamicPivotEngine, single_source_dynamic_pivot
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
 from ghtree.single_source import (
     EngineConfig,
@@ -13,6 +13,7 @@ from ghtree.single_source import (
     splitter_isolating_step,
     stage_w,
 )
+from ghtree.sparsify import ni_sparsify
 from ghtree.weights import Weight
 
 from oracles import assert_latest_table, dynamic_from, run_from_stage_one
@@ -190,7 +191,7 @@ def test_lone_solves_settle_star_leaves():
     with itself as witness: its cut, 1, is below the stage bound 2."""
     g = families.star(5)
     engine = make_engine(g, 0)
-    solver = MaxFlowSolver(engine.stage_graph(1))
+    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2))
     assert _flows(lambda: splitter_isolating_step(engine, 1, solver, [1, 2, 3, 4, 5])) == 5
     for v in range(1, 6):
         e = engine.table.entries[v]
@@ -206,7 +207,7 @@ def test_lone_solve_finds_bridge_side():
     # node 0: left hub (degree 2), node 1: right hub (degree 7)
     engine = make_engine(g, 1)
     w = 2
-    solver = MaxFlowSolver(engine.stage_graph(w))
+    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w))
     assert engine.table.estimate(0).base == 2
     assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
@@ -226,7 +227,7 @@ def test_lone_isolating_cut_below_the_stage_bound_settles():
     engine = make_engine(g, 11)
     w = 2
     cap = Weight(2 * w, 0)
-    solver = MaxFlowSolver(engine.stage_graph(w))
+    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w))
     assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
     latest = latest_min_cut(engine.aux, engine.pivot_idx, engine.idx(0), wrt=engine.pivot_idx)
     assert latest.value < cap
@@ -244,6 +245,24 @@ def test_lone_isolating_cut_below_the_stage_bound_settles():
     assert not engine.table.done(1) and engine.table.entries[1].floor == Weight(0, 0)
 
 
+@pytest.mark.parametrize("engine_cls", [SingleSourceEngine, DynamicPivotEngine])
+def test_floor_meeting_the_estimate_settles_without_a_flow(engine_cls):
+    """``settle``'s floor rule: an undone terminal whose proven floor meets
+    its estimate is done with its current witness and no flow, and
+    ``sweep`` lets it cover the undone terminals inside that witness."""
+    g = families.dumbbell(6, bridges=2)
+    engine = engine_cls(g, g, 11)
+    clique = frozenset(engine.idx(u) for u in range(6))
+    e = engine.table.entries[0]
+    e.value = e.floor = Weight(2, 0)   # the bridges: a balanced minimum cut
+    e.witness = clique
+    assert _flows(lambda: engine.sweep([0])) == 0
+    assert e.done and e.witness == clique and e.value == e.floor == Weight(2, 0)
+    assert engine.covered == {u: 0 for u in range(1, 6)}
+    assert engine.pivot_orig == 11
+    assert not any(engine.table.done(u) for u in range(1, 11))
+
+
 def test_stage_graph_keeping_every_edge_settles_uncapped():
     """A cycle's stage graph at w = 1 keeps every edge, so it is the
     auxiliary graph: the stage solves on the engine's own solver, and each
@@ -259,7 +278,7 @@ def test_splitter_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0)
     before = {v: (e.value, e.witness, e.done, e.floor) for v, e in engine.table.entries.items()}
-    gw = engine.stage_graph(2)
+    gw = ni_sparsify(engine.aux, 4)
     assert _flows(lambda: splitter_isolating_step(engine, 2, MaxFlowSolver(gw), [])) == 0
     assert {v: (e.value, e.witness, e.done, e.floor)
             for v, e in engine.table.entries.items()} == before

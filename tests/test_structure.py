@@ -32,6 +32,7 @@ from ghtree import families
 from ghtree.build import build_randomized
 from ghtree.classic import k_partial_tree
 from ghtree.dynamic import DynamicPivotEngine
+from ghtree.flow import CutSide
 from ghtree.graph import Graph
 from ghtree.partition import GomoryHuTree, PartitionTree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
@@ -88,19 +89,24 @@ def test_engines_have_one_solve_path():
     assert solve_calls(parse(SRC / "dynamic.py")) == []
 
 
-def done_assignments(tree: ast.Module) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every ``<expr>.done = True``."""
+def done_marks(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every ``<expr>.done = True`` and every
+    ``done=True`` keyword argument."""
     found = []
+
+    def is_true(node):
+        return isinstance(node, ast.Constant) and node.value is True
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Assign) and isinstance(child.value, ast.Constant)
-                    and child.value.value is True
+            if (isinstance(child, ast.Assign) and is_true(child.value)
                     and any(isinstance(t, ast.Attribute) and t.attr == "done"
                             for t in child.targets)):
+                found.append((func, child.lineno))
+            if isinstance(child, ast.keyword) and child.arg == "done" and is_true(child.value):
                 found.append((func, child.lineno))
             visit(child, func)
 
@@ -111,14 +117,19 @@ def done_assignments(tree: ast.Module) -> list[tuple[str, int]]:
 def test_engines_have_one_settle_path():
     """Every proven estimate comes from ``SingleSourceEngine.settle``:
     ``offer`` only lowers an estimate, with no ``done`` or ``allow_equal``
-    flag, and only ``settle`` marks a terminal done."""
+    flag, and only ``settle`` marks a terminal done, by a solve it made or
+    by the floor rule.  The one exception is the old pivot's record in
+    ``pivot_change``, whose value is exact from the flow that triggered the
+    change."""
     assert "done" not in inspect.signature(SingleSourceEngine.offer).parameters
+    outside = []
     for path in MODULES:
         assert "allow_equal" not in path.read_text(), path.name
-        outside = [(func, line) for func, line in done_assignments(parse(path))
-                   if func != "settle"]
-        assert not outside, f"{path.name} marks terminals done outside settle: {outside}"
-    assert [func for func, _ in done_assignments(parse(SRC / "single_source.py"))] == ["settle"]
+        outside += [(path.name, func) for func, _ in done_marks(parse(path)) if func != "settle"]
+    assert outside == [("dynamic.py", "pivot_change")]
+    assert [func for func, _ in done_marks(parse(SRC / "single_source.py"))] == ["settle"]
+    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == [
+        "self", "v", "solver", "cap"]
 
 
 def test_stage_solver_is_explicit():
@@ -137,14 +148,15 @@ def test_engine_config_fields():
 
 
 def test_deterministic_stages_start_like_randomized():
-    """The stage-end claim settles only terminals whose proven floor meets
-    the estimate, so no engine needs its stages to begin at w = 1:
+    """The floor rule settles only terminals whose proven floor meets the
+    estimate, so no engine needs its stages to begin at w = 1:
     ``DynamicPivotEngine`` overrides only the pivot move, not the stage
-    graph, the stage pass or where the stages start, and loop-on it begins
-    at 2^floor(log2(n)/2) as the randomized engine does."""
+    pass or where the stages start, and loop-on it begins at
+    2^floor(log2(n)/2) as the randomized engine does.  Every stage graph
+    is the plain sparsifier, with no engine hook to override it."""
     assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
         "moves_pivot"}
-    for name in ("first_stage", "isolating_moves_pivot", "stage_pending"):
+    for name in ("first_stage", "isolating_moves_pivot", "stage_pending", "stage_graph"):
         assert not hasattr(SingleSourceEngine, name), name
     g = families.er_connected(40, 0.08, seed=0)
     cfg = EngineConfig(loop_enabled=True)
@@ -176,10 +188,10 @@ def method_calls(tree: ast.Module, attr: str) -> list[str]:
 def test_engines_have_one_settle_loop():
     """The stage pass and the final sweep are one loop,
     ``SingleSourceEngine.sweep``, the only per-terminal loop that calls
-    ``settle``; ``settle_covered`` and the stage-end claim are its only
-    other callers."""
+    ``settle``; ``settle_covered`` is its only other caller, so no stage
+    settles a terminal outside its sweep."""
     tree = parse(SRC / "single_source.py")
-    assert sorted(method_calls(tree, "settle")) == ["settle_covered", "stage_w", "sweep"]
+    assert sorted(method_calls(tree, "settle")) == ["settle_covered", "sweep"]
     assert sorted(method_calls(tree, "sweep")) == ["final_sweep", "splitter_isolating_step"]
     for path in MODULES:
         if path.name != "single_source.py":
@@ -240,6 +252,9 @@ def test_test_only_helpers_not_exported():
                          ("expander", "CERTIFY_LIMIT"), ("flow", "all_pairs_oracle"),
                          ("flow", "DEFAULT_ORACLE_LIMIT")):
         assert not hasattr(getattr(ghtree, module), name), f"{module}.{name}"
+    for cls, name in ((PartitionTree, "verify"), (PartitionTree, "subtree_side"),
+                      (CutSide, "verify")):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
