@@ -207,7 +207,7 @@ def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
         tree_val, side = tree.query(u, v)
         direct = from_scaled(sol.solve(u, v), g.unit)
         recomputed = g.cut_weight(side)
-        if tree_val.base != direct.base or recomputed.base != tree_val.base:
+        if tree_val != direct or recomputed != tree_val:
             click.echo(
                 f"FAIL pair ({u + 1},{v + 1}): tree {tree_val}, "
                 f"flow {direct}, bipartition {recomputed}")

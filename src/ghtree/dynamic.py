@@ -5,9 +5,9 @@ dynamic pivot in place of a random one.
 overrides its one pivot-rule hook, ``moves_pivot``: the pivot moves
 (``pivot_change``) when an exact latest cut is unbalanced, i.e. the
 terminal admits no balanced minimum cut.  Its stages, stage graphs and
-sweeps are the randomized engine's; a capped stage cut proves only a
-floor, so it never moves the pivot.  As in the randomized builder, cuts
-are latest cuts with respect to the pivot, measured in the plain
+sweeps are the randomized engine's; a stage cut is exact, so it may move
+the pivot like a cut of the final sweep.  As in the randomized builder,
+cuts are latest cuts with respect to the pivot, measured in the plain
 auxiliary graph.  The stage pass lives in single_source; this module
 re-exports it as ``splitter_isolating_step`` because the benchmark's
 tracer (perfbench/tracing.py) looks it up here by name.
@@ -86,7 +86,7 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     del entries[q]
     state.covered.clear()
     state.pivot_orig = q
-    entries[p] = TerminalEstimate(value=lam, witness=p_side, done=True, floor=lam)
+    entries[p] = TerminalEstimate(value=lam, witness=p_side, done=True)
 
     for v, e in entries.items():
         if v == p:
@@ -102,8 +102,6 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
                 e.value = state.aux.degree_weight(v_idx)
                 e.witness = frozenset((v_idx,))
                 e.done = False
-        if lam < e.floor:
-            e.floor = lam
 
     state.pivot_changes += 1
 

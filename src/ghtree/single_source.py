@@ -7,12 +7,11 @@ pivot, whose residual reach from the terminal is the inclusion-minimal
 terminal side, i.e. the latest minimum cut with respect to the pivot.
 Latest cuts are unique, so this is the witness any exact method must
 return.  Every proven fact about a terminal comes from one other method,
-``SingleSourceEngine.settle``: a latest cut below the solver graph's
-exactness cap is the terminal's done witness, and one at or above it proves
-the floor.  A terminal whose proven floor already meets its estimate is
-done with its current witness and no flow (the floor rule).  The default
-profile (elimination loop off) settles every terminal with one uncapped
-such solve; all of them share a single solver over the auxiliary graph.
+``SingleSourceEngine.settle``: it solves the terminal's latest cut on a
+solver whose graph keeps that cut exact, and the cut becomes the
+terminal's done witness (unless it moves the pivot).  The default profile
+(elimination loop off) settles every terminal with one such solve on a
+single solver over the auxiliary graph.
 
 Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
 it skips a terminal that is *covered*, and otherwise settles it.  When
@@ -24,30 +23,34 @@ L_u ∩ S_v is a minimum (pivot, u)-cut, so u's latest cut L_u is a subset
 of S_v, hence balanced and never a maximal cut of a split.  A builder
 therefore needs only the done terminals' cuts, and counts a covered
 terminal by its coverer's side.  ``run`` ends with the final sweep, which
-sweeps the terminals neither done nor covered, uncapped, until none is
-left; ``settle_covered`` then solves the covered ones, one flow each, for
-the public ``single_source_mincuts``, whose table is entirely done.
+sweeps the terminals neither done nor covered on the auxiliary graph
+until none is left; ``settle_covered`` then solves the covered ones, one
+flow each, for the public ``single_source_mincuts``, whose table is
+entirely done.
 
 With the loop on, the engine first walks doubling stages from
-w = 2^floor(log2(n)/2).  Stage w works on a Nagamochi-Ibaraki sparsifier,
-which keeps every cut below 2w exact and every other cut at 2w or more.
-``stage_w`` builds the stage graph and one solver over it, and its pass
-(``splitter_isolating_step``) sweeps the candidates (the terminals
-neither done nor covered whose estimate exceeds w and whose floor is
-below 2w) on that solver, capped at 2w.  A lone terminal's isolating cut
-is its latest cut in the stage graph, so each candidate is one
-``latest_cut`` solve: below 2w it is the latest cut in the auxiliary graph
-too, so the terminal is done and covers as in the final sweep; at or above
-2w it proves only the floor 2w.  A stage graph that keeps every edge is
-the auxiliary graph; the stage then sweeps on the engine's own solver,
-uncapped.  The paper's batch isolating cuts and expander decomposition
-only chose which candidates to solve together; with every candidate
-solved alone they save no flow, and the engine runs neither.  Estimates
-only decrease, every estimate is the exact weight of its witness cut, and
-a terminal is marked done only by ``settle``, when a solve makes its
-estimate minimal or its proven floor meets it.  The one exception is the
-old pivot after a pivot change (dynamic.py), whose estimate is exact from
-the flow that triggered the change.
+w = 2^floor(log2(n)/2).  Stage w's candidates are the terminals neither
+done nor covered whose estimate e satisfies w < e <= 2w.  ``stage_w``
+builds the stage graph, a Nagamochi-Ibaraki sparsifier that keeps every
+cut of weight at most 2w exact and puts every other cut above 2w, and one
+solver over it; its pass (``splitter_isolating_step``) sweeps the
+candidates on that solver.  A lone terminal's isolating cut is its latest
+cut in the stage graph, so each candidate is one ``latest_cut`` solve.
+Its connectivity is at most e <= 2w, so the minimum cuts of the stage
+graph and of the auxiliary graph are the same sets: the solve gives the
+terminal's latest cut in the auxiliary graph, which settles it, covers
+and may move the pivot exactly as in the final sweep.  A stage graph that
+keeps every edge is the auxiliary graph; the stage then sweeps on the
+engine's own solver, which saves building a second one.  The paper's batch
+isolating cuts and expander decomposition only chose which candidates to
+solve together; with every candidate solved alone they save no flow, and
+the engine runs neither.  Estimates only decrease, every estimate is the
+exact weight of its witness cut, and a terminal is marked done only by
+``settle``, when a solve makes its estimate minimal.  The one exception is
+the old pivot after a pivot change (dynamic.py), whose estimate is exact
+from the flow that triggered the change.  The loop needs a plain
+auxiliary graph: the sparsifier drops perturbation units, so a stage cut
+on a perturbed graph would lose them.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
 pivot at random.  Every cut is measured in the plain auxiliary graph; no
@@ -68,7 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
@@ -90,14 +93,15 @@ class EngineConfig:
     """Settings of the single-source engines.
 
     Defaults give the direct profile: the candidate-elimination loop is off,
-    no doubling stage runs, and every terminal is settled by one uncapped
-    latest-cut solve, which is unconditionally exact and fastest at desk
-    scale.  ``loop_enabled`` runs the doubling stages from
-    w = 2^floor(log2(n)/2) before the final sweep: each sweeps its
-    candidates on the stage solver, one solve per candidate not yet
-    covered.  ``seed`` has no effect: no engine step draws random numbers
-    (the randomized builder takes its own seed).  The field stays because
-    the benchmark constructs it.
+    no doubling stage runs, and every terminal is settled by one latest-cut
+    solve on the auxiliary graph, which is unconditionally exact and
+    fastest at desk scale.  ``loop_enabled`` runs the doubling stages from
+    w = 2^floor(log2(n)/2) before the final sweep: stage w sweeps the
+    candidates whose estimate lies in (w, 2w] on the stage solver, one
+    exact solve per candidate not yet covered; it needs an unperturbed
+    auxiliary graph.  ``seed`` has no effect: no engine step draws random
+    numbers (the randomized builder takes its own seed).  The field stays
+    because the benchmark constructs it.
     """
 
     loop_enabled: bool = False
@@ -106,10 +110,9 @@ class EngineConfig:
 
 @dataclass
 class TerminalEstimate:
-    value: Weight                 # c'(v): exact weight of the witness cut
-    witness: frozenset[int]       # v-side, in auxiliary-graph node indices
-    done: bool = False            # proven c'(v) = lambda(pivot, v)
-    floor: Weight = Weight(0, 0)  # proven lower bound on lambda(pivot, v)
+    value: Weight            # c'(v): exact weight of the witness cut
+    witness: frozenset[int]  # v-side, in auxiliary-graph node indices
+    done: bool = False       # proven c'(v) = lambda(pivot, v)
 
 
 class EstimateTable:
@@ -147,6 +150,9 @@ class SingleSourceEngine:
         self.config = config or EngineConfig()
         if pivot not in aux.index_of:
             raise GraphError("pivot is not an original node of the auxiliary graph")
+        if self.config.loop_enabled and aux.unit != 1:
+            # stage graphs drop perturbation units, so stage cuts would too
+            raise GraphError("the elimination loop needs an unperturbed auxiliary graph")
         self.pivot_orig = pivot
         self.vprime = sorted(aux.index_of)
         self.table = EstimateTable()
@@ -206,53 +212,41 @@ class SingleSourceEngine:
         e.value = value
         e.witness = side
 
-    def settle(self, v: int, solver: Optional[MaxFlowSolver] = None,
-               cap: Optional[Weight] = None) -> bool:
+    def settle(self, v: int, solver: Optional[MaxFlowSolver] = None) -> bool:
         """Turn terminal v's latest cut into a proven estimate; True when the
         cut moved the pivot instead (v is then the pivot).
 
-        An undone terminal whose proven floor already meets its estimate is
-        done with its current witness, a cut of exactly that weight, and no
-        flow (the floor rule).  Otherwise v is skipped unless its floor is
-        below ``cap``, so that a solve below the cap can teach something,
-        and its latest cut is solved on ``solver`` (default: the auxiliary
-        graph's).  ``cap`` is where the solver's graph stops being exact: a
-        cut that reaches it only proves the floor ``cap``.  A cut below it
-        is the minimum cut; ``moves_pivot`` may drop it, and otherwise it
-        becomes v's done witness."""
+        The cut is solved on ``solver`` (default: the auxiliary graph's),
+        whose graph must keep v's minimum cuts exact: the auxiliary graph
+        itself, or a stage graph exact up to v's estimate.  It is the
+        minimum cut; ``moves_pivot`` may drop it, and otherwise it becomes
+        v's done witness."""
         e = self.table.entries.get(v)
         if e is None or e.done:
             return False
-        if e.floor < e.value:
-            if cap is not None and not e.floor < cap:
-                return False
-            if solver is None:
-                solver = self.aux_solver
-            cut = self.latest_cut(v, solver)
-            if cap is not None and not cut.value < cap:
-                e.floor = cap
-                return False
-            if self.moves_pivot(v, cut, solver):
-                return True
-            if e.value < cut.value:
-                raise EngineError("estimate below a proven minimum")
-            self._set_witness(e, v, cut.value, cut.side)
-            e.floor = cut.value
+        if solver is None:
+            solver = self.aux_solver
+        cut = self.latest_cut(v, solver)
+        if self.moves_pivot(v, cut, solver):
+            return True
+        if e.value < cut.value:
+            raise EngineError("estimate below a proven minimum")
+        self._set_witness(e, v, cut.value, cut.side)
         e.done = True
         return False
 
-    def sweep(self, terminals: list[int], solver: Optional[MaxFlowSolver] = None,
-              cap: Optional[Weight] = None) -> None:
+    def sweep(self, terminals: Iterable[int],
+              solver: Optional[MaxFlowSolver] = None) -> None:
         """Settle each of ``terminals`` in order on ``solver`` (default: the
-        auxiliary graph's) below ``cap`` (see ``settle``), skipping the ones
-        already covered; a terminal this makes done covers the undone
-        terminals inside its witness.  A pivot move does not stop the
-        sweep: the terminals after it are settled from the new pivot."""
+        auxiliary graph's), skipping the ones already covered; a terminal
+        this makes done covers the undone terminals inside its witness.  A
+        pivot move does not stop the sweep: the terminals after it are
+        settled from the new pivot."""
         entries = self.table.entries
         for v in terminals:
             if v in self.covered:
                 continue
-            self.settle(v, solver, cap)
+            self.settle(v, solver)
             if v in entries and entries[v].done:
                 self.cover(v)
 
@@ -281,11 +275,11 @@ class SingleSourceEngine:
 
     def candidates(self, w: int) -> list[int]:
         """Stage w's candidates, in sorted order: the terminals neither done
-        nor covered whose estimate exceeds w and whose floor is below 2w."""
-        thr, lim = Weight(w, 0), Weight(2 * w, 0)
+        nor covered whose estimate e satisfies w < e <= 2w."""
+        lo, hi = Weight(w, 0), Weight(2 * w, 0)
         return [
             v for v, e in sorted(self.table.entries.items())
-            if not e.done and v not in self.covered and e.value > thr and e.floor < lim
+            if not e.done and v not in self.covered and lo < e.value <= hi
         ]
 
     def run(self) -> EstimateTable:
@@ -303,8 +297,8 @@ class SingleSourceEngine:
         return self.table
 
     def final_sweep(self) -> None:
-        """Sweep the terminals neither done nor covered, uncapped on the
-        auxiliary graph, until none is left: a pivot move can reopen
+        """Sweep the terminals neither done nor covered on the auxiliary
+        graph until none is left: a pivot move can reopen
         terminals the sweep has passed, and drops every cover."""
         flows = FLOW_CALLS.value
         entries = self.table.entries
@@ -334,7 +328,7 @@ class SingleSourceEngine:
                 self.covered.setdefault(u, v)
 
     def settle_covered(self) -> None:
-        """Solve every covered terminal, one uncapped flow each, so the
+        """Solve every covered terminal, one flow each, so the
         whole table is done.  A covered terminal's latest cut lies inside
         its coverer's balanced witness, so it never moves the pivot."""
         for u in sorted(self.covered):
@@ -376,8 +370,8 @@ def single_source_mincuts(
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
     """One doubling stage of the elimination loop: one sweep of the
-    candidates on the stage solver, which settles each candidate whose
-    connectivity is below 2w and proves the floor 2w for the rest.  A stage
+    candidates (estimates in (w, 2w]) on the stage solver, which settles
+    each candidate it does not skip with its exact latest cut.  A stage
     with no candidate is skipped.  Whatever a pivot change reopens falls to
     later stages and the final sweep.  The report's ``direct_solves`` counts
     the sweep's flows (the benchmark's tracer sums that key)."""
@@ -387,11 +381,11 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         srep["skipped"] = True
         state.report["stages"].append(srep)
         return
-    gw = ni_sparsify(state.aux, 2 * w)
+    gw = ni_sparsify(state.aux, 2 * w + 1)
     srep["gw_edges"] = gw.edge_instances
-    # a stage graph that keeps every edge instance is the auxiliary graph,
-    # whose solves are exact at any value: the stage then runs on the
-    # engine's own solver, and the sweep settles on it uncapped
+    # a stage graph that keeps every edge instance is the auxiliary graph:
+    # the stage then runs on the engine's own solver, which saves building
+    # a second solver over the same arcs
     if srep["gw_edges"] == state.aux.edge_instances:
         solver = state.aux_solver
     else:
@@ -409,13 +403,15 @@ def splitter_isolating_step(
     """Isolating cuts with the singleton splitter family: one ``sweep`` of
     the candidates, in the given (sorted) order, on the stage solver.  A
     lone terminal's isolating cut is its latest cut in the stage graph
-    (``solver.g``), so each is one ``latest_cut`` solve, and ``settle``
-    records what it proves: below the stage bound 2w the stage graph keeps
-    it exact (Nagamochi-Ibaraki), so it is the terminal's latest cut in the
-    auxiliary graph and may cover as in the final sweep; at or above 2w it
-    proves only the floor 2w.  A solver over the auxiliary graph itself (a
-    stage graph that kept every edge) is exact at any value, so there is no
-    cap.
+    (``solver.g``), so each is one ``latest_cut`` solve.  The stage graph
+    keeps every cut of weight at most 2w exact and every other cut above
+    2w (Nagamochi-Ibaraki), so for a candidate whose estimate is at most
+    2w the solve is its latest cut in the auxiliary graph, and ``settle``
+    records it as in the final sweep.  Being handed a candidate whose
+    estimate exceeds 2w raises ``EngineError`` before any flow.  A pivot
+    move during the sweep can reset a later candidate's estimate to its
+    degree; one that thereby exceeds 2w is passed over, for later stages
+    and the final sweep.
 
     This stands in for Li and Panigrahi's sampled isolating rounds over the
     parts of an expander decomposition, ceil(2 e gamma ln(n) / phi) rounds
@@ -423,5 +419,8 @@ def splitter_isolating_step(
     per bit of the sampled batch: one solve per candidate is cheaper
     whenever a part holds fewer candidates than that, and then the
     decomposition decides nothing but the order of the solves."""
-    cap = None if solver.g is state.aux else Weight(2 * w, 0)
-    state.sweep(candidates, solver, cap)
+    bound = Weight(2 * w, 0)
+    estimate = state.table.estimate
+    if any(bound < estimate(v) for v in candidates):
+        raise EngineError("a stage candidate's estimate exceeds 2w")
+    state.sweep((v for v in candidates if not bound < estimate(v)), solver)

@@ -24,7 +24,6 @@ from ghtree.isolating import isolating_cuts
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from ghtree.weights import Weight
 from oracles import (assert_latest_table, dynamic_from, mask_cut_values, mask_latest_all,
                      planted_partition)
 
@@ -182,9 +181,8 @@ def _loop_engine_runs():
 
 def test_criterion_05_candidate_halving(monkeypatch):
     """Every non-skipped stage's candidate pass offers every candidate and
-    leaves none live, i.e. neither done, nor covered, nor proven at or above
-    the stage bound 2w (more than halving: the set goes to zero in one
-    pass).  Every terminal covered during a pass lies inside the done,
+    leaves none live, i.e. neither done nor covered (more than halving: the
+    set goes to zero in one pass).  Every terminal covered during a pass lies inside the done,
     balanced witness of a candidate solved in that pass, and every terminal
     ends exact once ``settle_covered`` has solved the covered ones."""
     passes = []
@@ -194,8 +192,7 @@ def test_criterion_05_candidate_halving(monkeypatch):
         was_covered = set(state.covered)
         step(state, w, solver, candidates)
         entries = state.table.entries
-        live = [v for v in candidates if not entries[v].done
-                and v not in state.covered and entries[v].floor < Weight(2 * w, 0)]
+        live = [v for v in candidates if not entries[v].done and v not in state.covered]
         for u, v in state.covered.items():
             if u in was_covered:
                 continue

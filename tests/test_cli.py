@@ -93,6 +93,19 @@ def test_verify_detects_corruption(tmp_path, runner):
     assert "FAIL pair" in res.output
 
 
+@pytest.mark.parametrize("mode", ["full-oracle", "sampled"])
+def test_verify_compares_whole_weights(tmp_path, runner, mode):
+    """A tree weight with a fractional part the graph cannot have is a
+    wrong weight, not a match on its whole part: on the path 1-2-3, the
+    edge 1-2 weighs 1, not 1.7."""
+    gp = write_graph(tmp_path / "g.gr", families.path(3))
+    bad = tmp_path / "bad.tree"
+    bad.write_text("t 3\ne 1 2 1.7\ne 2 3 1\n")
+    res = runner.invoke(main, ["verify", gp, str(bad), "--mode", mode])
+    assert res.exit_code == 2, res.output
+    assert "FAIL pair (1,2): tree 1.7, flow 1.0" in res.output
+
+
 def test_multigraph_requires_subdivision_flag(tmp_path, runner):
     gp = write_graph(tmp_path / "m.gr", families.random_multigraph(5, 0.7, 3, seed=2))
     res = runner.invoke(main, ["build", gp, "--algo", "deterministic",

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ghtree import families
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection
+from ghtree.flow import FLOW_CALLS
 from ghtree.graph import subdivide
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine, single_source_mincuts
@@ -125,11 +126,42 @@ def test_standalone_single_source_exact(g, seed, loop):
 def test_standalone_loop_without_stage_from_zero_is_exact():
     """Loop on, with the stages starting where ``run`` starts them,
     w = 2^floor(log2(n)/2), not at w = 1, over 40 graphs: every terminal's
-    estimate and witness are its latest cut's.  ``settle``'s floor rule
-    takes only terminals whose proven floor meets the estimate, so
-    exactness needs no stage below the first."""
+    estimate and witness are its latest cut's.  Stage w solves only
+    estimates in (w, 2w], which its graph keeps exact, so exactness needs
+    no stage below the first."""
     for seed in range(40):
         g = families.er_connected(40, 0.08, seed=seed)
         p = max(range(g.n), key=lambda v: (g.degree(v), -v))
         cfg = EngineConfig(loop_enabled=True, seed=1)
         assert_latest_table(g, p, single_source_mincuts(g, g, p, cfg))
+
+
+def _flows_and_tree(build, g, loop):
+    flows = FLOW_CALLS.value
+    tree = build(g, config=EngineConfig(loop_enabled=loop))
+    return FLOW_CALLS.value - flows, to_node_tree(tree).serialize()
+
+
+PAPER_BUILDERS = {
+    "deterministic": build_deterministic,
+    "randomized": lambda g, config: build_randomized(g, seed=42, config=config),
+}
+
+
+def test_loop_on_dense_er_makes_the_loop_off_flows():
+    """On a dense G(n, p) every estimate, a degree, is far above the
+    first stages' w.  Capped at 2w, those stages proved only lower bounds,
+    and every terminal was solved again (238 and 393 flows here).  A stage
+    now solves only estimates in (w, 2w], once and exactly, so loop-on
+    makes loop-off's flows (119 and 256) and trees."""
+    g = families.er_connected(120, 0.3, seed=42)
+    for name, build in PAPER_BUILDERS.items():
+        assert _flows_and_tree(build, g, True) == _flows_and_tree(build, g, False), name
+
+
+def test_loop_on_never_makes_more_flows_than_loop_off():
+    for seed in range(40):
+        g = families.er_connected(40, 0.08, seed=seed)
+        for name, build in PAPER_BUILDERS.items():
+            on, off = _flows_and_tree(build, g, True), _flows_and_tree(build, g, False)
+            assert on[0] <= off[0], (seed, name, on[0], off[0])

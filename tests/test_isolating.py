@@ -49,7 +49,7 @@ def test_singleton_terminal_is_latest_cut():
         for engine in engines:
             p = engine.pivot_idx
             for w in (1, 2, 4):
-                gw = ni_sparsify(engine.aux, 2 * w)
+                gw = ni_sparsify(engine.aux, 2 * w + 1)
                 solver = MaxFlowSolver(gw)
                 for v in engine.table.terminals():
                     iso = isolating_cuts(gw, p, {engine.idx(v)}).cuts[engine.idx(v)]

@@ -16,7 +16,8 @@ and share the stage graph.  The builders, their partial-tree bootstrap and
 the engines run on plain graphs: latest cuts need no perturbation to be
 unique.  Every stage step is a lone latest-cut solve, so the engines call
 no batch isolating cuts, and the stage pass and the final sweep are one
-settle loop.  A cut tree keeps one live representation: partition trees
+settle loop.  Every stage solve is exact, so no engine keeps a proven
+lower bound per terminal and no settle step takes a cap.  A cut tree keeps one live representation: partition trees
 split in place and Gomory-Hu trees answer from their rooted arrays.
 """
 
@@ -35,7 +36,7 @@ from ghtree.dynamic import DynamicPivotEngine
 from ghtree.flow import CutSide
 from ghtree.graph import Graph
 from ghtree.partition import GomoryHuTree, PartitionTree
-from ghtree.single_source import EngineConfig, SingleSourceEngine
+from ghtree.single_source import EngineConfig, SingleSourceEngine, TerminalEstimate
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ghtree"
@@ -117,8 +118,8 @@ def done_marks(tree: ast.Module) -> list[tuple[str, int]]:
 def test_engines_have_one_settle_path():
     """Every proven estimate comes from ``SingleSourceEngine.settle``:
     ``offer`` only lowers an estimate, with no ``done`` or ``allow_equal``
-    flag, and only ``settle`` marks a terminal done, by a solve it made or
-    by the floor rule.  The one exception is the old pivot's record in
+    flag, and only ``settle`` marks a terminal done, by a solve it made.
+    The one exception is the old pivot's record in
     ``pivot_change``, whose value is exact from the flow that triggered the
     change."""
     assert "done" not in inspect.signature(SingleSourceEngine.offer).parameters
@@ -129,7 +130,31 @@ def test_engines_have_one_settle_path():
     assert outside == [("dynamic.py", "pivot_change")]
     assert [func for func, _ in done_marks(parse(SRC / "single_source.py"))] == ["settle"]
     assert list(inspect.signature(SingleSourceEngine.settle).parameters) == [
-        "self", "v", "solver", "cap"]
+        "self", "v", "solver"]
+
+
+def test_stage_solves_are_exact():
+    """A stage solves only estimates it keeps exact, so nothing is capped:
+    a terminal's estimate has no proven floor beside its value, witness and
+    done flag, ``settle`` and ``sweep`` take no cap, and neither engine
+    module names a ``floor`` (``math.floor`` aside)."""
+    assert [f.name for f in dataclasses.fields(TerminalEstimate)] == [
+        "value", "witness", "done"]
+    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == [
+        "self", "v", "solver"]
+    assert list(inspect.signature(SingleSourceEngine.sweep).parameters) == [
+        "self", "terminals", "solver"]
+    for name in ("single_source.py", "dynamic.py"):
+        found = []
+        for node in ast.walk(parse(SRC / name)):
+            if isinstance(node, ast.Attribute) and node.attr == "floor":
+                if not (isinstance(node.value, ast.Name) and node.value.id == "math"):
+                    found.append(node.lineno)
+            elif isinstance(node, ast.Name) and node.id == "floor":
+                found.append(node.lineno)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "floor":
+                found.append(node.lineno)
+        assert not found, f"{name} names floor at lines {found}"
 
 
 def test_stage_solver_is_explicit():
@@ -148,8 +173,8 @@ def test_engine_config_fields():
 
 
 def test_deterministic_stages_start_like_randomized():
-    """The floor rule settles only terminals whose proven floor meets the
-    estimate, so no engine needs its stages to begin at w = 1:
+    """Every stage solve is exact, so no engine needs its stages to begin
+    at w = 1:
     ``DynamicPivotEngine`` overrides only the pivot move, not the stage
     pass or where the stages start, and loop-on it begins at
     2^floor(log2(n)/2) as the randomized engine does.  Every stage graph
