@@ -16,10 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .flow import MaxFlowSolver
 from .graph import Graph
-from .partition import GomoryHuTree, PartitionTree, to_node_tree
-from .weights import Weight, from_scaled
+from .partition import GomoryHuTree, PartitionTree, TreeError, to_node_tree
+from .weights import Weight
 
 NON_EASY_CONSTANT = 10 ** 5
 
@@ -53,10 +52,13 @@ class CutMembershipTree:
 
 
 def cut_membership_tree(t: "PartitionTree | GomoryHuTree", p: int) -> CutMembershipTree:
-    """Merge vertices whose lightest path-edge toward p coincides."""
+    """Merge vertices whose lightest path-edge toward p coincides.  A pivot
+    that is not a node of the tree raises TreeError."""
     if isinstance(t, PartitionTree):
         t = to_node_tree(t)
     n = t.n
+    if not 0 <= p < n:
+        raise TreeError(f"pivot {p} is not a tree node")
     # BFS orientation toward p
     parent = [-1] * n
     parent_w: list[Optional[Weight]] = [None] * n
@@ -183,8 +185,6 @@ def count_non_easy_bags(
     t: "PartitionTree | GomoryHuTree",
     p: int,
     w: int,
-    *,
-    verify: bool = False,
 ) -> int:
     """Non-easy bags of the w-large cut-membership tree.
 
@@ -194,11 +194,6 @@ def count_non_easy_bags(
     """
     if isinstance(t, PartitionTree):
         t = to_node_tree(t)
-    if verify:
-        sol = MaxFlowSolver(g)
-        for u, v, wt in t.edges():
-            if from_scaled(sol.solve(u, v), g.unit) != wt:
-                raise ValueError(f"tree edge ({u},{v}) is not a minimum cut value")
     degrees = [g.degree(v) for v in range(g.n)]
     tm = cut_membership_tree(t, p)
     large = w_large_subtree(tm, w)

@@ -12,6 +12,12 @@ pivots; the deterministic builder starts from the one-super-node tree, uses
 no randomness, and always receives balanced cuts thanks to the dynamic
 pivot.
 
+A cut reaches the tree in auxiliary-graph terms, as a split piece: the
+super-node's vertices on its side, the neighbors whose contracted nodes it
+holds (each contracted node is the tree component of one neighbor), and
+its value.  ``_done_cuts`` reads each done witness that way once, so no
+cut is expanded to the original vertices it stands for.
+
 Both builders measure cuts in the plain auxiliary graph, with no
 perturbation: every cut they keep is a latest cut (the inclusion-minimal
 terminal side of a minimum cut), which is unique in any graph, and for a
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .classic import k_partial_tree
 from .dynamic import _dynamic_pivot_engine
@@ -43,8 +49,9 @@ from .single_source import GAMMA, EngineConfig, SingleSourceEngine
 from .weights import Weight
 
 
-# split pieces of one super-node: (members, full cut side, cut value)
-Pieces = list[tuple[frozenset[int], frozenset[int], Weight]]
+# split pieces of one super-node: (members, neighbors taken, cut value)
+Piece = tuple[frozenset[int], frozenset[int], Weight]
+Pieces = list[Piece]
 
 
 class RandomizedAbort(RuntimeError):
@@ -56,45 +63,53 @@ class LaminarityError(RuntimeError):
     either builder this indicates a bug."""
 
 
-def is_good_pivot(cut_sides: dict[int, frozenset[int]], vi: frozenset[int]) -> bool:
+def is_good_pivot(cut_nodes: dict[int, frozenset[int]], vi: frozenset[int]) -> bool:
     """A pivot is good when at most 3/4 of the super-node lacks a good cut.
 
-    ``cut_sides`` maps each terminal to its cut's vertex side (original
-    vertices); a cut is good when its share of the super-node is at most
-    half.
+    ``cut_nodes`` maps each terminal to the vertices of the super-node on
+    its cut's side; a cut is good when it takes at most half the
+    super-node.
     """
-    lacking = len(vi) - sum(
-        1 for v, side in cut_sides.items() if 2 * len(side & vi) <= len(vi)
-    )
+    lacking = len(vi) - sum(1 for nodes in cut_nodes.values() if 2 * len(nodes) <= len(vi))
     return 4 * lacking <= 3 * len(vi)
 
 
-def _assign_largest(
-    sides: dict[frozenset[int], Weight],
-    vi: frozenset[int],
-    pivot: int,
-) -> Pieces:
+def _done_cuts(engine: SingleSourceEngine, neighbor_of: dict[int, int]) -> dict[int, Piece]:
+    """Each done terminal's witness as a split piece, in terminal order:
+    the super-node's vertices on its side, the neighbors whose contracted
+    nodes it holds, and its value."""
+    orig = engine.aux.orig_id
+    table = engine.table
+    cuts = {}
+    for v in table.terminals():
+        if table.done(v):
+            side = table.witness(v)
+            cuts[v] = (frozenset(orig[x] for x in side if orig[x] is not None),
+                       frozenset(neighbor_of[x] for x in side if orig[x] is None),
+                       table.estimate(v))
+    return cuts
+
+
+def _assign_largest(cuts: Iterable[Piece], pivot: int) -> Pieces:
     """Claim super-node members by the largest cut containing them.
 
-    Returns split pieces (members, full side, value).  With a laminar
-    family the chosen cuts are its maximal elements and each claims its
-    whole slice of the super-node; a partial claim means two cuts cross,
-    and raises LaminarityError.
+    ``cuts`` are split pieces (members, neighbors, value), taken largest
+    first, ties by lowest member; a repeated cut claims nothing.  Returns
+    the chosen pieces, each keeping its neighbors.  With a laminar family
+    the chosen cuts are its maximal elements and each claims its whole
+    slice of the super-node; a partial claim means two cuts cross, and
+    raises LaminarityError.
     """
-    order = sorted(
-        sides,
-        key=lambda s: (-len(s & vi), min(s & vi) if s & vi else -1, sorted(s)),
-    )
     claimed: set[int] = set()
     pieces = []
-    for s in order:
-        mine = (s & vi) - claimed - {pivot}
+    for nodes, neighbors, value in sorted(cuts, key=lambda c: (-len(c[0]), min(c[0]))):
+        mine = nodes - claimed - {pivot}
         if not mine:
             continue
-        if mine != (s & vi) - {pivot}:
+        if mine != nodes - {pivot}:
             raise LaminarityError("crossing cuts in the assignment")
         claimed |= mine
-        pieces.append((frozenset(mine), s, sides[s]))
+        pieces.append((mine, neighbors, value))
     return pieces
 
 
@@ -103,16 +118,16 @@ def _refine(
     rep: dict,
     fields: dict,
     start: Callable[[], PartitionTree],
-    pieces: Callable[[Graph, frozenset[int]], Pieces],
+    pieces: Callable[[Graph, dict[int, int], frozenset[int]], Pieces],
 ) -> PartitionTree:
     """The refinement loop both builders share.
 
     Validates g, records ``fields`` (``algo`` first, ``supers`` among them)
     in the report, then splits super-nodes, lowest id first, until every
     one is a single vertex.  ``start()`` gives the starting tree;
-    ``pieces(aux, vi)`` gives the split pieces of super-node vi from its
-    auxiliary graph.  Reports ``supers``, ``depth`` (the deepest split) and
-    ``flow_calls``.
+    ``pieces(aux, neighbor_of, vi)`` gives the split pieces of super-node
+    vi from its auxiliary graph.  Reports ``supers``, ``depth`` (the
+    deepest split) and ``flow_calls``.
     """
     algo = fields["algo"]
     if not g.simple:
@@ -136,8 +151,8 @@ def _refine(
         if len(vi) <= 1:
             continue
         rep["supers"] += 1
-        aux, _ = auxiliary_graph(g, t, i)
-        new_ids = t.split(i, pieces(aux, vi))
+        aux, neighbor_of = auxiliary_graph(g, t, i)
+        new_ids = t.split(i, pieces(aux, neighbor_of, vi))
         d = depth[i] + 1
         depth[i] = d
         for nid in new_ids:
@@ -176,20 +191,18 @@ def build_randomized(
     def start() -> PartitionTree:
         return k_partial_tree(g, max(1, math.isqrt(n)))
 
-    def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
+    def pieces(aux: Graph, neighbor_of: dict[int, int], vi: frozenset[int]) -> Pieces:
         for _ in range(max_bad):
             p = rng.choice(sorted(vi))
             engine = SingleSourceEngine(g, aux, p, cfg)
             engine.run()
             rep["covered"] += engine.report["covered"]
-            expanded = _done_sides(engine, aux)
-            by_coverer = {u: expanded[v] for u, v in engine.covered.items()}
-            if is_good_pivot(expanded | by_coverer, vi):
-                sides: dict[frozenset[int], Weight] = {}
-                for v, s in expanded.items():
-                    if 2 * len(s & vi) <= len(vi):
-                        sides.setdefault(s, engine.table.estimate(v))
-                return _assign_largest(sides, vi, p)
+            cuts = _done_cuts(engine, neighbor_of)
+            nodes = {v: cut[0] for v, cut in cuts.items()}
+            by_coverer = {u: nodes[v] for u, v in engine.covered.items()}
+            if is_good_pivot(nodes | by_coverer, vi):
+                return _assign_largest(
+                    (cut for cut in cuts.values() if 2 * len(cut[0]) <= len(vi)), p)
             rep["bad_pivot_retries"] += 1
         raise RandomizedAbort(
             f"{max_bad} bad pivots in a row on a super-node of {len(vi)} nodes")
@@ -197,13 +210,6 @@ def build_randomized(
     return _refine(g, rep, {"algo": "randomized", "seed": seed, "n": n,
                             "bad_pivot_retries": 0, "supers": 0, "covered": 0},
                    start, pieces)
-
-
-def _done_sides(engine: SingleSourceEngine, aux: Graph) -> dict[int, frozenset[int]]:
-    """Each done terminal's witness as a set of original vertices, in
-    terminal order."""
-    table = engine.table
-    return {v: aux.expand(table.witness(v)) for v in table.terminals() if table.done(v)}
 
 
 def build_deterministic(
@@ -220,17 +226,14 @@ def build_deterministic(
     cfg = config or EngineConfig()
     rep = report if report is not None else {}
 
-    def pieces(aux: Graph, vi: frozenset[int]) -> Pieces:
+    def pieces(aux: Graph, neighbor_of: dict[int, int], vi: frozenset[int]) -> Pieces:
         engine = _dynamic_pivot_engine(g, aux, cfg)
         rep["pivot_changes"] += engine.pivot_changes
         rep["covered"] += engine.report["covered"]
-        sides: dict[frozenset[int], Weight] = {}
-        for v, s in _done_sides(engine, aux).items():
-            sides.setdefault(s, engine.table.estimate(v))
-        pivot = engine.pivot_orig
-        found = _assign_largest(sides, vi, pivot)
-        claimed = frozenset().union(*(p[0] for p in found))
-        if claimed != vi - {pivot}:
+        found = _assign_largest(_done_cuts(engine, neighbor_of).values(), engine.pivot_orig)
+        # the pieces are disjoint and avoid the pivot, so they cover the
+        # rest of the super-node exactly when their sizes add up to it
+        if sum(len(nodes) for nodes, _, _ in found) != len(vi) - 1:
             raise TreeError("dynamic cuts failed to cover the super-node")
         return found
 

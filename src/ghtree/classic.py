@@ -26,8 +26,10 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
     super-node, for deterministic replay.  Each flow runs on the input's
     solver remapped so that every vertex of the chosen super-node keeps a
     node of its own and every component of the tree without it becomes one
-    node.  Disconnected inputs need no special case: a pair in different
-    components gets a cut of value 0.
+    node.  The flow's source side reaches ``gh_refine`` as it is read off
+    that remap: the kept vertices it holds and the neighbors of the
+    super-node whose components it holds.  Disconnected inputs need no
+    special case: a pair in different components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
@@ -44,18 +46,21 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
         for x, v in enumerate(kept):
             index[v] = x
         comps = t.components_without(i)
-        for x, comp in enumerate(comps, len(kept)):
+        neighbors = list(comps)
+        for x, comp in enumerate(comps.values(), len(kept)):
             for v in comp:
                 index[v] = x
         sol = base.remapped(index, len(kept) + len(comps))
         value = sol.solve(index[s], index[tnode])
-        side: set[int] = set()
+        nodes: set[int] = set()
+        taken: set[int] = set()
         for x in sol.source_side(index[s]):
             if x < len(kept):
-                side.add(kept[x])
+                nodes.add(kept[x])
             else:
-                side |= comps[x - len(kept)]
-        gh_refine(t, i, frozenset(side), from_scaled(value, g.unit), s, tnode)
+                taken.add(neighbors[x - len(kept)])
+        gh_refine(t, i, frozenset(nodes), frozenset(taken),
+                  from_scaled(value, g.unit), s, tnode)
 
 
 def gusfield(g: Graph) -> PartitionTree:

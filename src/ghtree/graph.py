@@ -108,11 +108,6 @@ class Graph:
     def member_count(self, v: int) -> int:
         return self._member_count[v]
 
-    def expand(self, side: Iterable[int]) -> frozenset[int]:
-        """The original vertices a set of this graph's nodes represents."""
-        members = self.members
-        return frozenset().union(*(members[x] for x in side))
-
     @property
     def edge_instances(self) -> int:
         return sum(m for m, _ in self.edges.values())
@@ -240,17 +235,17 @@ def auxiliary_graph(g: Graph, tree, super_id: int) -> tuple[Graph, dict[int, int
     """Contract every component of ``tree`` minus one super-node.
 
     ``tree`` is a partition tree of g's vertex set; the result keeps the
-    nodes of the chosen super-node and adds one contracted node per
-    component hanging off it.  Returns the graph plus a map from original
-    vertex id to node index (covering the kept super-node's vertices).
+    nodes of the chosen super-node (``aux.index_of`` finds them) and adds
+    one contracted node per component hanging off it.  Each component
+    holds exactly one neighbor of the super-node, so a cut of the result is
+    fully given by the super-node's vertices and the neighbors on its side.
+    Returns the graph plus ``neighbor_of``, which maps each contracted node
+    to the neighbor super-node of its component.
     """
     comps = tree.components_without(super_id)
-    groups = [sorted(c) for c in comps]
-    aux, new_index = g.contract(groups)
-    mapping = {}
-    for v in tree.super_nodes[super_id]:
-        mapping[v] = new_index[v]
-    return aux, mapping
+    aux, new_index = g.contract(list(comps.values()))
+    neighbor_of = {new_index[next(iter(c))]: j for j, c in comps.items()}
+    return aux, neighbor_of
 
 
 def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:

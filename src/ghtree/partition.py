@@ -19,7 +19,7 @@ class TreeError(ValueError):
 
 
 class PartitionTree:
-    __slots__ = ("super_nodes", "adj", "node_super", "_next_id")
+    __slots__ = ("super_nodes", "adj", "_next_id")
 
     def __init__(
         self,
@@ -33,9 +33,6 @@ class PartitionTree:
         for i in self.super_nodes:
             self.adj.setdefault(i, {})
         self._next_id = max(self.super_nodes, default=-1) + 1
-        self.node_super: dict[int, int] = {
-            v: i for i, nodes in self.super_nodes.items() for v in nodes
-        }
 
     @staticmethod
     def single(n: int) -> "PartitionTree":
@@ -55,29 +52,25 @@ class PartitionTree:
                     out.append((i, j, w))
         return out
 
-    def components_without(self, i: int) -> list[set[int]]:
-        """Vertex sets of the tree components after removing super-node i."""
+    def components_without(self, i: int) -> dict[int, set[int]]:
+        """Vertex sets of the tree components after removing super-node i,
+        each keyed by the one neighbor of i it holds, in neighbor order."""
         if i not in self.super_nodes:
             raise TreeError(f"unknown super-node {i}")
-        comps = []
+        comps: dict[int, set[int]] = {}
         seen = {i}
         for start in self.adj[i]:
-            if start in seen:
-                continue
-            comp_supers = [start]
             seen.add(start)
             stack = [start]
+            nodes: set[int] = set()
             while stack:
                 a = stack.pop()
+                nodes |= self.super_nodes[a]
                 for b in self.adj[a]:
                     if b not in seen:
                         seen.add(b)
-                        comp_supers.append(b)
                         stack.append(b)
-            nodes: set[int] = set()
-            for a in comp_supers:
-                nodes |= self.super_nodes[a]
-            comps.append(nodes)
+            comps[start] = nodes
         return comps
 
     # -- refinement ----------------------------------------------------------
@@ -90,57 +83,46 @@ class PartitionTree:
         """Split super-node i in place along disjoint cuts, one new super
         per piece.
 
-        Each piece is (nodes, full_side, value): ``nodes`` is the slice of
-        V_i it takes, ``full_side`` the complete vertex bipartition side the
-        cut induces in the graph (used to reattach neighbors), ``value`` the
-        cut weight.  Remaining vertices of V_i stay in the residual super,
-        which keeps the old id.  Every piece and every neighbor's side is
-        checked before the tree changes, so a TreeError leaves it as it was.
-        Returns the new super ids.
+        Each piece is (nodes, neighbors, value), one side of a cut of i's
+        auxiliary graph: ``nodes`` is the slice of V_i it takes,
+        ``neighbors`` the neighbors of i whose tree components it takes
+        (each component is one contracted node there), ``value`` the cut
+        weight.  A piece's neighbors reattach to its new super; the other
+        neighbors and the remaining vertices of V_i stay with the residual
+        super, which keeps the old id.  Every piece is checked before the
+        tree changes, so a TreeError leaves it as it was.  Returns the new
+        super ids.
         """
         vi = self.super_nodes[i]
+        adj_i = self.adj[i]
         taken: set[int] = set()
-        for nodes, full_side, _ in pieces:
+        owner: dict[int, int] = {}
+        new_ids = list(range(self._next_id, self._next_id + len(pieces)))
+        for nid, (nodes, neighbors, _) in zip(new_ids, pieces):
             if not nodes or not nodes <= vi:
                 raise TreeError("piece is not a subset of the super-node")
-            if taken & nodes:
+            if not taken.isdisjoint(nodes):
                 raise TreeError("pieces overlap")
-            if not nodes <= full_side:
-                raise TreeError("piece disagrees with its cut side")
             taken |= nodes
+            for j in neighbors:
+                if j not in adj_i:
+                    raise TreeError(f"piece takes {j}, which is not a neighbor")
+                if j in owner:
+                    raise TreeError("pieces take the same neighbor")
+                owner[j] = nid
         rest = vi - taken
         if not rest:
             raise TreeError("split must leave the residual side nonempty")
-
-        new_ids = list(range(self._next_id, self._next_id + len(pieces)))
-        # each old neighbor moves to the first piece whose cut side holds it,
-        # else stays with the residual
-        sides: list[int] = []
-        for j in self.adj[i]:
-            nbset = self.super_nodes[j]
-            probe = next(iter(nbset))
-            for nid, (_, full_side, _) in zip(new_ids, pieces):
-                if probe in full_side:
-                    if not nbset <= full_side:
-                        raise TreeError("cut is not expressed over the auxiliary graph")
-                    sides.append(nid)
-                    break
-            else:
-                if any(nbset & full_side for _, full_side, _ in pieces):
-                    raise TreeError("cut is not expressed over the auxiliary graph")
-                sides.append(i)
 
         self._next_id += len(pieces)
         for nid, (nodes, _, _) in zip(new_ids, pieces):
             self.super_nodes[nid] = nodes
             self.adj[nid] = {}
-            for v in nodes:
-                self.node_super[v] = nid
         self.super_nodes[i] = rest
-        adj_i = self.adj[i]
-        for j, side_of in zip(list(adj_i), sides):
+        for j in list(adj_i):
             w = adj_i.pop(j)
             del self.adj[j][i]
+            side_of = owner.get(j, i)
             self.adj[side_of][j] = w
             self.adj[j][side_of] = w
         for nid, (_, _, value) in zip(new_ids, pieces):
@@ -152,7 +134,8 @@ class PartitionTree:
 def gh_refine(
     t: PartitionTree,
     i: int,
-    cut_side: frozenset[int],
+    nodes: frozenset[int],
+    neighbors: frozenset[int],
     value: Weight,
     s: int,
     tnode: int,
@@ -160,19 +143,24 @@ def gh_refine(
     """One Gomory-Hu step: split super-node i of t in place along a
     minimum s,t-cut.
 
-    ``cut_side`` is the full vertex bipartition side (expressed over the
-    original vertex set); s and tnode must lie in V_i on opposite sides.
-    Neighbors of i reattach to whichever half contains them.
+    The cut is either side of i's auxiliary graph, given as its vertices
+    in V_i (``nodes``) and the neighbors of i whose components it holds
+    (``neighbors``); s and tnode must lie in V_i on opposite sides.  The
+    piece split off is tnode's side, so s's side is flipped within V_i and
+    the neighbors of i.
     """
     vi = t.super_nodes[i]
     if s not in vi or tnode not in vi:
         raise TreeError("terminals must belong to the refined super-node")
-    if (s in cut_side) == (tnode in cut_side):
+    if (s in nodes) == (tnode in nodes):
         raise TreeError("cut does not separate the chosen terminals")
-    side = cut_side if tnode in cut_side else frozenset(
-        v for v in t.node_super if v not in cut_side
-    )
-    t.split(i, [(frozenset(vi & side), side, value)])
+    if s in nodes:
+        adj_i = t.adj[i]
+        if not neighbors <= adj_i.keys():
+            raise TreeError("cut takes a super-node that is not a neighbor")
+        nodes = vi - nodes
+        neighbors = frozenset(j for j in adj_i if j not in neighbors)
+    t.split(i, [(nodes, neighbors, value)])
 
 
 # -- full (fully resolved) trees ----------------------------------------------

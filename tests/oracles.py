@@ -15,9 +15,11 @@ Gray-code walk must match, Gusfield's scheme with the all-node
 ``pred`` scan that ``classic._gusfield_frame`` must match, the
 Gomory-Hu loop on contracted ``Graph`` objects that
 ``classic.classic_gomory_hu`` must match, and the tree query by
-whole-tree searches that ``GomoryHuTree.query`` must match, and the
-checks that a cut or a partition tree has the weights it claims
-(``verify_cut``, ``subtree_side``, ``verify_partition_tree``).
+whole-tree searches that ``GomoryHuTree.query`` must match, the
+checks that a cut or a tree has the weights it claims (``verify_cut``,
+``subtree_side``, ``verify_partition_tree``, ``verify_tree_edge_flows``),
+each vertex's super-node (``node_super``), and the original vertices a
+set of auxiliary-graph nodes stands for (``expand``).
 """
 
 from __future__ import annotations
@@ -344,6 +346,25 @@ def verify_partition_tree(t: PartitionTree, g: Graph) -> bool:
     return all(g.cut_weight(subtree_side(t, i, j)) == w for i, j, w in t.edges())
 
 
+def verify_tree_edge_flows(g: Graph, t: GomoryHuTree) -> None:
+    """Raise ValueError unless every tree edge (u, v) weighs the max-flow
+    value between u and v in g."""
+    sol = MaxFlowSolver(g)
+    for u, v, wt in t.edges():
+        if from_scaled(sol.solve(u, v), g.unit) != wt:
+            raise ValueError(f"tree edge ({u},{v}) is not a minimum cut value")
+
+
+def node_super(t: PartitionTree) -> dict[int, int]:
+    """The super-node id of every vertex."""
+    return {v: i for i, nodes in t.super_nodes.items() for v in nodes}
+
+
+def expand(aux: Graph, side: Iterable[int]) -> frozenset[int]:
+    """The original vertices a set of an auxiliary graph's nodes stands for."""
+    return frozenset().union(*(aux.members[x] for x in side))
+
+
 def assemble(
     t_partial: PartitionTree,
     subtrees: Mapping[int, tuple[Graph, GomoryHuTree]],
@@ -367,7 +388,7 @@ def assemble(
         if tree.n != aux.n:
             raise TreeError("subtree does not span its auxiliary graph")
         span = frozenset().union(*(aux.members[v] for v in range(aux.n)))
-        if span != frozenset(t_partial.node_super):
+        if span != frozenset().union(*t_partial.super_nodes.values()):
             raise TreeError("auxiliary graph does not cover the vertex set")
         # map contracted aux nodes to the adjacent super-node of i
         contracted_super: dict[int, int] = {}
@@ -488,12 +509,13 @@ def gusfield_frame_full_scan(n: int, solve) -> PartitionTree:
 
 def classic_via_contract(g: Graph) -> PartitionTree:
     """Gomory-Hu as first written: every flow builds its auxiliary graph
-    with ``Graph.contract`` and a fresh solver for it.  The remapped-solver
-    loop in ``classic.classic_gomory_hu`` must build the same tree with the
-    same number of flows."""
+    with ``Graph.contract`` and a fresh solver for it, and its cut side
+    reaches ``gh_refine`` through ``orig_id`` and ``neighbor_of``.  The
+    remapped-solver loop in ``classic.classic_gomory_hu`` must build the
+    same tree with the same number of flows."""
     if g.n == 1:
         return PartitionTree.single(1)
-    # identity node book-keeping, so a contracted input's nodes expand to themselves
+    # identity node book-keeping, so every node of a contracted input is original
     g = Graph(g.n, g.edges, simple=g.simple, unit=g.unit, validate=False)
     t = PartitionTree.single(g.n)
     while True:
@@ -502,7 +524,9 @@ def classic_via_contract(g: Graph) -> PartitionTree:
             return t
         i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
         s, tnode = sorted(t.super_nodes[i])[:2]
-        aux, index = auxiliary_graph(g, t, i)
-        cut = max_flow_min_cut(aux, index[s], index[tnode])
-        side = aux.expand(cut.side)
-        gh_refine(t, i, side, cut.value, s, tnode)
+        aux, neighbor_of = auxiliary_graph(g, t, i)
+        cut = max_flow_min_cut(aux, aux.index_of[s], aux.index_of[tnode])
+        orig = aux.orig_id
+        nodes = frozenset(orig[x] for x in cut.side if orig[x] is not None)
+        neighbors = frozenset(neighbor_of[x] for x in cut.side if orig[x] is None)
+        gh_refine(t, i, nodes, neighbors, cut.value, s, tnode)

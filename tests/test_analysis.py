@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -14,10 +15,12 @@ from ghtree.analysis import (
     w_large_subtree,
 )
 from ghtree.build import build_deterministic
-from ghtree.classic import classic_gomory_hu
+from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.flow import MaxFlowSolver
-from ghtree.partition import GomoryHuTree, parse_tree, to_node_tree
+from ghtree.partition import GomoryHuTree, TreeError, parse_tree, to_node_tree
 from ghtree.weights import Weight
+
+from oracles import verify_tree_edge_flows
 
 
 def test_star_center_singleton_bags():
@@ -184,10 +187,30 @@ def test_count_two_hub_instance():
 
 
 def test_count_verification_mode_rejects_corrupt_tree():
+    """The tree-edge max-flow check the counting once ran on request lives
+    with the test oracles: it takes a true cut tree and rejects a corrupt
+    one, which the counting itself takes as given."""
     g = families.complete(4)
+    verify_tree_edge_flows(g, to_node_tree(classic_gomory_hu(g)))
     bad = GomoryHuTree(4, [(0, 1, Weight(2, 0)), (1, 2, Weight(3, 0)), (2, 3, Weight(3, 0))])
     with pytest.raises(ValueError):
-        count_non_easy_bags(g, bad, 0, 1, verify=True)
+        verify_tree_edge_flows(g, bad)
+    assert "verify" not in inspect.signature(count_non_easy_bags).parameters
+    count_non_easy_bags(g, bad, 0, 1)
+
+
+@pytest.mark.parametrize("p", [-1, 4])
+def test_out_of_range_pivot_is_a_tree_error(p):
+    """A pivot that is not a tree node raises TreeError, as a query node
+    does, in every entry point that takes one."""
+    g = families.path(4)
+    tree = to_node_tree(gusfield(g))
+    with pytest.raises(TreeError):
+        cut_membership_tree(tree, p)
+    with pytest.raises(TreeError):
+        count_non_easy_bags(g, tree, p, 1)
+    with pytest.raises(TreeError):
+        analyze_report(g, tree, p)
 
 
 def test_bound_sweep_random_corpus():

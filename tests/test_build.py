@@ -187,14 +187,15 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
     seen = []
 
     def spy(graph, tree, super_id):
-        aux, idx = real_aux(graph, tree, super_id)
-        seen.append((aux, dict(idx)))
-        return aux, idx
+        aux, neighbor_of = real_aux(graph, tree, super_id)
+        seen.append(aux)
+        return aux, neighbor_of
 
     monkeypatch.setattr(build_mod, "auxiliary_graph", spy)
     build_deterministic(g)
     assert seen
-    for aux, idx in seen:
+    for aux in seen:
+        idx = aux.index_of
         pairs = sorted(idx)[:4]
         asol = MaxFlowSolver(aux)
         for i, u in enumerate(pairs):

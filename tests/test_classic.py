@@ -22,6 +22,7 @@ from oracles import (
     assemble,
     classic_via_contract,
     gusfield_frame_full_scan,
+    node_super,
     planted_partition,
     subtree_side,
 )
@@ -172,7 +173,7 @@ def test_k_partial_definition_and_refinement():
         oracle = all_pairs_oracle(g)
         k = rng.randint(1, n - 1)
         t = k_partial_tree(g, k)
-        ns = t.node_super
+        ns = node_super(t)
         for (u, v), lam in oracle.items():
             if lam.base <= k:
                 assert ns[u] != ns[v]
@@ -219,7 +220,7 @@ def assert_partial_tree_is_valid(g, t, k, oracle):
         assert g.cut_weight(subtree_side(t, a, b)) == w
     # the tree over super-node ids, which k_partial_tree numbers from 0
     nt = GomoryHuTree(len(t.super_nodes), t.edges())
-    ns = t.node_super
+    ns = node_super(t)
     for (u, v), lam in oracle.items():
         if ns[u] != ns[v]:
             assert nt.query(ns[u], ns[v])[0] == lam, (u, v)
@@ -261,7 +262,7 @@ def test_k_partial_disconnected_input():
     assert_tree_matches_oracle(g, t)
     t1 = k_partial_tree(g, 1)
     oracle = all_pairs_oracle(g)
-    ns = t1.node_super
+    ns = node_super(t1)
     for (u, v), lam in oracle.items():
         assert (ns[u] != ns[v]) == (lam.base <= 1)
 

@@ -16,7 +16,7 @@ from ghtree.partition import to_node_tree
 from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
-from oracles import all_pairs_oracle, enum_latest_side, enum_min_cut, verify_cut
+from oracles import all_pairs_oracle, enum_latest_side, enum_min_cut, expand, verify_cut
 
 
 def test_bridge_path():
@@ -226,11 +226,11 @@ def test_remapped_matches_contracted_graph(g, data):
     if data is None:
         assert value == 0
 
-    def expand(side):
+    def originals(side):
         return frozenset(v for v in range(g.n) if index[v] in side)
 
-    assert expand(sub.source_side(index[s])) == aux.expand(ref.source_side(new_index[s]))
-    assert expand(sub.sink_side(index[t])) == aux.expand(ref.sink_side(new_index[t]))
+    assert originals(sub.source_side(index[s])) == expand(aux, ref.source_side(new_index[s]))
+    assert originals(sub.sink_side(index[t])) == expand(aux, ref.sink_side(new_index[t]))
     to_sub = {new_index[v]: index[v] for v in range(g.n)}
     folded = {tuple(sorted((to_sub[a], to_sub[b]))): mult_eps
               for (a, b), mult_eps in aux.edges.items()}

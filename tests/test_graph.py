@@ -27,19 +27,23 @@ def path_partition_tree_p5():
 def test_auxiliary_graph_path_tree():
     g = families.path(5)
     t = path_partition_tree_p5()
-    aux, idx = auxiliary_graph(g, t, 1)
+    aux, neighbor_of = auxiliary_graph(g, t, 1)
     assert aux.n == 5  # 3 own nodes + 2 contracted
     contracted = [v for v in range(aux.n) if aux.orig_id[v] is None]
     assert len(contracted) == 2
     assert sorted(len(aux.members[v]) for v in contracted) == [1, 1]
-    assert set(idx) == {1, 2, 3}
+    assert set(aux.index_of) == {1, 2, 3}
+    # each contracted node stands for the neighbor super-node it holds
+    assert sorted(neighbor_of) == contracted
+    assert {j: aux.members[q] for q, j in neighbor_of.items()} == {
+        0: frozenset({0}), 2: frozenset({4})}
 
 
 def test_auxiliary_graph_single_super_node_is_identity():
     g = families.complete(4)
     t = PartitionTree.single(4)
-    aux, idx = auxiliary_graph(g, t, 0)
-    assert aux.n == 4
+    aux, neighbor_of = auxiliary_graph(g, t, 0)
+    assert aux.n == 4 and not neighbor_of
     assert aux.edges == g.edges
     assert all(aux.orig_id[v] == v for v in range(4))
 
@@ -50,10 +54,11 @@ def test_auxiliary_graph_dumbbell_contraction():
         {0: frozenset(range(4)), 1: frozenset(range(4, 8))},
         {0: {1: Weight(1, 0)}, 1: {0: Weight(1, 0)}},
     )
-    aux, idx = auxiliary_graph(g, t, 0)
+    aux, neighbor_of = auxiliary_graph(g, t, 0)
     assert aux.n == 5
     q = next(v for v in range(5) if aux.orig_id[v] is None)
     assert aux.members[q] == frozenset(range(4, 8))
+    assert neighbor_of == {q: 1}
     # bridge keeps multiplicity 1, clique edges intact
     assert aux.degree(q) == 1
     assert aux.edge_instances == 6 + 1
@@ -65,7 +70,8 @@ def test_auxiliary_graph_preserves_pairwise_flow():
         {0: frozenset(range(5)), 1: frozenset(range(5, 10))},
         {0: {1: Weight(1, 0)}, 1: {0: Weight(1, 0)}},
     )
-    aux, idx = auxiliary_graph(g, t, 0)
+    aux, _ = auxiliary_graph(g, t, 0)
+    idx = aux.index_of
     sol_g = MaxFlowSolver(g)
     sol_a = MaxFlowSolver(aux)
     for u in range(5):

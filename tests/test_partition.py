@@ -19,6 +19,7 @@ from ghtree.weights import Weight
 from oracles import (
     all_pairs_oracle,
     assemble,
+    node_super,
     planted_partition,
     reference_query,
     verify_partition_tree,
@@ -28,29 +29,51 @@ from oracles import (
 def test_gh_refine_p3():
     g = families.path(3)
     t = PartitionTree.single(3)
-    gh_refine(t, 0, frozenset({2}), Weight(1, 0), 0, 2)
+    gh_refine(t, 0, frozenset({2}), frozenset(), Weight(1, 0), 0, 2)
     supers = sorted(tuple(sorted(s)) for s in t.super_nodes.values())
     assert supers == [(0, 1), (2,)]
-    assert t.node_super == {0: 0, 1: 0, 2: 1}
+    assert node_super(t) == {0: 0, 1: 0, 2: 1}
     assert verify_partition_tree(t, g)
 
 
 def test_gh_refine_k4_star_step():
     g = families.complete(4)
     t = PartitionTree.single(4)
-    gh_refine(t, 0, frozenset({3}), Weight(3, 0), 0, 3)
+    gh_refine(t, 0, frozenset({3}), frozenset(), Weight(3, 0), 0, 3)
     assert verify_partition_tree(t, g)
     assert len(t.super_nodes) == 2
+
+
+def test_gh_refine_takes_either_side():
+    """The piece split off is always tnode's side.  On the path 0-1-2-3
+    with {3} split off, the cut {0} | {1, 2, 3} passed as tnode 0's side
+    {0}, or as s's side {1, 2} plus the neighbor holding 3, gives one tree;
+    with tnode 1 instead, {1, 2} is split off."""
+    g = families.path(4)
+    trees = []
+    for nodes, neighbors, s, tnode in ((frozenset({0}), frozenset(), 1, 0),
+                                      (frozenset({0}), frozenset(), 0, 1),
+                                      (frozenset({1, 2}), frozenset({1}), 1, 0)):
+        t = PartitionTree.single(4)
+        gh_refine(t, 0, frozenset({3}), frozenset(), Weight(1, 0), 0, 3)
+        gh_refine(t, 0, nodes, neighbors, Weight(1, 0), s, tnode)
+        assert verify_partition_tree(t, g)
+        trees.append((t.super_nodes, t.adj))
+    assert trees[0] == trees[2]
+    assert trees[0][0] != trees[1][0]
 
 
 def test_gh_refine_errors():
     t = PartitionTree.single(4)
     with pytest.raises(TreeError):
-        gh_refine(t, 0, frozenset({0, 1}), Weight(1, 0), 0, 1)  # both inside
-    # refine a two-super tree with a cut that splits a neighbor component
-    gh_refine(t, 0, frozenset({2, 3}), Weight(1, 0), 1, 2)
+        gh_refine(t, 0, frozenset({0, 1}), frozenset(), Weight(1, 0), 0, 1)  # both inside
+    gh_refine(t, 0, frozenset({2, 3}), frozenset(), Weight(1, 0), 1, 2)
+    i = node_super(t)[2]
     with pytest.raises(TreeError):
-        gh_refine(t, t.node_super[2], frozenset({3, 1}), Weight(1, 0), 2, 3)
+        gh_refine(t, i, frozenset({3}), frozenset({7}), Weight(1, 0), 3, 2)  # not a neighbor
+    with pytest.raises(TreeError):
+        gh_refine(t, i, frozenset({1, 3}), frozenset(), Weight(1, 0), 2, 3)  # 1 is not in V_i
+    assert sorted(map(sorted, t.super_nodes.values())) == [[0, 1], [2, 3]]
 
 
 def test_multi_cut_split_equals_sequential():
@@ -64,14 +87,13 @@ def test_multi_cut_split_equals_sequential():
         pieces = []
         for v in picks:
             side = frozenset({v})
-            pieces.append((side, side, g.cut_weight(side)))
+            pieces.append((side, frozenset(), g.cut_weight(side)))
         t_multi = PartitionTree.single(n)
         t_multi.split(0, pieces)
         t_seq = PartitionTree.single(n)
-        for side, full, val in pieces:
-            gh_refine(t_seq, 0, full, val, p, next(iter(side)))
-        assert t_multi.node_super == t_seq.node_super == {
-            v: i for i, nodes in t_seq.super_nodes.items() for v in nodes}
+        for side, neighbors, val in pieces:
+            gh_refine(t_seq, 0, side, neighbors, val, p, next(iter(side)))
+        assert node_super(t_multi) == node_super(t_seq)
         same = {frozenset(s) for s in t_multi.super_nodes.values()} == \
                {frozenset(s) for s in t_seq.super_nodes.values()}
         assert same
@@ -85,22 +107,23 @@ def test_multi_cut_split_equals_sequential():
 
 def _state(t):
     return (dict(t.super_nodes), [(i, list(nb.items())) for i, nb in t.adj.items()],
-            list(t.node_super.items()))
+            t._next_id)
 
 
 @pytest.mark.parametrize("pieces", [
-    [(frozenset(), frozenset({2}), Weight(1, 0))],                   # empty piece
-    [(frozenset({2, 3}), frozenset({2, 3}), Weight(1, 0))],          # not inside V_0
-    [(frozenset({1}), frozenset({1, 3}), Weight(1, 0)),
-     (frozenset({1, 2}), frozenset({1, 2}), Weight(1, 0))],          # pieces overlap
-    [(frozenset({1, 2}), frozenset({2, 3}), Weight(1, 0))],          # piece outside its side
-    [(frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}), Weight(1, 0))],  # no residual
-    [(frozenset({2}), frozenset({2, 3, 4}), Weight(1, 0))],          # neighbor {4, 5} straddles
-    [(frozenset({2}), frozenset({2, 3, 5}), Weight(1, 0))],          # the other way round
+    [(frozenset(), frozenset({1}), Weight(1, 0))],                   # empty piece
+    [(frozenset({2, 3}), frozenset(), Weight(1, 0))],                # not inside V_0
+    [(frozenset({1}), frozenset({1}), Weight(1, 0)),
+     (frozenset({1, 2}), frozenset(), Weight(1, 0))],                # pieces overlap
+    [(frozenset({0, 1, 2}), frozenset({1, 2}), Weight(1, 0))],       # no residual
+    [(frozenset({2}), frozenset({1, 3}), Weight(1, 0))],             # 3 is not a neighbor
+    [(frozenset({2}), frozenset({0}), Weight(1, 0))],                # nor is the super itself
+    [(frozenset({1}), frozenset({2}), Weight(1, 0)),
+     (frozenset({2}), frozenset({1, 2}), Weight(1, 0))],             # neighbor 2 taken twice
 ])
 def test_failed_split_leaves_tree_unchanged(pieces):
-    """Every piece and every neighbor's side is checked before the tree
-    changes: here neighbor {3} reattaches cleanly before {4, 5} fails."""
+    """Every piece is checked before the tree changes, so a failed split
+    leaves the tree as it was and a valid split still works after it."""
     w = Weight(1, 0)
     t = PartitionTree({0: frozenset({0, 1, 2}), 1: frozenset({3}), 2: frozenset({4, 5})},
                       {0: {1: w, 2: w}, 1: {0: w}, 2: {0: w}})
@@ -108,8 +131,8 @@ def test_failed_split_leaves_tree_unchanged(pieces):
     with pytest.raises(TreeError):
         t.split(0, pieces)
     assert _state(t) == before
-    assert t.split(0, [(frozenset({2}), frozenset({2, 3}), w)]) == [3]
-    assert t.node_super[2] == 3 and t.adj[3] == {1: w, 0: w}
+    assert t.split(0, [(frozenset({2}), frozenset({1}), w)]) == [3]
+    assert node_super(t)[2] == 3 and t.adj[3] == {1: w, 0: w}
 
 
 def test_tree_query_examples():

@@ -18,7 +18,10 @@ unique.  Every stage step is a lone latest-cut solve, so the engines call
 no batch isolating cuts, and the stage pass and the final sweep are one
 settle loop.  Every stage solve is exact, so no engine keeps a proven
 lower bound per terminal and no settle step takes a cap.  A cut tree keeps one live representation: partition trees
-split in place and Gomory-Hu trees answer from their rooted arrays.
+split in place and Gomory-Hu trees answer from their rooted arrays.  Cuts
+reach a partition tree in auxiliary-graph terms (the super-node's vertices
+and the neighbors on a side), so no builder expands a cut to original
+vertices.
 """
 
 import ast
@@ -263,6 +266,17 @@ def test_cut_trees_keep_one_representation():
     imported = {alias.name for node in ast.walk(parse(SRC / "partition.py"))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "deque" not in imported
+
+
+def test_cuts_reach_the_tree_in_auxiliary_graph_terms():
+    """A partition tree keeps no vertex-to-super map, graphs have no
+    ``expand``, and neither builder module reads a node's member set."""
+    assert PartitionTree.__slots__ == ("super_nodes", "adj", "_next_id")
+    assert not hasattr(Graph, "expand")
+    for path in (SRC / "build.py", SRC / "classic.py"):
+        lines = [node.lineno for node in ast.walk(parse(path))
+                 if isinstance(node, ast.Attribute) and node.attr == "members"]
+        assert not lines, f"{path.name} reads .members at lines {lines}"
 
 
 def test_graph_has_no_loops():
