@@ -15,8 +15,10 @@ pivot.
 A cut reaches the tree in auxiliary-graph terms, as a split piece: the
 super-node's vertices on its side, the neighbors whose contracted nodes it
 holds (each contracted node is the tree component of one neighbor), and
-its value.  ``_done_cuts`` reads each done witness that way once, so no
-cut is expanded to the original vertices it stands for.
+its value.  The auxiliary graph is numbered by the super-node's
+``PartitionTree.aux_layout``, the layout the classic builder remaps its
+solver by, and ``_done_cuts`` reads each done witness back through it
+once, so no cut is expanded to the original vertices it stands for.
 
 Both builders measure cuts in the plain auxiliary graph, with no
 perturbation: every cut they keep is a latest cut (the inclusion-minimal
@@ -44,7 +46,7 @@ from .classic import k_partial_tree
 from .dynamic import _dynamic_pivot_engine
 from .flow import FLOW_CALLS
 from .graph import Graph, GraphError, auxiliary_graph
-from .partition import PartitionTree, TreeError
+from .partition import AuxLayout, PartitionTree, TreeError
 from .single_source import GAMMA, EngineConfig, SingleSourceEngine
 from .weights import Weight
 
@@ -74,20 +76,13 @@ def is_good_pivot(cut_nodes: dict[int, frozenset[int]], vi: frozenset[int]) -> b
     return 4 * lacking <= 3 * len(vi)
 
 
-def _done_cuts(engine: SingleSourceEngine, neighbor_of: dict[int, int]) -> dict[int, Piece]:
+def _done_cuts(engine: SingleSourceEngine, layout: AuxLayout) -> dict[int, Piece]:
     """Each done terminal's witness as a split piece, in terminal order:
     the super-node's vertices on its side, the neighbors whose contracted
     nodes it holds, and its value."""
-    orig = engine.aux.orig_id
     table = engine.table
-    cuts = {}
-    for v in table.terminals():
-        if table.done(v):
-            side = table.witness(v)
-            cuts[v] = (frozenset(orig[x] for x in side if orig[x] is not None),
-                       frozenset(neighbor_of[x] for x in side if orig[x] is None),
-                       table.estimate(v))
-    return cuts
+    return {v: (*layout.piece(table.witness(v)), table.estimate(v))
+            for v in table.terminals() if table.done(v)}
 
 
 def _assign_largest(cuts: Iterable[Piece], pivot: int) -> Pieces:
@@ -118,16 +113,16 @@ def _refine(
     rep: dict,
     fields: dict,
     start: Callable[[], PartitionTree],
-    pieces: Callable[[Graph, dict[int, int], frozenset[int]], Pieces],
+    pieces: Callable[[Graph, AuxLayout, frozenset[int]], Pieces],
 ) -> PartitionTree:
     """The refinement loop both builders share.
 
     Validates g, records ``fields`` (``algo`` first, ``supers`` among them)
     in the report, then splits super-nodes, lowest id first, until every
     one is a single vertex.  ``start()`` gives the starting tree;
-    ``pieces(aux, neighbor_of, vi)`` gives the split pieces of super-node
-    vi from its auxiliary graph.  Reports ``supers``, ``depth`` (the
-    deepest split) and ``flow_calls``.
+    ``pieces(aux, layout, vi)`` gives the split pieces of super-node vi
+    from its auxiliary graph and that graph's layout.  Reports
+    ``supers``, ``depth`` (the deepest split) and ``flow_calls``.
     """
     algo = fields["algo"]
     if not g.simple:
@@ -151,8 +146,8 @@ def _refine(
         if len(vi) <= 1:
             continue
         rep["supers"] += 1
-        aux, neighbor_of = auxiliary_graph(g, t, i)
-        new_ids = t.split(i, pieces(aux, neighbor_of, vi))
+        aux, layout = auxiliary_graph(g, t, i)
+        new_ids = t.split(i, pieces(aux, layout, vi))
         d = depth[i] + 1
         depth[i] = d
         for nid in new_ids:
@@ -191,13 +186,13 @@ def build_randomized(
     def start() -> PartitionTree:
         return k_partial_tree(g, max(1, math.isqrt(n)))
 
-    def pieces(aux: Graph, neighbor_of: dict[int, int], vi: frozenset[int]) -> Pieces:
+    def pieces(aux: Graph, layout: AuxLayout, vi: frozenset[int]) -> Pieces:
         for _ in range(max_bad):
             p = rng.choice(sorted(vi))
             engine = SingleSourceEngine(g, aux, p, cfg)
             engine.run()
             rep["covered"] += engine.report["covered"]
-            cuts = _done_cuts(engine, neighbor_of)
+            cuts = _done_cuts(engine, layout)
             nodes = {v: cut[0] for v, cut in cuts.items()}
             by_coverer = {u: nodes[v] for u, v in engine.covered.items()}
             if is_good_pivot(nodes | by_coverer, vi):
@@ -226,11 +221,11 @@ def build_deterministic(
     cfg = config or EngineConfig()
     rep = report if report is not None else {}
 
-    def pieces(aux: Graph, neighbor_of: dict[int, int], vi: frozenset[int]) -> Pieces:
+    def pieces(aux: Graph, layout: AuxLayout, vi: frozenset[int]) -> Pieces:
         engine = _dynamic_pivot_engine(g, aux, cfg)
         rep["pivot_changes"] += engine.pivot_changes
         rep["covered"] += engine.report["covered"]
-        found = _assign_largest(_done_cuts(engine, neighbor_of).values(), engine.pivot_orig)
+        found = _assign_largest(_done_cuts(engine, layout).values(), engine.pivot_orig)
         # the pieces are disjoint and avoid the pivot, so they cover the
         # rest of the super-node exactly when their sizes add up to it
         if sum(len(nodes) for nodes, _, _ in found) != len(vi) - 1:

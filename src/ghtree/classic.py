@@ -5,7 +5,9 @@ edges contracted).
 
 Gomory-Hu builds one flow solver for its input and derives each contracted
 flow graph from it by a node remap (``MaxFlowSolver.remapped``): no
-contracted ``Graph`` is built, and parallel arcs are not folded.
+contracted ``Graph`` is built, and parallel arcs are not folded.  The remap
+is the super-node's ``PartitionTree.aux_layout``, the numbering the paper
+builders' auxiliary graphs (``Graph.contract``) use too.
 """
 
 from __future__ import annotations
@@ -24,43 +26,30 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
 
     Pair selection is the lexicographically smallest pair inside the largest
     super-node, for deterministic replay.  Each flow runs on the input's
-    solver remapped so that every vertex of the chosen super-node keeps a
-    node of its own and every component of the tree without it becomes one
-    node.  The flow's source side reaches ``gh_refine`` as it is read off
-    that remap: the kept vertices it holds and the neighbors of the
-    super-node whose components it holds.  Disconnected inputs need no
-    special case: a pair in different components gets a cut of value 0.
+    solver remapped by the super-node's auxiliary-graph layout: every
+    vertex of the super-node keeps a node of its own and every component of
+    the tree without it becomes one node.  The layout reads the flow's
+    source side back as the piece ``gh_refine`` takes: the kept vertices it
+    holds and the neighbors of the super-node whose components it holds.
+    Disconnected inputs need no special case: a pair in different
+    components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
     base = MaxFlowSolver(g)
-    index = [0] * g.n
     t = PartitionTree.single(g.n)
     while True:
         pending = [i for i, s in t.super_nodes.items() if len(s) > 1]
         if not pending:
             return t
         i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
-        kept = sorted(t.super_nodes[i])
-        s, tnode = kept[:2]
-        for x, v in enumerate(kept):
-            index[v] = x
-        comps = t.components_without(i)
-        neighbors = list(comps)
-        for x, comp in enumerate(comps.values(), len(kept)):
-            for v in comp:
-                index[v] = x
-        sol = base.remapped(index, len(kept) + len(comps))
-        value = sol.solve(index[s], index[tnode])
-        nodes: set[int] = set()
-        taken: set[int] = set()
-        for x in sol.source_side(index[s]):
-            if x < len(kept):
-                nodes.add(kept[x])
-            else:
-                taken.add(neighbors[x - len(kept)])
-        gh_refine(t, i, frozenset(nodes), frozenset(taken),
-                  from_scaled(value, g.unit), s, tnode)
+        layout = t.aux_layout(i)
+        # the kept vertices are sorted, so s and tnode are nodes 0 and 1
+        s, tnode = layout.kept[:2]
+        sol = base.remapped(layout.index, layout.n)
+        value = sol.solve(0, 1)
+        nodes, taken = layout.piece(sol.source_side(0))
+        gh_refine(t, i, nodes, taken, from_scaled(value, g.unit), s, tnode)
 
 
 def gusfield(g: Graph) -> PartitionTree:

@@ -219,6 +219,6 @@ def _make_part(g: Graph, piece: Sequence[int], base: dict[int, Fraction], certif
     return ExpanderPart(
         nodes=frozenset(piece),
         demand=dem,
-        size_g=sum(g.member_count(v) for v in piece),
+        size_g=sum(g.member_count[v] for v in piece),
         certified=certified,
     )

@@ -1,18 +1,23 @@
 """Undirected loop-free multigraph with contraction and subdivision.
 
-Nodes are indices 0..n-1.  Every node carries the set of original-graph
-vertices it represents: plain vertices represent themselves, contracted
-nodes carry the union of what they swallowed.  Edges store an integer
-multiplicity and an integer count of perturbation units (see weights.py).
-No graph holds a self-loop: edge keys satisfy u < v, the parsers reject
-u == v, and contraction drops the edges inside a group.  Graphs are
-immutable after construction.
+Nodes are indices 0..n-1.  A node that stands for one original vertex
+records its id in ``orig_id``; a contracted node records None, and every
+node counts the original vertices it stands for in ``member_count``.
+Contraction merges the nodes that share an index, so an auxiliary graph
+(``auxiliary_graph``) and the classic builder's remapped flow solver
+(``MaxFlowSolver.remapped``) contract a super-node by the same layout
+(``PartitionTree.aux_layout``).  Edges store an integer multiplicity and an
+integer count of perturbation units (see weights.py).  No graph holds a
+self-loop: edge keys satisfy u < v, the parsers reject u == v, and
+contraction drops the edges inside a merged node.  Graphs are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .partition import AuxLayout
 from .weights import Weight, from_scaled
 
 
@@ -22,8 +27,8 @@ class GraphError(ValueError):
 
 class Graph:
     __slots__ = (
-        "n", "edges", "members", "orig_id", "simple", "unit",
-        "_adj", "_index_of", "_member_count", "_connected",
+        "n", "edges", "orig_id", "member_count", "simple", "unit",
+        "_adj", "_index_of", "_connected",
     )
 
     def __init__(
@@ -31,26 +36,24 @@ class Graph:
         n: int,
         edges: Mapping[tuple[int, int], tuple[int, int]],
         *,
-        members: Optional[Sequence[frozenset[int]]] = None,
         orig_id: Optional[Sequence[Optional[int]]] = None,
+        member_count: Optional[Sequence[int]] = None,
         simple: bool = False,
         unit: int = 1,
         validate: bool = True,
     ):
         self.n = n
         self.edges: dict[tuple[int, int], tuple[int, int]] = dict(edges)
-        if members is None:
-            members = [frozenset((v,)) for v in range(n)]
-        self.members: tuple[frozenset[int], ...] = tuple(members)
         if orig_id is None:
-            orig_id = list(range(n))
+            orig_id = range(n)
         self.orig_id: tuple[Optional[int], ...] = tuple(orig_id)
+        self.member_count: tuple[int, ...] = (
+            (1,) * n if member_count is None else tuple(member_count))
         self.simple = simple
         self.unit = unit
         self._adj: Optional[list[dict[int, tuple[int, int]]]] = None
         self._index_of: Optional[dict[int, int]] = None
         self._connected: Optional[bool] = None
-        self._member_count = tuple(len(m) for m in self.members)
         if validate:
             for (u, v), (mult, eps) in self.edges.items():
                 if not (0 <= u < v < n):
@@ -78,7 +81,7 @@ class Graph:
     def with_edges(self, edges, *, unit: Optional[int] = None, simple: Optional[bool] = None) -> "Graph":
         """Copy of this graph with a replaced edge map (same node book-keeping)."""
         return Graph(
-            self.n, edges, members=self.members, orig_id=self.orig_id,
+            self.n, edges, orig_id=self.orig_id, member_count=self.member_count,
             simple=self.simple if simple is None else simple,
             unit=self.unit if unit is None else unit,
             validate=False,
@@ -104,9 +107,6 @@ class Graph:
                 o: i for i, o in enumerate(self.orig_id) if o is not None
             }
         return self._index_of
-
-    def member_count(self, v: int) -> int:
-        return self._member_count[v]
 
     @property
     def edge_instances(self) -> int:
@@ -173,79 +173,53 @@ class Graph:
 
     # -- contraction ---------------------------------------------------------
 
-    def contract(self, groups: Sequence[Iterable[int]]) -> tuple["Graph", list[int]]:
-        """Merge each group of nodes into one contracted node.
+    def contract(self, index: Sequence[int], n: int, kept: int = 0) -> "Graph":
+        """Merge the nodes that share an ``index``.
 
-        Parallel edges produced by the merge are folded into multiplicities,
-        perturbation units summed.  Edges inside a group vanish.  Returns the
-        contracted graph and the old->new node index map.  Groups must be
-        disjoint; nodes in no group are kept as-is.
+        Node v becomes node ``index[v]`` of 0..n-1.  Parallel edges produced
+        by the merge are folded into multiplicities, perturbation units
+        summed, and edges inside a merged node vanish.  Each of the first
+        ``kept`` new nodes takes exactly one node and keeps its ``orig_id``;
+        every other new node is contracted (``orig_id`` None), even one
+        that takes a single node.  ``member_count`` adds up.
         """
-        group_of = [-1] * self.n
-        for gi, grp in enumerate(groups):
-            for v in grp:
-                if group_of[v] != -1:
-                    raise GraphError("contract: overlapping groups")
-                group_of[v] = gi
+        orig: list[Optional[int]] = [None] * n
+        count = [0] * n
+        self_orig, self_count = self.orig_id, self.member_count
+        for v, x in enumerate(index):
+            count[x] += self_count[v]
+            if x < kept:
+                orig[x] = self_orig[v]
 
-        new_index = [-1] * self.n
-        members: list[frozenset[int]] = []
-        orig: list[Optional[int]] = []
-        group_node = [-1] * len(groups)
-        self_members = self.members
-        for v in range(self.n):
-            gi = group_of[v]
-            if gi == -1:
-                new_index[v] = len(members)
-                members.append(self_members[v])
-                orig.append(self.orig_id[v])
-            else:
-                if group_node[gi] == -1:
-                    group_node[gi] = len(members)
-                    merged = frozenset(
-                        x for u in groups[gi] for x in self_members[u]
-                    )
-                    members.append(merged)
-                    orig.append(None)
-                new_index[v] = group_node[gi]
-
-        edges: dict[tuple[int, int], list[int]] = {}
+        edges: dict[tuple[int, int], tuple[int, int]] = {}
         get = edges.get
         for (u, v), (m, e) in self.edges.items():
-            a, b = new_index[u], new_index[v]
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            cur = get(key)
-            if cur is None:
-                edges[key] = [m, e]
-            else:
-                cur[0] += m
-                cur[1] += e
-        packed = {k: (m, e) for k, (m, e) in edges.items()}
-        g = Graph(len(members), packed, members=members, orig_id=orig,
-                  simple=False, unit=self.unit, validate=False)
-        return g, new_index
+            a, b = index[u], index[v]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                m0, e0 = get(key, (0, 0))
+                edges[key] = (m0 + m, e0 + e)
+        return Graph(n, edges, orig_id=orig, member_count=count,
+                     simple=False, unit=self.unit, validate=False)
 
 
 # -- spec operations ---------------------------------------------------------
 
 
-def auxiliary_graph(g: Graph, tree, super_id: int) -> tuple[Graph, dict[int, int]]:
+def auxiliary_graph(g: Graph, tree, super_id: int) -> tuple[Graph, AuxLayout]:
     """Contract every component of ``tree`` minus one super-node.
 
-    ``tree`` is a partition tree of g's vertex set; the result keeps the
-    nodes of the chosen super-node (``aux.index_of`` finds them) and adds
-    one contracted node per component hanging off it.  Each component
-    holds exactly one neighbor of the super-node, so a cut of the result is
-    fully given by the super-node's vertices and the neighbors on its side.
-    Returns the graph plus ``neighbor_of``, which maps each contracted node
-    to the neighbor super-node of its component.
+    ``tree`` is a partition tree of g's vertex set, and the result is
+    numbered by its ``aux_layout(super_id)``: the super-node's vertices,
+    sorted, are nodes 0..k-1 (``aux.index_of`` finds them), and each
+    component hanging off it is one contracted node after them.  Each
+    component holds exactly one neighbor of the super-node, so a cut of the
+    result is fully given by the super-node's vertices and the neighbors on
+    its side.  Returns the graph and the layout, whose ``piece`` reads a
+    set of the graph's nodes back as those two sets.
     """
-    comps = tree.components_without(super_id)
-    aux, new_index = g.contract(list(comps.values()))
-    neighbor_of = {new_index[next(iter(c))]: j for j, c in comps.items()}
-    return aux, neighbor_of
+    layout = tree.aux_layout(super_id)
+    return g.contract(layout.index, layout.n, len(layout.kept)), layout
 
 
 def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
@@ -266,12 +240,11 @@ def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
             pairs.append((nxt, v))
             records.append((u, v, nxt))
             nxt += 1
-    members = [frozenset((v,)) for v in range(nxt)]
     edges = {}
     for a, b in pairs:
         key = (a, b) if a < b else (b, a)
         edges[key] = (1, 0)
-    out = Graph(nxt, edges, members=members, simple=True)
+    out = Graph(nxt, edges, simple=True)
     return out, records
 
 

@@ -55,15 +55,16 @@ def isolating_cuts(g: Graph, p: int, terminals: set[int] | frozenset[int]) -> Is
         ones = [v for i, v in enumerate(terms) if (i >> b) & 1]
         if not ones:
             continue
-        src_group = sorted(set(zeros) | {p})
-        contracted, new_index = g.contract([src_group, ones])
-        s = new_index[src_group[0]]
-        t = new_index[ones[0]]
-        sol = MaxFlowSolver(contracted)
-        sol.solve(s, t)
+        # the zero class and the pivot merge into node 0, the one class
+        # into node 1, and every other node keeps a node of its own
+        group = dict.fromkeys(zeros + [p], 0) | dict.fromkeys(ones, 1)
+        others = iter(range(2, g.n))
+        index = [group[v] if v in group else next(others) for v in range(g.n)]
+        sol = MaxFlowSolver(g.contract(index, g.n + 2 - len(group)))
+        sol.solve(0, 1)
         calls += 1
-        s_side_c = sol.source_side(s)
-        s_side = {v for v in range(g.n) if new_index[v] in s_side_c}
+        s_side_c = sol.source_side(0)
+        s_side = {v for v in range(g.n) if index[v] in s_side_c}
         t_side = set(range(g.n)) - s_side
         for v in zeros:
             region[v] &= s_side

@@ -9,13 +9,39 @@ answers minimum-cut queries by path minima.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .weights import Weight
 
 
 class TreeError(ValueError):
     pass
+
+
+class AuxLayout(NamedTuple):
+    """Node numbering of a super-node's auxiliary graph.
+
+    The super-node's vertices, sorted (``kept``), become auxiliary nodes
+    0..k-1, and the tree component of its j-th neighbor (``neighbors``, in
+    ``components_without`` order) becomes node k + j.  ``index`` maps every
+    vertex of the graph to its auxiliary node.
+    """
+
+    index: list[int]
+    kept: list[int]
+    neighbors: list[int]
+
+    @property
+    def n(self) -> int:
+        return len(self.kept) + len(self.neighbors)
+
+    def piece(self, side: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+        """A set of auxiliary nodes as a split piece's (nodes, neighbors):
+        the kept vertices it holds and the neighbors whose components it
+        holds."""
+        k, kept, neighbors = len(self.kept), self.kept, self.neighbors
+        return (frozenset(kept[x] for x in side if x < k),
+                frozenset(neighbors[x - k] for x in side if x >= k))
 
 
 class PartitionTree:
@@ -72,6 +98,18 @@ class PartitionTree:
                         stack.append(b)
             comps[start] = nodes
         return comps
+
+    def aux_layout(self, i: int) -> AuxLayout:
+        """The auxiliary-graph numbering of super-node i (see AuxLayout)."""
+        comps = self.components_without(i)
+        kept = sorted(self.super_nodes[i])
+        index = [0] * (len(kept) + sum(len(c) for c in comps.values()))
+        for x, v in enumerate(kept):
+            index[v] = x
+        for x, comp in enumerate(comps.values(), len(kept)):
+            for v in comp:
+                index[v] = x
+        return AuxLayout(index, kept, list(comps))
 
     # -- refinement ----------------------------------------------------------
 

@@ -360,9 +360,17 @@ def node_super(t: PartitionTree) -> dict[int, int]:
     return {v: i for i, nodes in t.super_nodes.items() for v in nodes}
 
 
-def expand(aux: Graph, side: Iterable[int]) -> frozenset[int]:
-    """The original vertices a set of an auxiliary graph's nodes stands for."""
-    return frozenset().union(*(aux.members[x] for x in side))
+def expand(t: PartitionTree, i: int, aux: Graph, side: Iterable[int]) -> frozenset[int]:
+    """The original vertices a set of super-node i's auxiliary-graph nodes
+    stands for: a kept node's ``orig_id``, and for contracted node k + j
+    (k kept nodes) the tree component of i's j-th neighbor in
+    ``components_without`` order."""
+    comps = list(t.components_without(i).values())
+    k = len(t.super_nodes[i])
+    out: set[int] = set()
+    for x in side:
+        out |= comps[x - k] if aux.orig_id[x] is None else {aux.orig_id[x]}
+    return frozenset(out)
 
 
 def assemble(
@@ -387,20 +395,12 @@ def assemble(
         aux, tree = subtrees[i]
         if tree.n != aux.n:
             raise TreeError("subtree does not span its auxiliary graph")
-        span = frozenset().union(*(aux.members[v] for v in range(aux.n)))
-        if span != frozenset().union(*t_partial.super_nodes.values()):
-            raise TreeError("auxiliary graph does not cover the vertex set")
-        # map contracted aux nodes to the adjacent super-node of i
-        contracted_super: dict[int, int] = {}
-        for q in range(aux.n):
-            if aux.orig_id[q] is not None:
-                continue
-            for j in t_partial.adj[i]:
-                if subtree_side(t_partial, i, j) == aux.members[q]:
-                    contracted_super[q] = j
-                    break
-            else:
-                raise TreeError("contracted node matches no tree component")
+        # the layout: i's vertices, sorted, then one contracted node per
+        # neighbor of i in components_without order
+        neighbors = list(t_partial.components_without(i))
+        if list(aux.orig_id) != sorted(nodes) + [None] * len(neighbors):
+            raise TreeError("auxiliary graph does not follow its super-node's layout")
+        contracted_super = dict(enumerate(neighbors, len(nodes)))
         # anchor of each contracted node: nearest original node in the subtree
         root = next(
             q for q in range(aux.n) if aux.orig_id[q] is not None
@@ -510,9 +510,10 @@ def gusfield_frame_full_scan(n: int, solve) -> PartitionTree:
 def classic_via_contract(g: Graph) -> PartitionTree:
     """Gomory-Hu as first written: every flow builds its auxiliary graph
     with ``Graph.contract`` and a fresh solver for it, and its cut side
-    reaches ``gh_refine`` through ``orig_id`` and ``neighbor_of``.  The
-    remapped-solver loop in ``classic.classic_gomory_hu`` must build the
-    same tree with the same number of flows."""
+    reaches ``gh_refine`` through ``orig_id`` and the layout's
+    ``neighbors``.  The remapped-solver loop in
+    ``classic.classic_gomory_hu`` must build the same tree with the same
+    number of flows."""
     if g.n == 1:
         return PartitionTree.single(1)
     # identity node book-keeping, so every node of a contracted input is original
@@ -524,9 +525,9 @@ def classic_via_contract(g: Graph) -> PartitionTree:
             return t
         i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
         s, tnode = sorted(t.super_nodes[i])[:2]
-        aux, neighbor_of = auxiliary_graph(g, t, i)
+        aux, layout = auxiliary_graph(g, t, i)
         cut = max_flow_min_cut(aux, aux.index_of[s], aux.index_of[tnode])
-        orig = aux.orig_id
+        orig, k = aux.orig_id, len(layout.kept)
         nodes = frozenset(orig[x] for x in cut.side if orig[x] is not None)
-        neighbors = frozenset(neighbor_of[x] for x in cut.side if orig[x] is None)
+        neighbors = frozenset(layout.neighbors[x - k] for x in cut.side if orig[x] is None)
         gh_refine(t, i, nodes, neighbors, cut.value, s, tnode)

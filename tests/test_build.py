@@ -187,9 +187,9 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
     seen = []
 
     def spy(graph, tree, super_id):
-        aux, neighbor_of = real_aux(graph, tree, super_id)
+        aux, layout = real_aux(graph, tree, super_id)
         seen.append(aux)
-        return aux, neighbor_of
+        return aux, layout
 
     monkeypatch.setattr(build_mod, "auxiliary_graph", spy)
     build_deterministic(g)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -40,6 +44,38 @@ def test_build_query_verify_round_trip(tmp_path, runner):
     report = json.loads(open(rep).read())
     assert report["maxflow_calls"] == 7
     assert report["algo"] == "classic"
+
+
+def test_build_and_verify_every_algo_under_python_O(tmp_path):
+    """Every builder's invariants are exceptions, not asserts, so under
+    ``python -O`` each ``ght build`` still writes a tree that ``ght verify``
+    passes, exit codes included."""
+    gp = write_graph(tmp_path / "g.gr", families.clique_chain([5, 6, 5]))
+    code = (
+        "import sys\n"
+        "from ghtree.cli import main\n"
+        "gp, out = sys.argv[1:]\n"
+        "for algo in ('classic', 'gusfield', 'randomized', 'deterministic'):\n"
+        "    tree = f'{out}/{algo}.tree'\n"
+        "    for args in (['build', gp, '--algo', algo, '--seed', '0', '--out', tree],\n"
+        "                 ['verify', gp, tree]):\n"
+        "        try:\n"
+        "            main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            print('exit', algo, args[0], exc.code)\n"
+        "print('optimize', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code, gp, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "optimize 1" in lines
+    for algo in ("classic", "gusfield", "randomized", "deterministic"):
+        assert f"exit {algo} build 0" in lines, out.stdout
+        assert f"exit {algo} verify 0" in lines, out.stdout
+    assert sum(line.startswith("pass:") for line in lines) == 4, out.stdout
 
 
 def test_build_all_algos(tmp_path, runner):

@@ -94,7 +94,7 @@ def test_verify_expansion_screen_mode_labels():
 
 def test_size_g_counts_original_nodes():
     g = families.dumbbell(4)
-    contracted, _ = g.contract([[4, 5, 6, 7]])
+    contracted = g.contract([0, 1, 2, 3, 4, 4, 4, 4], 5, kept=4)
     parts = decompose_with_demands(contracted, uniform(contracted.n), Fraction(1, 1000))
     assert sum(p.size_g for p in parts) == 8
     single = [p for p in parts if len(p.nodes) == 1 and p.size_g == 4]

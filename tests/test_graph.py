@@ -25,25 +25,45 @@ def path_partition_tree_p5():
 
 
 def test_auxiliary_graph_path_tree():
+    """The layout: the super-node's vertices, sorted, are nodes 0..k-1, and
+    then one node per neighbor in ``components_without`` order.  A
+    one-vertex component stays a contracted node."""
     g = families.path(5)
     t = path_partition_tree_p5()
-    aux, neighbor_of = auxiliary_graph(g, t, 1)
-    assert aux.n == 5  # 3 own nodes + 2 contracted
-    contracted = [v for v in range(aux.n) if aux.orig_id[v] is None]
-    assert len(contracted) == 2
-    assert sorted(len(aux.members[v]) for v in contracted) == [1, 1]
-    assert set(aux.index_of) == {1, 2, 3}
-    # each contracted node stands for the neighbor super-node it holds
-    assert sorted(neighbor_of) == contracted
-    assert {j: aux.members[q] for q, j in neighbor_of.items()} == {
-        0: frozenset({0}), 2: frozenset({4})}
+    aux, layout = auxiliary_graph(g, t, 1)
+    assert layout.kept == [1, 2, 3]
+    assert layout.neighbors == list(t.components_without(1)) == [0, 2]
+    assert layout.index == [3, 0, 1, 2, 4]
+    assert aux.n == layout.n == 5
+    assert aux.orig_id == (1, 2, 3, None, None)
+    assert aux.index_of == {1: 0, 2: 1, 3: 2}
+    assert aux.member_count == (1, 1, 1, 1, 1)
+    assert set(aux.edges) == {(0, 1), (1, 2), (0, 3), (2, 4)}
+    # a set of aux nodes reads back as the kept vertices and neighbors it holds
+    assert layout.piece({1, 2, 4}) == (frozenset({2, 3}), frozenset({2}))
+
+
+def test_auxiliary_graph_layout_sorts_kept_vertices():
+    # super-node {1, 3, 4} between {0} and {2}: kept vertices are numbered
+    # by id, not in vertex order around the components
+    g = families.path(5)
+    w = Weight(1, 0)
+    t = PartitionTree(
+        {0: frozenset({4, 1, 3}), 1: frozenset({2}), 2: frozenset({0})},
+        {0: {1: w, 2: w}, 1: {0: w}, 2: {0: w}},
+    )
+    aux, layout = auxiliary_graph(g, t, 0)
+    assert layout.kept == [1, 3, 4] and layout.neighbors == [1, 2]
+    assert layout.index == [4, 0, 3, 1, 2]
+    assert aux.orig_id == (1, 3, 4, None, None)
+    assert aux.edges == {(0, 3): (1, 0), (0, 4): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0)}
 
 
 def test_auxiliary_graph_single_super_node_is_identity():
     g = families.complete(4)
     t = PartitionTree.single(4)
-    aux, neighbor_of = auxiliary_graph(g, t, 0)
-    assert aux.n == 4 and not neighbor_of
+    aux, layout = auxiliary_graph(g, t, 0)
+    assert aux.n == 4 and not layout.neighbors
     assert aux.edges == g.edges
     assert all(aux.orig_id[v] == v for v in range(4))
 
@@ -54,11 +74,12 @@ def test_auxiliary_graph_dumbbell_contraction():
         {0: frozenset(range(4)), 1: frozenset(range(4, 8))},
         {0: {1: Weight(1, 0)}, 1: {0: Weight(1, 0)}},
     )
-    aux, neighbor_of = auxiliary_graph(g, t, 0)
+    aux, layout = auxiliary_graph(g, t, 0)
     assert aux.n == 5
-    q = next(v for v in range(5) if aux.orig_id[v] is None)
-    assert aux.members[q] == frozenset(range(4, 8))
-    assert neighbor_of == {q: 1}
+    q = 4
+    assert aux.orig_id[q] is None and aux.member_count[q] == 4
+    assert layout.neighbors == [1]
+    assert layout.piece({q}) == (frozenset(), frozenset({1}))
     # bridge keeps multiplicity 1, clique edges intact
     assert aux.degree(q) == 1
     assert aux.edge_instances == 6 + 1
@@ -129,14 +150,20 @@ def test_subdivide_preserves_connectivity_small_multigraphs():
             assert got == lam
 
 
-def test_contract_disjointness_and_members():
-    g = families.dumbbell(3)
-    aux, new_index = g.contract([[0, 1], [4, 5]])
-    assert aux.n == 4
-    merged = [v for v in range(4) if aux.orig_id[v] is None]
-    assert {aux.members[v] for v in merged} == {frozenset({0, 1}), frozenset({4, 5})}
-    with pytest.raises(GraphError):
-        g.contract([[0, 1], [1, 2]])
+def test_contract_merges_nodes_sharing_an_index():
+    """The first ``kept`` new nodes keep their node's ``orig_id``; the
+    others are contracted, and member counts add up through a second
+    contraction."""
+    g = families.dumbbell(3)  # cliques {0, 1, 2} and {3, 4, 5}, bridge 0-3
+    aux = g.contract([2, 2, 0, 1, 3, 3], 4, kept=2)
+    assert aux.orig_id == (2, 3, None, None)
+    assert aux.member_count == (1, 1, 2, 2)
+    # a merged pair's edge vanishes; the two edges into it fold into one
+    assert aux.edges == {(0, 2): (2, 0), (1, 2): (1, 0), (1, 3): (2, 0)}
+    again = aux.contract([0, 1, 0, 1], 2)
+    assert again.orig_id == (None, None)
+    assert again.member_count == (3, 3)
+    assert again.edges == {(0, 1): (1, 0)}
 
 
 def test_graph_format_round_trip():

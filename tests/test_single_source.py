@@ -5,6 +5,7 @@ import pytest
 from ghtree import Graph, GraphError, families
 from ghtree.dynamic import DynamicPivotEngine, single_source_dynamic_pivot
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
+from ghtree.partition import PartitionTree
 from ghtree.single_source import (
     EngineConfig,
     EngineError,
@@ -52,7 +53,8 @@ def test_dumbbell_of_cliques_n40():
         if v < 20:
             # across the ten-edge band
             assert engine.table.estimate(v).base == 10, v
-            assert len(expand(engine.aux, engine.table.witness(v)) & set(range(20))) == 20
+            side = expand(PartitionTree.single(g.n), 0, engine.aux, engine.table.witness(v))
+            assert len(side & set(range(20))) == 20
         else:
             assert engine.table.estimate(v).base in (19, 20), v
     oracle_check(g, engine, p)
@@ -213,7 +215,7 @@ def test_lone_solve_finds_bridge_side():
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
     e = engine.table.entries[0]
     assert e.done and e.value.base == 1
-    assert expand(engine.aux, e.witness) == frozenset({0, 2})
+    assert expand(PartitionTree.single(g.n), 0, engine.aux, e.witness) == frozenset({0, 2})
     # the witness is balanced, so it covers the hub's leaf
     assert engine.covered == {2: 0}
 

@@ -21,7 +21,8 @@ lower bound per terminal and no settle step takes a cap.  A cut tree keeps one l
 split in place and Gomory-Hu trees answer from their rooted arrays.  Cuts
 reach a partition tree in auxiliary-graph terms (the super-node's vertices
 and the neighbors on a side), so no builder expands a cut to original
-vertices.
+vertices.  One layout numbers every auxiliary graph, whether contracted
+into a ``Graph`` or remapped into a solver, and graphs keep no member sets.
 """
 
 import ast
@@ -277,6 +278,28 @@ def test_cuts_reach_the_tree_in_auxiliary_graph_terms():
         lines = [node.lineno for node in ast.walk(parse(path))
                  if isinstance(node, ast.Attribute) and node.attr == "members"]
         assert not lines, f"{path.name} reads .members at lines {lines}"
+
+
+def test_one_auxiliary_graph_layout():
+    """``PartitionTree.aux_layout`` is the one function that lists a
+    super-node's tree components to number its auxiliary graph: neither
+    builder module lists them or fills an index itself.  Graphs keep no
+    member sets, and contraction takes an index."""
+    assert "members" not in Graph.__slots__
+    assert list(inspect.signature(Graph.contract).parameters) == ["self", "index", "n", "kept"]
+    callers = []
+    for path in MODULES:
+        for func in ast.walk(parse(path)):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "components_without"
+                    for node in ast.walk(func)):
+                callers.append((path.name, func.name))
+    assert callers == [("partition.py", "aux_layout")]
+    for path in (SRC / "build.py", SRC / "classic.py"):
+        stores = [node.lineno for node in ast.walk(parse(path))
+                  if isinstance(node, (ast.Name, ast.Subscript)) and isinstance(node.ctx, ast.Store)
+                  and "index" in ast.unparse(node)]
+        assert not stores, f"{path.name} builds an index at lines {stores}"
 
 
 def test_graph_has_no_loops():
