@@ -2,9 +2,10 @@
 
 Exact minimum s,t-cuts for all pairs at once: classical builders, a
 randomized strategy (partial-tree bootstrap, random pivots, and optionally
-doubling stages of sparsification and one isolating solve per candidate),
-and a fully deterministic variant built on a dynamic pivot; both builders
-split along latest cuts, which need no perturbation to be unique.
+doubling stages that sweep each estimate window with one isolating solve
+per candidate), and a fully deterministic variant built on a dynamic
+pivot; both builders split along latest cuts, which need no perturbation
+to be unique.
 The demand-weighted expander decomposition stays importable, but no
 builder runs it.
 """

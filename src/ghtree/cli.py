@@ -121,8 +121,9 @@ def main():
 @click.option("--via-subdivision", is_flag=True,
               help="accept multigraphs: subdivide, build, project back")
 @click.option("--loop", is_flag=True,
-              help="run the doubling stages of the candidate-elimination loop "
-                   "(randomized and deterministic only)")
+              help="run the doubling stages of the candidate-elimination loop, "
+                   "each a sweep of one estimate window (randomized and "
+                   "deterministic only)")
 def build(input_path, algo, seed, out_path, report_path, via_subdivision, loop):
     """Build a cut-equivalent tree of a graph file."""
     if loop and algo not in ("randomized", "deterministic"):

@@ -4,11 +4,11 @@ dynamic pivot in place of a random one.
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
 overrides its one pivot-rule hook, ``moves_pivot``: the pivot moves
 (``pivot_change``) when an exact latest cut is unbalanced, i.e. the
-terminal admits no balanced minimum cut.  Its stages, stage graphs and
-sweeps are the randomized engine's; a stage cut is exact, so it may move
-the pivot like a cut of the final sweep.  As in the randomized builder,
-cuts are latest cuts with respect to the pivot, measured in the plain
-auxiliary graph.  The stage pass lives in single_source; this module
+terminal admits no balanced minimum cut.  Its stages and sweeps are the
+randomized engine's, on the engine's one solver; a stage cut is exact, so
+it may move the pivot like a cut of the final sweep.  As in the
+randomized builder, cuts are latest cuts with respect to the pivot,
+measured in the plain auxiliary graph.  The stage pass lives in single_source; this module
 re-exports it as ``splitter_isolating_step`` because the benchmark's
 tracer (perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .flow import CutSide, MaxFlowSolver
+from .flow import CutSide
 from .graph import Graph
 from .single_source import (
     EngineConfig,
@@ -40,10 +40,10 @@ class DynamicPivotEngine(SingleSourceEngine):
     minimum cut whose terminal side holds at most half of the original
     nodes, relative to the final pivot."""
 
-    def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
+    def moves_pivot(self, v: int, cut: CutSide) -> bool:
         if self.good(cut.side):
             return False
-        pivot_change(self, v, cut, solver.sink_side(self.pivot_idx))
+        pivot_change(self, v, cut, self.aux_solver.sink_side(self.pivot_idx))
         return True
 
 

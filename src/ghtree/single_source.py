@@ -7,11 +7,10 @@ pivot, whose residual reach from the terminal is the inclusion-minimal
 terminal side, i.e. the latest minimum cut with respect to the pivot.
 Latest cuts are unique, so this is the witness any exact method must
 return.  Every proven fact about a terminal comes from one other method,
-``SingleSourceEngine.settle``: it solves the terminal's latest cut on a
-solver whose graph keeps that cut exact, and the cut becomes the
-terminal's done witness (unless it moves the pivot).  The default profile
-(elimination loop off) settles every terminal with one such solve on a
-single solver over the auxiliary graph.
+``SingleSourceEngine.settle``: it solves the terminal's latest cut, and
+the cut becomes the terminal's done witness (unless it moves the pivot).
+Every solve of a run, loop on or off, is made on one solver over the
+auxiliary graph, ``SingleSourceEngine.aux_solver``.
 
 Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
 it skips a terminal that is *covered*, and otherwise settles it.  When
@@ -30,27 +29,22 @@ entirely done.
 
 With the loop on, the engine first walks doubling stages from
 w = 2^floor(log2(n)/2).  Stage w's candidates are the terminals neither
-done nor covered whose estimate e satisfies w < e <= 2w.  ``stage_w``
-builds the stage graph, a Nagamochi-Ibaraki sparsifier that keeps every
-cut of weight at most 2w exact and puts every other cut above 2w, and one
-solver over it; its pass (``splitter_isolating_step``) sweeps the
-candidates on that solver.  A lone terminal's isolating cut is its latest
-cut in the stage graph, so each candidate is one ``latest_cut`` solve.
-Its connectivity is at most e <= 2w, so the minimum cuts of the stage
-graph and of the auxiliary graph are the same sets: the solve gives the
-terminal's latest cut in the auxiliary graph, which settles it, covers
-and may move the pivot exactly as in the final sweep.  A stage graph that
-keeps every edge is the auxiliary graph; the stage then sweeps on the
-engine's own solver, which saves building a second one.  The paper's batch
-isolating cuts and expander decomposition only chose which candidates to
-solve together; with every candidate solved alone they save no flow, and
-the engine runs neither.  Estimates only decrease, every estimate is the
-exact weight of its witness cut, and a terminal is marked done only by
-``settle``, when a solve makes its estimate minimal.  The one exception is
-the old pivot after a pivot change (dynamic.py), whose estimate is exact
-from the flow that triggered the change.  The loop needs a plain
-auxiliary graph: the sparsifier drops perturbation units, so a stage cut
-on a perturbed graph would lose them.
+done nor covered whose estimate e satisfies w < e <= 2w; ``stage_w``'s
+pass (``splitter_isolating_step``) sweeps them on the engine's solver.  A
+lone terminal's isolating cut is its latest cut, so each candidate is one
+``latest_cut`` solve, which settles it, covers and may move the pivot
+exactly as in the final sweep.  The paper solves stage w on a
+Nagamochi-Ibaraki sparsifier that keeps every cut of weight at most 2w
+exact, so that a stage costs O(nw) edges; on the graphs measured that
+sparsifier dropped no edge, or too few to pay for building it and a
+second solver, so a stage solves on the auxiliary graph itself.  The
+paper's batch isolating cuts and expander decomposition only chose which
+candidates to solve together; with every candidate solved alone they save
+no flow, and the engine runs neither.  Estimates only decrease, every
+estimate is the exact weight of its witness cut, and a terminal is marked
+done only by ``settle``, when a solve makes its estimate minimal.  The one
+exception is the old pivot after a pivot change (dynamic.py), whose
+estimate is exact from the flow that triggered the change.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
 pivot at random.  Every cut is measured in the plain auxiliary graph; no
@@ -75,7 +69,6 @@ from typing import Iterable, Optional
 
 from .flow import FLOW_CALLS, CutSide, MaxFlowSolver
 from .graph import Graph, GraphError
-from .sparsify import ni_sparsify
 from .weights import Weight, from_scaled
 
 
@@ -97,11 +90,10 @@ class EngineConfig:
     solve on the auxiliary graph, which is unconditionally exact and
     fastest at desk scale.  ``loop_enabled`` runs the doubling stages from
     w = 2^floor(log2(n)/2) before the final sweep: stage w sweeps the
-    candidates whose estimate lies in (w, 2w] on the stage solver, one
-    exact solve per candidate not yet covered; it needs an unperturbed
-    auxiliary graph.  ``seed`` has no effect: no engine step draws random
-    numbers (the randomized builder takes its own seed).  The field stays
-    because the benchmark constructs it.
+    candidates whose estimate lies in (w, 2w] on the engine's solver, one
+    exact solve per candidate not yet covered.  ``seed`` has no effect: no
+    engine step draws random numbers (the randomized builder takes its own
+    seed).  The field stays because the benchmark constructs it.
     """
 
     loop_enabled: bool = False
@@ -150,9 +142,6 @@ class SingleSourceEngine:
         self.config = config or EngineConfig()
         if pivot not in aux.index_of:
             raise GraphError("pivot is not an original node of the auxiliary graph")
-        if self.config.loop_enabled and aux.unit != 1:
-            # stage graphs drop perturbation units, so stage cuts would too
-            raise GraphError("the elimination loop needs an unperturbed auxiliary graph")
         self.pivot_orig = pivot
         self.vprime = sorted(aux.index_of)
         self.table = EstimateTable()
@@ -212,22 +201,17 @@ class SingleSourceEngine:
         e.value = value
         e.witness = side
 
-    def settle(self, v: int, solver: Optional[MaxFlowSolver] = None) -> bool:
+    def settle(self, v: int) -> bool:
         """Turn terminal v's latest cut into a proven estimate; True when the
         cut moved the pivot instead (v is then the pivot).
 
-        The cut is solved on ``solver`` (default: the auxiliary graph's),
-        whose graph must keep v's minimum cuts exact: the auxiliary graph
-        itself, or a stage graph exact up to v's estimate.  It is the
-        minimum cut; ``moves_pivot`` may drop it, and otherwise it becomes
-        v's done witness."""
+        ``moves_pivot`` may drop the cut, and otherwise it becomes v's
+        done witness."""
         e = self.table.entries.get(v)
         if e is None or e.done:
             return False
-        if solver is None:
-            solver = self.aux_solver
-        cut = self.latest_cut(v, solver)
-        if self.moves_pivot(v, cut, solver):
+        cut = self.latest_cut(v)
+        if self.moves_pivot(v, cut):
             return True
         if e.value < cut.value:
             raise EngineError("estimate below a proven minimum")
@@ -235,40 +219,37 @@ class SingleSourceEngine:
         e.done = True
         return False
 
-    def sweep(self, terminals: Iterable[int],
-              solver: Optional[MaxFlowSolver] = None) -> None:
-        """Settle each of ``terminals`` in order on ``solver`` (default: the
-        auxiliary graph's), skipping the ones already covered; a terminal
-        this makes done covers the undone terminals inside its witness.  A
-        pivot move does not stop the sweep: the terminals after it are
-        settled from the new pivot."""
+    def sweep(self, terminals: Iterable[int]) -> None:
+        """Settle each of ``terminals`` in order, skipping the ones already
+        covered; a terminal this makes done covers the undone terminals
+        inside its witness.  A pivot move does not stop the sweep: the
+        terminals after it are settled from the new pivot."""
         entries = self.table.entries
         for v in terminals:
             if v in self.covered:
                 continue
-            self.settle(v, solver)
+            self.settle(v)
             if v in entries and entries[v].done:
                 self.cover(v)
 
     @cached_property
     def aux_solver(self) -> MaxFlowSolver:
         """The engine's one solver over the auxiliary graph, built on first
-        use."""
+        use: every solve of the run, stages included, is made on it."""
         return MaxFlowSolver(self.aux)
 
-    def latest_cut(self, v: int, solver: Optional[MaxFlowSolver] = None) -> CutSide:
-        """Latest minimum (pivot, v)-cut in ``solver.g``: the
+    def latest_cut(self, v: int) -> CutSide:
+        """Latest minimum (pivot, v)-cut in the auxiliary graph: the
         inclusion-minimal side holding terminal v.
 
-        Solves from v toward the pivot on ``solver`` (default: the auxiliary
-        graph's), so the residual search for the side starts at the
-        (usually low-degree) terminal, and afterwards
-        ``solver.sink_side(self.pivot_idx)`` is the minimal pivot side."""
-        if solver is None:
-            solver = self.aux_solver
+        Solves from v toward the pivot on ``aux_solver``, so the residual
+        search for the side starts at the (usually low-degree) terminal,
+        and afterwards ``aux_solver.sink_side(self.pivot_idx)`` is the
+        minimal pivot side."""
+        solver = self.aux_solver
         t_idx = self.idx(v)
         val = solver.solve(t_idx, self.pivot_idx)
-        return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, solver.g.unit),
+        return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, self.aux.unit),
                        s=self.pivot_idx, t=t_idx)
 
     # -- stage machinery -------------------------------------------------------
@@ -340,11 +321,11 @@ class SingleSourceEngine:
 
     # -- pivot rule (overridden by dynamic.DynamicPivotEngine) ------------------
 
-    def moves_pivot(self, v: int, cut: CutSide, solver: MaxFlowSolver) -> bool:
+    def moves_pivot(self, v: int, cut: CutSide) -> bool:
         """Called with the latest minimum (pivot, v)-cut before it is
-        recorded, and the solver whose last solve found it.  True means the
-        cut moved the pivot and must be dropped; a random pivot never
-        moves."""
+        recorded, right after ``aux_solver``'s solve that found it.  True
+        means the cut moved the pivot and must be dropped; a random pivot
+        never moves."""
         return False
 
 
@@ -370,7 +351,7 @@ def single_source_mincuts(
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
     """One doubling stage of the elimination loop: one sweep of the
-    candidates (estimates in (w, 2w]) on the stage solver, which settles
+    candidates (estimates in (w, 2w]) on the engine's solver, which settles
     each candidate it does not skip with its exact latest cut.  A stage
     with no candidate is skipped.  Whatever a pivot change reopens falls to
     later stages and the final sweep.  The report's ``direct_solves`` counts
@@ -381,46 +362,30 @@ def stage_w(state: SingleSourceEngine, w: int) -> None:
         srep["skipped"] = True
         state.report["stages"].append(srep)
         return
-    gw = ni_sparsify(state.aux, 2 * w + 1)
-    srep["gw_edges"] = gw.edge_instances
-    # a stage graph that keeps every edge instance is the auxiliary graph:
-    # the stage then runs on the engine's own solver, which saves building
-    # a second solver over the same arcs
-    if srep["gw_edges"] == state.aux.edge_instances:
-        solver = state.aux_solver
-    else:
-        solver = MaxFlowSolver(gw)
     srep["candidates"] = len(candidates)
     flows = FLOW_CALLS.value
-    splitter_isolating_step(state, w, solver, candidates)
+    splitter_isolating_step(state, w, candidates)
     srep["direct_solves"] = FLOW_CALLS.value - flows
     state.report["stages"].append(srep)
 
 
 def splitter_isolating_step(
-    state: SingleSourceEngine, w: int, solver: MaxFlowSolver, candidates: list[int],
+    state: SingleSourceEngine, w: int, candidates: list[int],
 ) -> None:
     """Isolating cuts with the singleton splitter family: one ``sweep`` of
-    the candidates, in the given (sorted) order, on the stage solver.  A
-    lone terminal's isolating cut is its latest cut in the stage graph
-    (``solver.g``), so each is one ``latest_cut`` solve.  The stage graph
-    keeps every cut of weight at most 2w exact and every other cut above
-    2w (Nagamochi-Ibaraki), so for a candidate whose estimate is at most
-    2w the solve is its latest cut in the auxiliary graph, and ``settle``
-    records it as in the final sweep.  Being handed a candidate whose
-    estimate exceeds 2w raises ``EngineError`` before any flow.  A pivot
-    move during the sweep can reset a later candidate's estimate to its
-    degree; one that thereby exceeds 2w is passed over, for later stages
-    and the final sweep.
+    the candidates, in the given (sorted) order, on the engine's solver.  A
+    lone terminal's isolating cut is its latest cut, so each is one
+    ``latest_cut`` solve, which ``settle`` records as in the final sweep.
+    The sweep keeps to stage w's window: a pivot move during the sweep can
+    reset a later candidate's estimate to its degree, and one that thereby
+    exceeds 2w is passed over, for later stages and the final sweep.
 
     This stands in for Li and Panigrahi's sampled isolating rounds over the
     parts of an expander decomposition, ceil(2 e gamma ln(n) / phi) rounds
-    per part (about 250 at n = 64), each costing a whole-stage-graph flow
-    per bit of the sampled batch: one solve per candidate is cheaper
-    whenever a part holds fewer candidates than that, and then the
-    decomposition decides nothing but the order of the solves."""
+    per part (about 250 at n = 64), each costing a whole-graph flow per bit
+    of the sampled batch: one solve per candidate is cheaper whenever a part
+    holds fewer candidates than that, and then the decomposition decides
+    nothing but the order of the solves."""
     bound = Weight(2 * w, 0)
     estimate = state.table.estimate
-    if any(bound < estimate(v) for v in candidates):
-        raise EngineError("a stage candidate's estimate exceeds 2w")
-    state.sweep((v for v in candidates if not bound < estimate(v)), solver)
+    state.sweep(v for v in candidates if not bound < estimate(v))

@@ -188,9 +188,9 @@ def test_criterion_05_candidate_halving(monkeypatch):
     passes = []
     step = single_source.splitter_isolating_step
 
-    def recording_step(state, w, solver, candidates):
+    def recording_step(state, w, candidates):
         was_covered = set(state.covered)
-        step(state, w, solver, candidates)
+        step(state, w, candidates)
         entries = state.table.entries
         live = [v for v in candidates if not entries[v].done and v not in state.covered]
         for u, v in state.covered.items():
@@ -272,32 +272,37 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
 def test_criterion_09_splitters(monkeypatch):
     """The splitter family is the singletons, for both paper engines: in a
     loop-on build, every stage pass solves its candidates alone on the
-    stage solver (a lone terminal's isolating cut is its latest cut), each
-    at most once, in sorted order, in one pass; the candidates it does not
-    solve are exactly those covered when their turn came."""
+    engine's one solver, ``aux_solver`` (a lone terminal's isolating cut is
+    its latest cut), each at most once, in sorted order, in one pass; the
+    candidates it does not solve are exactly those covered when their turn
+    came."""
     steps = []
-    running = None   # (stage solver, [(solved terminal, covered before its solve)])
-    step, latest_cut = single_source.splitter_isolating_step, SingleSourceEngine.latest_cut
+    running = None   # (engine, [(solved terminal, covered before its solve)])
+    step, solve = single_source.splitter_isolating_step, MaxFlowSolver.solve
 
-    def recording_step(state, w, solver, candidates):
+    def recording_step(state, w, candidates):
         nonlocal running
-        running = (solver, [])
+        running = (state, [])
         solves = running[1]
         try:
-            step(state, w, solver, candidates)
+            step(state, w, candidates)
         finally:
             running = None
         steps.append((list(candidates), solves, set(state.covered)))
 
-    def recording_latest_cut(engine, v, solver=None):
+    def recording_solve(solver, s, t):
         if running is not None:
-            assert solver is running[0], "a stage pass solved off the stage solver"
-            running[1].append((v, set(engine.covered)))
-        return latest_cut(engine, v, solver)
+            engine = running[0]
+            assert solver is engine.aux_solver, "a stage pass solved off the engine's solver"
+            running[1].append((engine.aux.orig_id[s], set(engine.covered)))
+        return solve(solver, s, t)
 
     monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
-    monkeypatch.setattr(SingleSourceEngine, "latest_cut", recording_latest_cut)
-    graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8])]
+    monkeypatch.setattr(MaxFlowSolver, "solve", recording_solve)
+    # the dumbbell runs non-skipped stages after a run's first one; on the
+    # other two graphs every stage after the first is skipped
+    graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8]),
+              families.dumbbell(20, bridges=10)]
     builders = {"deterministic": build_deterministic,
                 "randomized": lambda g, config: build_randomized(g, seed=42, config=config)}
     offered = skipped = 0

@@ -330,11 +330,11 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
     solvers = []     # keeps every solver alive, so no id is reused
     latest_cut = single_source.SingleSourceEngine.latest_cut
 
-    def recording(engine, v, solver=None):
-        s = solver if solver is not None else engine.aux_solver
+    def recording(engine, v):
+        s = engine.aux_solver
         solvers.append(s)
         asked.append((id(s), engine.pivot_orig, v))
-        return latest_cut(engine, v, solver)
+        return latest_cut(engine, v)
 
     monkeypatch.setattr(single_source.SingleSourceEngine, "latest_cut", recording)
     cfg = EngineConfig(loop_enabled=True, seed=42)
@@ -347,6 +347,19 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
         assert FLOW_CALLS.value <= bound, (FLOW_CALLS.value, bound)
 
 
+def two_core(seed: int = 42) -> Graph:
+    """Two dense blocks joined by 12 random edges: 40 nodes at p = 0.4 and
+    60 at p = 0.8.  Unlike the other graphs here, a loop stage's paper
+    graph, the (2w + 1)-sparsifier of the auxiliary graph, drops edges on
+    it (in one stage of each paper builder, the randomized one at seed 42)."""
+    rng = random.Random(seed)
+    a, b = range(40), range(40, 100)
+    pairs = [(u, v) for u in a for v in a if u < v and rng.random() < 0.4]
+    pairs += [(u, v) for u in b for v in b if u < v and rng.random() < 0.8]
+    pairs += rng.sample([(u, v) for u in a for v in b], 12)
+    return Graph.from_edges(100, pairs)
+
+
 LOOP_GRAPHS = {
     "planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
     "planted_5x24": lambda: planted_partition(5, 24, 0.5, 0.01, seed=42),
@@ -354,6 +367,7 @@ LOOP_GRAPHS = {
     "clique_chain_8x3": lambda: families.clique_chain([8] * 3),
     "er_200": lambda: families.er_connected(200, 0.045, seed=42),
     "er_120_dense": lambda: families.er_connected(120, 0.3, seed=42),
+    "two_core": two_core,
 }
 
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ghtree import Graph, GraphError, families
+from ghtree import Graph, families
 from ghtree.dynamic import DynamicPivotEngine, single_source_dynamic_pivot
-from ghtree.flow import FLOW_CALLS, MaxFlowSolver, latest_min_cut
+from ghtree.flow import FLOW_CALLS, latest_min_cut
 from ghtree.partition import PartitionTree
 from ghtree.single_source import (
     EngineConfig,
@@ -12,9 +12,8 @@ from ghtree.single_source import (
     SingleSourceEngine,
     single_source_mincuts,
     splitter_isolating_step,
-    stage_w,
 )
-from ghtree.sparsify import ni_sparsify, perturb
+from ghtree.sparsify import perturb
 from ghtree.weights import Weight
 
 from oracles import assert_latest_table, dynamic_from, expand, planted_partition, run_from_stage_one
@@ -189,12 +188,11 @@ def _flows(step):
 
 
 def test_lone_solves_settle_star_leaves():
-    """Each leaf of a star, solved alone on the stage-1 solver, is done
-    with itself as witness: its estimate, 1, is within the stage bound 2."""
+    """Each leaf of a star, solved alone in stage 1, is done with itself
+    as witness: its estimate, 1, is within the stage bound 2."""
     g = families.star(5)
     engine = make_engine(g, 0)
-    solver = MaxFlowSolver(ni_sparsify(engine.aux, 3))
-    assert _flows(lambda: splitter_isolating_step(engine, 1, solver, [1, 2, 3, 4, 5])) == 5
+    assert _flows(lambda: splitter_isolating_step(engine, 1, [1, 2, 3, 4, 5])) == 5
     for v in range(1, 6):
         e = engine.table.entries[v]
         assert e.done and e.value.base == 1
@@ -209,9 +207,8 @@ def test_lone_solve_finds_bridge_side():
     # node 0: left hub (degree 2), node 1: right hub (degree 7)
     engine = make_engine(g, 1)
     w = 2
-    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w + 1))
     assert engine.table.estimate(0).base == 2
-    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
+    assert _flows(lambda: splitter_isolating_step(engine, w, [0])) == 1
     # the bridge cut {hub, its leaf} of value 1 beats the degree estimate 2
     e = engine.table.entries[0]
     assert e.done and e.value.base == 1
@@ -221,88 +218,41 @@ def test_lone_solve_finds_bridge_side():
 
 
 def test_lone_isolating_cut_below_the_stage_bound_settles():
-    """Stage w keeps every cut of weight at most 2w exact, so a lone
-    candidate's isolating cut is its latest minimum cut: the terminal is
-    done, with that cut as witness, and covers the terminals inside it."""
+    """A lone candidate's isolating cut is its latest minimum cut: the
+    terminal is done, with that cut as witness, and covers the terminals
+    inside it."""
     g = families.dumbbell(6, bridges=2)
     engine = make_engine(g, 11)
     w = 3   # terminals 0 and 6 have degree 6 = 2w
-    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w + 1))
-    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [0])) == 1
+    assert _flows(lambda: splitter_isolating_step(engine, w, [0])) == 1
     latest = latest_min_cut(engine.aux, engine.pivot_idx, engine.idx(0), wrt=engine.pivot_idx)
     e = engine.table.entries[0]
     assert e.done and e.value == latest.value == Weight(2, 0)
     assert e.witness == latest.side
     assert engine.covered == {u: 0 for u in range(1, 6)}
-    # node 6 sits in the pivot's clique: lambda = 5, exact below 2w too
-    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [6])) == 1
+    # node 6 sits in the pivot's clique: lambda = 5
+    assert _flows(lambda: splitter_isolating_step(engine, w, [6])) == 1
     latest = latest_min_cut(engine.aux, engine.pivot_idx, engine.idx(6), wrt=engine.pivot_idx)
     e = engine.table.entries[6]
     assert e.done and e.value == latest.value == Weight(5, 0)
     assert e.witness == latest.side
     # a covered candidate is skipped, and a done one is not solved again
-    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [1, 6])) == 0
+    assert _flows(lambda: splitter_isolating_step(engine, w, [1, 6])) == 0
     assert not engine.table.done(1)
-
-
-def _cycle_through_a_clique():
-    """An 8-cycle whose node 0 lies in a 12-clique: 74 edges, more than
-    the three spanning forests of a (2w+1)-sparsifier at w = 1 keep."""
-    edges = [(i, (i + 1) % 8) for i in range(8)]
-    clique = [0] + list(range(8, 19))
-    edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
-    return Graph.from_edges(19, edges)
-
-
-@pytest.mark.parametrize("engine_cls", [SingleSourceEngine, DynamicPivotEngine])
-def test_estimate_at_the_stage_bound_settles_with_its_latest_cut(engine_cls):
-    """A candidate with lambda = e = 2w is solved once on the stage solver
-    and settles with its latest cut, not with the old witness of the same
-    weight: the (2w+1)-sparsifier keeps cuts of weight 2w exact."""
-    g = _cycle_through_a_clique()
-    engine = engine_cls(g, g, 0)
-    w = 1
-    gw = ni_sparsify(engine.aux, 2 * w + 1)
-    assert gw.edge_instances < engine.aux.edge_instances
-    e = engine.table.entries[4]
-    arc = frozenset(engine.idx(u) for u in (3, 4, 5))   # cut by 2-3 and 5-6
-    e.witness = arc
-    assert e.value == Weight(2 * w, 0) == engine.aux.cut_weight(arc)
-    assert _flows(lambda: splitter_isolating_step(engine, w, MaxFlowSolver(gw), [4])) == 1
-    assert e.done and e.value == Weight(2, 0) and e.witness == frozenset({engine.idx(4)})
-    assert engine.pivot_orig == 0 and not engine.covered
-
-
-def test_candidate_above_the_stage_bound_raises_before_any_flow():
-    """The stage graph keeps only cuts of weight at most 2w exact, so the
-    pass refuses a candidate whose estimate exceeds 2w, before any flow."""
-    g = families.dumbbell(6, bridges=2)
-    engine = make_engine(g, 11)
-    w = 2   # terminal 0 has degree 6 > 2w; terminal 2 has degree 5
-    before = {v: (e.value, e.witness, e.done) for v, e in engine.table.entries.items()}
-    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w + 1))
-    flows = FLOW_CALLS.value
-    with pytest.raises(EngineError, match="exceeds 2w"):
-        splitter_isolating_step(engine, w, solver, [0, 2])
-    with pytest.raises(EngineError, match="exceeds 2w"):
-        splitter_isolating_step(engine, w, solver, [2, 0])
-    assert FLOW_CALLS.value == flows
-    assert {v: (e.value, e.witness, e.done)
-            for v, e in engine.table.entries.items()} == before
 
 
 def test_pivot_move_resetting_a_later_candidate_above_the_bound_passes_it_over():
     """A pivot move resets a witness that holds the new pivot to the
     degree cut.  When that lifts a later candidate's estimate above 2w,
-    its stage cut could be inexact, so the pass leaves it undone, with no
-    flow, for later stages and the final sweep.
+    the candidate has left stage w's window (w, 2w], so the pass leaves it
+    undone, with no flow, for later stages and the final sweep.
 
     Hand-built state: pivot 0 sits in a 4-clique joined by one bridge to
     the rest, so candidate 4's latest cut (value 1) holds 17 of the 21
     terminals and moves the pivot to 4.  Candidates 4 and 19 hold as
     witness the 16-clique W, a cut of weight 3 (the bridge and node 20's
     two edges into W) that holds node 4, so the move resets 19's estimate
-    to its degree, 15 > 2w.  Solved on the stage graph, 19 would read 5."""
+    to its degree, 15 > 2w."""
     clique = [(u, v) for u in range(4, 20) for v in range(u + 1, 20)]
     small = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     g = Graph.from_edges(21, small + clique + [(3, 4), (20, 6), (20, 7)])
@@ -313,8 +263,7 @@ def test_pivot_move_resetting_a_later_candidate_above_the_bound_passes_it_over()
     for v in (4, 19):
         e = engine.table.entries[v]
         e.value, e.witness = Weight(3, 0), heavy
-    solver = MaxFlowSolver(ni_sparsify(engine.aux, 2 * w + 1))
-    assert _flows(lambda: splitter_isolating_step(engine, w, solver, [4, 19])) == 1
+    assert _flows(lambda: splitter_isolating_step(engine, w, [4, 19])) == 1
     assert engine.pivot_orig == 4
     e = engine.table.entries[19]
     assert not e.done and e.value == Weight(15, 0) and e.witness == frozenset({engine.idx(19)})
@@ -323,23 +272,11 @@ def test_pivot_move_resetting_a_later_candidate_above_the_bound_passes_it_over()
     assert_latest_table(g, engine.pivot_orig, engine.table)
 
 
-def test_stage_graph_keeping_every_edge_settles_uncapped():
-    """A cycle's stage graph at w = 1 keeps every edge, so it is the
-    auxiliary graph: the stage solves on the engine's own solver, and each
-    terminal settles at its connectivity 2 = 2w."""
-    g = families.cycle(8)
-    engine = make_engine(g, 0)
-    stage_w(engine, 1)
-    assert engine.report["stages"][0]["gw_edges"] == engine.aux.edge_instances
-    oracle_check(g, engine, 0)
-
-
 def test_splitter_step_empty_part_is_noop():
     g = families.er_connected(8, 0.5, seed=14)
     engine = make_engine(g, 0)
     before = {v: (e.value, e.witness, e.done) for v, e in engine.table.entries.items()}
-    gw = ni_sparsify(engine.aux, 5)
-    assert _flows(lambda: splitter_isolating_step(engine, 2, MaxFlowSolver(gw), [])) == 0
+    assert _flows(lambda: splitter_isolating_step(engine, 2, [])) == 0
     assert {v: (e.value, e.witness, e.done)
             for v, e in engine.table.entries.items()} == before
     assert not engine.covered
@@ -355,21 +292,17 @@ def test_improving_cuts_distinct():
         oracle_check(g, engine, 0)
 
 
-@pytest.mark.parametrize("engine_cls", [SingleSourceEngine, DynamicPivotEngine])
-def test_loop_on_a_perturbed_auxiliary_graph_is_refused(engine_cls):
-    """Stage graphs drop perturbation units, so a loop-on stage cut on a
-    perturbed graph loses them (here terminal 34 read 14.0, not its latest
-    cut's 14.75...): the engine refuses that pair before any flow.  Loop
-    off, the same perturbed graph gives every terminal's latest cut."""
+def test_loop_on_a_perturbed_auxiliary_graph_is_exact():
+    """Every stage solves on the auxiliary graph itself, so loop-on runs on
+    a perturbed auxiliary graph keep its perturbation units: both engines
+    return every terminal's latest cut in it."""
     g = planted_partition(4, 25, 0.8, 0.01, seed=1)
     gp = perturb(g, seed=1)
-    flows = FLOW_CALLS.value
-    with pytest.raises(GraphError, match="unperturbed"):
-        engine_cls(g, gp, 0, EngineConfig(loop_enabled=True))
-    with pytest.raises(GraphError, match="unperturbed"):
-        single_source_mincuts(g, gp, 0, EngineConfig(loop_enabled=True))
-    assert FLOW_CALLS.value == flows
-    assert_latest_table(gp, 0, single_source_mincuts(g, gp, 0))
+    cfg = EngineConfig(loop_enabled=True)
+    assert_latest_table(gp, 0, single_source_mincuts(g, gp, 0, cfg))
+    pivot, table, engine = single_source_dynamic_pivot(g, gp, cfg)
+    assert any(not s.get("skipped") for s in engine.report["stages"])
+    assert_latest_table(gp, pivot, table)
 
 
 def test_candidate_halving_on_designed_instance():

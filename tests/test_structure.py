@@ -5,14 +5,15 @@ is what the import statements say; a function-local import is how an
 import cycle hides.  The deterministic engine extends the randomized one,
 so dynamic.py may import single_source.py but not the other way round.
 The engines make their max-flows through one method, prove estimates
-through one other, and the stage solver travels as an argument.  The library keeps only what a builder, the CLI or
+through one other, and make every solve of a run on one solver over the
+auxiliary graph, stages included.  The library keeps only what a builder, the CLI or
 the benchmark runs: the engine settings have no test hooks, graphs carry no
 self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
 file.  The classic builders build no contracted graph and make at most one
 solver per run.  Both engines start their doubling stages at the same w
-and share the stage graph.  The builders, their partial-tree bootstrap and
+and share the stage pass.  The builders, their partial-tree bootstrap and
 the engines run on plain graphs: latest cuts need no perturbation to be
 unique.  Every stage step is a lone latest-cut solve, so the engines call
 no batch isolating cuts, and the stage pass and the final sweep are one
@@ -41,6 +42,8 @@ from ghtree.flow import CutSide
 from ghtree.graph import Graph
 from ghtree.partition import GomoryHuTree, PartitionTree
 from ghtree.single_source import EngineConfig, SingleSourceEngine, TerminalEstimate
+
+from oracles import planted_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ghtree"
@@ -133,8 +136,7 @@ def test_engines_have_one_settle_path():
         outside += [(path.name, func) for func, _ in done_marks(parse(path)) if func != "settle"]
     assert outside == [("dynamic.py", "pivot_change")]
     assert [func for func, _ in done_marks(parse(SRC / "single_source.py"))] == ["settle"]
-    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == [
-        "self", "v", "solver"]
+    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == ["self", "v"]
 
 
 def test_stage_solves_are_exact():
@@ -144,10 +146,8 @@ def test_stage_solves_are_exact():
     module names a ``floor`` (``math.floor`` aside)."""
     assert [f.name for f in dataclasses.fields(TerminalEstimate)] == [
         "value", "witness", "done"]
-    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == [
-        "self", "v", "solver"]
-    assert list(inspect.signature(SingleSourceEngine.sweep).parameters) == [
-        "self", "terminals", "solver"]
+    assert list(inspect.signature(SingleSourceEngine.settle).parameters) == ["self", "v"]
+    assert list(inspect.signature(SingleSourceEngine.sweep).parameters) == ["self", "terminals"]
     for name in ("single_source.py", "dynamic.py"):
         found = []
         for node in ast.walk(parse(SRC / name)):
@@ -162,14 +162,60 @@ def test_stage_solves_are_exact():
 
 
 def test_stage_solver_is_explicit():
-    """The stage solver is passed as an argument, never parked on the
-    engine: no source or test file names a ``_gw_solver`` attribute."""
+    """A stage solves on the engine's one named solver, ``aux_solver``,
+    never on a per-stage solver parked on the engine: no source or test
+    file names a ``_gw_solver`` attribute."""
     tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
     for path in MODULES + tests:
         lines = [node.lineno for node in ast.walk(parse(path))
                  if (isinstance(node, ast.Attribute) and node.attr == "_gw_solver")
                  or (isinstance(node, ast.Name) and node.id == "_gw_solver")]
         assert not lines, f"{path.name} names _gw_solver at lines {lines}"
+
+
+def function_args(path: Path) -> dict[str, list[str]]:
+    """Every function of a module, by name, with its parameter names."""
+    return {f.name: [a.arg for a in f.args.args + f.args.kwonlyargs]
+            for f in ast.walk(parse(path)) if isinstance(f, ast.FunctionDef)}
+
+
+def test_engines_make_one_solver_per_run(monkeypatch):
+    """Every solve of a single-source run is made on ``aux_solver``:
+    single_source.py builds a ``MaxFlowSolver`` only there and names no
+    ``ni_sparsify``, no function of either engine module takes a ``solver``
+    parameter, and a loop-on build sparsifies no more often than a loop-off
+    one (the randomized builder's partial-tree bootstrap only)."""
+    tree = parse(SRC / "single_source.py")
+    builders = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                        and c.func.id == "MaxFlowSolver" for c in ast.walk(f))]
+    assert builders == ["aux_solver"]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "ni_sparsify" not in names
+    for name in ("single_source.py", "dynamic.py"):
+        takers = [f for f, args in function_args(SRC / name).items() if "solver" in args]
+        assert not takers, f"{name}: {takers} take a solver"
+
+    calls = []
+    sparsify = ghtree.sparsify.ni_sparsify
+
+    def recording(g, k):
+        calls.append(k)
+        return sparsify(g, k)
+
+    for module in vars(ghtree).values():
+        if getattr(module, "ni_sparsify", None) is sparsify:
+            monkeypatch.setattr(module, "ni_sparsify", recording)
+    g = planted_partition(4, 16, 0.5, 0.03, seed=42)
+    counts = []
+    for loop in (False, True):
+        calls.clear()
+        build_randomized(g, seed=42, config=EngineConfig(loop_enabled=loop))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
 
 
 def test_engine_config_fields():
@@ -181,8 +227,8 @@ def test_deterministic_stages_start_like_randomized():
     at w = 1:
     ``DynamicPivotEngine`` overrides only the pivot move, not the stage
     pass or where the stages start, and loop-on it begins at
-    2^floor(log2(n)/2) as the randomized engine does.  Every stage graph
-    is the plain sparsifier, with no engine hook to override it."""
+    2^floor(log2(n)/2) as the randomized engine does.  No engine has a
+    hook that builds a stage graph."""
     assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
         "moves_pivot"}
     for name in ("first_stage", "isolating_moves_pivot", "stage_pending", "stage_graph"):
@@ -243,7 +289,7 @@ def test_loop_runs_no_expander_decomposition():
 def test_engines_solve_each_candidate_alone_on_plain_graphs():
     """single_source.py names neither ``isolating_cuts`` nor
     ``perturbed_sparsifier``: a stage offers each candidate alone, as one
-    latest-cut solve, on the plain sparsifier.  The engines take no work
+    latest-cut solve, on the plain auxiliary graph.  The engines take no work
     graph, and neither ``easy_cuts_step`` nor ``offer_isolating_cuts``
     exists."""
     tree = parse(SRC / "single_source.py")
