@@ -16,9 +16,9 @@ A cut reaches the tree in auxiliary-graph terms, as a split piece: the
 super-node's vertices on its side, the neighbors whose contracted nodes it
 holds (each contracted node is the tree component of one neighbor), and
 its value.  The auxiliary graph is numbered by the super-node's
-``PartitionTree.aux_layout``, the layout the classic builder remaps its
-solver by, and ``_done_cuts`` reads each done witness back through it
-once, so no cut is expanded to the original vertices it stands for.
+``PartitionTree.aux_layout``, and ``_done_cuts`` reads each done witness
+back through it once, so no cut is expanded to the original vertices it
+stands for.
 
 Both builders measure cuts in the plain auxiliary graph, with no
 perturbation: every cut they keep is a latest cut (the inclusion-minimal

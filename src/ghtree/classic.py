@@ -3,11 +3,12 @@ uncontracted variant, and partial trees that resolve only low-connectivity
 pairs (a Gusfield tree of a Nagamochi-Ibaraki sparsifier with its heavy
 edges contracted).
 
-Gomory-Hu builds one flow solver for its input and derives each contracted
-flow graph from it by a node remap (``MaxFlowSolver.remapped``): no
-contracted ``Graph`` is built, and parallel arcs are not folded.  The remap
-is the super-node's ``PartitionTree.aux_layout``, the numbering the paper
-builders' auxiliary graphs (``Graph.contract``) use too.
+Gomory-Hu keeps one flow solver per unresolved super-node, over its
+contracted flow graph, and builds no contracted ``Graph``.  The input's
+solver serves the first super-node, and each split derives both
+children's solvers from their parent's (``MaxFlowSolver.split``): the side
+of smaller arc volume is copied, and contracted in place in the parent's
+solver, so a build walks O(m log n) arcs instead of all m per flow.
 """
 
 from __future__ import annotations
@@ -25,31 +26,53 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
     """Gomory-Hu construction: n-1 max-flows on contracted auxiliary graphs.
 
     Pair selection is the lexicographically smallest pair inside the largest
-    super-node, for deterministic replay.  Each flow runs on the input's
-    solver remapped by the super-node's auxiliary-graph layout: every
-    vertex of the super-node keeps a node of its own and every component of
-    the tree without it becomes one node.  The layout reads the flow's
-    source side back as the piece ``gh_refine`` takes: the kept vertices it
-    holds and the neighbors of the super-node whose components it holds.
-    Disconnected inputs need no special case: a pair in different
-    components gets a cut of value 0.
+    super-node, for deterministic replay.  Every unresolved super-node has a
+    solver over its auxiliary graph: each vertex of the super-node keeps a
+    node of its own and each component of the tree without it is one
+    merged node.  A node's label is the vertex v it stands for, or ~j for
+    the component of neighbor j, so the flow's s-side reads back as the
+    piece ``gh_refine`` takes: the vertices it holds and the neighbors
+    whose components it holds.  The flow runs from the second terminal to
+    the first, whose side is then the inclusion-minimal one ``sink_side``
+    returns.  Disconnected inputs need no special case: a pair in
+    different components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
-    base = MaxFlowSolver(g)
     t = PartitionTree.single(g.n)
-    while True:
-        pending = [i for i, s in t.super_nodes.items() if len(s) > 1]
-        if not pending:
-            return t
-        i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
-        layout = t.aux_layout(i)
-        # the kept vertices are sorted, so s and tnode are nodes 0 and 1
-        s, tnode = layout.kept[:2]
-        sol = base.remapped(layout.index, layout.n)
-        value = sol.solve(0, 1)
-        nodes, taken = layout.piece(sol.source_side(0))
-        gh_refine(t, i, nodes, taken, from_scaled(value, g.unit), s, tnode)
+    # unresolved super-node -> (solver, label of each node, node of each label)
+    work = {0: (MaxFlowSolver(g), list(range(g.n)), {v: v for v in range(g.n)})}
+    while work:
+        i = max(work, key=lambda k: (len(t.super_nodes[k]), -k))
+        sol, label, node = work.pop(i)
+        s, tnode = sorted(t.super_nodes[i])[:2]
+        value = sol.solve(node[tnode], node[s])
+        side = sol.sink_side(node[s])
+        held = [label[x] for x in side]
+        nid = gh_refine(t, i, frozenset(v for v in held if v >= 0),
+                        frozenset(~v for v in held if v < 0),
+                        from_scaled(value, g.unit), s, tnode)
+        # a neighbor the split moved to tnode's super now sees i's side
+        # through it
+        for j in t.adj[nid]:
+            if j in work:
+                _, label_j, node_j = work[j]
+                x = node_j.pop(~i)
+                label_j[x] = ~nid
+                node_j[~nid] = x
+        # sub serves the super of the copied side; sol, which merged that
+        # side into copied[0], serves the other one
+        sub, copied = sol.split(side)
+        small, big = (i, nid) if copied[0] in side else (nid, i)
+        sub_label = [label[x] for x in copied] + [~big]
+        for v in sub_label[:-1]:
+            del node[v]
+        label[copied[0]] = ~small
+        node[~small] = copied[0]
+        children = {small: (sub, sub_label, {v: x for x, v in enumerate(sub_label)}),
+                    big: (sol, label, node)}
+        work.update((k, c) for k, c in children.items() if len(t.super_nodes[k]) > 1)
+    return t
 
 
 def gusfield(g: Graph) -> PartitionTree:

@@ -10,17 +10,19 @@ current-arc index per node and drops the nodes it backs out of.  The
 residual searches of ``source_side`` and ``sink_side`` give the
 inclusion-minimal minimum-cut sides, which are the same for every maximum
 flow, so every cut this module returns is independent of the flow the
-kernel happens to find.  ``MaxFlowSolver.remapped`` derives the solver of
-a contracted graph from an existing solver's arcs through a node remap,
-without building the contracted ``Graph``: arcs inside a group are
-dropped and parallel arcs are kept as they are.  A module-level
-invocation counter feeds the benchmark harness.
+kernel happens to find.  ``MaxFlowSolver.split`` derives the solvers of
+both sides of a cut, each with the other side merged into one node, from
+an existing solver's arcs, without building a contracted ``Graph``: arcs
+inside the merged side are dropped and parallel arcs are kept as they
+are.  It copies the side of smaller arc volume and contracts that side in
+place in the existing solver, so it walks only that side's arcs.  A
+module-level invocation counter feeds the benchmark harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet
 
 from .graph import Graph, GraphError
 from .weights import Weight, from_scaled
@@ -56,7 +58,7 @@ class CutSide:
 
 
 class MaxFlowSolver:
-    """Reusable Dinic solver over one immutable graph.
+    """Reusable Dinic solver over one graph, which only ``split`` changes.
 
     Edge i of ``g.edges`` (u < v) becomes the arc pair 2i: u -> v and
     2i + 1: v -> u, each with the edge's scaled capacity (``unit`` on a
@@ -67,10 +69,11 @@ class MaxFlowSolver:
     search from s that cannot reach t, which is the residual reach
     of s, so ``source_side`` of that s needs no second search.
 
-    ``g`` is the graph the solver's arcs came from.  A solver made by
-    ``remapped`` has none until ``g`` is first read; it is then folded from
-    the solver's own arcs, one edge per node pair, and every node of it
-    stands for itself.
+    ``g`` is the graph the solver's arcs came from.  A solver made or
+    contracted by ``split`` has none until ``g`` is first read; it is then
+    folded from the arcs in the solver's arc lists, one edge per node pair,
+    and every node of it stands for itself (a node merged away is an
+    isolated node).
     """
 
     def __init__(self, g: Graph):
@@ -110,46 +113,76 @@ class MaxFlowSolver:
         if self._g is None:
             to, cap0, unit = self._to, self._cap0, self._unit
             folded: dict[tuple[int, int], int] = {}
-            for e in range(0, len(to), 2):
-                a, b = to[e + 1], to[e]
-                key = (a, b) if a < b else (b, a)
-                folded[key] = folded.get(key, 0) + cap0[e]
+            for a, out in enumerate(self._arcs):
+                # a node merged away has no arc list
+                for e in out or ():
+                    if not e & 1:
+                        b = to[e]
+                        key = (a, b) if a < b else (b, a)
+                        folded[key] = folded.get(key, 0) + cap0[e]
             # the perturbation units of a whole graph stay below one unit
             self._g = Graph(self.n, {k: divmod(c, unit) for k, c in folded.items()},
                             unit=unit, validate=False)
         return self._g
 
-    def remapped(self, index: Sequence[int], n: int) -> "MaxFlowSolver":
-        """Solver of the graph that merges the nodes sharing an ``index``.
+    def split(self, side: AbstractSet[int]) -> tuple["MaxFlowSolver", list[int]]:
+        """Solvers of both sides of a cut, each with the other side merged.
 
-        Node x becomes node ``index[x]`` of 0..n-1.  Every arc pair whose
-        ends map to different nodes is copied with its capacity, in this
-        solver's order; pairs inside a group are dropped, and parallel
-        pairs stay separate (the flow and the residual sides do not change
-        when they are not folded).  No ``Graph`` is built.
+        ``side`` and the rest of the solver's nodes are the two sides of a
+        cut.  The side of smaller arc volume (``side`` on a tie) is copied
+        into a new solver, whose node k stands for node ``nodes[k]`` of this
+        solver and whose last node stands for the whole other side.  This
+        solver then merges the smaller side into node ``nodes[0]`` in place
+        and serves the other side; ``nodes[1:]`` are left with no arc list
+        and stand for nothing.  Arc pairs inside a merged side are dropped,
+        parallel pairs stay separate (the flow and the residual sides do
+        not change when they are not folded), and only the smaller side's
+        arcs are walked.  Returns (the new solver, nodes).
         """
-        to0 = self._to
-        to: list[int] = []
-        cap: list[int] = []
-        arcs: list[list[int]] = [[] for _ in range(n)]
-        e = 0
-        for a, b, c in zip(map(index.__getitem__, to0[1::2]),
-                           map(index.__getitem__, to0[0::2]), self._cap0[0::2]):
-            if a != b:
-                to += (b, a)
-                cap += (c, c)
-                arcs[a].append(e)
-                arcs[b].append(e + 1)
-                e += 2
+        arcs, to, cap0 = self._arcs, self._to, self._cap0
+        rest = [x for x, out in enumerate(arcs) if out is not None and x not in side]
+        if not side or not rest:
+            raise GraphError("a split needs two nonempty sides")
+        out_of = arcs.__getitem__
+        small = list(side)
+        if sum(map(len, map(out_of, small))) > sum(map(len, map(out_of, rest))):
+            small = rest
+        new = {x: k for k, x in enumerate(small)}
+        merged = len(small)
+        r = small[0]
+        sub_to: list[int] = []
+        sub_cap: list[int] = []
+        sub_arcs: list[list[int]] = [[] for _ in range(merged + 1)]
+        cut: list[int] = []
+        for x, k in new.items():
+            for e in arcs[x]:
+                y = new.get(to[e], merged)
+                if y == merged:
+                    # a cut arc: it leaves the merged node r from now on
+                    to[e ^ 1] = r
+                    cut.append(e)
+                elif e & 1:
+                    # an arc pair inside the smaller side is copied once
+                    continue
+                sub_arcs[k].append(len(sub_to))
+                sub_arcs[y].append(len(sub_to) + 1)
+                sub_to += (y, k)
+                sub_cap += (cap0[e], cap0[e])
+            arcs[x] = None
+        arcs[r] = cut
+        self._cap = cap0
+        self._reach = None
+        self._g = None
+
         sub = MaxFlowSolver.__new__(MaxFlowSolver)
         sub._g = None
         sub._unit = self._unit
-        sub.n = n
-        sub._to = to
-        sub._cap0 = sub._cap = cap
-        sub._arcs = arcs
+        sub.n = merged + 1
+        sub._to = sub_to
+        sub._cap0 = sub._cap = sub_cap
+        sub._arcs = sub_arcs
         sub._reach = None
-        return sub
+        return sub, small
 
     def solve(self, s: int, t: int) -> int:
         """Max flow from s to t as a scaled integer."""

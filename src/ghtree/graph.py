@@ -4,8 +4,7 @@ Nodes are indices 0..n-1.  A node that stands for one original vertex
 records its id in ``orig_id``; a contracted node records None, and every
 node counts the original vertices it stands for in ``member_count``.
 Contraction merges the nodes that share an index, so an auxiliary graph
-(``auxiliary_graph``) and the classic builder's remapped flow solver
-(``MaxFlowSolver.remapped``) contract a super-node by the same layout
+(``auxiliary_graph``) contracts a super-node by its layout
 (``PartitionTree.aux_layout``).  Edges store an integer multiplicity and an
 integer count of perturbation units (see weights.py).  No graph holds a
 self-loop: edge keys satisfy u < v, the parsers reject u == v, and

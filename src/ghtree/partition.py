@@ -177,7 +177,7 @@ def gh_refine(
     value: Weight,
     s: int,
     tnode: int,
-) -> None:
+) -> int:
     """One Gomory-Hu step: split super-node i of t in place along a
     minimum s,t-cut.
 
@@ -185,7 +185,7 @@ def gh_refine(
     in V_i (``nodes``) and the neighbors of i whose components it holds
     (``neighbors``); s and tnode must lie in V_i on opposite sides.  The
     piece split off is tnode's side, so s's side is flipped within V_i and
-    the neighbors of i.
+    the neighbors of i.  Returns the id of tnode's new super-node.
     """
     vi = t.super_nodes[i]
     if s not in vi or tnode not in vi:
@@ -198,7 +198,7 @@ def gh_refine(
             raise TreeError("cut takes a super-node that is not a neighbor")
         nodes = vi - nodes
         neighbors = frozenset(j for j in adj_i if j not in neighbors)
-    t.split(i, [(nodes, neighbors, value)])
+    return t.split(i, [(nodes, neighbors, value)])[0]
 
 
 # -- full (fully resolved) trees ----------------------------------------------

@@ -511,9 +511,8 @@ def classic_via_contract(g: Graph) -> PartitionTree:
     """Gomory-Hu as first written: every flow builds its auxiliary graph
     with ``Graph.contract`` and a fresh solver for it, and its cut side
     reaches ``gh_refine`` through ``orig_id`` and the layout's
-    ``neighbors``.  The remapped-solver loop in
-    ``classic.classic_gomory_hu`` must build the same tree with the same
-    number of flows."""
+    ``neighbors``.  The split-solver loop in ``classic.classic_gomory_hu``
+    must build the same tree with the same number of flows."""
     if g.n == 1:
         return PartitionTree.single(1)
     # identity node book-keeping, so every node of a contracted input is original

@@ -102,9 +102,14 @@ def contract_path_graphs():
 
 
 def test_classic_matches_contract_path():
-    """Remapping one solver's arcs builds byte-identical trees with the same
-    number of flows as building a contracted graph and solver per flow."""
-    for g in contract_path_graphs():
+    """Splitting each super-node's solver small-to-large builds
+    byte-identical trees with the same number of flows as building a
+    contracted graph and solver per flow, on the corpus graphs and a
+    dumbbell too, whose splits chain many copies and in-place contractions."""
+    graphs = contract_path_graphs()
+    graphs += [families.er_connected(200, 0.045, seed=42), families.clique_chain([16] * 8),
+               families.dumbbell(20, bridges=10)]
+    for g in graphs:
         start = FLOW_CALLS.value
         fast = to_node_tree(classic_gomory_hu(g)).serialize()
         fast_flows = FLOW_CALLS.value - start

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ghtree import families
 from ghtree.classic import classic_gomory_hu
@@ -192,36 +192,82 @@ def test_flow_matches_enumeration(g, rnd):
         assert max_flow_min_cut(g, s, t).value.scaled(g.unit) == value
 
 
+def split_children(sol, index, side):
+    """Both solvers ``sol.split(side)`` leaves, each with the index that
+    maps every vertex of the input to its node there, ``side``'s first;
+    and whether ``side`` was the copied one."""
+    sub, copied = sol.split(side)
+    at = {x: k for k, x in enumerate(copied)}
+    sub_index = [at.get(x, len(copied)) for x in index]
+    own_index = [copied[0] if x in at else x for x in index]
+    if copied[0] in side:
+        return [(sub, sub_index), (sol, own_index)], True
+    return [(sol, own_index), (sub, sub_index)], False
+
+
+def assert_matches_contracted(sol, g, index, s, t):
+    """``sol`` answers like a fresh solver of ``g.contract(index, sol.n)``:
+    the same reach before any solve, the same edges in its folded ``g``, and
+    for s and t on different nodes the same value and residual sides."""
+    aux = g.contract(index, sol.n)
+    ref = MaxFlowSolver(aux)
+    a, b = index[s], index[t]
+    assert sol.source_side(a) == ref.source_side(a)
+    assert sol.g.edges == aux.edges
+    assert sol.g.unit == g.unit and sol.g.n == aux.n
+    if a != b:
+        assert sol.solve(a, b) == ref.solve(a, b)
+        assert sol.source_side(a) == ref.source_side(a)
+        assert sol.sink_side(b) == ref.sink_side(b)
+
+
 @given(graphs(), st.data())
 @settings(max_examples=80, deadline=None)
-@example(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-         None)
-def test_remapped_matches_contracted_graph(g, data):
-    """A solver remapped by an index answers like a fresh solver of the
-    graph ``Graph.contract`` builds from the same index: the same value, the
-    same residual sides, and the same edges in its folded ``g``.  Merged
-    nodes may hold s or t, touch each other, have no arc between them, or
-    be empty."""
+def test_split_matches_contracted_graph(g, data):
+    """Both solvers a split leaves answer like fresh solvers of the graphs
+    ``Graph.contract`` builds from the same grouping, whichever side is
+    copied, and again when either child is split once more.  The parent's
+    last solve and folded ``g`` do not leak into the child contracted in
+    place.  Sides may hold s or t, have no arc between them, or hold a node
+    with no arcs."""
     if g is None:
         return
-    if data is None:
-        # two triangles, each merged but for its terminal: value 0
-        index, n, s, t = [0, 1, 1, 2, 3, 3], 4, 0, 3
-    else:
-        n = data.draw(st.integers(2, g.n))
-        index = data.draw(st.lists(st.integers(0, n - 1), min_size=g.n, max_size=g.n))
+    sol, index = MaxFlowSolver(g), list(range(g.n))
+    for _ in range(2):
+        nodes = sorted(set(index))
+        side = data.draw(st.sets(st.sampled_from(nodes), min_size=1,
+                                 max_size=len(nodes) - 1))
         s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2,
                                   unique=True))
-    assume(index[s] != index[t])
-    aux = g.contract(index, n)
-    sub = MaxFlowSolver(g).remapped(index, n)
-    ref = MaxFlowSolver(aux)
+        # leave a solve and a folded g behind on the parent
+        if index[s] != index[t]:
+            sol.solve(index[s], index[t])
+        assert sol.g.unit == g.unit
+        children, _ = split_children(sol, index, side)
+        for child, child_index in children:
+            assert_matches_contracted(child, g, child_index, s, t)
+        sol, index = children[data.draw(st.integers(0, 1))]
 
-    value = ref.solve(index[s], index[t])
-    assert sub.solve(index[s], index[t]) == value
-    if data is None:
-        assert value == 0
-    assert sub.source_side(index[s]) == ref.source_side(index[s])
-    assert sub.sink_side(index[t]) == ref.sink_side(index[t])
-    assert sub.g.edges == aux.edges
-    assert sub.g.unit == g.unit and sub.g.n == aux.n == n
+
+@pytest.mark.parametrize("side, side_copied", [({1}, True), ({0, 1}, False)],
+                         ids=["leaf", "center_and_leaf"])
+def test_split_copies_the_side_of_smaller_arc_volume(side, side_copied):
+    """On a 4-leaf star a leaf has 1 arc against the others' 7, so it is
+    copied; the center and a leaf have 5 arcs against 3, so the other
+    leaves are copied and the given side is contracted in place.  Both
+    children match ``Graph.contract`` either way."""
+    g = families.star(4)
+    for s, t in ((0, 2), (2, 3), (1, 4)):
+        sol = MaxFlowSolver(g)
+        sol.solve(0, 2)
+        children, copied = split_children(sol, list(range(g.n)), side)
+        assert copied == side_copied
+        for child, child_index in children:
+            assert_matches_contracted(child, g, child_index, s, t)
+
+
+def test_split_needs_two_sides():
+    sol = MaxFlowSolver(families.path(3))
+    for side in (set(), {0, 1, 2}):
+        with pytest.raises(GraphError):
+            sol.split(side)

@@ -22,8 +22,10 @@ lower bound per terminal and no settle step takes a cap.  A cut tree keeps one l
 split in place and Gomory-Hu trees answer from their rooted arrays.  Cuts
 reach a partition tree in auxiliary-graph terms (the super-node's vertices
 and the neighbors on a side), so no builder expands a cut to original
-vertices.  One layout numbers every auxiliary graph, whether contracted
-into a ``Graph`` or remapped into a solver, and graphs keep no member sets.
+vertices.  One layout numbers every auxiliary graph the paper builders
+contract into a ``Graph``, and graphs keep no member sets.  The classic
+builder needs no layout: it splits each super-node's solver into its
+children's instead of remapping the input's arcs per flow.
 """
 
 import ast
@@ -38,7 +40,7 @@ from ghtree import families
 from ghtree.build import build_randomized
 from ghtree.classic import k_partial_tree
 from ghtree.dynamic import DynamicPivotEngine
-from ghtree.flow import CutSide
+from ghtree.flow import CutSide, MaxFlowSolver
 from ghtree.graph import Graph
 from ghtree.partition import GomoryHuTree, PartitionTree
 from ghtree.single_source import EngineConfig, SingleSourceEngine, TerminalEstimate
@@ -399,9 +401,10 @@ def test_flow_kernel_state_is_private():
 
 
 def test_classic_builds_one_solver_and_no_contracted_graph():
-    """Gomory-Hu derives every flow's solver from one base solver; no
-    function in classic.py builds a solver inside a loop, and the module
-    never contracts a graph or calls the one-shot flow helpers."""
+    """Gomory-Hu derives every flow's solver from one base solver (by
+    ``MaxFlowSolver.split``, inside flow.py); no function in classic.py
+    builds a solver inside a loop, and the module never contracts a graph
+    or calls the one-shot flow helpers."""
     tree = parse(SRC / "classic.py")
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -416,6 +419,21 @@ def test_classic_builds_one_solver_and_no_contracted_graph():
     for loop in ast.walk(tree):
         if isinstance(loop, (ast.For, ast.While)):
             assert not constructions(loop), f"classic.py builds a solver in a loop at line {loop.lineno}"
+
+
+def test_classic_splits_solvers_instead_of_remapping():
+    """``classic_gomory_hu`` derives each super-node's solver from its
+    parent's with ``MaxFlowSolver.split``: it names none of ``remapped``,
+    ``aux_layout`` or ``components_without``, and the solver has no
+    ``remapped``."""
+    tree = parse(SRC / "classic.py")
+    func = next(f for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "classic_gomory_hu")
+    names = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert "split" in names
+    assert not names & {"remapped", "aux_layout", "components_without"}, names
+    assert not hasattr(MaxFlowSolver, "remapped")
 
 
 def test_builders_use_no_perturbation():

@@ -74,13 +74,13 @@ def test_benchmark_tracer_installs_and_uninstalls():
 
 
 def test_tracer_counts_the_classic_builders():
-    """Classic lists the tree's components once per flow and contracts no
-    graph; its traced solves read the remapped solver's folded ``g``.
-    Gusfield only solves."""
+    """Classic neither lists the tree's components nor contracts a graph;
+    its traced solves read the split solvers' folded ``g``.  Gusfield only
+    solves."""
     g = families.clique_chain([5, 6, 5])
     tracer, _ = traced(lambda rep: classic_gomory_hu(g))
     assert tracer.calls["flow.solve"] == g.n - 1
-    assert tracer.calls["partition.components_without"] == g.n - 1
+    assert tracer.calls["partition.components_without"] == 0
     assert tracer.calls["graph.contract"] == tracer.calls["graph.auxiliary_graph"] == 0
     assert tracer.counts["flow.solve.arcs"] > 0
     tracer, _ = traced(lambda rep: gusfield(g))
