@@ -5,20 +5,14 @@ randomized strategy (partial-tree bootstrap, random pivots, and optionally
 doubling stages that sweep each estimate window with one isolating solve
 per candidate), and a fully deterministic variant built on a dynamic
 pivot; both builders split along latest cuts, which need no perturbation
-to be unique.
+to be unique.  Every builder takes any loop-free multigraph, connected or
+not.
 The demand-weighted expander decomposition stays importable, but no
 builder runs it.
 """
 
 from .weights import Weight
-from .graph import (
-    Graph,
-    GraphError,
-    auxiliary_graph,
-    parse_graph,
-    emit_graph,
-    subdivide,
-)
+from .graph import Graph, GraphError, auxiliary_graph, parse_graph, emit_graph
 from .flow import (
     FLOW_CALLS,
     CutSide,
@@ -37,7 +31,7 @@ from .partition import (
     parse_tree,
     to_node_tree,
 )
-from .classic import classic_gomory_hu, gusfield, gusfield_projection, k_partial_tree
+from .classic import classic_gomory_hu, gusfield, k_partial_tree
 from .single_source import (
     EngineConfig,
     EngineError,

@@ -25,6 +25,9 @@ perturbation: every cut they keep is a latest cut (the inclusion-minimal
 terminal side of a minimum cut), which is unique in any graph, and for a
 fixed pivot the latest cuts to all terminals are pairwise disjoint or
 nested (Gomory and Hu's uncrossing).  So the chosen cuts never cross.
+Neither property needs a simple or a connected input, so both builders
+take any loop-free multigraph, as classic and Gusfield do; the paper's
+running-time bound is for simple graphs.
 
 Neither builder solves a terminal that lies inside another terminal's
 balanced latest cut found earlier in the same run: such a terminal is
@@ -45,7 +48,7 @@ from typing import Callable, Iterable, Optional
 from .classic import k_partial_tree
 from .dynamic import _dynamic_pivot_engine
 from .flow import FLOW_CALLS
-from .graph import Graph, GraphError, auxiliary_graph
+from .graph import Graph, auxiliary_graph
 from .partition import AuxLayout, PartitionTree, TreeError
 from .single_source import GAMMA, EngineConfig, SingleSourceEngine
 from .weights import Weight
@@ -117,18 +120,14 @@ def _refine(
 ) -> PartitionTree:
     """The refinement loop both builders share.
 
-    Validates g, records ``fields`` (``algo`` first, ``supers`` among them)
-    in the report, then splits super-nodes, lowest id first, until every
-    one is a single vertex.  ``start()`` gives the starting tree;
-    ``pieces(aux, layout, vi)`` gives the split pieces of super-node vi
-    from its auxiliary graph and that graph's layout.  Reports
-    ``supers``, ``depth`` (the deepest split) and ``flow_calls``.
+    g may be any loop-free multigraph, connected or not.  Records
+    ``fields`` (``algo`` first, ``supers`` among them) in the report, then
+    splits super-nodes, lowest id first, until every one is a single
+    vertex.  ``start()`` gives the starting tree; ``pieces(aux, layout,
+    vi)`` gives the split pieces of super-node vi from its auxiliary graph
+    and that graph's layout.  Reports ``supers``, ``depth`` (the deepest
+    split) and ``flow_calls``.
     """
-    algo = fields["algo"]
-    if not g.simple:
-        raise GraphError(f"{algo} builder needs a simple graph")
-    if not g.is_connected():
-        raise GraphError(f"{algo} builder needs a connected graph")
     rep.update(fields)
     flow0 = FLOW_CALLS.value
     if g.n == 1:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .flow import MaxFlowSolver
 from .graph import Graph
-from .partition import GomoryHuTree, PartitionTree, gh_refine, to_node_tree
+from .partition import PartitionTree, gh_refine, to_node_tree
 from .sparsify import ni_sparsify
 from .weights import Weight, from_scaled
 
@@ -168,19 +168,3 @@ def k_partial_tree(g: Graph, k: int) -> PartitionTree:
         adj[a][b] = w
         adj[b][a] = w
     return PartitionTree(supers, adj)
-
-
-def gusfield_projection(g: Graph, simple_tree: GomoryHuTree) -> PartitionTree:
-    """Cut tree of a multigraph from the tree of its subdivided form.
-
-    Runs the Gusfield scheme but answers every min-cut invocation by a tree
-    query on the subdivided graph's cut-equivalent tree, projecting the side
-    onto the original vertices.  No max-flow calls are made.
-    """
-
-    def solve(s, t):
-        value, side = simple_tree.query(s, t)
-        projected = frozenset(v for v in side if v < g.n)
-        return value, projected
-
-    return _gusfield_frame(g.n, solve)

@@ -22,9 +22,9 @@ import click
 from . import families
 from .analysis import analyze_report
 from .build import RandomizedAbort, build_deterministic, build_randomized
-from .classic import classic_gomory_hu, gusfield, gusfield_projection
+from .classic import classic_gomory_hu, gusfield
 from .flow import FLOW_CALLS, MaxFlowSolver
-from .graph import Graph, GraphError, parse_graph, subdivide
+from .graph import Graph, GraphError, parse_graph
 from .partition import GomoryHuTree, TreeError, parse_tree, to_node_tree
 from .single_source import EngineConfig
 from .weights import from_scaled
@@ -118,13 +118,11 @@ def main():
 @click.option("--seed", type=int, default=None, help="randomness seed (env GHT_SEED as fallback)")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--via-subdivision", is_flag=True,
-              help="accept multigraphs: subdivide, build, project back")
 @click.option("--loop", is_flag=True,
               help="run the doubling stages of the candidate-elimination loop, "
                    "each a sweep of one estimate window (randomized and "
                    "deterministic only)")
-def build(input_path, algo, seed, out_path, report_path, via_subdivision, loop):
+def build(input_path, algo, seed, out_path, report_path, loop):
     """Build a cut-equivalent tree of a graph file."""
     if loop and algo not in ("randomized", "deterministic"):
         _input_error(f"--loop needs --algo randomized or deterministic, not {algo}")
@@ -135,15 +133,7 @@ def build(input_path, algo, seed, out_path, report_path, via_subdivision, loop):
     FLOW_CALLS.reset()
     t0 = time.perf_counter()
     try:
-        if via_subdivision and algo in ("randomized", "deterministic"):
-            simple, records = subdivide(g)
-            inner = _build_tree(simple, algo, seed, config, report)
-            tree = gusfield_projection(g, to_node_tree(inner))
-            report["subdivided_nodes"] = simple.n
-        else:
-            if algo in ("randomized", "deterministic") and not g.simple:
-                _input_error("input is a multigraph; use --via-subdivision")
-            tree = _build_tree(g, algo, seed, config, report)
+        tree = _build_tree(g, algo, seed, config, report)
     except RandomizedAbort as exc:
         click.echo(f"abort: {exc}", err=True)
         sys.exit(EXIT_ABORT)

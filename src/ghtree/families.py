@@ -87,4 +87,4 @@ def random_multigraph(n: int, p: float, max_mult: int, seed: int | None = None) 
             if rng.random() < p:
                 for _ in range(rng.randint(1, max_mult)):
                     pairs.append((u, v))
-    return Graph.from_edges(n, pairs, simple=False)
+    return Graph.from_edges(n, pairs)

@@ -1,4 +1,4 @@
-"""Undirected loop-free multigraph with contraction and subdivision.
+"""Undirected loop-free multigraph with contraction.
 
 Nodes are indices 0..n-1.  A node that stands for one original vertex
 records its id in ``orig_id``; a contracted node records None, and every
@@ -26,8 +26,8 @@ class GraphError(ValueError):
 
 class Graph:
     __slots__ = (
-        "n", "edges", "orig_id", "member_count", "simple", "unit",
-        "_adj", "_index_of", "_connected",
+        "n", "edges", "orig_id", "member_count", "unit",
+        "_adj", "_index_of", "_connected", "_simple",
     )
 
     def __init__(
@@ -37,7 +37,6 @@ class Graph:
         *,
         orig_id: Optional[Sequence[Optional[int]]] = None,
         member_count: Optional[Sequence[int]] = None,
-        simple: bool = False,
         unit: int = 1,
         validate: bool = True,
     ):
@@ -48,24 +47,22 @@ class Graph:
         self.orig_id: tuple[Optional[int], ...] = tuple(orig_id)
         self.member_count: tuple[int, ...] = (
             (1,) * n if member_count is None else tuple(member_count))
-        self.simple = simple
         self.unit = unit
         self._adj: Optional[list[dict[int, tuple[int, int]]]] = None
         self._index_of: Optional[dict[int, int]] = None
         self._connected: Optional[bool] = None
+        self._simple: Optional[bool] = None
         if validate:
             for (u, v), (mult, eps) in self.edges.items():
                 if not (0 <= u < v < n):
                     raise GraphError(f"bad edge key ({u},{v})")
                 if mult < 1 or eps < 0:
                     raise GraphError(f"bad edge data ({mult},{eps})")
-            if simple and any(m != 1 or e != 0 for m, e in self.edges.values()):
-                raise GraphError("a simple graph has no parallel or perturbed edges")
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_edges(n: int, pairs: Iterable[tuple[int, int]], *, simple: bool = True) -> "Graph":
+    def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build from (u, v) pairs; repeated pairs accumulate multiplicity."""
         edges: dict[tuple[int, int], tuple[int, int]] = {}
         for u, v in pairs:
@@ -74,14 +71,12 @@ class Graph:
             key = (u, v) if u < v else (v, u)
             mult, eps = edges.get(key, (0, 0))
             edges[key] = (mult + 1, eps)
-        is_simple = simple and all(m == 1 for m, _ in edges.values())
-        return Graph(n, edges, simple=is_simple)
+        return Graph(n, edges)
 
-    def with_edges(self, edges, *, unit: Optional[int] = None, simple: Optional[bool] = None) -> "Graph":
+    def with_edges(self, edges, *, unit: Optional[int] = None) -> "Graph":
         """Copy of this graph with a replaced edge map (same node book-keeping)."""
         return Graph(
             self.n, edges, orig_id=self.orig_id, member_count=self.member_count,
-            simple=self.simple if simple is None else simple,
             unit=self.unit if unit is None else unit,
             validate=False,
         )
@@ -97,6 +92,13 @@ class Graph:
                 a[v][u] = data
             self._adj = a
         return self._adj
+
+    @property
+    def simple(self) -> bool:
+        """No parallel and no perturbed edge: every edge is (1, 0)."""
+        if self._simple is None:
+            self._simple = all(data == (1, 0) for data in self.edges.values())
+        return self._simple
 
     @property
     def index_of(self) -> dict[int, int]:
@@ -199,7 +201,7 @@ class Graph:
                 m0, e0 = get(key, (0, 0))
                 edges[key] = (m0 + m, e0 + e)
         return Graph(n, edges, orig_id=orig, member_count=count,
-                     simple=False, unit=self.unit, validate=False)
+                     unit=self.unit, validate=False)
 
 
 # -- spec operations ---------------------------------------------------------
@@ -219,32 +221,6 @@ def auxiliary_graph(g: Graph, tree, super_id: int) -> tuple[Graph, AuxLayout]:
     """
     layout = tree.aux_layout(super_id)
     return g.contract(layout.index, layout.n, len(layout.kept)), layout
-
-
-def subdivide(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
-    """Replace every edge instance (u,v) by a length-2 path u-mid-v.
-
-    The output is simple with n + m nodes (m counts multiplicity).  Returns
-    the new graph and one (u, v, mid) record per original edge instance.
-    """
-    if any(e for _, e in g.edges.values()):
-        raise GraphError("subdivide expects an unperturbed graph")
-    pairs: list[tuple[int, int]] = []
-    records: list[tuple[int, int, int]] = []
-    nxt = g.n
-    for (u, v) in sorted(g.edges):
-        mult = g.edges[(u, v)][0]
-        for _ in range(mult):
-            pairs.append((u, nxt))
-            pairs.append((nxt, v))
-            records.append((u, v, nxt))
-            nxt += 1
-    edges = {}
-    for a, b in pairs:
-        key = (a, b) if a < b else (b, a)
-        edges[key] = (1, 0)
-    out = Graph(nxt, edges, simple=True)
-    return out, records
 
 
 # -- text format -------------------------------------------------------------
@@ -298,9 +274,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing header")
-    edges = {k: (m, 0) for k, m in pairs.items()}
-    simple = all(m == 1 for m in pairs.values())
-    return Graph(n, edges, simple=simple)
+    return Graph(n, {k: (m, 0) for k, m in pairs.items()})
 
 
 def emit_graph(g: Graph) -> str:

@@ -60,7 +60,7 @@ def ni_sparsify(g: Graph, w: int) -> Graph:
             break
 
     edges = {key: (m, 0) for key, m in sorted(taken.items())}
-    return g.with_edges(edges, unit=1, simple=False)
+    return g.with_edges(edges, unit=1)
 
 
 def perturb(g: Graph, seed: int | None = None) -> Graph:
@@ -86,7 +86,7 @@ def perturb(g: Graph, seed: int | None = None) -> Graph:
         edges[key] = (m, rng.randint(1, hi))
     if sum(e for _, e in edges.values()) >= unit:
         raise GraphError("perturbation units sum to a whole edge")
-    return g.with_edges(edges, unit=unit, simple=False)
+    return g.with_edges(edges, unit=unit)
 
 
 def perturbed_sparsifier(g: Graph, g_pert: Graph, w: int) -> Graph:
@@ -106,4 +106,4 @@ def perturbed_sparsifier(g: Graph, g_pert: Graph, w: int) -> Graph:
         full = g.edges[key][0]
         eps = g_pert.edges[key][1] if m == full else 0
         edges[key] = (m, eps)
-    return g_pert.with_edges(edges, unit=g_pert.unit, simple=False)
+    return g_pert.with_edges(edges, unit=g_pert.unit)

@@ -516,7 +516,7 @@ def classic_via_contract(g: Graph) -> PartitionTree:
     if g.n == 1:
         return PartitionTree.single(1)
     # identity node book-keeping, so every node of a contracted input is original
-    g = Graph(g.n, g.edges, simple=g.simple, unit=g.unit, validate=False)
+    g = Graph(g.n, g.edges, unit=g.unit, validate=False)
     t = PartitionTree.single(g.n)
     while True:
         pending = [i for i, s in t.super_nodes.items() if len(s) > 1]

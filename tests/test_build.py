@@ -19,12 +19,19 @@ from ghtree.build import (
 from ghtree.classic import gusfield
 from ghtree.dynamic import DynamicPivotEngine, _dynamic_pivot_engine
 from ghtree.flow import FLOW_CALLS, latest_min_cut
-from ghtree.graph import Graph, GraphError
+from ghtree.graph import Graph
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.weights import Weight
 
-from oracles import all_pairs_oracle, enum_latest_all, enum_min_sides, planted_partition
+from oracles import (
+    all_pairs_oracle,
+    enum_latest_all,
+    enum_min_sides,
+    planted_partition,
+    verify_partition_tree,
+    verify_tree_edge_flows,
+)
 
 
 def assert_oracle_equal(g, tree):
@@ -57,11 +64,25 @@ def test_randomized_seed_suite_with_depth_bound():
         assert rep["depth"] <= 2 * math.log(max(2, n)) / math.log(4 / 3)
 
 
-def test_randomized_rejects_bad_input():
-    with pytest.raises(GraphError):
-        build_randomized(Graph.from_edges(3, [(0, 1), (0, 1)], simple=False), seed=0)
-    with pytest.raises(GraphError):
-        build_randomized(Graph.from_edges(4, [(0, 1), (2, 3)]), seed=0)
+def test_paper_builders_take_multigraphs_and_disconnected_graphs():
+    """A multigraph and a disconnected graph go straight into both paper
+    builders: latest cuts are unique and laminar in any graph."""
+    for g in (Graph.from_edges(3, [(0, 1), (0, 1)]),
+              Graph.from_edges(4, [(0, 1), (2, 3)])):
+        assert_oracle_equal(g, build_randomized(g, seed=0))
+        assert_oracle_equal(g, build_deterministic(g))
+
+
+def test_paper_builders_certify_on_a_large_multigraph():
+    """n = 300 with 4,606 edge instances, too large for the all-pairs
+    oracle: every tree edge's fundamental cut weighs its value in g, and a
+    max-flow between its ends does too, which makes the tree
+    cut-equivalent."""
+    g = families.random_multigraph(300, 0.04, 4, seed=7)
+    assert g.edge_instances == 4606 and not g.simple
+    for t in (build_randomized(g, seed=7), build_deterministic(g)):
+        assert verify_partition_tree(t, g)
+        verify_tree_edge_flows(g, to_node_tree(t))
 
 
 def test_is_good_pivot():

@@ -4,15 +4,15 @@ import random
 import pytest
 
 from ghtree import families
+from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import (
     _gusfield_frame,
     classic_gomory_hu,
     gusfield,
-    gusfield_projection,
     k_partial_tree,
 )
 from ghtree.flow import FLOW_CALLS, MaxFlowSolver
-from ghtree.graph import Graph, auxiliary_graph, subdivide
+from ghtree.graph import Graph, auxiliary_graph
 from ghtree.partition import GomoryHuTree, to_node_tree
 from ghtree.sparsify import perturb, perturbed_sparsifier
 from ghtree.weights import Weight, from_scaled
@@ -120,9 +120,10 @@ def test_classic_matches_contract_path():
 
 
 def test_classic_disconnected():
-    """Both classic builders handle several components with no special
-    case: cuts between components have value 0."""
-    for builder in (classic_gomory_hu, gusfield):
+    """All four builders handle several components with no special case:
+    cuts between components have value 0."""
+    for builder in (classic_gomory_hu, gusfield, build_deterministic,
+                    lambda g: build_randomized(g, seed=0)):
         g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
         t = to_node_tree(builder(g))
         assert t.query(0, 3)[0] == Weight(0, 0)
@@ -270,23 +271,6 @@ def test_k_partial_disconnected_input():
     ns = node_super(t1)
     for (u, v), lam in oracle.items():
         assert (ns[u] != ns[v]) == (lam.base <= 1)
-
-
-def test_gusfield_projection_round_trip():
-    rng = random.Random(14)
-    for _ in range(10):
-        n = rng.randint(3, 8)
-        g = families.random_multigraph(n, 0.6, 3, seed=rng.randrange(2 ** 32))
-        if not g.edges:
-            continue
-        simple, _ = subdivide(g)
-        inner = to_node_tree(classic_gomory_hu(simple))
-        projected = gusfield_projection(g, inner)
-        direct = classic_gomory_hu(g)
-        nt_p, nt_d = to_node_tree(projected), to_node_tree(direct)
-        for u in range(n):
-            for v in range(u + 1, n):
-                assert nt_p.query(u, v)[0].base == nt_d.query(u, v)[0].base
 
 
 def test_gusfield_frame_matches_full_scan():

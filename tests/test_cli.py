@@ -49,33 +49,37 @@ def test_build_query_verify_round_trip(tmp_path, runner):
 def test_build_and_verify_every_algo_under_python_O(tmp_path):
     """Every builder's invariants are exceptions, not asserts, so under
     ``python -O`` each ``ght build`` still writes a tree that ``ght verify``
-    passes, exit codes included."""
-    gp = write_graph(tmp_path / "g.gr", families.clique_chain([5, 6, 5]))
+    passes, exit codes included, on a simple graph and on a multigraph."""
+    graphs = {"simple": families.clique_chain([5, 6, 5]),
+              "multi": families.random_multigraph(12, 0.4, 3, seed=8)}
+    paths = [write_graph(tmp_path / f"{name}.gr", g) for name, g in graphs.items()]
     code = (
         "import sys\n"
         "from ghtree.cli import main\n"
-        "gp, out = sys.argv[1:]\n"
-        "for algo in ('classic', 'gusfield', 'randomized', 'deterministic'):\n"
-        "    tree = f'{out}/{algo}.tree'\n"
-        "    for args in (['build', gp, '--algo', algo, '--seed', '0', '--out', tree],\n"
-        "                 ['verify', gp, tree]):\n"
-        "        try:\n"
-        "            main(args)\n"
-        "        except SystemExit as exc:\n"
-        "            print('exit', algo, args[0], exc.code)\n"
+        "out, *paths = sys.argv[1:]\n"
+        "for k, gp in enumerate(paths):\n"
+        "    for algo in ('classic', 'gusfield', 'randomized', 'deterministic'):\n"
+        "        tree = f'{out}/{algo}{k}.tree'\n"
+        "        for args in (['build', gp, '--algo', algo, '--seed', '0', '--out', tree],\n"
+        "                     ['verify', gp, tree]):\n"
+        "            try:\n"
+        "                main(args)\n"
+        "            except SystemExit as exc:\n"
+        "                print('exit', k, algo, args[0], exc.code)\n"
         "print('optimize', sys.flags.optimize)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code, gp, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path), *paths], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert "optimize 1" in lines
-    for algo in ("classic", "gusfield", "randomized", "deterministic"):
-        assert f"exit {algo} build 0" in lines, out.stdout
-        assert f"exit {algo} verify 0" in lines, out.stdout
-    assert sum(line.startswith("pass:") for line in lines) == 4, out.stdout
+    for k in range(len(paths)):
+        for algo in ("classic", "gusfield", "randomized", "deterministic"):
+            assert f"exit {k} {algo} build 0" in lines, out.stdout
+            assert f"exit {k} {algo} verify 0" in lines, out.stdout
+    assert sum(line.startswith("pass:") for line in lines) == 8, out.stdout
 
 
 def test_build_all_algos(tmp_path, runner):
@@ -142,17 +146,25 @@ def test_verify_compares_whole_weights(tmp_path, runner, mode):
     assert "FAIL pair (1,2): tree 1.7, flow 1.0" in res.output
 
 
-def test_multigraph_requires_subdivision_flag(tmp_path, runner):
-    gp = write_graph(tmp_path / "m.gr", families.random_multigraph(5, 0.7, 3, seed=2))
-    res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
+@pytest.mark.parametrize("g", [
+    pytest.param(families.random_multigraph(9, 0.5, 3, seed=2), id="multigraph"),
+    pytest.param(families.random_multigraph(9, 0.2, 3, seed=1), id="disconnected"),
+])
+def test_build_takes_multigraphs_and_disconnected_graphs(tmp_path, runner, g):
+    """Every builder takes a multigraph or a disconnected graph as it is,
+    and ``ght verify`` passes its tree; the old subdivision flag is an
+    unknown option."""
+    gp = write_graph(tmp_path / "g.gr", g)
+    for algo in ("classic", "gusfield", "randomized", "deterministic"):
+        tree = str(tmp_path / f"{algo}.tree")
+        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "3",
+                                   "--out", tree])
+        assert res.exit_code == 0, (algo, res.output)
+        res = runner.invoke(main, ["verify", gp, tree])
+        assert res.exit_code == 0, (algo, res.output)
+    res = runner.invoke(main, ["build", gp, "--via-subdivision",
                                "--out", str(tmp_path / "x.tree")])
-    assert res.exit_code == 4
-    res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
-                               "--via-subdivision",
-                               "--out", str(tmp_path / "m.tree")])
-    assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["verify", gp, str(tmp_path / "m.tree")])
-    assert res.exit_code == 0
+    assert res.exit_code == 4, res.output
 
 
 def test_input_error_exit_code(tmp_path, runner):

@@ -6,9 +6,8 @@ value for every pair of nodes, and every side a tree returns must have that
 cut weight in the input graph.  Up to 12 nodes the values are also checked
 against a brute-force enumeration of all cuts.  Graphs come from the
 families the benchmark corpus is drawn from (G(n, p), clique chains,
-planted partitions) and a few shaped ones; multigraphs reach the paper
-builders through their subdivision, as ``ght build --via-subdivision``
-does.
+planted partitions) and a few shaped ones, and random multigraphs,
+connected or not, which every builder takes directly.
 """
 
 import random
@@ -17,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ghtree import families
 from ghtree.build import build_deterministic, build_randomized
-from ghtree.classic import classic_gomory_hu, gusfield, gusfield_projection
+from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.flow import FLOW_CALLS
-from ghtree.graph import subdivide
 from ghtree.partition import to_node_tree
 from ghtree.single_source import EngineConfig, SingleSourceEngine, single_source_mincuts
 
@@ -41,7 +39,7 @@ GRAPHS = st.one_of(
 
 MULTIGRAPHS = st.builds(families.random_multigraph, st.integers(3, 8),
                         st.sampled_from([0.4, 0.7]), st.integers(2, 3),
-                        seed=SEEDS).filter(lambda g: g.is_connected())
+                        seed=SEEDS)
 
 
 def brute_force_values(g):
@@ -70,19 +68,14 @@ def tree_values(g, tree):
     return out
 
 
-def all_trees(g, seed, simple=None):
-    """Every builder's tree of g; the paper builders' built from
-    ``simple`` (g's subdivision) and projected back when it is given."""
+def all_trees(g, seed):
+    """Every builder's tree of g, the paper builders' with the loop off and
+    on."""
     trees = {"classic": classic_gomory_hu(g), "gusfield": gusfield(g)}
-    h = g if simple is None else simple
     for loop in (False, True):
         cfg = EngineConfig(loop_enabled=loop, seed=seed)
-        built = {"randomized": build_randomized(h, seed=seed, config=cfg),
-                 "deterministic": build_deterministic(h, config=cfg)}
-        for name, tree in built.items():
-            if simple is not None:
-                tree = gusfield_projection(g, to_node_tree(tree))
-            trees[f"{name}/{loop}"] = tree
+        trees[f"randomized/{loop}"] = build_randomized(g, seed=seed, config=cfg)
+        trees[f"deterministic/{loop}"] = build_deterministic(g, config=cfg)
     return trees
 
 
@@ -104,7 +97,7 @@ def test_builders_agree(g, seed):
 @settings(max_examples=25, deadline=None)
 @given(g=MULTIGRAPHS, seed=st.integers(0, 2 ** 16))
 def test_builders_agree_on_multigraphs(g, seed):
-    assert_builders_agree(g, all_trees(g, seed, subdivide(g)[0]))
+    assert_builders_agree(g, all_trees(g, seed))
 
 
 @settings(max_examples=40, deadline=None)

@@ -165,7 +165,7 @@ def graphs(draw):
             edges += [(u, v)] * mult
     if not edges:
         return None
-    g = Graph.from_edges(n, edges, simple=draw(st.booleans()))
+    g = Graph.from_edges(n, edges)
     if draw(st.booleans()):
         g = perturb(g, seed=draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     return g

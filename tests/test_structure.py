@@ -25,7 +25,10 @@ and the neighbors on a side), so no builder expands a cut to original
 vertices.  One layout numbers every auxiliary graph the paper builders
 contract into a ``Graph``, and graphs keep no member sets.  The classic
 builder needs no layout: it splits each super-node's solver into its
-children's instead of remapping the input's arcs per flow.
+children's instead of remapping the input's arcs per flow.  Every builder
+takes any loop-free multigraph, connected or not, so no builder refuses an
+input graph, nothing subdivides one, and whether a graph is simple is read
+from its edges, never passed in.
 """
 
 import ast
@@ -348,6 +351,21 @@ def test_one_auxiliary_graph_layout():
                   if isinstance(node, (ast.Name, ast.Subscript)) and isinstance(node.ctx, ast.Store)
                   and "index" in ast.unparse(node)]
         assert not stores, f"{path.name} builds an index at lines {stores}"
+
+
+def test_one_input_contract_for_every_builder():
+    """No builder refuses an input graph, so build.py raises no
+    ``GraphError``; the subdivision detour is gone; and ``Graph.simple`` is
+    derived from the edges, so no constructor takes it."""
+    for name in ("subdivide", "gusfield_projection"):
+        assert not hasattr(ghtree, name), name
+    assert not hasattr(ghtree.graph, "subdivide")
+    assert not hasattr(ghtree.classic, "gusfield_projection")
+    for func in (Graph.__init__, Graph.from_edges, Graph.with_edges):
+        assert "simple" not in inspect.signature(func).parameters, func.__name__
+    assert isinstance(inspect.getattr_static(Graph, "simple"), property)
+    names = {node.id for node in ast.walk(parse(SRC / "build.py")) if isinstance(node, ast.Name)}
+    assert "GraphError" not in names
 
 
 def test_graph_has_no_loops():
