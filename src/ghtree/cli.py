@@ -248,11 +248,13 @@ def bench(family, sizes, prob, algos, seed, out_path):
         return {
             "n": n, "m": g.edge_instances, "algo": algo,
             "maxflow_calls": calls, "wall_ms": wall, "depth": report.get("depth", ""),
-            "seed": seed,
+            "pivot_changes": report.get("pivot_changes", ""),
+            "covered": report.get("covered", ""), "seed": seed,
         }
 
     rows = [cell(n, a) for n in size_list for a in algo_list]
-    fields = ["n", "m", "algo", "maxflow_calls", "wall_ms", "depth", "seed"]
+    fields = ["n", "m", "algo", "maxflow_calls", "wall_ms", "depth", "pivot_changes",
+              "covered", "seed"]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

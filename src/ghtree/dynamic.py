@@ -12,9 +12,10 @@ measured in the plain auxiliary graph.  The stage pass lives in single_source; t
 re-exports it as ``splitter_isolating_step`` because the benchmark's
 tracer (perfbench/tracing.py) looks it up here by name.
 A pivot change reads the old pivot's side from the residual graph of the
-solve that triggered it, so it makes no max-flow of its own, and it drops
+solve that triggered it, so it makes no max-flow of its own.  It drops
 every cover (``SingleSourceEngine.covered``), since covers hold for one
-pivot.  This module imports single_source, never the reverse.
+pivot, and then lets the old pivot cover the terminals inside its side.
+This module imports single_source, never the reverse.
 """
 
 from __future__ import annotations
@@ -61,9 +62,13 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     p-side as witness (exact, and still exact for terminals that were
     already done).  Terminals on q's side keep their witnesses, which still
     avoid q, except that a witness containing q is replaced by the degree
-    bound.  The old pivot becomes a terminal with the exact estimate lam.
-    A witness of weight at most lam that holds q contradicts the trigger
-    and raises EngineError before anything changes.
+    bound.  The old pivot becomes a done terminal with the exact estimate
+    lam and the p-side as witness.  Every cover is dropped, and the old
+    pivot then covers the undone terminals on the p-side: the p-side is a
+    balanced minimum (p, q)-cut, so by Gomory and Hu's uncrossing lemma
+    (as in ``SingleSourceEngine.covered``) each one's latest cut lies
+    inside it.  A witness of weight at most lam that holds q contradicts
+    the trigger and raises EngineError before anything changes.
     """
     p = state.pivot_orig
     p_idx, q_idx = state.pivot_idx, state.idx(q)
@@ -103,6 +108,7 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
                 e.witness = frozenset((v_idx,))
                 e.done = False
 
+    state.cover(p)
     state.pivot_changes += 1
 
 

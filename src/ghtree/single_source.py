@@ -13,7 +13,10 @@ Every solve of a run, loop on or off, is made on one solver over the
 auxiliary graph, ``SingleSourceEngine.aux_solver``.
 
 Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
-it skips a terminal that is *covered*, and otherwise settles it.  When
+it skips a terminal that is *covered*, and otherwise settles it.  Every
+sweep goes in one order, ``SingleSourceEngine.sweep_order``: descending
+estimate, ties by id.  Estimates start as degrees, so high-degree terminals
+go first, and their balanced latest cuts cover more terminals.  When
 terminal v settles with a balanced latest cut S_v, every undone terminal u
 inside S_v is covered by v (``SingleSourceEngine.covered``), and u's own
 solve is skipped.  Covered is not done: u's estimate proves nothing.  The
@@ -21,7 +24,9 @@ lemma that makes the skip safe is Gomory and Hu's uncrossing argument:
 L_u ∩ S_v is a minimum (pivot, u)-cut, so u's latest cut L_u is a subset
 of S_v, hence balanced and never a maximal cut of a split.  A builder
 therefore needs only the done terminals' cuts, and counts a covered
-terminal by its coverer's side.  ``run`` ends with the final sweep, which
+terminal by its coverer's side.  After a pivot change, the old pivot
+covers the undone terminals inside its side of the change's cut, by the
+same lemma (dynamic.py).  ``run`` ends with the final sweep, which
 sweeps the terminals neither done nor covered on the auxiliary graph
 until none is left; ``settle_covered`` then solves the covered ones, one
 flow each, for the public ``single_source_mincuts``, whose table is
@@ -30,11 +35,11 @@ entirely done.
 With the loop on, the engine first walks doubling stages from
 w = 2^floor(log2(n)/2).  Stage w's candidates are the terminals neither
 done nor covered whose estimate e satisfies w < e <= 2w; ``stage_w``'s
-pass (``splitter_isolating_step``) sweeps them on the engine's solver.  A
-lone terminal's isolating cut is its latest cut, so each candidate is one
-``latest_cut`` solve, which settles it, covers and may move the pivot
-exactly as in the final sweep.  The paper solves stage w on a
-Nagamochi-Ibaraki sparsifier that keeps every cut of weight at most 2w
+pass (``splitter_isolating_step``) sweeps them, in sweep order, on the
+engine's solver.  A lone terminal's isolating cut is its latest cut, so
+each candidate is one ``latest_cut`` solve, which settles it, covers and
+may move the pivot exactly as in the final sweep.  The paper solves stage
+w on a Nagamochi-Ibaraki sparsifier that keeps every cut of weight at most 2w
 exact, so that a stage costs O(nw) edges; on the graphs measured that
 sparsifier dropped no edge, or too few to pay for building it and a
 second solver, so a stage solves on the auxiliary graph itself.  The
@@ -91,9 +96,11 @@ class EngineConfig:
     fastest at desk scale.  ``loop_enabled`` runs the doubling stages from
     w = 2^floor(log2(n)/2) before the final sweep: stage w sweeps the
     candidates whose estimate lies in (w, 2w] on the engine's solver, one
-    exact solve per candidate not yet covered.  ``seed`` has no effect: no
-    engine step draws random numbers (the randomized builder takes its own
-    seed).  The field stays because the benchmark constructs it.
+    exact solve per candidate not yet covered.  Every sweep, a stage's or
+    the final one, goes in descending estimate, ties by id.  ``seed`` has
+    no effect: no engine step draws random numbers (the randomized builder
+    takes its own seed).  The field stays because the benchmark constructs
+    it.
     """
 
     loop_enabled: bool = False
@@ -254,14 +261,18 @@ class SingleSourceEngine:
 
     # -- stage machinery -------------------------------------------------------
 
+    def sweep_order(self, v: int) -> tuple[int, int, int]:
+        """Sort key of every sweep: descending estimate, ties by id."""
+        value = self.table.entries[v].value
+        return -value.base, -value.eps, v
+
     def candidates(self, w: int) -> list[int]:
-        """Stage w's candidates, in sorted order: the terminals neither done
+        """Stage w's candidates, in sweep order: the terminals neither done
         nor covered whose estimate e satisfies w < e <= 2w."""
         lo, hi = Weight(w, 0), Weight(2 * w, 0)
-        return [
-            v for v, e in sorted(self.table.entries.items())
-            if not e.done and v not in self.covered and lo < e.value <= hi
-        ]
+        return sorted((v for v, e in self.table.entries.items()
+                       if not e.done and v not in self.covered and lo < e.value <= hi),
+                      key=self.sweep_order)
 
     def run(self) -> EstimateTable:
         if self.config.loop_enabled:
@@ -279,14 +290,16 @@ class SingleSourceEngine:
 
     def final_sweep(self) -> None:
         """Sweep the terminals neither done nor covered on the auxiliary
-        graph until none is left: a pivot move can reopen
-        terminals the sweep has passed, and drops every cover."""
+        graph, in sweep order, until none is left: a pivot move can reopen
+        terminals the sweep has passed, and replaces every cover by the
+        old pivot's."""
         flows = FLOW_CALLS.value
         entries = self.table.entries
         guard = 0
         while True:
-            undone = [v for v in self.table.terminals()
-                      if not entries[v].done and v not in self.covered]
+            undone = sorted((v for v, e in entries.items()
+                             if not e.done and v not in self.covered),
+                            key=self.sweep_order)
             if not undone:
                 break
             guard += 1
@@ -351,11 +364,12 @@ def single_source_mincuts(
 
 def stage_w(state: SingleSourceEngine, w: int) -> None:
     """One doubling stage of the elimination loop: one sweep of the
-    candidates (estimates in (w, 2w]) on the engine's solver, which settles
-    each candidate it does not skip with its exact latest cut.  A stage
-    with no candidate is skipped.  Whatever a pivot change reopens falls to
-    later stages and the final sweep.  The report's ``direct_solves`` counts
-    the sweep's flows (the benchmark's tracer sums that key)."""
+    candidates (estimates in (w, 2w]), in sweep order, on the engine's
+    solver, which settles each candidate it does not skip with its exact
+    latest cut.  A stage with no candidate is skipped.  Whatever a pivot
+    change reopens falls to later stages and the final sweep.  The report's
+    ``direct_solves`` counts the sweep's flows (the benchmark's tracer sums
+    that key)."""
     srep: dict = {"w": w}
     candidates = state.candidates(w)
     if not candidates:
@@ -373,9 +387,10 @@ def splitter_isolating_step(
     state: SingleSourceEngine, w: int, candidates: list[int],
 ) -> None:
     """Isolating cuts with the singleton splitter family: one ``sweep`` of
-    the candidates, in the given (sorted) order, on the engine's solver.  A
-    lone terminal's isolating cut is its latest cut, so each is one
-    ``latest_cut`` solve, which ``settle`` records as in the final sweep.
+    the candidates, in the given order (``candidates`` gives sweep order),
+    on the engine's solver.  A lone terminal's isolating cut is its latest
+    cut, so each is one ``latest_cut`` solve, which ``settle`` records as
+    in the final sweep.
     The sweep keeps to stage w's window: a pivot move during the sweep can
     reset a later candidate's estimate to its degree, and one that thereby
     exceeds 2w is passed over, for later stages and the final sweep.

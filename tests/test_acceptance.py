@@ -273,7 +273,8 @@ def test_criterion_09_splitters(monkeypatch):
     """The splitter family is the singletons, for both paper engines: in a
     loop-on build, every stage pass solves its candidates alone on the
     engine's one solver, ``aux_solver`` (a lone terminal's isolating cut is
-    its latest cut), each at most once, in sorted order, in one pass; the
+    its latest cut), each at most once, in one pass, in sweep order
+    (descending estimate, ties by id) as the pass starts; the
     candidates it does not solve are exactly those covered when their turn
     came."""
     steps = []
@@ -284,11 +285,14 @@ def test_criterion_09_splitters(monkeypatch):
         nonlocal running
         running = (state, [])
         solves = running[1]
+        # descending estimate, ties by id, as the pass starts
+        estimate = state.table.estimate
+        order = sorted(candidates, key=lambda v: (estimate(v), -v), reverse=True)
         try:
             step(state, w, candidates)
         finally:
             running = None
-        steps.append((list(candidates), solves, set(state.covered)))
+        steps.append((list(candidates), order, solves, set(state.covered)))
 
     def recording_solve(solver, s, t):
         if running is not None:
@@ -311,8 +315,8 @@ def test_criterion_09_splitters(monkeypatch):
             before = len(steps)
             tree = build(g, config=EngineConfig(loop_enabled=True))
             assert len(steps) > before, f"{name}: no stage offered a candidate"
-            for cand, solves, covered_after in steps[before:]:
-                assert cand == sorted(cand), name
+            for cand, order, solves, covered_after in steps[before:]:
+                assert cand == order, name
                 # the covers in force at each turn: those before the next
                 # solve, or after the pass once no solve is left
                 turns = iter(solves + [(None, covered_after)])

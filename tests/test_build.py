@@ -274,20 +274,24 @@ def _lemma_graphs():
                                     seed=rng.randrange(2 ** 32)) for _ in range(8)]
     graphs += [families.clique_chain([5, 8, 5]), families.clique_chain([4] * 8),
                families.clique_chain([6, 3, 6, 3]), families.dumbbell(6, bridges=2),
-               families.dumbbell(9, bridges=4), families.dumbbell(12, 3)]
+               families.dumbbell(9, bridges=4), families.dumbbell(12, 3),
+               families.clique_chain([6, 9, 11]), families.clique_chain([3, 3, 3, 5])]
     return graphs
 
 
 @pytest.mark.parametrize("engine_kind", ["dynamic", "randomized"])
-def test_covered_terminal_cut_inside_coverer(engine_kind):
+def test_covered_terminal_cut_inside_coverer(engine_kind, pivot_change_events):
     """The lemma behind the skip: for every covered terminal u with coverer
     v, u's own latest cut (solved directly) lies inside v's witness and is
     balanced.  Runs start at the deterministic builder's pivot and at
     every third node, from many of which the dynamic pivot moves while
-    covers are held."""
-    checked = 0
+    covers are held.  A former pivot covers the terminals inside its side
+    of the change's cut (``pivot_change``), and some checked covers are
+    such."""
+    checked = by_old_pivot = 0
     for g in _lemma_graphs():
         for start in (None, *range(0, g.n, 3)):
+            pivot_change_events.clear()
             if engine_kind == "randomized":
                 engine = SingleSourceEngine(g, g, start or 0)
                 engine.run()
@@ -303,23 +307,44 @@ def test_covered_terminal_cut_inside_coverer(engine_kind):
                 assert cut.side <= engine.table.witness(v), (g.n, u, v)
                 assert engine.good(cut.side)
                 checked += 1
+                by_old_pivot += any(event["old"] == v for event in pivot_change_events)
     assert checked >= 40, checked
+    assert by_old_pivot > 0 or engine_kind == "randomized", by_old_pivot
 
 
 def test_deterministic_flow_pins():
     """Skipping covered terminals: clique_chain([10]*20) took 735 flows and
     dumbbell(12, 3) 34 when every terminal was solved.  Loop on, the stages
     skip covered terminals too: clique_chain([10]*20) took 735 flows when
-    only the final sweep did."""
+    only the final sweep did.  It took 437 when sweeps went in id order and
+    a former pivot covered nothing."""
     chain = families.clique_chain([10] * 20)
-    for g, cfg, most in ((chain, None, 437),
+    for g, cfg, most in ((chain, None, 242),
                          (families.dumbbell(12, 3), None, 23),
-                         (chain, EngineConfig(loop_enabled=True), 437)):
+                         (chain, EngineConfig(loop_enabled=True), 242)):
         FLOW_CALLS.reset()
         rep = {}
         build_deterministic(g, config=cfg, report=rep)
         assert FLOW_CALLS.value <= most, (g.n, FLOW_CALLS.value)
         assert rep["covered"] > 0
+
+
+@pytest.mark.parametrize("graph,loop,flows", [
+    pytest.param(lambda: families.clique_chain([16] * 8), False, 134, id="clique_chain_16x8"),
+    pytest.param(lambda: planted_partition(5, 24, 0.5, 0.01, seed=42), False, 119,
+                 id="planted_5x24"),
+    pytest.param(lambda: families.er_connected(200, 0.045, seed=42), False, 199, id="er_200"),
+    pytest.param(lambda: planted_partition(4, 16, 0.5, 0.03, seed=42), True, 63,
+                 id="planted_4x16_loop"),
+])
+def test_deterministic_flows_on_benchmark_graphs(graph, loop, flows):
+    """The deterministic builder's exact flow count on each benchmark graph
+    (corpus seed 42, the benchmark's engine setting).  clique_chain([16]*8)
+    took 206 when sweeps went in id order and a former pivot covered
+    nothing; Gusfield takes 127 there."""
+    FLOW_CALLS.reset()
+    build_deterministic(graph(), config=EngineConfig(loop_enabled=loop))
+    assert FLOW_CALLS.value == flows
 
 
 def test_loop_enabled_builders():
@@ -335,7 +360,7 @@ def test_loop_enabled_builders():
 @pytest.mark.parametrize("graph,most", [
     pytest.param("planted_4x16", (63, 108), id="planted_4x16"),
     pytest.param("clique_chain_8x3", (30, 44), id="clique_chain_8x3"),
-    pytest.param("clique_chain_16x8", (206, 247), id="clique_chain_16x8"),
+    pytest.param("clique_chain_16x8", (134, 247), id="clique_chain_16x8"),
     pytest.param("er_200", (199, 212), id="er_200"),
 ])
 def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):

@@ -302,19 +302,21 @@ def test_sampled_verify_single_node_passes(tmp_path, runner):
     assert "pass: 0 pairs verified" in res.output
 
 
-def standalone_flow_calls(n, algo, prob, seed):
-    """FLOW_CALLS delta of one bench cell built outside the CLI."""
+def standalone_cell(n, algo, prob, seed):
+    """FLOW_CALLS delta and build report of one bench cell built outside the
+    CLI."""
     g = families.er_connected(n, prob, seed=seed + n)
     flow0 = FLOW_CALLS.value
+    report = {}
     if algo == "classic":
         classic_gomory_hu(g)
     elif algo == "gusfield":
         gusfield(g)
     elif algo == "randomized":
-        build_randomized(g, seed=seed, config=EngineConfig(seed=seed))
+        build_randomized(g, seed=seed, config=EngineConfig(seed=seed), report=report)
     else:
-        build_deterministic(g, config=EngineConfig(seed=seed))
-    return FLOW_CALLS.value - flow0
+        build_deterministic(g, config=EngineConfig(seed=seed), report=report)
+    return FLOW_CALLS.value - flow0, report
 
 
 def test_bench_csv_fields(tmp_path, runner):
@@ -327,12 +329,15 @@ def test_bench_csv_fields(tmp_path, runner):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 8
     assert list(rows[0]) == ["n", "m", "algo", "maxflow_calls", "wall_ms",
-                             "depth", "seed"]
+                             "depth", "pivot_changes", "covered", "seed"]
     ns = [int(r["n"]) for r in rows]
     assert ns == sorted(ns)
     for r in rows:
-        assert int(r["maxflow_calls"]) == standalone_flow_calls(
-            int(r["n"]), r["algo"], 0.4, 3), r
+        calls, report = standalone_cell(int(r["n"]), r["algo"], 0.4, 3)
+        assert int(r["maxflow_calls"]) == calls, r
+        # blank where the builder reports no such count
+        for key in ("pivot_changes", "covered"):
+            assert r[key] == str(report.get(key, "")), (key, r)
 
 
 def test_analyze_json(tmp_path, runner):

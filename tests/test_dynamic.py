@@ -175,7 +175,7 @@ def test_change_preserves_latest_witnesses(pivot_change_events):
     post-change witness is the latest cut for the new pivot (enumerated)."""
     rng = random.Random(47)
     audited = 0
-    for _ in range(20):
+    for _ in range(40):
         n = rng.randint(5, 10)
         g = families.er_connected(n, rng.choice([0.3, 0.5]),
                                   seed=rng.randrange(2 ** 32))
