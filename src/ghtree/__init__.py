@@ -17,6 +17,7 @@ from .flow import (
     FLOW_CALLS,
     CutSide,
     MaxFlowSolver,
+    certify,
     latest_min_cut,
     max_flow_min_cut,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import random
 import sys
 import time
 from contextlib import contextmanager
@@ -23,11 +22,10 @@ from . import families
 from .analysis import analyze_report
 from .build import RandomizedAbort, build_deterministic, build_randomized
 from .classic import classic_gomory_hu, gusfield
-from .flow import FLOW_CALLS, MaxFlowSolver
+from .flow import FLOW_CALLS, certify
 from .graph import Graph, GraphError, parse_graph
 from .partition import GomoryHuTree, TreeError, parse_tree, to_node_tree
 from .single_source import EngineConfig
-from .weights import from_scaled
 
 EXIT_VERIFY_FAIL = 2
 EXIT_ABORT = 3
@@ -169,41 +167,17 @@ def query(tree_path, u, v):
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True))
 @click.argument("tree_path", type=click.Path(exists=True))
-@click.option("--mode", type=click.Choice(["full-oracle", "sampled"]), default="full-oracle")
-@click.option("--samples", type=int, default=200)
-@click.option("--seed", type=int, default=None)
-@click.option("--oracle-limit", type=int, default=64)
-def verify(graph_path, tree_path, mode, samples, seed, oracle_limit):
-    """Check a tree against direct max-flow computations."""
+def verify(graph_path, tree_path):
+    """Prove a tree cut-equivalent: every tree edge's fundamental cut and
+    its endpoints' max flow equal its weight (n - 1 flows)."""
     g = _load_graph(graph_path)
     tree = _load_tree(tree_path, g.n)
-    if mode == "full-oracle":
-        if g.n > oracle_limit:
-            _input_error(f"full-oracle limited to {oracle_limit} nodes")
-        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    else:
-        if samples < 1:
-            _input_error(f"--samples must be at least 1, not {samples}")
-        rng = random.Random(_seed_option(seed))
-        pairs = []
-        seen = set()
-        while len(pairs) < min(samples, g.n * (g.n - 1) // 2):
-            u, v = rng.sample(range(g.n), 2)
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-    sol = MaxFlowSolver(g)
-    for u, v in pairs:
-        tree_val, side = tree.query(u, v)
-        direct = from_scaled(sol.solve(u, v), g.unit)
-        recomputed = g.cut_weight(side)
-        if tree_val != direct or recomputed != tree_val:
-            click.echo(
-                f"FAIL pair ({u + 1},{v + 1}): tree {tree_val}, "
-                f"flow {direct}, bipartition {recomputed}")
-            sys.exit(EXIT_VERIFY_FAIL)
-    click.echo(f"pass: {len(pairs)} pairs verified")
+    failure = certify(g, tree)
+    if failure:
+        (u, v, w), half, got = failure
+        click.echo(f"FAIL tree edge ({u + 1},{v + 1}) weight {w}: {half} {got}")
+        sys.exit(EXIT_VERIFY_FAIL)
+    click.echo(f"pass: {tree.n - 1} tree edges certified")
 
 
 @main.command()

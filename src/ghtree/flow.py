@@ -10,7 +10,8 @@ current-arc index per node and drops the nodes it backs out of.  The
 residual searches of ``source_side`` and ``sink_side`` give the
 inclusion-minimal minimum-cut sides, which are the same for every maximum
 flow, so every cut this module returns is independent of the flow the
-kernel happens to find.  ``MaxFlowSolver.split`` derives the solvers of
+kernel happens to find.  ``certify`` proves a tree cut-equivalent in
+n - 1 flows.  ``MaxFlowSolver.split`` derives the solvers of
 both sides of a cut, each with the other side merged into one node, from
 an existing solver's arcs, without building a contracted ``Graph``: arcs
 inside the merged side are dropped and parallel arcs are kept as they
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import AbstractSet
 
 from .graph import Graph, GraphError
+from .partition import GomoryHuTree
 from .weights import Weight, from_scaled
 
 
@@ -338,3 +340,41 @@ def latest_min_cut(g: Graph, s: int, t: int, *, wrt: int | None = None) -> CutSi
     val = sol.solve(s, t)
     side = sol.sink_side(t)
     return CutSide(side=side, value=from_scaled(val, g.unit), s=s, t=t)
+
+
+def certify(g: Graph, tree: GomoryHuTree) -> tuple[tuple[int, int, Weight], str, Weight] | None:
+    """None if ``tree`` is cut-equivalent to ``g``, else the first failing
+    tree edge (u < v, w), the half it fails and the value measured.
+
+    Each tree edge (u, v, w) needs a fundamental cut (its subtree's side)
+    of weight w and lambda(u, v) = w: a pair's lightest path edge's cut
+    bounds its lambda above, and the triangle inequality bounds it below.
+    A graph edge adds its weight at both ends and twice that off at their
+    LCA, so a subtree's sum is its cut.  Flows start in the subtree,
+    usually the small side, so each solve's last search stays short.
+    """
+    parent, depth, unit = tree.parent, tree.depth, g.unit
+    leaving = [0] * tree.n
+    for (u, v), (m, e) in g.edges.items():
+        c = m * unit + e
+        leaving[u] += c
+        leaving[v] += c
+        while u != v:
+            if depth[u] >= depth[v]:
+                u = parent[u]
+            else:
+                v = parent[v]
+        leaving[u] -= 2 * c
+    for v in reversed(tree.order[1:]):
+        leaving[parent[v]] += leaving[v]
+    edges = [(a, b, w, a if parent[a] == b else b) for a, b, w in tree.edges()]
+    for a, b, w, below in edges:
+        got = from_scaled(leaving[below], unit)
+        if got != w:
+            return (a, b, w), "fundamental cut", got
+    sol = MaxFlowSolver(g)
+    for a, b, w, below in edges:
+        got = from_scaled(sol.solve(below, parent[below]), unit)
+        if got != w:
+            return (a, b, w), "flow", got
+    return None

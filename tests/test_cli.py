@@ -130,20 +130,30 @@ def test_verify_detects_corruption(tmp_path, runner):
     bad.write_text(text)
     res = runner.invoke(main, ["verify", gp, str(bad)])
     assert res.exit_code == 2
-    assert "FAIL pair" in res.output
+    assert "FAIL tree edge" in res.output
 
 
-@pytest.mark.parametrize("mode", ["full-oracle", "sampled"])
-def test_verify_compares_whole_weights(tmp_path, runner, mode):
+def test_verify_compares_whole_weights(tmp_path, runner):
     """A tree weight with a fractional part the graph cannot have is a
     wrong weight, not a match on its whole part: on the path 1-2-3, the
-    edge 1-2 weighs 1, not 1.7."""
+    edge 1-2 weighs 1, not 1.7, and its fundamental cut says so."""
     gp = write_graph(tmp_path / "g.gr", families.path(3))
     bad = tmp_path / "bad.tree"
     bad.write_text("t 3\ne 1 2 1.7\ne 2 3 1\n")
-    res = runner.invoke(main, ["verify", gp, str(bad), "--mode", mode])
+    res = runner.invoke(main, ["verify", gp, str(bad)])
     assert res.exit_code == 2, res.output
-    assert "FAIL pair (1,2): tree 1.7, flow 1.0" in res.output
+    assert res.output == "FAIL tree edge (1,2) weight 1.7: fundamental cut 1.0\n"
+
+
+def test_verify_names_the_flow_half(tmp_path, runner):
+    """On the path 1-2-3 the tree 1-3 (1), 3-2 (2) has both fundamental
+    cuts right, but the flow between 3 and 2 is 1."""
+    gp = write_graph(tmp_path / "g.gr", families.path(3))
+    bad = tmp_path / "bad.tree"
+    bad.write_text("t 3\ne 1 3 1\ne 3 2 2\n")
+    res = runner.invoke(main, ["verify", gp, str(bad)])
+    assert res.exit_code == 2, res.output
+    assert res.output == "FAIL tree edge (2,3) weight 2.0: flow 1.0\n"
 
 
 @pytest.mark.parametrize("g", [
@@ -269,37 +279,43 @@ def test_tree_of_n_minus_1_edges_that_do_not_span_exits_4(tmp_path, runner, text
 
 
 def test_sampled_verify(tmp_path, runner):
+    """A 40-node tree, once checked on sampled pairs, is certified whole
+    with no options: one flow per tree edge."""
     g = families.er_connected(40, 0.3, seed=4)
     gp = write_graph(tmp_path / "g.gr", g)
     tree = str(tmp_path / "g.tree")
     res = runner.invoke(main, ["build", gp, "--algo", "deterministic", "--out", tree])
     assert res.exit_code == 0
-    res = runner.invoke(main, ["verify", gp, tree, "--mode", "sampled",
-                               "--samples", "50", "--seed", "1"])
-    assert res.exit_code == 0
+    FLOW_CALLS.reset()
+    res = runner.invoke(main, ["verify", gp, tree])
+    assert res.exit_code == 0, res.output
+    assert res.output == "pass: 39 tree edges certified\n"
+    assert FLOW_CALLS.value == 39
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_sampled_verify_without_samples_exits_4(tmp_path, runner, samples):
+@pytest.mark.parametrize("option", [["--mode", "sampled"], ["--samples", "50"],
+                                    ["--seed", "1"], ["--oracle-limit", "100"]],
+                         ids=["mode", "samples", "seed", "oracle_limit"])
+def test_removed_verify_option_exits_4(tmp_path, runner, option):
     gp = write_graph(tmp_path / "g.gr", families.path(4))
     tree = str(tmp_path / "g.tree")
     res = runner.invoke(main, ["build", gp, "--algo", "classic", "--out", tree])
     assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["verify", gp, tree, "--mode", "sampled",
-                               "--samples", samples])
+    res = runner.invoke(main, ["verify", gp, tree, *option])
     assert res.exit_code == 4, res.output
-    assert "error:" in res.output
+    assert "No such option" in res.output
 
 
 def test_sampled_verify_single_node_passes(tmp_path, runner):
+    """A one-node tree has no edge to certify, and passes."""
     gp = tmp_path / "g.gr"
     gp.write_text("p 1 0\n")
     tree = str(tmp_path / "g.tree")
     res = runner.invoke(main, ["build", str(gp), "--algo", "classic", "--out", tree])
     assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["verify", str(gp), tree, "--mode", "sampled"])
+    res = runner.invoke(main, ["verify", str(gp), tree])
     assert res.exit_code == 0, res.output
-    assert "pass: 0 pairs verified" in res.output
+    assert res.output == "pass: 0 tree edges certified\n"
 
 
 def standalone_cell(n, algo, prob, seed):
@@ -439,16 +455,12 @@ def test_build_unknown_option_exits_4(tmp_path, runner):
     assert not (tmp_path / "t").exists()
 
 
-@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+@pytest.mark.parametrize("command", ["build", "bench"])
 def test_non_integer_env_seed_exits_4(tmp_path, runner, monkeypatch, command):
     gp = write_graph(tmp_path / "g.gr", families.path(4))
-    tree = tmp_path / "g.tree"
-    res = runner.invoke(main, ["build", gp, "--algo", "classic", "--out", str(tree)])
-    assert res.exit_code == 0, res.output
     monkeypatch.setenv("GHT_SEED", "abc")
     args = {
         "build": ["build", gp, "--algo", "randomized", "--out", str(tmp_path / "r")],
-        "verify": ["verify", gp, str(tree), "--mode", "sampled"],
         "bench": ["bench", "--sizes", "8", "--out", str(tmp_path / "b.csv")],
     }[command]
     res = runner.invoke(main, args)
