@@ -30,12 +30,13 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
     solver over its auxiliary graph: each vertex of the super-node keeps a
     node of its own and each component of the tree without it is one
     merged node.  A node's label is the vertex v it stands for, or ~j for
-    the component of neighbor j, so the flow's s-side reads back as the
-    piece ``gh_refine`` takes: the vertices it holds and the neighbors
-    whose components it holds.  The flow runs from the second terminal to
-    the first, whose side is then the inclusion-minimal one ``sink_side``
-    returns.  Disconnected inputs need no special case: a pair in
-    different components gets a cut of value 0.
+    the component of neighbor j, so a cut side reads back as the piece
+    ``gh_refine`` takes: the vertices it holds and the neighbors whose
+    components it holds.  The flow runs from the second terminal, tnode,
+    to the first, and its last search is the cut: tnode's inclusion-minimal
+    side, the piece split off, so a step never reads s's side.
+    Disconnected inputs need no special case: a pair in different
+    components gets a cut of value 0.
     """
     if g.n == 1:
         return PartitionTree.single(1)
@@ -47,7 +48,7 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
         sol, label, node = work.pop(i)
         s, tnode = sorted(t.super_nodes[i])[:2]
         value = sol.solve(node[tnode], node[s])
-        side = sol.sink_side(node[s])
+        side = sol.source_side(node[tnode])
         held = [label[x] for x in side]
         nid = gh_refine(t, i, frozenset(v for v in held if v >= 0),
                         frozenset(~v for v in held if v < 0),
@@ -63,7 +64,7 @@ def classic_gomory_hu(g: Graph) -> PartitionTree:
         # sub serves the super of the copied side; sol, which merged that
         # side into copied[0], serves the other one
         sub, copied = sol.split(side)
-        small, big = (i, nid) if copied[0] in side else (nid, i)
+        small, big = (nid, i) if copied[0] in side else (i, nid)
         sub_label = [label[x] for x in copied] + [~big]
         for v in sub_label[:-1]:
             del node[v]

@@ -15,9 +15,10 @@ n - 1 flows.  ``MaxFlowSolver.split`` derives the solvers of
 both sides of a cut, each with the other side merged into one node, from
 an existing solver's arcs, without building a contracted ``Graph``: arcs
 inside the merged side are dropped and parallel arcs are kept as they
-are.  It copies the side of smaller arc volume and contracts that side in
-place in the existing solver, so it walks only that side's arcs.  A
-module-level invocation counter feeds the benchmark harness.
+are.  It copies the side of smaller arc volume, found from the given
+side alone, and contracts that side in place in the existing solver, so
+it walks only that side's arcs.  A module-level invocation counter feeds
+the benchmark harness.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class MaxFlowSolver:
         self._arcs = arcs
         self._cap = cap0
         self._reach: tuple[int, list[int]] | None = None
+        # nodes that still have an arc list, and the arcs in those lists
+        self._live, self._vol = n, m2
 
     @property
     def g(self) -> Graph:
@@ -139,16 +142,20 @@ class MaxFlowSolver:
         and stand for nothing.  Arc pairs inside a merged side are dropped,
         parallel pairs stay separate (the flow and the residual sides do
         not change when they are not folded), and only the smaller side's
-        arcs are walked.  Returns (the new solver, nodes).
+        arcs are walked.  The live node and arc counts give the other
+        side's volume, so its nodes are listed only when it is copied; a
+        merged-away or out-of-range node in ``side`` raises GraphError.
+        Returns (the new solver, nodes).
         """
         arcs, to, cap0 = self._arcs, self._to, self._cap0
-        rest = [x for x, out in enumerate(arcs) if out is not None and x not in side]
-        if not side or not rest:
-            raise GraphError("a split needs two nonempty sides")
-        out_of = arcs.__getitem__
+        side_arcs = [arcs[x] if 0 <= x < self.n else None for x in side]
+        if not side or len(side) >= self._live or None in side_arcs:
+            raise GraphError("a split needs two nonempty sides of live nodes")
+        vol = sum(map(len, side_arcs))
         small = list(side)
-        if sum(map(len, map(out_of, small))) > sum(map(len, map(out_of, rest))):
-            small = rest
+        if 2 * vol > self._vol:
+            small = [x for x, out in enumerate(arcs) if out is not None and x not in side]
+            vol = self._vol - vol
         new = {x: k for k, x in enumerate(small)}
         merged = len(small)
         r = small[0]
@@ -172,6 +179,8 @@ class MaxFlowSolver:
                 sub_cap += (cap0[e], cap0[e])
             arcs[x] = None
         arcs[r] = cut
+        self._live -= merged - 1
+        self._vol += len(cut) - vol
         self._cap = cap0
         self._reach = None
         self._g = None
@@ -184,6 +193,7 @@ class MaxFlowSolver:
         sub._cap0 = sub._cap = sub_cap
         sub._arcs = sub_arcs
         sub._reach = None
+        sub._live, sub._vol = merged + 1, len(sub_to)
         return sub, small
 
     def solve(self, s: int, t: int) -> int:

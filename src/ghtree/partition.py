@@ -157,12 +157,12 @@ class PartitionTree:
             self.super_nodes[nid] = nodes
             self.adj[nid] = {}
         self.super_nodes[i] = rest
-        for j in list(adj_i):
+        # only the neighbors a piece takes are re-linked
+        for j, nid in owner.items():
             w = adj_i.pop(j)
             del self.adj[j][i]
-            side_of = owner.get(j, i)
-            self.adj[side_of][j] = w
-            self.adj[j][side_of] = w
+            self.adj[nid][j] = w
+            self.adj[j][nid] = w
         for nid, (_, _, value) in zip(new_ids, pieces):
             adj_i[nid] = value
             self.adj[nid][i] = value

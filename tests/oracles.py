@@ -511,8 +511,10 @@ def classic_via_contract(g: Graph) -> PartitionTree:
     """Gomory-Hu as first written: every flow builds its auxiliary graph
     with ``Graph.contract`` and a fresh solver for it, and its cut side
     reaches ``gh_refine`` through ``orig_id`` and the layout's
-    ``neighbors``.  The split-solver loop in ``classic.classic_gomory_hu``
-    must build the same tree with the same number of flows."""
+    ``neighbors``.  Each flow runs from tnode to s, and the cut is tnode's
+    inclusion-minimal side.  The split-solver loop in
+    ``classic.classic_gomory_hu`` must build the same tree with the same
+    number of flows."""
     if g.n == 1:
         return PartitionTree.single(1)
     # identity node book-keeping, so every node of a contracted input is original
@@ -525,7 +527,7 @@ def classic_via_contract(g: Graph) -> PartitionTree:
         i = max(pending, key=lambda k: (len(t.super_nodes[k]), -k))
         s, tnode = sorted(t.super_nodes[i])[:2]
         aux, layout = auxiliary_graph(g, t, i)
-        cut = max_flow_min_cut(aux, aux.index_of[s], aux.index_of[tnode])
+        cut = max_flow_min_cut(aux, aux.index_of[tnode], aux.index_of[s])
         orig, k = aux.orig_id, len(layout.kept)
         nodes = frozenset(orig[x] for x in cut.side if orig[x] is not None)
         neighbors = frozenset(layout.neighbors[x - k] for x in cut.side if orig[x] is None)

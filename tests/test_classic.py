@@ -119,6 +119,33 @@ def test_classic_matches_contract_path():
         assert fast_flows == FLOW_CALLS.value - start == g.n - 1
 
 
+def test_classic_steps_read_only_the_small_side(monkeypatch):
+    """Each classic step reads tnode's side from its solve's last search:
+    no build calls ``sink_side``, and on er_200, where a surviving
+    high-degree s keeps most of its super-node, the sides passed to
+    ``MaxFlowSolver.split`` total at most 3n nodes (reading s's side,
+    they totalled 38,871)."""
+    def no_sink_side(self, t):
+        raise AssertionError("classic called sink_side")
+
+    sides = []
+    split = MaxFlowSolver.split
+
+    def recording_split(self, side):
+        sides.append(len(side))
+        return split(self, side)
+
+    monkeypatch.setattr(MaxFlowSolver, "sink_side", no_sink_side)
+    monkeypatch.setattr(MaxFlowSolver, "split", recording_split)
+    for g in contract_path_graphs() + [families.dumbbell(20, bridges=10)]:
+        classic_gomory_hu(g)
+    g = families.er_connected(200, 0.045, seed=42)
+    sides.clear()
+    classic_gomory_hu(g)
+    assert len(sides) == g.n - 1
+    assert sum(sides) <= 3 * g.n
+
+
 def test_classic_disconnected():
     """All four builders handle several components with no special case:
     cuts between components have value 0."""

@@ -267,7 +267,56 @@ def test_split_copies_the_side_of_smaller_arc_volume(side, side_copied):
 
 
 def test_split_needs_two_sides():
+    """A side must leave both sides nonempty and hold only nodes that stand
+    for something: on a fresh solver, and on one contracted in place, an
+    empty side, every live node, a merged-away node and an out-of-range
+    node are refused, and the solver still splits afterwards."""
     sol = MaxFlowSolver(families.path(3))
-    for side in (set(), {0, 1, 2}):
+    for side in (set(), {0, 1, 2}, {3}, {-1}):
         with pytest.raises(GraphError):
             sol.split(side)
+    # {0, 1} has 3 arcs against 5, so it is copied and merged into node 0
+    sol = MaxFlowSolver(families.path(5))
+    assert sol.split({0, 1})[1] == [0, 1]
+    for side in (set(), {0, 2, 3, 4}, {1}, {1, 2}, {5}, {-1}):
+        with pytest.raises(GraphError):
+            sol.split(side)
+    assert sorted(sol.split({0, 2})[1]) == [0, 2]
+    assert sol.solve(3, 4) == 1
+
+
+def test_split_copy_choice_matches_a_recount():
+    """After each split of a chain on a dumbbell, the copied side is the
+    one of smaller arc volume (``side`` on a tie), recounted from the
+    folded graph of the solver being split.  Sides are grown in a random
+    order to just under or just over half the volume, where a stale count
+    would flip the choice; both branches occur."""
+    rng = random.Random(5)
+    branches = set()
+    for _ in range(4):
+        sol = MaxFlowSolver(families.dumbbell(20, bridges=10))
+        live = set(range(sol.n))
+        while len(live) > 2:
+            degree = dict.fromkeys(live, 0)
+            for (u, v), (m, _) in sol.g.edges.items():
+                degree[u] += m
+                degree[v] += m
+            total = sum(degree.values())
+            order = rng.sample(sorted(live), len(live))
+            k, vol = 0, 0
+            while 2 * (vol + degree[order[k]]) <= total:
+                vol += degree[order[k]]
+                k += 1
+            k = min(max(k + rng.randint(0, 1), 1), len(live) - 1)
+            side = set(order[:k])
+            vol = sum(degree[x] for x in side)
+            sub, copied = sol.split(side)
+            copied_side = copied[0] in side
+            assert copied_side == (2 * vol <= total)
+            assert set(copied) == (side if copied_side else live - side)
+            branches.add(copied_side)
+            if rng.random() < 0.5:
+                sol, live = sub, set(range(sub.n))
+            else:
+                live -= set(copied[1:])
+    assert branches == {True, False}

@@ -135,6 +135,30 @@ def test_failed_split_leaves_tree_unchanged(pieces):
     assert node_super(t)[2] == 3 and t.adj[3] == {1: w, 0: w}
 
 
+def test_split_relinks_only_the_neighbors_it_moves():
+    """Super-node 0 has five neighbors, each with a leaf of its own linked
+    after 0.  A piece that takes neighbor 3 leaves every other neighbor's
+    links as they were, key order included; 0 keeps its order with the
+    new piece last, and 3 links to the piece in 0's place, last."""
+    w = {j: Weight(j, 0) for j in range(1, 11)}
+    supers = {0: frozenset({0, 1, 2})}
+    supers.update((j, frozenset({j + 2})) for j in range(1, 11))
+    adj = {0: {j: w[j] for j in range(1, 6)}}
+    for j in range(1, 6):
+        adj[j] = {0: w[j], j + 5: w[j + 5]}
+        adj[j + 5] = {j: w[j + 5]}
+    t = PartitionTree(supers, adj)
+    before = {j: list(t.adj[j].items()) for j in t.adj}
+    cut = Weight(7, 0)
+    assert t.split(0, [(frozenset({2}), frozenset({3}), cut)]) == [11]
+    for j in (1, 2, 4, 5, 6, 7, 8, 9, 10):
+        assert list(t.adj[j].items()) == before[j], j
+    assert list(t.adj[0].items()) == [(1, w[1]), (2, w[2]), (4, w[4]), (5, w[5]), (11, cut)]
+    assert list(t.adj[3].items()) == [(8, w[8]), (11, w[3])]
+    assert list(t.adj[11].items()) == [(3, w[3]), (0, cut)]
+    assert t.super_nodes[0] == {0, 1} and t.super_nodes[11] == {2}
+
+
 def test_tree_query_examples():
     star = GomoryHuTree(4, [(0, v, Weight(3, 0)) for v in (1, 2, 3)])
     val, side = star.query(1, 2)
