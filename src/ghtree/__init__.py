@@ -1,12 +1,11 @@
 """Cut-equivalent (Gomory-Hu) trees for unweighted graphs.
 
 Exact minimum s,t-cuts for all pairs at once: classical builders, a
-randomized strategy (partial-tree bootstrap, random pivots, and optionally
-doubling stages that sweep each estimate window with one isolating solve
-per candidate), and a fully deterministic variant built on a dynamic
-pivot; both builders split along latest cuts, which need no perturbation
-to be unique.  Every builder takes any loop-free multigraph, connected or
-not.
+randomized strategy (partial-tree bootstrap, random pivots, one sweep of
+latest-cut solves per pivot), and a fully deterministic variant built on
+a dynamic pivot; both builders split along latest cuts, which need no
+perturbation to be unique.  Every builder takes any loop-free multigraph,
+connected or not.
 The demand-weighted expander decomposition stays importable, but no
 builder runs it.
 """
@@ -39,8 +38,6 @@ from .single_source import (
     EstimateTable,
     SingleSourceEngine,
     single_source_mincuts,
-    stage_w,
-    splitter_isolating_step,
 )
 from .dynamic import DynamicPivotEngine, pivot_change, single_source_dynamic_pivot
 from .build import (

@@ -174,9 +174,9 @@ def build_randomized(
     until one yields balanced cuts for at least a quarter of the super-node
     (aborting after 2*GAMMA*log2 N straight failures), split along the
     chosen cuts, recurse.  The seed drives only the pivot draws.  Raises
-    RandomizedAbort on a bad-pivot streak.
+    RandomizedAbort on a bad-pivot streak.  ``config`` is accepted and
+    ignored (see ``EngineConfig``).
     """
-    cfg = config or EngineConfig()
     rng = random.Random(seed)
     n = g.n
     rep = report if report is not None else {}
@@ -188,7 +188,7 @@ def build_randomized(
     def pieces(aux: Graph, layout: AuxLayout, vi: frozenset[int]) -> Pieces:
         for _ in range(max_bad):
             p = rng.choice(sorted(vi))
-            engine = SingleSourceEngine(g, aux, p, cfg)
+            engine = SingleSourceEngine(aux, p)
             engine.run()
             rep["covered"] += engine.report["covered"]
             cuts = _done_cuts(engine, layout)
@@ -216,12 +216,12 @@ def build_deterministic(
     Each super-node is resolved by the dynamic-pivot single-source engine,
     whose cuts all leave at most half the super-node on the far side, so
     the recursion depth is logarithmic and reruns are bit-identical.
+    ``config`` is accepted and ignored (see ``EngineConfig``).
     """
-    cfg = config or EngineConfig()
     rep = report if report is not None else {}
 
     def pieces(aux: Graph, layout: AuxLayout, vi: frozenset[int]) -> Pieces:
-        engine = _dynamic_pivot_engine(g, aux, cfg)
+        engine = _dynamic_pivot_engine(aux)
         rep["pivot_changes"] += engine.pivot_changes
         rep["covered"] += engine.report["covered"]
         found = _assign_largest(_done_cuts(engine, layout).values(), engine.pivot_orig)

@@ -25,7 +25,6 @@ from .classic import classic_gomory_hu, gusfield
 from .flow import FLOW_CALLS, certify
 from .graph import Graph, GraphError, parse_graph
 from .partition import GomoryHuTree, TreeError, parse_tree, to_node_tree
-from .single_source import EngineConfig
 
 EXIT_VERIFY_FAIL = 2
 EXIT_ABORT = 3
@@ -71,15 +70,15 @@ def _load_tree(path: str, n: int) -> GomoryHuTree:
     return tree
 
 
-def _build_tree(g: Graph, algo: str, seed, config: EngineConfig, report: dict):
+def _build_tree(g: Graph, algo: str, seed, report: dict):
     if algo == "classic":
         return classic_gomory_hu(g)
     if algo == "gusfield":
         return gusfield(g)
     if algo == "randomized":
-        return build_randomized(g, seed=seed, config=config, report=report)
+        return build_randomized(g, seed=seed, report=report)
     if algo == "deterministic":
-        return build_deterministic(g, config=config, report=report)
+        return build_deterministic(g, report=report)
     raise ValueError(algo)
 
 
@@ -116,22 +115,15 @@ def main():
 @click.option("--seed", type=int, default=None, help="randomness seed (env GHT_SEED as fallback)")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--loop", is_flag=True,
-              help="run the doubling stages of the candidate-elimination loop, "
-                   "each a sweep of one estimate window (randomized and "
-                   "deterministic only)")
-def build(input_path, algo, seed, out_path, report_path, loop):
+def build(input_path, algo, seed, out_path, report_path):
     """Build a cut-equivalent tree of a graph file."""
-    if loop and algo not in ("randomized", "deterministic"):
-        _input_error(f"--loop needs --algo randomized or deterministic, not {algo}")
     g = _load_graph(input_path)
     seed = _seed_option(seed)
-    config = EngineConfig(loop_enabled=loop)
     report: dict = {"algo": algo, "n": g.n, "m": g.edge_instances, "seed": seed}
     FLOW_CALLS.reset()
     t0 = time.perf_counter()
     try:
-        tree = _build_tree(g, algo, seed, config, report)
+        tree = _build_tree(g, algo, seed, report)
     except RandomizedAbort as exc:
         click.echo(f"abort: {exc}", err=True)
         sys.exit(EXIT_ABORT)
@@ -192,13 +184,15 @@ def bench(family, sizes, prob, algos, seed, out_path):
     seed = _seed_option(seed) or 0
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
-        if any(n < 1 for n in size_list):
+        if not size_list or any(n < 1 for n in size_list):
             raise ValueError
     except ValueError:
         _input_error(f"--sizes takes comma-separated positive integers, not {sizes!r}")
     if not 0 < prob <= 1:
         _input_error(f"--p must be in (0, 1], not {prob}")
     algo_list = [a.strip() for a in algos.split(",") if a.strip()]
+    if not algo_list:
+        _input_error(f"--algos takes comma-separated builder names, not {algos!r}")
     for a in algo_list:
         if a not in ALGOS:
             _input_error(f"unknown algo {a}")
@@ -208,12 +202,11 @@ def bench(family, sizes, prob, algos, seed, out_path):
             g = families.er_connected(n, prob, seed=seed + n)
         except RuntimeError as exc:
             _input_error(f"--p {prob} is too sparse for n = {n}: {exc}")
-        config = EngineConfig()
         report: dict = {}
         flow0 = FLOW_CALLS.value
         t0 = time.perf_counter()
         try:
-            _build_tree(g, algo, seed, config, report)
+            _build_tree(g, algo, seed, report)
         except RandomizedAbort as exc:
             click.echo(f"abort: {exc}", err=True)
             sys.exit(EXIT_ABORT)

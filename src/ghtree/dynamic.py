@@ -4,13 +4,12 @@ dynamic pivot in place of a random one.
 ``DynamicPivotEngine`` subclasses ``single_source.SingleSourceEngine`` and
 overrides its one pivot-rule hook, ``moves_pivot``: the pivot moves
 (``pivot_change``) when an exact latest cut is unbalanced, i.e. the
-terminal admits no balanced minimum cut.  Its stages and sweeps are the
-randomized engine's, on the engine's one solver; a stage cut is exact, so
-it may move the pivot like a cut of the final sweep.  As in the
-randomized builder, cuts are latest cuts with respect to the pivot,
-measured in the plain auxiliary graph.  The stage pass lives in single_source; this module
-re-exports it as ``splitter_isolating_step`` because the benchmark's
-tracer (perfbench/tracing.py) looks it up here by name.
+terminal admits no balanced minimum cut.  Its sweeps are the randomized
+engine's, on the engine's one solver.  As in the randomized builder, cuts
+are latest cuts with respect to the pivot, measured in the plain
+auxiliary graph.  ``splitter_isolating_step``, the pass of the retired
+candidate-elimination loop, stays here as an uncalled no-op, because the
+benchmark's tracer (perfbench/tracing.py) looks it up by name.
 A pivot change reads the old pivot's side from the residual graph of the
 solve that triggered it, so it makes no max-flow of its own.  It drops
 every cover (``SingleSourceEngine.covered``), since covers hold for one
@@ -20,18 +19,9 @@ This module imports single_source, never the reverse.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .flow import CutSide
 from .graph import Graph
-from .single_source import (
-    EngineConfig,
-    EngineError,
-    EstimateTable,
-    SingleSourceEngine,
-    TerminalEstimate,
-    splitter_isolating_step,
-)
+from .single_source import EngineError, EstimateTable, SingleSourceEngine, TerminalEstimate
 
 
 class DynamicPivotEngine(SingleSourceEngine):
@@ -112,11 +102,7 @@ def pivot_change(state: DynamicPivotEngine, q: int, s_pq: CutSide,
     state.pivot_changes += 1
 
 
-def single_source_dynamic_pivot(
-    g: Graph,
-    g_aux: Graph,
-    config: Optional[EngineConfig] = None,
-) -> tuple[int, EstimateTable, DynamicPivotEngine]:
+def single_source_dynamic_pivot(g_aux: Graph) -> tuple[int, EstimateTable, DynamicPivotEngine]:
     """Deterministic single-source minimum cuts with a self-correcting pivot.
 
     Starts from the highest-degree original node and returns a pivot p plus,
@@ -124,22 +110,29 @@ def single_source_dynamic_pivot(
     half of the original nodes.  No randomness is consumed; two runs on the
     same input produce identical tables.
     """
-    engine = _dynamic_pivot_engine(g, g_aux, config)
+    engine = _dynamic_pivot_engine(g_aux)
     engine.settle_covered()
     return engine.pivot_orig, engine.table, engine
 
 
-def _dynamic_pivot_engine(g: Graph, g_aux: Graph,
-                          config: Optional[EngineConfig]) -> DynamicPivotEngine:
+def _dynamic_pivot_engine(g_aux: Graph) -> DynamicPivotEngine:
     """The deterministic builder's entry: a run from the highest-degree
-    original node whose covered terminals stay unsolved (see
+    original node (an original node keeps its input degree in the
+    auxiliary graph) whose covered terminals stay unsolved (see
     ``SingleSourceEngine.covered``).  Every done witness is balanced, and
     ``settle_covered`` keeps it so: it raises if a cut would move the
     pivot."""
-    pivot = max(g_aux.index_of, key=lambda v: (g.degree(v), -v))
-    engine = DynamicPivotEngine(g, g_aux, pivot, config)
+    index_of = g_aux.index_of
+    pivot = max(index_of, key=lambda v: (g_aux.degree(index_of[v]), -v))
+    engine = DynamicPivotEngine(g_aux, pivot)
     engine.run()
     for e in engine.table.entries.values():
         if e.done and not engine.good(e.witness):
             raise EngineError("dynamic engine returned an unbalanced cut")
     return engine
+
+
+def splitter_isolating_step(state: SingleSourceEngine, w: int, candidates: list[int]) -> None:
+    """Retired: stage w's pass of the candidate-elimination loop.  It does
+    nothing and nothing calls it; it stays because the benchmark's tracer
+    wraps it by name."""

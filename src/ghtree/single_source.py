@@ -9,8 +9,8 @@ Latest cuts are unique, so this is the witness any exact method must
 return.  Every proven fact about a terminal comes from one other method,
 ``SingleSourceEngine.settle``: it solves the terminal's latest cut, and
 the cut becomes the terminal's done witness (unless it moves the pivot).
-Every solve of a run, loop on or off, is made on one solver over the
-auxiliary graph, ``SingleSourceEngine.aux_solver``.
+Every solve of a run is made on one solver over the auxiliary graph,
+``SingleSourceEngine.aux_solver``.
 
 Terminals are settled by one loop, ``SingleSourceEngine.sweep``: in order,
 it skips a terminal that is *covered*, and otherwise settles it.  Every
@@ -26,30 +26,24 @@ of S_v, hence balanced and never a maximal cut of a split.  A builder
 therefore needs only the done terminals' cuts, and counts a covered
 terminal by its coverer's side.  After a pivot change, the old pivot
 covers the undone terminals inside its side of the change's cut, by the
-same lemma (dynamic.py).  ``run`` ends with the final sweep, which
-sweeps the terminals neither done nor covered on the auxiliary graph
-until none is left; ``settle_covered`` then solves the covered ones, one
-flow each, for the public ``single_source_mincuts``, whose table is
-entirely done.
+same lemma (dynamic.py).  ``run`` is the final sweep alone: it sweeps the
+terminals neither done nor covered on the auxiliary graph until none is
+left; ``settle_covered`` then solves the covered ones, one flow each, for
+the public ``single_source_mincuts``, whose table is entirely done.
 
-With the loop on, the engine first walks doubling stages from
-w = 2^floor(log2(n)/2).  Stage w's candidates are the terminals neither
-done nor covered whose estimate e satisfies w < e <= 2w; ``stage_w``'s
-pass (``splitter_isolating_step``) sweeps them, in sweep order, on the
-engine's solver.  A lone terminal's isolating cut is its latest cut, so
-each candidate is one ``latest_cut`` solve, which settles it, covers and
-may move the pivot exactly as in the final sweep.  The paper solves stage
-w on a Nagamochi-Ibaraki sparsifier that keeps every cut of weight at most 2w
-exact, so that a stage costs O(nw) edges; on the graphs measured that
-sparsifier dropped no edge, or too few to pay for building it and a
-second solver, so a stage solves on the auxiliary graph itself.  The
-paper's batch isolating cuts and expander decomposition only chose which
-candidates to solve together; with every candidate solved alone they save
-no flow, and the engine runs neither.  Estimates only decrease, every
-estimate is the exact weight of its witness cut, and a terminal is marked
-done only by ``settle``, when a solve makes its estimate minimal.  The one
-exception is the old pivot after a pivot change (dynamic.py), whose
-estimate is exact from the flow that triggered the change.
+The paper reaches n^{2+o(1)} with a candidate-elimination loop: doubling
+stages w, each solving the terminals whose estimate lies in (w, 2w] with
+isolating cuts over an expander decomposition.  With each terminal solved
+alone (a lone terminal's isolating cut is its latest cut), a stage is the
+sweep restricted to one estimate window, so the loop changes only the
+order of the solves, and with it which terminals get covered.  It made
+the same trees and flows on every benchmark graph, and neither order made
+fewer flows on every graph measured (README), so no engine runs it.
+Estimates only decrease, every estimate is the exact weight of its witness
+cut, and a terminal is marked done only by ``settle``, when a solve makes
+its estimate minimal.  The one exception is the old pivot after a pivot
+change (dynamic.py), whose estimate is exact from the flow that triggered
+the change.
 
 ``SingleSourceEngine`` is the randomized engine: the builder draws the
 pivot at random.  Every cut is measured in the plain auxiliary graph; no
@@ -67,7 +61,6 @@ move reopened.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -88,19 +81,12 @@ class EngineError(RuntimeError):
 
 @dataclass
 class EngineConfig:
-    """Settings of the single-source engines.
-
-    Defaults give the direct profile: the candidate-elimination loop is off,
-    no doubling stage runs, and every terminal is settled by one latest-cut
-    solve on the auxiliary graph, which is unconditionally exact and
-    fastest at desk scale.  ``loop_enabled`` runs the doubling stages from
-    w = 2^floor(log2(n)/2) before the final sweep: stage w sweeps the
-    candidates whose estimate lies in (w, 2w] on the engine's solver, one
-    exact solve per candidate not yet covered.  Every sweep, a stage's or
-    the final one, goes in descending estimate, ties by id.  ``seed`` has
-    no effect: no engine step draws random numbers (the randomized builder
-    takes its own seed).  The field stays because the benchmark constructs
-    it.
+    """Former settings of the single-source engines; no field has an
+    effect.  ``loop_enabled`` ran the candidate-elimination loop, which is
+    gone (see the module docstring), and no engine step draws random
+    numbers, so ``seed`` is unused (the randomized builder takes its own
+    seed).  The class stays because the benchmark constructs it, and the
+    builders accept it as ``config=`` and ignore it.
     """
 
     loop_enabled: bool = False
@@ -134,19 +120,10 @@ class EstimateTable:
 
 
 class SingleSourceEngine:
-    def __init__(
-        self,
-        g: Graph,
-        aux: Graph,
-        pivot: int,
-        config: Optional[EngineConfig] = None,
-    ):
-        """g: the input graph; aux: an auxiliary (contracted) graph of it,
-        in which every cut is measured; pivot: an original vertex id in
-        aux."""
-        self.g = g
+    def __init__(self, aux: Graph, pivot: int):
+        """aux: an auxiliary (contracted) graph of the input, in which
+        every cut is measured; pivot: an original vertex id in aux."""
         self.aux = aux
-        self.config = config or EngineConfig()
         if pivot not in aux.index_of:
             raise GraphError("pivot is not an original node of the auxiliary graph")
         self.pivot_orig = pivot
@@ -163,6 +140,7 @@ class SingleSourceEngine:
         self.pivot_changes = 0
         # undone terminal -> the terminal whose balanced latest cut holds it
         self.covered: dict[int, int] = {}
+        # "stages" stays empty: the benchmark's tracer reads it
         self.report: dict = {
             "aux_nodes": aux.n,
             "terminals": len(self.table.entries),
@@ -242,7 +220,7 @@ class SingleSourceEngine:
     @cached_property
     def aux_solver(self) -> MaxFlowSolver:
         """The engine's one solver over the auxiliary graph, built on first
-        use: every solve of the run, stages included, is made on it."""
+        use: every solve of the run is made on it."""
         return MaxFlowSolver(self.aux)
 
     def latest_cut(self, v: int) -> CutSide:
@@ -259,26 +237,14 @@ class SingleSourceEngine:
         return CutSide(side=solver.source_side(t_idx), value=from_scaled(val, self.aux.unit),
                        s=self.pivot_idx, t=t_idx)
 
-    # -- stage machinery -------------------------------------------------------
+    # -- the sweep -------------------------------------------------------------
 
     def sweep_order(self, v: int) -> tuple[int, int, int]:
         """Sort key of every sweep: descending estimate, ties by id."""
         value = self.table.entries[v].value
         return -value.base, -value.eps, v
 
-    def candidates(self, w: int) -> list[int]:
-        """Stage w's candidates, in sweep order: the terminals neither done
-        nor covered whose estimate e satisfies w < e <= 2w."""
-        lo, hi = Weight(w, 0), Weight(2 * w, 0)
-        return sorted((v for v, e in self.table.entries.items()
-                       if not e.done and v not in self.covered and lo < e.value <= hi),
-                      key=self.sweep_order)
-
     def run(self) -> EstimateTable:
-        if self.config.loop_enabled:
-            log_n = math.log2(max(2, self.g.n))
-            for j in range(math.floor(log_n / 2), math.ceil(log_n) + 1):
-                stage_w(self, 2 ** j)
         self.final_sweep()
         self.report["pivot_changes"] = self.pivot_changes
         self.report["pivot_final"] = self.pivot_orig
@@ -345,62 +311,13 @@ class SingleSourceEngine:
 # -- spec-level operations ----------------------------------------------------
 
 
-def single_source_mincuts(
-    g: Graph,
-    g_aux: Graph,
-    p: int,
-    config: Optional[EngineConfig] = None,
-) -> EstimateTable:
+def single_source_mincuts(g_aux: Graph, p: int) -> EstimateTable:
     """Latest minimum (p,v)-cut in the auxiliary graph for every terminal.
 
     Terminals are the auxiliary graph's original vertices; witnesses are
     node sets of it.  All terminals are done on return.
     """
-    engine = SingleSourceEngine(g, g_aux, p, config)
+    engine = SingleSourceEngine(g_aux, p)
     engine.run()
     engine.settle_covered()
     return engine.table
-
-
-def stage_w(state: SingleSourceEngine, w: int) -> None:
-    """One doubling stage of the elimination loop: one sweep of the
-    candidates (estimates in (w, 2w]), in sweep order, on the engine's
-    solver, which settles each candidate it does not skip with its exact
-    latest cut.  A stage with no candidate is skipped.  Whatever a pivot
-    change reopens falls to later stages and the final sweep.  The report's
-    ``direct_solves`` counts the sweep's flows (the benchmark's tracer sums
-    that key)."""
-    srep: dict = {"w": w}
-    candidates = state.candidates(w)
-    if not candidates:
-        srep["skipped"] = True
-        state.report["stages"].append(srep)
-        return
-    srep["candidates"] = len(candidates)
-    flows = FLOW_CALLS.value
-    splitter_isolating_step(state, w, candidates)
-    srep["direct_solves"] = FLOW_CALLS.value - flows
-    state.report["stages"].append(srep)
-
-
-def splitter_isolating_step(
-    state: SingleSourceEngine, w: int, candidates: list[int],
-) -> None:
-    """Isolating cuts with the singleton splitter family: one ``sweep`` of
-    the candidates, in the given order (``candidates`` gives sweep order),
-    on the engine's solver.  A lone terminal's isolating cut is its latest
-    cut, so each is one ``latest_cut`` solve, which ``settle`` records as
-    in the final sweep.
-    The sweep keeps to stage w's window: a pivot move during the sweep can
-    reset a later candidate's estimate to its degree, and one that thereby
-    exceeds 2w is passed over, for later stages and the final sweep.
-
-    This stands in for Li and Panigrahi's sampled isolating rounds over the
-    parts of an expander decomposition, ceil(2 e gamma ln(n) / phi) rounds
-    per part (about 250 at n = 64), each costing a whole-graph flow per bit
-    of the sampled batch: one solve per candidate is cheaper whenever a part
-    holds fewer candidates than that, and then the decomposition decides
-    nothing but the order of the solves."""
-    bound = Weight(2 * w, 0)
-    estimate = state.table.estimate
-    state.sweep(v for v in candidates if not bound < estimate(v))

@@ -7,8 +7,7 @@ Also the reference code and helpers only tests use: all-pairs values by
 direct max-flows (``all_pairs_oracle``, which does use the solver), an
 expansion check of one part (``verify_expansion``), a loop-free induced
 subgraph, a planted-partition graph, a dynamic-pivot run from a chosen
-start pivot, a single-source run whose stages start at w = 1, a check of
-a single-source table against ``latest_min_cut``, ``assemble``,
+start pivot, a check of a single-source table against ``latest_min_cut``, ``assemble``,
 which stitches per-super-node trees into one full tree, the plain
 ``Fraction`` enumeration of a piece's sparsest cut that the expander's
 Gray-code walk must match, Gusfield's scheme with the all-node
@@ -25,7 +24,6 @@ set of auxiliary-graph nodes stands for (``expand``).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -36,7 +34,6 @@ from ghtree.expander import _exact_sparsest_cut, _sweep_sparsest_cut
 from ghtree.flow import MaxFlowSolver, latest_min_cut, max_flow_min_cut
 from ghtree.graph import Graph, GraphError, auxiliary_graph
 from ghtree.partition import GomoryHuTree, PartitionTree, TreeError, gh_refine
-from ghtree.single_source import SingleSourceEngine, stage_w
 from ghtree.weights import Weight, from_scaled
 
 DEFAULT_ORACLE_LIMIT = 64
@@ -286,28 +283,16 @@ def planted_partition(blocks: int, size: int, p_in: float, p_out: float,
     raise RuntimeError("no connected planted partition after 200 tries")
 
 
-def dynamic_from(g: Graph, pivot: int, config=None):
-    """``single_source_dynamic_pivot(g, g, config)`` started at ``pivot``
-    instead of the highest-degree node, with the same balanced-witness
-    check: (final pivot, estimate table, engine)."""
-    engine = DynamicPivotEngine(g, g, pivot, config)
+def dynamic_from(g: Graph, pivot: int):
+    """``single_source_dynamic_pivot(g)`` started at ``pivot`` instead of
+    the highest-degree node, with the same balanced-witness check: (final
+    pivot, estimate table, engine)."""
+    engine = DynamicPivotEngine(g, pivot)
     engine.run()
     engine.settle_covered()
     for e in engine.table.entries.values():
         assert engine.good(e.witness), "dynamic engine returned an unbalanced cut"
     return engine.pivot_orig, engine.table, engine
-
-
-def run_from_stage_one(engine: SingleSourceEngine) -> None:
-    """Every doubling stage of the loop from w = 1 up to 2^ceil(log2 n),
-    then ``run`` (its config must have the loop off, so the run adds only
-    the final sweep) and ``settle_covered``: the loop reaching stages below
-    the engines' first one."""
-    assert not engine.config.loop_enabled
-    for j in range(math.ceil(math.log2(max(2, engine.g.n))) + 1):
-        stage_w(engine, 2 ** j)
-    engine.run()
-    engine.settle_covered()
 
 
 def assert_latest_table(g: Graph, pivot: int, table) -> None:

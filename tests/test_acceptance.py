@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from ghtree import families, single_source
+from ghtree import families
 from ghtree.analysis import count_non_easy_bags, cut_membership_tree, is_easy_bag, w_large_subtree
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
@@ -22,10 +22,8 @@ from ghtree.flow import FLOW_CALLS, MaxFlowSolver, certify, latest_min_cut
 from ghtree.graph import Graph
 from ghtree.isolating import isolating_cuts
 from ghtree.partition import to_node_tree
-from ghtree.single_source import EngineConfig, SingleSourceEngine
 from ghtree.sparsify import perturb, perturbed_sparsifier
-from oracles import (assert_latest_table, dynamic_from, mask_cut_values, mask_latest_all,
-                     planted_partition)
+from oracles import dynamic_from, mask_cut_values, mask_latest_all
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
 
@@ -160,63 +158,6 @@ def test_criterion_04_latest_cut_minimality(small_corpus):
     print(f"\nCRITERION 4 PASS: latest-cut minimality on {pairs} pivot/terminal pairs")
 
 
-def _loop_engine_runs():
-    """Single-source runs with the elimination loop exercised."""
-    runs = []
-    cfg = EngineConfig(loop_enabled=True, seed=5)
-    instances = [
-        (families.dumbbell(20, bridges=10), 25),
-        (families.dumbbell(12, bridges=6), 14),
-        (families.er_connected(24, 0.4, seed=3), 0),
-        (families.er_connected(30, 0.3, seed=4), 7),
-        (families.clique_chain([8, 8, 8]), 2),
-    ]
-    for g, p in instances:
-        engine = SingleSourceEngine(g, g, p, cfg)
-        engine.run()
-        engine.settle_covered()
-        runs.append((g, p, engine))
-    return runs
-
-
-def test_criterion_05_candidate_halving(monkeypatch):
-    """Every non-skipped stage's candidate pass offers every candidate and
-    leaves none live, i.e. neither done nor covered (more than halving: the
-    set goes to zero in one pass).  Every terminal covered during a pass lies inside the done,
-    balanced witness of a candidate solved in that pass, and every terminal
-    ends exact once ``settle_covered`` has solved the covered ones."""
-    passes = []
-    step = single_source.splitter_isolating_step
-
-    def recording_step(state, w, candidates):
-        was_covered = set(state.covered)
-        step(state, w, candidates)
-        entries = state.table.entries
-        live = [v for v in candidates if not entries[v].done and v not in state.covered]
-        for u, v in state.covered.items():
-            if u in was_covered:
-                continue
-            assert v in candidates and entries[v].done, (w, u, v)
-            assert state.good(state.table.witness(v)), (w, u, v)
-            assert state.idx(u) in state.table.witness(v), (w, u, v)
-        passes.append((state, len(candidates), len(live),
-                       len(set(state.covered) - was_covered)))
-
-    monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
-    stages_seen = covered = 0
-    for g, p, engine in _loop_engine_runs():
-        stages = [s for s in engine.report["stages"] if not s.get("skipped")]
-        stages_seen += len(stages)
-        mine = [(offered, left) for state, offered, left, _ in passes if state is engine]
-        assert [(s["candidates"], 0) for s in stages] == mine, (stages, mine)
-        covered += sum(c for state, _, _, c in passes if state is engine)
-        # the run must still end correct
-        assert_latest_table(g, p, engine.table)
-    assert stages_seen >= 3
-    print(f"\nCRITERION 5 PASS: {stages_seen} stage passes, "
-          f"each leaving no candidate live; {covered} terminals covered in them")
-
-
 def test_criterion_07_pivot_change_audit(pivot_change_events):
     """Forced bad initial pivots: done-and-good terminals stay done-and-good
     across changes, and every returned cut is balanced."""
@@ -267,73 +208,6 @@ def test_criterion_08_determinism(small_corpus, medium_corpus):
         assert rep["depth"] <= math.ceil(math.log2(max(2, g.n))) + 1
     print(f"\nCRITERION 8 PASS: byte-identical over 3 runs on {len(graphs)} graphs, "
           "depth within ceil(log2 n) + 1")
-
-
-def test_criterion_09_splitters(monkeypatch):
-    """The splitter family is the singletons, for both paper engines: in a
-    loop-on build, every stage pass solves its candidates alone on the
-    engine's one solver, ``aux_solver`` (a lone terminal's isolating cut is
-    its latest cut), each at most once, in one pass, in sweep order
-    (descending estimate, ties by id) as the pass starts; the
-    candidates it does not solve are exactly those covered when their turn
-    came."""
-    steps = []
-    running = None   # (engine, [(solved terminal, covered before its solve)])
-    step, solve = single_source.splitter_isolating_step, MaxFlowSolver.solve
-
-    def recording_step(state, w, candidates):
-        nonlocal running
-        running = (state, [])
-        solves = running[1]
-        # descending estimate, ties by id, as the pass starts
-        estimate = state.table.estimate
-        order = sorted(candidates, key=lambda v: (estimate(v), -v), reverse=True)
-        try:
-            step(state, w, candidates)
-        finally:
-            running = None
-        steps.append((list(candidates), order, solves, set(state.covered)))
-
-    def recording_solve(solver, s, t):
-        if running is not None:
-            engine = running[0]
-            assert solver is engine.aux_solver, "a stage pass solved off the engine's solver"
-            running[1].append((engine.aux.orig_id[s], set(engine.covered)))
-        return solve(solver, s, t)
-
-    monkeypatch.setattr(single_source, "splitter_isolating_step", recording_step)
-    monkeypatch.setattr(MaxFlowSolver, "solve", recording_solve)
-    # the dumbbell runs non-skipped stages after a run's first one; on the
-    # other two graphs every stage after the first is skipped
-    graphs = [planted_partition(4, 16, 0.5, 0.03, seed=42), families.clique_chain([8, 8, 8]),
-              families.dumbbell(20, bridges=10)]
-    builders = {"deterministic": build_deterministic,
-                "randomized": lambda g, config: build_randomized(g, seed=42, config=config)}
-    offered = skipped = 0
-    for g in graphs:
-        for name, build in builders.items():
-            before = len(steps)
-            tree = build(g, config=EngineConfig(loop_enabled=True))
-            assert len(steps) > before, f"{name}: no stage offered a candidate"
-            for cand, order, solves, covered_after in steps[before:]:
-                assert cand == order, name
-                # the covers in force at each turn: those before the next
-                # solve, or after the pass once no solve is left
-                turns = iter(solves + [(None, covered_after)])
-                nxt, covered_then = next(turns)
-                for u in cand:
-                    if u == nxt:
-                        assert u not in covered_then, name
-                        nxt, covered_then = next(turns)
-                    else:
-                        assert u in covered_then, (name, u)
-                        skipped += 1
-                assert nxt is None, name
-                offered += len(cand)
-            assert _tree_values_match(g, tree, _oracle_values(g)) is None
-    print(f"\nCRITERION 9 PASS: {len(steps)} stage passes, {offered} candidates, "
-          f"each solved alone exactly once unless covered at its turn ({skipped} were), "
-          "by both paper engines")
 
 
 def test_criterion_10_direct_multigraphs():

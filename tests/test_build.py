@@ -168,7 +168,7 @@ def test_latest_cuts_from_one_pivot_are_laminar():
         if g.n <= 12:
             tied += sum(len(enum_min_sides(g, 0, v)[1]) > 1 for v in range(1, g.n))
         for p in range(g.n):
-            engine = SingleSourceEngine(g, g, p)
+            engine = SingleSourceEngine(g, p)
             cuts = {v: engine.latest_cut(v) for v in range(g.n) if v != p}
             for v, cut in cuts.items():
                 assert cut.side == latest_min_cut(g, p, v, wrt=p).side, (g.n, p, v)
@@ -179,17 +179,15 @@ def test_latest_cuts_from_one_pivot_are_laminar():
     assert tied >= 10, tied
 
 
-@pytest.mark.parametrize("loop", [False, True], ids=["loop_off", "loop_on"])
-def test_randomized_on_tied_graphs_never_crosses(loop):
+def test_randomized_on_tied_graphs_never_crosses():
     """Without perturbation the randomized builder still never meets
     crossing cuts (LaminarityError) on graphs with tied minimum cuts, over
     100 seeds, and every tree matches the oracle on every pair."""
-    cfg = EngineConfig(loop_enabled=loop)
     for g in _tied_graphs():
         oracle = all_pairs_oracle(g)
         for seed in range(100):
             try:
-                nt = to_node_tree(build_randomized(g, seed=seed, config=cfg))
+                nt = to_node_tree(build_randomized(g, seed=seed))
             except LaminarityError as exc:
                 pytest.fail(f"n={g.n} seed={seed}: {exc}")
             for (u, v), lam in oracle.items():
@@ -225,10 +223,10 @@ def test_auxiliary_graphs_preserve_flows_during_build(monkeypatch):
 
 
 def test_deterministic_one_flow_per_terminal(monkeypatch):
-    """With the loop off, every dynamic-pivot run makes exactly one max-flow
-    per terminal it does not skip as covered, pivot changes included (a
-    change reads the old pivot's side from the flow that triggered it), and
-    the build makes no flow outside those runs.  A build that resolves the
+    """Every dynamic-pivot run makes exactly one max-flow per terminal it
+    does not skip as covered, pivot changes included (a change reads the
+    old pivot's side from the flow that triggered it), and the build makes
+    no flow outside those runs.  A build that resolves the
     whole graph as one super-node (every minimum cut a degree cut) covers
     nothing, so it makes exactly n - 1."""
     import ghtree.build as build_mod
@@ -236,8 +234,8 @@ def test_deterministic_one_flow_per_terminal(monkeypatch):
     runs = []
     orig = build_mod._dynamic_pivot_engine
 
-    def recording(g, aux, cfg):
-        engine = orig(g, aux, cfg)
+    def recording(aux):
+        engine = orig(aux)
         runs.append((len(engine.table.terminals()), len(engine.covered),
                      engine.pivot_changes, engine.report["flow_calls"]))
         return engine
@@ -293,12 +291,12 @@ def test_covered_terminal_cut_inside_coverer(engine_kind, pivot_change_events):
         for start in (None, *range(0, g.n, 3)):
             pivot_change_events.clear()
             if engine_kind == "randomized":
-                engine = SingleSourceEngine(g, g, start or 0)
+                engine = SingleSourceEngine(g, start or 0)
                 engine.run()
             elif start is None:
-                engine = _dynamic_pivot_engine(g, g, None)
+                engine = _dynamic_pivot_engine(g)
             else:
-                engine = DynamicPivotEngine(g, g, start)
+                engine = DynamicPivotEngine(g, start)
                 engine.run()
             p = engine.pivot_idx
             for u, v in engine.covered.items():
@@ -314,40 +312,37 @@ def test_covered_terminal_cut_inside_coverer(engine_kind, pivot_change_events):
 
 def test_deterministic_flow_pins():
     """Skipping covered terminals: clique_chain([10]*20) took 735 flows and
-    dumbbell(12, 3) 34 when every terminal was solved.  Loop on, the stages
-    skip covered terminals too: clique_chain([10]*20) took 735 flows when
-    only the final sweep did.  It took 437 when sweeps went in id order and
-    a former pivot covered nothing."""
-    chain = families.clique_chain([10] * 20)
-    for g, cfg, most in ((chain, None, 242),
-                         (families.dumbbell(12, 3), None, 23),
-                         (chain, EngineConfig(loop_enabled=True), 242)):
+    dumbbell(12, 3) 34 when every terminal was solved.  clique_chain([10]*20)
+    took 437 when sweeps went in id order and a former pivot covered
+    nothing."""
+    for g, most in ((families.clique_chain([10] * 20), 242),
+                    (families.dumbbell(12, 3), 23)):
         FLOW_CALLS.reset()
         rep = {}
-        build_deterministic(g, config=cfg, report=rep)
+        build_deterministic(g, report=rep)
         assert FLOW_CALLS.value <= most, (g.n, FLOW_CALLS.value)
         assert rep["covered"] > 0
 
 
-@pytest.mark.parametrize("graph,loop,flows", [
-    pytest.param(lambda: families.clique_chain([16] * 8), False, 134, id="clique_chain_16x8"),
-    pytest.param(lambda: planted_partition(5, 24, 0.5, 0.01, seed=42), False, 119,
-                 id="planted_5x24"),
-    pytest.param(lambda: families.er_connected(200, 0.045, seed=42), False, 199, id="er_200"),
-    pytest.param(lambda: planted_partition(4, 16, 0.5, 0.03, seed=42), True, 63,
-                 id="planted_4x16_loop"),
+@pytest.mark.parametrize("graph,flows", [
+    pytest.param(lambda: families.clique_chain([16] * 8), 134, id="clique_chain_16x8"),
+    pytest.param(lambda: planted_partition(5, 24, 0.5, 0.01, seed=42), 119, id="planted_5x24"),
+    pytest.param(lambda: families.er_connected(200, 0.045, seed=42), 199, id="er_200"),
+    pytest.param(lambda: planted_partition(4, 16, 0.5, 0.03, seed=42), 63, id="planted_4x16"),
 ])
-def test_deterministic_flows_on_benchmark_graphs(graph, loop, flows):
+def test_deterministic_flows_on_benchmark_graphs(graph, flows):
     """The deterministic builder's exact flow count on each benchmark graph
-    (corpus seed 42, the benchmark's engine setting).  clique_chain([16]*8)
-    took 206 when sweeps went in id order and a former pivot covered
-    nothing; Gusfield takes 127 there."""
+    (corpus seed 42).  clique_chain([16]*8) took 206 when sweeps went in id
+    order and a former pivot covered nothing; Gusfield takes 127 there."""
     FLOW_CALLS.reset()
-    build_deterministic(graph(), config=EngineConfig(loop_enabled=loop))
+    build_deterministic(graph())
     assert FLOW_CALLS.value == flows
 
 
 def test_loop_enabled_builders():
+    """The builders accept ``EngineConfig(loop_enabled=True)``, which the
+    benchmark's elimination_loop workload passes, and their trees stay
+    exact."""
     cfg = EngineConfig(loop_enabled=True, seed=3)
     rng = random.Random(77)
     for _ in range(6):
@@ -364,10 +359,11 @@ def test_loop_enabled_builders():
     pytest.param("er_200", (199, 212), id="er_200"),
 ])
 def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
-    """Loop-on builds ask each solver for a (pivot, terminal) latest cut at
-    most once: what a solve proves is recorded by ``settle``, so no later
-    step solves the same pair on the same solver again.  ``most`` bounds the
-    flows of the deterministic and the randomized build."""
+    """Builds ask each solver for a (pivot, terminal) latest cut at most
+    once: what a solve proves is recorded by ``settle``, so no later step
+    solves the same pair on the same solver again.  ``most`` bounds the
+    flows of the deterministic and the randomized build.  The builds get
+    the benchmark's elimination_loop config, which has no effect."""
     g = {"planted_4x16": lambda: planted_partition(4, 16, 0.5, 0.03, seed=42),
          "clique_chain_8x3": lambda: families.clique_chain([8, 8, 8]),
          "clique_chain_16x8": lambda: families.clique_chain([16] * 8),
@@ -395,9 +391,7 @@ def test_loop_never_repeats_a_solve_on_one_solver(monkeypatch, graph, most):
 
 def two_core(seed: int = 42) -> Graph:
     """Two dense blocks joined by 12 random edges: 40 nodes at p = 0.4 and
-    60 at p = 0.8.  Unlike the other graphs here, a loop stage's paper
-    graph, the (2w + 1)-sparsifier of the auxiliary graph, drops edges on
-    it (in one stage of each paper builder, the randomized one at seed 42)."""
+    60 at p = 0.8."""
     rng = random.Random(seed)
     a, b = range(40), range(40, 100)
     pairs = [(u, v) for u in a for v in a if u < v and rng.random() < 0.4]
@@ -419,22 +413,31 @@ LOOP_GRAPHS = {
 
 @pytest.mark.parametrize("graph", sorted(LOOP_GRAPHS))
 def test_loop_on_trees_equal_loop_off(graph):
-    """The elimination loop changes how a terminal's latest cut is found,
-    never which cut it is: for both paper builders, the loop-on tree
-    serializes byte for byte like the loop-off one."""
+    """``EngineConfig(loop_enabled=True)``, which the benchmark's
+    elimination_loop workload passes, has no effect: for both paper
+    builders, the tree serializes byte for byte like the default one, with
+    as many flows."""
     g = LOOP_GRAPHS[graph]()
-    for build in (lambda cfg: build_deterministic(g, config=cfg),
-                  lambda cfg: build_randomized(g, seed=42, config=cfg)):
-        off, on = (to_node_tree(build(EngineConfig(loop_enabled=loop))).serialize()
-                   for loop in (False, True))
-        assert on == off
+
+    def flows_and_tree(build):
+        FLOW_CALLS.reset()
+        tree = to_node_tree(build()).serialize()
+        return FLOW_CALLS.value, tree
+
+    cfg = EngineConfig(loop_enabled=True, seed=42)
+    assert flows_and_tree(lambda: build_deterministic(g, config=cfg)) == flows_and_tree(
+        lambda: build_deterministic(g))
+    assert flows_and_tree(lambda: build_randomized(g, seed=42, config=cfg)) == flows_and_tree(
+        lambda: build_randomized(g, seed=42))
 
 
 def test_loop_on_randomized_er_200_flows_over_seeds():
     """The randomized count on er_200 at seed 42 (212) depends on the pivot
     draws, so the flows are also summed over seeds 0-19: 4269 with every
-    stage candidate solved alone, against 4466 when each stage also ran
-    batch isolating cuts and 4801 when each super-node was perturbed."""
+    terminal solved alone, against 4466 when each stage of the retired
+    elimination loop also ran batch isolating cuts and 4801 when each
+    super-node was perturbed.  The builds get the benchmark's
+    elimination_loop config, which has no effect."""
     g = families.er_connected(200, 0.045, seed=42)
     total = 0
     for seed in range(20):
@@ -449,10 +452,9 @@ def test_loop_on_randomized_er_200_flows_over_seeds():
     pytest.param("randomized", 108, id="randomized"),
 ])
 def test_loop_on_planted_4x16_flows_and_tree(name, most):
-    """Each paper builder, loop on, stays within its own flow bound on
-    planted 4x16 (the benchmark's elimination_loop graph), and its tree
-    matches Gusfield's on every pair.  Both engines start their stages at
-    2^floor(log2(n)/2)."""
+    """Each paper builder, with the elimination_loop workload's config,
+    stays within its own flow bound on planted 4x16 (that workload's
+    graph), and its tree matches Gusfield's on every pair."""
     g = planted_partition(4, 16, 0.5, 0.03, seed=42)
     build = {"deterministic": lambda cfg: build_deterministic(g, config=cfg),
              "randomized": lambda cfg: build_randomized(g, seed=42, config=cfg)}[name]
@@ -466,9 +468,10 @@ def test_loop_on_planted_4x16_flows_and_tree(name, most):
 
 
 def test_loop_on_build_does_not_import_numpy():
-    """A loop-on stage offers every candidate alone and runs no expander
-    decomposition, so a fresh interpreter that builds planted 4x16 loop-on
-    with both paper builders never loads numpy (the Fiedler sweep's import)."""
+    """No build runs the expander decomposition, so a fresh interpreter
+    that builds planted 4x16 with both paper builders, given the
+    elimination_loop workload's config, never loads numpy (the Fiedler
+    sweep's import)."""
     root = Path(__file__).resolve().parent.parent
     code = (
         "import sys\n"

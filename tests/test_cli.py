@@ -8,14 +8,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ghtree import EngineConfig, families, single_source
+from ghtree import families
 from ghtree import cli
 from ghtree.build import RandomizedAbort, build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.cli import main
 from ghtree.flow import FLOW_CALLS
 from ghtree.graph import emit_graph
-from ghtree.partition import to_node_tree
 
 
 @pytest.fixture
@@ -184,18 +183,21 @@ def test_input_error_exit_code(tmp_path, runner):
     assert res.exit_code == 4
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(["--algo", "nope"], id="unknown_algo"),
-    pytest.param(["--no-such-option"], id="unknown_option"),
-    pytest.param(None, id="missing_input"),
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["--algo", "nope"], "Invalid value", id="unknown_algo"),
+    pytest.param(["--no-such-option"], "No such option", id="unknown_option"),
+    pytest.param(["--loop"], "No such option", id="removed_loop"),
+    pytest.param(None, "does not exist", id="missing_input"),
 ])
-def test_usage_errors_exit_4(tmp_path, runner, args):
+def test_usage_errors_exit_4(tmp_path, runner, args, message):
     """Click's usage errors are input errors: exit 4, not click's 2, which
-    ght keeps for a failed verification."""
+    ght keeps for a failed verification.  ``--loop``, which ran the retired
+    candidate-elimination loop, is an unknown option."""
     gp = write_graph(tmp_path / "g.gr", families.path(3))
     argv = ["build", gp] + args if args else ["build", str(tmp_path / "absent.gr")]
     res = runner.invoke(main, argv + ["--out", str(tmp_path / "x.tree")])
     assert res.exit_code == 4, res.output
+    assert message in res.output
     assert not (tmp_path / "x.tree").exists()
 
 
@@ -329,9 +331,9 @@ def standalone_cell(n, algo, prob, seed):
     elif algo == "gusfield":
         gusfield(g)
     elif algo == "randomized":
-        build_randomized(g, seed=seed, config=EngineConfig(seed=seed), report=report)
+        build_randomized(g, seed=seed, report=report)
     else:
-        build_deterministic(g, config=EngineConfig(seed=seed), report=report)
+        build_deterministic(g, report=report)
     return FLOW_CALLS.value - flow0, report
 
 
@@ -397,58 +399,11 @@ def test_env_seed_fallback(tmp_path, runner, monkeypatch):
     assert rep["seed"] == 17
 
 
-@pytest.mark.parametrize("loop", [False, True])
-def test_build_loop_flag_runs_the_loop(tmp_path, runner, monkeypatch, loop):
-    """``--loop`` runs the doubling stages, at least one of them solving
-    candidates, and the build without it runs none; either way the CLI
-    builds the library's tree for that setting, with the same stages and
-    flows."""
-    g = families.er_connected(24, 0.4, seed=3)
-    gp = write_graph(tmp_path / "g.gr", g)
-    stages = []     # (w, skipped) of every stage run
-    real_stage_w = single_source.stage_w
-
-    def spy(state, w):
-        real_stage_w(state, w)
-        stages.append((w, bool(state.report["stages"][-1].get("skipped"))))
-
-    monkeypatch.setattr(single_source, "stage_w", spy)
-    for algo, build in (("deterministic", lambda c: build_deterministic(g, config=c)),
-                        ("randomized", lambda c: build_randomized(g, seed=5, config=c))):
-        tree, rep = tmp_path / f"{algo}.tree", tmp_path / f"{algo}.json"
-        stages.clear()
-        res = runner.invoke(main, ["build", gp, "--algo", algo, "--seed", "5",
-                                   *(["--loop"] if loop else []),
-                                   "--out", str(tree), "--report", str(rep)])
-        assert res.exit_code == 0, (algo, res.output)
-        cli_stages = list(stages)
-        assert any(not skipped for _, skipped in cli_stages) if loop else not cli_stages, algo
-        stages.clear()
-        FLOW_CALLS.reset()
-        built = build(EngineConfig(loop_enabled=loop))
-        assert stages == cli_stages, algo
-        assert tree.read_text() == to_node_tree(built).serialize(), algo
-        assert json.loads(rep.read_text())["maxflow_calls"] == FLOW_CALLS.value, algo
-
-
-@pytest.mark.parametrize("algo", ["classic", "gusfield"])
-def test_build_loop_with_classic_builder_exits_4(tmp_path, runner, algo):
-    """The classic builders have no elimination loop, so ``--loop`` with
-    them is an input error rather than a build that ignores it."""
-    gp = write_graph(tmp_path / "g.gr", families.path(4))
-    res = runner.invoke(main, ["build", gp, "--algo", algo, "--loop",
-                               "--out", str(tmp_path / "t")])
-    assert res.exit_code == 4, res.output
-    assert "--loop" in res.output
-    assert not (tmp_path / "t").exists()
-
-
 def test_build_unknown_option_exits_4(tmp_path, runner):
-    """An option ``build`` does not have, here ``--stage-from-zero`` (the
-    loop's stages always start at 2^floor(log2(n)/2)), is a usage error,
-    so it exits 4."""
+    """An option ``build`` does not have, here ``--stage-from-zero``, is a
+    usage error, so it exits 4."""
     gp = write_graph(tmp_path / "g.gr", families.path(4))
-    res = runner.invoke(main, ["build", gp, "--algo", "deterministic", "--loop",
+    res = runner.invoke(main, ["build", gp, "--algo", "deterministic",
                                "--stage-from-zero", "--out", str(tmp_path / "t")])
     assert res.exit_code == 4, res.output
     assert "No such option" in res.output
@@ -476,8 +431,10 @@ def test_non_integer_env_seed_exits_4(tmp_path, runner, monkeypatch, command):
     ["--p", "1.5"],
     ["--p", "nan"],
     ["--p", "0.001"],
+    ["--sizes", ","],
+    ["--algos", ","],
 ], ids=["sizes_not_integers", "sizes_negative", "p_zero", "p_negative", "p_above_one", "p_nan",
-        "p_too_sparse"])
+        "p_too_sparse", "sizes_empty", "algos_empty"])
 def test_bench_bad_input_exits_4(tmp_path, runner, args):
     out = tmp_path / "b.csv"
     res = runner.invoke(main, ["bench", "--sizes", "8", *args, "--out", str(out)])

@@ -1,10 +1,9 @@
 """Differential test of the four builders.
 
-Classic, Gusfield, randomized and deterministic trees, the paper builders
-with the elimination loop both off and on, must give the same minimum-cut
-value for every pair of nodes, and every side a tree returns must have that
-cut weight in the input graph.  Up to 12 nodes the values are also checked
-against a brute-force enumeration of all cuts.  Graphs come from the
+Classic, Gusfield, randomized and deterministic trees must give the same
+minimum-cut value for every pair of nodes, and every side a tree returns
+must have that cut weight in the input graph.  Up to 12 nodes the values
+are also checked against a brute-force enumeration of all cuts.  Graphs come from the
 families the benchmark corpus is drawn from (G(n, p), clique chains,
 planted partitions) and a few shaped ones, and random multigraphs,
 connected or not, which every builder takes directly.
@@ -19,9 +18,9 @@ from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.flow import FLOW_CALLS
 from ghtree.partition import to_node_tree
-from ghtree.single_source import EngineConfig, SingleSourceEngine, single_source_mincuts
+from ghtree.single_source import EngineConfig, single_source_mincuts
 
-from oracles import assert_latest_table, mask_cut_values, planted_partition, run_from_stage_one
+from oracles import assert_latest_table, mask_cut_values, planted_partition
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -69,14 +68,10 @@ def tree_values(g, tree):
 
 
 def all_trees(g, seed):
-    """Every builder's tree of g, the paper builders' with the loop off and
-    on."""
-    trees = {"classic": classic_gomory_hu(g), "gusfield": gusfield(g)}
-    for loop in (False, True):
-        cfg = EngineConfig(loop_enabled=loop, seed=seed)
-        trees[f"randomized/{loop}"] = build_randomized(g, seed=seed, config=cfg)
-        trees[f"deterministic/{loop}"] = build_deterministic(g, config=cfg)
-    return trees
+    """Every builder's tree of g."""
+    return {"classic": classic_gomory_hu(g), "gusfield": gusfield(g),
+            "randomized": build_randomized(g, seed=seed),
+            "deterministic": build_deterministic(g)}
 
 
 def assert_builders_agree(g, trees):
@@ -101,32 +96,12 @@ def test_builders_agree_on_multigraphs(g, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=GRAPHS, seed=SEEDS, loop=st.booleans())
-def test_standalone_single_source_exact(g, seed, loop):
-    """``single_source_mincuts`` from a random pivot with the loop off, or
-    a single-source run with the loop's stages starting at w = 1: every
-    terminal's estimate and witness are its latest cut's."""
+@given(g=GRAPHS, seed=SEEDS)
+def test_standalone_single_source_exact(g, seed):
+    """``single_source_mincuts`` from a random pivot: every terminal's
+    estimate and witness are its latest cut's."""
     p = random.Random(seed).randrange(g.n)
-    if loop:
-        engine = SingleSourceEngine(g, g, p)
-        run_from_stage_one(engine)
-        table = engine.table
-    else:
-        table = single_source_mincuts(g, g, p, EngineConfig(seed=seed))
-    assert_latest_table(g, p, table)
-
-
-def test_standalone_loop_without_stage_from_zero_is_exact():
-    """Loop on, with the stages starting where ``run`` starts them,
-    w = 2^floor(log2(n)/2), not at w = 1, over 40 graphs: every terminal's
-    estimate and witness are its latest cut's.  Stage w solves only
-    estimates in (w, 2w], which its graph keeps exact, so exactness needs
-    no stage below the first."""
-    for seed in range(40):
-        g = families.er_connected(40, 0.08, seed=seed)
-        p = max(range(g.n), key=lambda v: (g.degree(v), -v))
-        cfg = EngineConfig(loop_enabled=True, seed=1)
-        assert_latest_table(g, p, single_source_mincuts(g, g, p, cfg))
+    assert_latest_table(g, p, single_source_mincuts(g, p))
 
 
 def _flows_and_tree(build, g, loop):
@@ -142,17 +117,18 @@ PAPER_BUILDERS = {
 
 
 def test_loop_on_dense_er_makes_the_loop_off_flows():
-    """On a dense G(n, p) every estimate, a degree, is far above the
-    first stages' w.  Capped at 2w, those stages proved only lower bounds,
-    and every terminal was solved again (238 and 393 flows here).  A stage
-    now solves only estimates in (w, 2w], once and exactly, so loop-on
-    makes loop-off's flows (119 and 256) and trees."""
+    """``EngineConfig(loop_enabled=True)``, the benchmark's elimination_loop
+    setting, has no effect on a dense G(n, p): the paper builders make the
+    default's flows (119 and 256) and trees.  When the retired loop's
+    stages were capped at 2w they made 238 and 393 flows here."""
     g = families.er_connected(120, 0.3, seed=42)
     for name, build in PAPER_BUILDERS.items():
         assert _flows_and_tree(build, g, True) == _flows_and_tree(build, g, False), name
 
 
 def test_loop_on_never_makes_more_flows_than_loop_off():
+    """``EngineConfig(loop_enabled=True)`` makes no more flows than the
+    default on 40 sparse G(n, p); it has no effect, so never more."""
     for seed in range(40):
         g = families.er_connected(40, 0.08, seed=seed)
         for name, build in PAPER_BUILDERS.items():

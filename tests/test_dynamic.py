@@ -28,7 +28,7 @@ def oracle_table(g, pivot, table):
 
 def test_star_center_never_changes():
     g = families.star(5)
-    pivot, table, engine = single_source_dynamic_pivot(g, g)
+    pivot, table, engine = single_source_dynamic_pivot(g)
     assert pivot == 0
     assert engine.pivot_changes == 0
     for v in table.terminals():
@@ -51,7 +51,7 @@ def test_random_suite_all_good_no_randomness():
         n = rng.randint(4, 40)
         g = families.er_connected(n, rng.choice([0.2, 0.5, 0.8]),
                                   seed=rng.randrange(2 ** 32))
-        pivot, table, engine = single_source_dynamic_pivot(g, g)
+        pivot, table, engine = single_source_dynamic_pivot(g)
         oracle_table(g, pivot, table)
         half = len(engine.vprime)
         for v in table.terminals():
@@ -61,8 +61,8 @@ def test_random_suite_all_good_no_randomness():
 
 def test_two_runs_identical():
     g = families.er_connected(14, 0.4, seed=41)
-    p1, t1, _ = single_source_dynamic_pivot(g, g)
-    p2, t2, _ = single_source_dynamic_pivot(g, g)
+    p1, t1, _ = single_source_dynamic_pivot(g)
+    p2, t2, _ = single_source_dynamic_pivot(g)
     assert p1 == p2
     assert {v: (t1.estimate(v), t1.witness(v)) for v in t1.terminals()} == \
            {v: (t2.estimate(v), t2.witness(v)) for v in t2.terminals()}
@@ -80,9 +80,9 @@ def test_public_functions_settle_covered_terminals():
     per terminal, on graphs where those runs do skip."""
     skipped = 0
     for g in _covering_graphs():
-        skipped += len(_dynamic_pivot_engine(g, g, None).covered)
+        skipped += len(_dynamic_pivot_engine(g).covered)
         flows = FLOW_CALLS.value
-        pivot, table, engine = single_source_dynamic_pivot(g, g)
+        pivot, table, engine = single_source_dynamic_pivot(g)
         assert FLOW_CALLS.value - flows == engine.report["flow_calls"] == len(table.terminals())
         assert engine.report["covered"] == 0 and not engine.covered
         oracle_table(g, pivot, table)
@@ -91,11 +91,11 @@ def test_public_functions_settle_covered_terminals():
             assert table.witness(v) == latest_min_cut(g, g.index_of[pivot], g.index_of[v],
                                                       wrt=g.index_of[pivot]).side
 
-        engine = SingleSourceEngine(g, g, 0)
+        engine = SingleSourceEngine(g, 0)
         engine.run()
         skipped += len(engine.covered)
         flows = FLOW_CALLS.value
-        table = single_source_mincuts(g, g, 0)
+        table = single_source_mincuts(g, 0)
         assert FLOW_CALLS.value - flows == len(table.terminals())
         assert_latest_table(g, 0, table)
     assert skipped >= 20, skipped
@@ -105,7 +105,7 @@ def test_public_functions_settle_covered_terminals():
 
 
 def engine_for(g, pivot):
-    return DynamicPivotEngine(g, g, pivot)
+    return DynamicPivotEngine(g, pivot)
 
 
 def test_change_updates_only_pivot_when_nothing_exceeds():

@@ -8,7 +8,6 @@ from ghtree.build import build_deterministic, build_randomized
 from ghtree.flow import FLOW_CALLS, latest_min_cut
 from ghtree.graph import Graph, GraphError
 from ghtree.isolating import isolating_cuts
-from ghtree.single_source import EngineConfig
 from ghtree.sparsify import ni_sparsify
 from ghtree.weights import Weight
 
@@ -38,7 +37,7 @@ def test_singleton_terminal_is_latest_cut():
     assert res.flow_calls <= 2
 
     # on the paper's stage graphs too, one terminal's isolating cut is its
-    # latest cut, which is how the loop computes it
+    # latest cut, which is how the engines compute it
     checked = 0
     for g in (families.dumbbell(4), families.clique_chain([5, 9, 3, 12, 7]),
               families.er_connected(20, 0.3, seed=3), families.double_star(3, 5)):
@@ -54,9 +53,9 @@ def test_singleton_terminal_is_latest_cut():
 
 
 def test_loop_never_isolates_a_lone_terminal(monkeypatch):
-    """Loop-on builds of both paper builders compute every candidate's
-    isolating cut as a lone latest-cut solve: no build calls
-    ``isolating_cuts``, through any ghtree module that binds it."""
+    """Both paper builders compute every terminal's isolating cut as a
+    lone latest-cut solve: no build calls ``isolating_cuts``, through any
+    ghtree module that binds it."""
     calls = []
 
     def recording(g, p, terminals):
@@ -69,8 +68,8 @@ def test_loop_never_isolates_a_lone_terminal(monkeypatch):
     for module in bound:
         monkeypatch.setattr(module, "isolating_cuts", recording)
     for g in (families.clique_chain([5, 9, 3, 12, 7]), families.er_connected(20, 0.3, seed=5)):
-        build_deterministic(g, config=EngineConfig(loop_enabled=True))
-        build_randomized(g, seed=1, config=EngineConfig(loop_enabled=True, seed=1))
+        build_deterministic(g)
+        build_randomized(g, seed=1)
     assert not calls, calls
 
 

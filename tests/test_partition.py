@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ghtree import EngineConfig, families
+from ghtree import families
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
 from ghtree.graph import auxiliary_graph
@@ -235,17 +235,14 @@ def test_query_matches_reference_on_random_trees():
 
 def test_query_matches_reference_on_corpus_trees():
     """Every tree the four builders make of the benchmark corpus (corpus
-    seed 42; the planted 4x16 graph is built loop-on, as its workload is)."""
-    corpus = [(families.er_connected(200, 0.045, seed=42), False),
-              (families.clique_chain([16] * 8), False),
-              (planted_partition(5, 24, 0.5, 0.01, seed=42), False),
-              (planted_partition(4, 16, 0.5, 0.03, seed=42), True)]
+    seed 42)."""
+    corpus = [families.er_connected(200, 0.045, seed=42), families.clique_chain([16] * 8),
+              planted_partition(5, 24, 0.5, 0.01, seed=42),
+              planted_partition(4, 16, 0.5, 0.03, seed=42)]
     rng = random.Random(42)
-    for g, loop in corpus:
-        cfg = lambda: EngineConfig(loop_enabled=loop)
-        for t in (classic_gomory_hu(g), gusfield(g),
-                  build_randomized(g, seed=42, config=cfg()),
-                  build_deterministic(g, config=cfg())):
+    for g in corpus:
+        for t in (classic_gomory_hu(g), gusfield(g), build_randomized(g, seed=42),
+                  build_deterministic(g)):
             tree = to_node_tree(t)
             _assert_matches_reference(tree, [tuple(rng.sample(range(g.n), 2))
                                              for _ in range(60)])

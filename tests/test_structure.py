@@ -6,20 +6,21 @@ import cycle hides.  The deterministic engine extends the randomized one,
 so dynamic.py may import single_source.py but not the other way round.
 The engines make their max-flows through one method, prove estimates
 through one other, and make every solve of a run on one solver over the
-auxiliary graph, stages included.  The library keeps only what a builder, the CLI or
-the benchmark runs: the engine settings have no test hooks, graphs carry no
+auxiliary graph.  The library keeps only what a builder, the CLI or the
+benchmark runs: the engine settings have no effect, graphs carry no
 self-loops, and test-only helpers live under tests/.  Invariants are checked
 by exceptions, never by ``assert``, so they hold under ``python -O``.  The
 max-flow kernel's state is private to flow.py, so a new kernel changes one
 file.  The classic builders build no contracted graph and make at most one
-solver per run.  Both engines start their doubling stages at the same w
-and share the stage pass.  The builders, their partial-tree bootstrap and
-the engines run on plain graphs: latest cuts need no perturbation to be
-unique.  Every stage step is a lone latest-cut solve, so the engines call
-no batch isolating cuts, and the stage pass and the final sweep are one
-settle loop.  Every stage solve is exact, so no engine keeps a proven
-lower bound per terminal and no settle step takes a cap.  A cut tree keeps one live representation: partition trees
-split in place and Gomory-Hu trees answer from their rooted arrays.  Cuts
+solver per run.  The deterministic engine overrides only the pivot move,
+and each run of either engine is the final sweep alone: the doubling
+stages of the candidate-elimination loop are gone.  The builders, their
+partial-tree bootstrap and the engines run on plain graphs: latest cuts
+need no perturbation to be unique.  Every solve is a lone latest-cut
+solve, so the engines call no batch isolating cuts and settle terminals
+in one loop.  Every solve is exact, so no engine keeps a proven lower
+bound per terminal and no settle step takes a cap.  A cut tree keeps one
+live representation: partition trees split in place and Gomory-Hu trees answer from their rooted arrays.  Cuts
 reach a partition tree in auxiliary-graph terms (the super-node's vertices
 and the neighbors on a side), so no builder expands a cut to original
 vertices.  One layout numbers every auxiliary graph the paper builders
@@ -145,7 +146,7 @@ def test_engines_have_one_settle_path():
 
 
 def test_stage_solves_are_exact():
-    """A stage solves only estimates it keeps exact, so nothing is capped:
+    """Every solve is exact, so nothing is capped:
     a terminal's estimate has no proven floor beside its value, witness and
     done flag, ``settle`` and ``sweep`` take no cap, and neither engine
     module names a ``floor`` (``math.floor`` aside)."""
@@ -167,9 +168,9 @@ def test_stage_solves_are_exact():
 
 
 def test_stage_solver_is_explicit():
-    """A stage solves on the engine's one named solver, ``aux_solver``,
-    never on a per-stage solver parked on the engine: no source or test
-    file names a ``_gw_solver`` attribute."""
+    """Every solve is made on the engine's one named solver,
+    ``aux_solver``, never on a per-stage solver parked on the engine: no
+    source or test file names a ``_gw_solver`` attribute."""
     tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
     for path in MODULES + tests:
         lines = [node.lineno for node in ast.walk(parse(path))
@@ -188,8 +189,8 @@ def test_engines_make_one_solver_per_run(monkeypatch):
     """Every solve of a single-source run is made on ``aux_solver``:
     single_source.py builds a ``MaxFlowSolver`` only there and names no
     ``ni_sparsify``, no function of either engine module takes a ``solver``
-    parameter, and a loop-on build sparsifies no more often than a loop-off
-    one (the randomized builder's partial-tree bootstrap only)."""
+    parameter, and a randomized build of a 64-node graph sparsifies once,
+    in its partial-tree bootstrap (k = isqrt(64) + 1)."""
     tree = parse(SRC / "single_source.py")
     builders = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                 and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
@@ -215,36 +216,17 @@ def test_engines_make_one_solver_per_run(monkeypatch):
         if getattr(module, "ni_sparsify", None) is sparsify:
             monkeypatch.setattr(module, "ni_sparsify", recording)
     g = planted_partition(4, 16, 0.5, 0.03, seed=42)
-    counts = []
-    for loop in (False, True):
-        calls.clear()
-        build_randomized(g, seed=42, config=EngineConfig(loop_enabled=loop))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0, counts
+    build_randomized(g, seed=42)
+    assert calls == [9], calls
 
 
 def test_engine_config_fields():
+    """``EngineConfig`` keeps the two fields the benchmark sets, and no
+    engine takes it: the builders accept and ignore it."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {"loop_enabled", "seed"}
-
-
-def test_deterministic_stages_start_like_randomized():
-    """Every stage solve is exact, so no engine needs its stages to begin
-    at w = 1:
-    ``DynamicPivotEngine`` overrides only the pivot move, not the stage
-    pass or where the stages start, and loop-on it begins at
-    2^floor(log2(n)/2) as the randomized engine does.  No engine has a
-    hook that builds a stage graph."""
+    assert list(inspect.signature(SingleSourceEngine).parameters) == ["aux", "pivot"]
     assert {name for name in vars(DynamicPivotEngine) if not name.startswith("__")} == {
         "moves_pivot"}
-    for name in ("first_stage", "isolating_moves_pivot", "stage_pending", "stage_graph"):
-        assert not hasattr(SingleSourceEngine, name), name
-    g = families.er_connected(40, 0.08, seed=0)
-    cfg = EngineConfig(loop_enabled=True)
-    first = []
-    for engine in (DynamicPivotEngine(g, g, 0, cfg), SingleSourceEngine(g, g, 0, cfg)):
-        engine.run()
-        first.append(engine.report["stages"][0]["w"])
-    assert first == [4, 4]   # n = 40: 2^floor(log2(40) / 2)
 
 
 def method_calls(tree: ast.Module, attr: str) -> list[str]:
@@ -266,34 +248,35 @@ def method_calls(tree: ast.Module, attr: str) -> list[str]:
 
 
 def test_engines_have_one_settle_loop():
-    """The stage pass and the final sweep are one loop,
+    """The final sweep settles terminals in one loop,
     ``SingleSourceEngine.sweep``, the only per-terminal loop that calls
-    ``settle``; ``settle_covered`` is its only other caller, so no stage
-    settles a terminal outside its sweep."""
+    ``settle``; ``settle_covered`` is its only other caller."""
     tree = parse(SRC / "single_source.py")
     assert sorted(method_calls(tree, "settle")) == ["settle_covered", "sweep"]
-    assert sorted(method_calls(tree, "sweep")) == ["final_sweep", "splitter_isolating_step"]
+    assert sorted(method_calls(tree, "sweep")) == ["final_sweep"]
     for path in MODULES:
         if path.name != "single_source.py":
             assert method_calls(parse(path), "settle") == [], path.name
 
 
 def test_loop_runs_no_expander_decomposition():
-    """A loop-on stage offers every candidate alone in one pass, so the
-    engines import nothing from the expander decomposition, and the round
-    machinery that ordered its parts is gone."""
+    """The engines solve every terminal alone, so they import nothing from
+    the expander decomposition, and the round machinery that ordered its
+    parts is gone, as are the doubling stages that ran it."""
     for path in (SRC / "single_source.py", SRC / "dynamic.py"):
         for node, names in relative_imports(parse(path)):
             assert "expander" not in names, f"{path.name} imports .expander at line {node.lineno}"
     for name in ("priority_solve_step", "priority_budget", "candidate_threshold",
-                 "ImprovingCut", "_elimination_round"):
+                 "ImprovingCut", "_elimination_round", "stage_w"):
         assert not hasattr(ghtree, name), name
         assert not hasattr(ghtree.single_source, name), f"single_source.{name}"
+    for name in ("candidates", "first_stage", "stage_pending", "stage_graph"):
+        assert not hasattr(SingleSourceEngine, name), name
 
 
 def test_engines_solve_each_candidate_alone_on_plain_graphs():
     """single_source.py names neither ``isolating_cuts`` nor
-    ``perturbed_sparsifier``: a stage offers each candidate alone, as one
+    ``perturbed_sparsifier``: the engines solve each terminal alone, as one
     latest-cut solve, on the plain auxiliary graph.  The engines take no work
     graph, and neither ``easy_cuts_step`` nor ``offer_isolating_cuts``
     exists."""

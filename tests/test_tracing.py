@@ -10,6 +10,9 @@ construct ``EngineConfig(loop_enabled=..., seed=...)``.  A rename or
 deletion of any of them, or a call path that skips one, breaks the
 benchmark, so this test loads the tracer from its source, without writing
 anything under perfbench/, installs it, traces builds and uninstalls it.
+``offer`` and ``splitter_isolating_step`` are no longer called, and
+``EngineConfig`` has no effect: the elimination_loop workload's builds
+are the default builds.
 """
 
 import sys
@@ -22,6 +25,10 @@ import ghtree
 from ghtree import EngineConfig, families
 from ghtree.build import build_deterministic, build_randomized
 from ghtree.classic import classic_gomory_hu, gusfield
+from ghtree.flow import FLOW_CALLS
+from ghtree.partition import to_node_tree
+
+from oracles import planted_partition
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -69,8 +76,25 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert ghtree_namespaces() == before
     metrics = tracer.metrics(1.0)
     assert tracer.calls["single_source.run"] > 0
-    assert tracer.calls["dynamic.splitter_step"] > 0
     assert metrics["flow.solve.calls"][0] > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, **kw: build_randomized(g, seed=42, **kw),
+    lambda g, **kw: build_deterministic(g, **kw),
+], ids=["randomized", "deterministic"])
+def test_loop_enabled_config_builds_the_default_tree(build):
+    """The elimination_loop workload's ``EngineConfig(loop_enabled=True,
+    seed=0)`` has no effect: on its graph, planted 4x16, each paper
+    builder's tree is byte-identical to the default build's, with as many
+    flows."""
+    g = planted_partition(4, 16, 0.5, 0.03, seed=42)
+    runs = []
+    for kw in ({}, {"config": EngineConfig(loop_enabled=True, seed=0)}):
+        FLOW_CALLS.reset()
+        tree = to_node_tree(build(g, **kw)).serialize()
+        runs.append((tree, FLOW_CALLS.value))
+    assert runs[0] == runs[1]
 
 
 def test_tracer_counts_the_classic_builders():
