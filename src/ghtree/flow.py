@@ -4,10 +4,15 @@ Blocking-flow (Dinic) augmentation over scaled integer capacities
 (mult * unit + eps), so perturbed weights are handled exactly.  A solver
 builds a graph's arcs once: paired arc ids (e and e ^ 1 are the two
 directions of one edge) and, per node, the list of arc ids leaving it.
-Each solve owns private residual state.  A phase's breadth-first search
-stops as soon as the sink is labelled; the depth-first search keeps a
-current-arc index per node and drops the nodes it backs out of.  The
-residual searches of ``source_side`` and ``sink_side`` give the
+Each solve owns private residual state.  A phase's levels come from a
+two-sided breadth-first search, forward from the source and backward from
+the sink, which expands one whole layer of the smaller frontier at a time
+and stops at the first arc between the two sides.  It scans one ball
+around each terminal, whose radii add up to one less than the s-t
+distance, instead of one ball around the source of about that whole
+distance (``solve`` says why the early stop is exact).  The depth-first search keeps a current-arc index
+per node and drops the nodes it backs out of.  The residual searches of
+``source_side`` and ``sink_side`` give the
 inclusion-minimal minimum-cut sides, which are the same for every maximum
 flow, so every cut this module returns is independent of the flow the
 kernel happens to find.  ``certify`` proves a tree cut-equivalent in
@@ -69,8 +74,10 @@ class MaxFlowSolver:
     arc ids leaving it.  ``solve`` copies the capacities into a private
     residual array, so one solver serves any number of solves; the side
     queries read the residual of the last solve.  A solve ends with a
-    search from s that cannot reach t, which is the residual reach
-    of s, so ``source_side`` of that s needs no second search.
+    search whose forward or backward frontier runs out.  When the forward
+    one does, its labelled set is the residual reach of s, which
+    ``source_side`` of that s returns with no second search; otherwise
+    ``source_side`` searches from s again.
 
     ``g`` is the graph the solver's arcs came from.  A solver made or
     contracted by ``split`` has none until ``g`` is first read; it is then
@@ -197,7 +204,27 @@ class MaxFlowSolver:
         return sub, small
 
     def solve(self, s: int, t: int) -> int:
-        """Max flow from s to t as a scaled integer."""
+        """Max flow from s to t as a scaled integer.
+
+        Each Dinic phase labels levels by a two-sided breadth-first search:
+        forward from s over residual arcs, backward from t over reversed
+        residual arcs, one whole layer of whichever frontier holds fewer
+        nodes (the forward one on a tie).  It stops at the first arc from
+        the expanding frontier into the other side's labelled set, and the
+        partly built layer is dropped.  That stop is exact: the two labelled
+        sets are disjoint and each is made of complete layers, forward to
+        depth fd and backward to depth bd, so every node within fd of s and
+        within bd of t is labelled and no node is both.  An arc from the
+        expanding frontier can then land only in the other side's last
+        layer, and t is at distance D = fd + 1 + bd.  A node keeps its
+        distance from s on s's side and takes D minus its distance to t on
+        t's side; each node of a shortest path gets its distance from s, so
+        the paths that climb one level per arc are exactly the shortest
+        ones, and each phase's blocking flow raises D as in Dinic's bound.
+        The last phase finds no meeting arc: a frontier runs out.  If the
+        forward one does, its labelled set is kept as s's residual reach
+        for ``source_side``.
+        """
         if s == t:
             raise GraphError("source equals sink")
         FLOW_CALLS.value += 1
@@ -209,42 +236,78 @@ class MaxFlowSolver:
         self._reach = None
         flow = 0
         while True:
-            # BFS levels, stopping as soon as t gets one: every node below
-            # t's level is labelled by then
+            # two-sided BFS; a node at distance b from t is held as -2 - b
+            # until t's distance from s is known
             level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            push = queue.append
-            t_level = 0
-            for u in queue:
-                lv = level[u] + 1
-                for e in arcs[u]:
-                    v = to[e]
-                    if level[v] < 0 and cap[e]:
-                        level[v] = lv
-                        if v == t:
-                            t_level = lv
+            level[s], level[t] = 0, -2
+            front, back = [s], [t]
+            reach, co_reach = [s], [t]
+            fd = bd = 0
+            met = False
+            while front and back:
+                layer: list[int] = []
+                push = layer.append
+                if len(front) <= len(back):
+                    lv = fd + 1
+                    for u in front:
+                        for e in arcs[u]:
+                            v = to[e]
+                            x = level[v]
+                            if x < 0 and cap[e]:
+                                if x != -1:
+                                    met = True
+                                    break
+                                level[v] = lv
+                                push(v)
+                        if met:
                             break
-                        push(v)
-                if t_level:
-                    break
-            if not t_level:
-                # the search ran out: queue is the residual reach of s
-                self._reach = (s, queue)
+                    else:
+                        front, fd = layer, lv
+                        reach += layer
+                        continue
+                else:
+                    lv = -3 - bd
+                    for u in back:
+                        for e in arcs[u]:
+                            # arc e leaves u; its pair e ^ 1 runs to[e] -> u
+                            v = to[e]
+                            x = level[v]
+                            if x > -2 and cap[e ^ 1]:
+                                if x != -1:
+                                    met = True
+                                    break
+                                level[v] = lv
+                                push(v)
+                        if met:
+                            break
+                    else:
+                        back, bd = layer, bd + 1
+                        co_reach += layer
+                        continue
+                # a meeting arc: the partial layer is not needed
+                for v in layer:
+                    level[v] = -1
+                break
+            else:
+                # a frontier ran out, so t is cut off; if it was the forward
+                # one, reach is the residual reach of s
+                if not front:
+                    self._reach = (s, reach)
                 return flow
-            # nodes at t's level other than t lead nowhere, so a node one
-            # level below t can only use its own residual arc into t, and
-            # one without such an arc leads nowhere either
-            while level[queue[-1]] == t_level:
-                level[queue.pop()] = -1
-            last = t_level - 1
+            # the meeting arc joins the two last layers
+            dist = fd + 1 + bd
+            for v in co_reach:
+                level[v] += dist + 2
+            # a node one level below t can only use its own residual arc
+            # into t; one on s's side (bd = 0) without such an arc leads
+            # nowhere, and every one on t's side has one
+            last = dist - 1
             into_t = {to[e]: e ^ 1 for e in arcs[t]
                       if level[to[e]] == last and cap[e ^ 1]}
-            for v in reversed(queue):
-                if level[v] != last:
-                    break
-                if v not in into_t:
-                    level[v] = -1
+            if not bd:
+                for v in front:
+                    if v not in into_t:
+                        level[v] = -1
             # DFS for a blocking flow; ptr[u] is u's current arc
             ptr = [0] * n
             path: list[int] = []

@@ -293,7 +293,8 @@ def test_criterion_12_scaling_smoke():
     certify_s = {}
     for n, p_edge in ((500, 0.02), (2000, 0.01)):
         g = families.er_connected(n, p_edge, seed=42)
-        for algo, fn in (("randomized", lambda h: build_randomized(h, seed=0)),
+        for algo, fn in (("gusfield", gusfield),
+                         ("randomized", lambda h: build_randomized(h, seed=0)),
                          ("deterministic", build_deterministic)):
             FLOW_CALLS.reset()
             t0 = time.time()
@@ -302,7 +303,8 @@ def test_criterion_12_scaling_smoke():
             rows.append({"n": n, "m": g.edge_instances, "algo": algo,
                          "wall_s": round(wall, 1),
                          "maxflow_calls": FLOW_CALLS.value})
-            if n == 2000:
+            # Gusfield's rows show the flow kernel on its own, for the CSV only
+            if n == 2000 and algo != "gusfield":
                 assert wall < 300, f"{algo} took {wall:.0f}s"
                 t0 = time.time()
                 failure = certify(g, tree)

@@ -124,7 +124,7 @@ def test_classic_steps_read_only_the_small_side(monkeypatch):
     no build calls ``sink_side``, and on er_200, where a surviving
     high-degree s keeps most of its super-node, the sides passed to
     ``MaxFlowSolver.split`` total at most 3n nodes (reading s's side,
-    they totalled 38,871)."""
+    they totalled 39,203)."""
     def no_sink_side(self, t):
         raise AssertionError("classic called sink_side")
 

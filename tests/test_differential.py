@@ -9,8 +9,10 @@ planted partitions) and a few shaped ones, and random multigraphs,
 connected or not, which every builder takes directly.
 """
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghtree import families
@@ -67,11 +69,16 @@ def tree_values(g, tree):
     return out
 
 
+def builders(seed):
+    """Every builder, the randomized one seeded with ``seed``."""
+    return {"classic": classic_gomory_hu, "gusfield": gusfield,
+            "randomized": lambda g: build_randomized(g, seed=seed),
+            "deterministic": build_deterministic}
+
+
 def all_trees(g, seed):
     """Every builder's tree of g."""
-    return {"classic": classic_gomory_hu(g), "gusfield": gusfield(g),
-            "randomized": build_randomized(g, seed=seed),
-            "deterministic": build_deterministic(g)}
+    return {name: build(g) for name, build in builders(seed).items()}
 
 
 def assert_builders_agree(g, trees):
@@ -134,3 +141,42 @@ def test_loop_on_never_makes_more_flows_than_loop_off():
         for name, build in PAPER_BUILDERS.items():
             on, off = _flows_and_tree(build, g, True), _flows_and_tree(build, g, False)
             assert on[0] <= off[0], (seed, name, on[0], off[0])
+
+
+# sha256 of each builder's ``to_node_tree(tree).serialize()`` and its flow
+# count, taken before the Dinic phases searched from both ends.  Latest cuts
+# are the same for every maximum flow, so a new flow kernel leaves them all
+# as they are; a change that alters a tree on purpose updates its pin.
+ER_200 = "9ea896b406fc6a1f99a9ef05b1261efae95b36b7caf32c53b7139c2a50e2f394"
+CHAIN = "17541f92b80bc8533b0a90d2298ba95fb532220fc0a0a3b2d378a5325719a817"
+ER_120 = "cb414519b155699ac5b55644fd5ecdbff8f25da7d48835d77f9ff3057cf72989"
+MULTI = "306ac4883adb034d4f8afea46220cf564cead8e5a2bdc4ef24e170e602b83f1e"
+PINNED = {
+    "er_200": (lambda: families.er_connected(200, 0.045, seed=42), {
+        "classic": (ER_200, 199), "gusfield": (ER_200, 199),
+        "randomized": (ER_200, 212), "deterministic": (ER_200, 199)}),
+    "clique_chain_8x16": (lambda: families.clique_chain([16] * 8), {
+        "classic": (CHAIN, 127), "gusfield": (CHAIN, 127),
+        "randomized": ("d73ae355871af12fe6b7f837be37ac52e478b6dba7616eb7b4090f943f1f16df", 247),
+        "deterministic": ("d83e6bee6db9d51700b6e5163ff6497e77a0ebb221009696887db3250dc34597", 134)}),
+    "er_120_0.3": (lambda: families.er_connected(120, 0.3, seed=42), {
+        "classic": (ER_120, 119), "gusfield": (ER_120, 119),
+        "randomized": (ER_120, 256), "deterministic": (ER_120, 119)}),
+    "multigraph_150": (lambda: families.random_multigraph(150, 0.05, 3, seed=7), {
+        "classic": (MULTI, 149), "gusfield": (MULTI, 149),
+        "randomized": (MULTI, 253), "deterministic": (MULTI, 149)}),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_trees_and_flows_are_pinned(name):
+    """Every builder's tree and flow count on four graphs, one of them a
+    multigraph, equal their pins (randomized with seed 42)."""
+    make, pins = PINNED[name]
+    g = make()
+    got = {}
+    for builder, build in builders(42).items():
+        flows = FLOW_CALLS.value
+        tree = to_node_tree(build(g)).serialize()
+        got[builder] = (hashlib.sha256(tree.encode()).hexdigest(), FLOW_CALLS.value - flows)
+    assert got == pins

@@ -192,6 +192,62 @@ def test_flow_matches_enumeration(g, rnd):
         assert max_flow_min_cut(g, s, t).value.scaled(g.unit) == value
 
 
+# One case for each way a phase search can end: (graph, s, t).  A search
+# expands one whole layer of the frontier with fewer nodes, the forward one
+# on a tie.
+PHASE_ENDS = {
+    # after a layer each, s's {2, 3} is smaller than t's {4, 5, 6}; its
+    # expansion labels 7 and then meets 5, and 7 must not keep a level
+    "meeting_forward": (Graph.from_edges(8, [(0, 2), (0, 3), (1, 4), (1, 5), (1, 6),
+                                             (2, 7), (3, 5), (3, 6)]), 0, 1),
+    # s's layer {1, 2, 3} outgrows t's {4}, whose expansion meets it
+    "meeting_backward": (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4),
+                                              (3, 4), (4, 5)]), 0, 5),
+    # s's first expansion meets t itself, so t is one level up (D = 1)
+    "adjacent": (families.complete(4), 0, 1),
+    # the last phase's forward search runs out inside the triangle {0, 1, 2}
+    # while t's frontier, its four leaves, stays larger; its labelled set
+    # is kept as s's residual reach
+    "forward_runs_out": (Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4),
+                                              (3, 5), (3, 6), (3, 7)]), 0, 3),
+    # star center to a leaf: the leaf's one arc is saturated, so the
+    # backward search runs out first and source_side must search again
+    "backward_runs_out": (families.star(4), 0, 1),
+}
+
+
+def phase_end_solvers(g, s, t):
+    """(solver, the graph it answers for) for one case: a fresh solver, one
+    reused after two other solves, the solver a split contracts in place
+    (it keeps merged-away nodes), and a fresh solver of the multigraph with
+    every edge doubled and perturbed."""
+    reused = MaxFlowSolver(g)
+    reused.solve(t, s)
+    reused.solve(s, 2 if 2 != t else 3)
+    # a 3-node path beside g has fewer arcs, so it is copied and merged
+    # into one isolated node of the solver that keeps g's node ids
+    k = g.n
+    edges = [uv for uv, (m, _) in g.edges.items() for _ in range(m)]
+    contracted = MaxFlowSolver(Graph.from_edges(k + 3, edges + [(k, k + 1), (k + 1, k + 2)]))
+    contracted.solve(k, s)
+    assert sorted(contracted.split({k, k + 1, k + 2})[1]) == [k, k + 1, k + 2]
+    doubled = perturb(Graph.from_edges(g.n, edges * 2), seed=11)
+    return [(MaxFlowSolver(g), g), (reused, g), (contracted, g),
+            (MaxFlowSolver(doubled), doubled)]
+
+
+@pytest.mark.parametrize("case", PHASE_ENDS)
+def test_each_way_a_phase_ends(case):
+    """Value and both inclusion-minimal sides match enumeration on every
+    solver of each case, whether ``source_side`` reads the reach the last
+    phase kept or searches again."""
+    g, s, t = PHASE_ENDS[case]
+    for sol, h in phase_end_solvers(g, s, t):
+        assert sol.solve(s, t) == enum_min_cut(h, s, t)
+        assert sol.source_side(s) == enum_latest_side(h, t, s)[0]
+        assert sol.sink_side(t) == enum_latest_side(h, s, t)[0]
+
+
 def split_children(sol, index, side):
     """Both solvers ``sol.split(side)`` leaves, each with the index that
     maps every vertex of the input to its node there, ``side``'s first;
